@@ -5,7 +5,7 @@
 //! hvdb-bench run <scenario>... [--smoke] [--seeds 1,2,3] [--out-dir DIR]
 //! hvdb-bench run --all [--smoke] [--out-dir DIR]
 //! hvdb-bench run ... [--trace-out PATH] [--trace-filter CATS]
-//! hvdb-bench validate <file>... [--loss-floor F]
+//! hvdb-bench validate <file>... [--baseline-dir DIR]
 //! hvdb-bench explain <report.json>
 //! ```
 //!
@@ -16,21 +16,18 @@
 //! written report is immediately re-validated against the strict schema;
 //! `run` exits nonzero if any scenario's report fails (after finishing
 //! the remaining scenarios). `validate` checks committed/artifact
-//! reports and applies the `loss` scenario's delivery-floor regression
-//! gate. `--trace-out` additionally records a structured-trace +
-//! profiler run of the paper geometry on the parallel engine and writes
-//! it as a Chrome trace-event (Perfetto-loadable) document. `explain`
-//! prints a human post-mortem of one report: gates at default floors,
-//! fault counters, timeline inflections and the profiler's phase split.
+//! reports and enforces the gates the report's scenario declares
+//! ([`ScenarioDef::gates`]). `--trace-out` additionally records a
+//! structured-trace + profiler run of the paper geometry on the parallel
+//! engine and writes it as a Chrome trace-event (Perfetto-loadable)
+//! document. `explain` prints a human post-mortem of one report: the
+//! same gates, fault counters, timeline inflections and the profiler's
+//! phase split.
 
 use hvdb_bench::scenario::{find, registry, run_scenario, RunOpts, ScenarioDef};
 use hvdb_bench::{
-    check_byzantine_gate, check_loss_floor, check_loss_high_band, check_overhead_gate,
-    check_partition_gate, check_partition_timeline, check_perf_gate, check_perf_threads_gate,
-    check_scale_gate, check_traffic_gate, check_trajectory, gated_metrics, run_par_hvdb_traced,
-    validate_report_str, Json, ScenarioReport, Workload, LOSS_DELIVERY_FLOOR, PERF_SPEEDUP_FLOOR,
-    PERF_THREADS_SPEEDUP_FLOOR, TRAFFIC_P99_REFERENCE_POINT, TRAJECTORY_DELIVERY_TOLERANCE,
-    TRAJECTORY_OVERHEAD_TOLERANCE,
+    check_gates, check_trajectory, run_par_hvdb_traced, validate_report_str, Gate, Json,
+    ScenarioReport, Workload, TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE,
 };
 use std::process::ExitCode;
 
@@ -65,112 +62,55 @@ fn usage() {
         "  hvdb-bench run --all        [--smoke] [--seeds 1,2,3] [--threads N] [--out-dir DIR]"
     );
     eprintln!("  hvdb-bench run ...          [--trace-out PATH] [--trace-filter CATS]");
-    eprintln!("  hvdb-bench validate <file>... [--loss-floor F] [--perf-floor F]");
-    eprintln!("                                [--threads-floor F] [--baseline-dir DIR]");
-    eprintln!("                                [--delivery-tolerance F] [--overhead-tolerance F]");
+    eprintln!("  hvdb-bench validate <file>... [--baseline-dir DIR]");
     eprintln!("  hvdb-bench explain <report.json>");
     eprintln!();
-    eprintln!("`list --json` emits the machine-readable registry (name, figure,");
-    eprintln!("summary, gated metrics) for tooling and the CI job matrix.");
-    eprintln!("`run --trace-out PATH` additionally runs the paper geometry on the");
-    eprintln!("parallel engine with the structured trace and profiler enabled and");
-    eprintln!("writes a Chrome trace-event document (open in Perfetto / about:tracing);");
-    eprintln!("--trace-filter narrows categories (comma-separated");
-    eprintln!("election,soft-state,fault,flow; default all).");
-    eprintln!("`explain` prints a human post-mortem of one report: gates at default");
-    eprintln!("floors, fault counters, timeline inflections, profiler phase split.");
-    eprintln!();
     eprintln!("Writes BENCH_<scenario>.json per scenario; see `list` for names.");
-    eprintln!("`validate` schema-checks report files. Scenario-specific gates:");
-    eprintln!("\"loss\" must clear the worst-seed delivery floor (default");
-    eprintln!("{LOSS_DELIVERY_FLOOR}) at 15% frame loss; \"overhead\" must show the quiet-phase");
-    eprintln!("adaptive-refresh improvement and stay under the frames/s ceiling;");
-    eprintln!("\"perf\" must show shared-frame delivery at least --perf-floor times");
-    eprintln!("(default {PERF_SPEEDUP_FLOOR}) faster than the per-receiver-clone arm, and its");
-    eprintln!("engine-threads arm must keep events_processed identical across thread");
-    eprintln!("counts and — on machines with >= 4 hardware threads — clear the");
-    eprintln!("--threads-floor speedup (default {PERF_THREADS_SPEEDUP_FLOOR}).");
     eprintln!("`run --threads N` sets the worker-thread count of parallel-engine");
     eprintln!("arms (default 1); it is recorded in every report and cannot change");
-    eprintln!("deterministic metrics. \"scale\" must keep events_processed identical");
-    eprintln!("across its engine-threads arm, and full (non-smoke) runs must hold");
-    eprintln!("delivery at the largest network size (the 100k campaign gate).");
-    eprintln!("\"partition\" must keep worst-seed reachable delivery above the");
-    eprintln!("floor during the split and re-merge the head hierarchy within the");
-    eprintln!("budget after the heal; \"byzantine\" must bound the worst per-node");
-    eprintln!("delivery damage across its k sweep (full runs only for both).");
-    eprintln!("With --baseline-dir, every report is additionally compared against");
-    eprintln!("the committed BENCH_<scenario>.json in DIR: delivery may regress at");
-    eprintln!("most --delivery-tolerance (default {TRAJECTORY_DELIVERY_TOLERANCE}) and overhead metrics may grow");
-    eprintln!("at most --overhead-tolerance (default {TRAJECTORY_OVERHEAD_TOLERANCE}).");
+    eprintln!("deterministic metrics. `run --trace-out PATH` additionally runs the");
+    eprintln!("paper geometry on the parallel engine with the structured trace and");
+    eprintln!("profiler enabled and writes a Chrome trace-event document (open in");
+    eprintln!("Perfetto / about:tracing); --trace-filter narrows categories");
+    eprintln!("(comma-separated election,soft-state,fault,flow; default all).");
+    eprintln!();
+    eprintln!("`validate` schema-checks report files and enforces the gates each");
+    eprintln!("scenario declares. A gate names a metric, the rows it reads, one");
+    eprintln!("check, and what a smoke report does: refuse, skip, or use a lower");
+    eprintln!("floor; `list --json` prints every scenario's gates. With");
+    eprintln!("--baseline-dir, every report is also compared against the committed");
+    eprintln!(
+        "BENCH_<scenario>.json in DIR: delivery may regress at most {:.0}% and",
+        TRAJECTORY_DELIVERY_TOLERANCE * 100.0
+    );
+    eprintln!(
+        "the overhead metrics may grow at most {:.0}%.",
+        TRAJECTORY_OVERHEAD_TOLERANCE * 100.0
+    );
+    eprintln!("`explain` prints a post-mortem of one report: how it fares against");
+    eprintln!("its gates, fault counters, timeline inflections, profiler phase split.");
 }
 
 fn validate(args: &[String]) -> ExitCode {
     let mut files: Vec<String> = Vec::new();
-    let mut floor = LOSS_DELIVERY_FLOOR;
-    let mut perf_floor = PERF_SPEEDUP_FLOOR;
-    let mut threads_floor = PERF_THREADS_SPEEDUP_FLOOR;
     let mut baseline_dir: Option<String> = None;
-    let mut delivery_tol = TRAJECTORY_DELIVERY_TOLERANCE;
-    let mut overhead_tol = TRAJECTORY_OVERHEAD_TOLERANCE;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--loss-floor" => {
-                i += 1;
-                match args.get(i).and_then(|f| f.parse::<f64>().ok()) {
-                    Some(f) if (0.0..=1.0).contains(&f) => floor = f,
-                    _ => {
-                        eprintln!("--loss-floor needs a number in [0, 1]");
-                        return ExitCode::FAILURE;
-                    }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--baseline-dir" => match args.next() {
+                Some(dir) => baseline_dir = Some(dir.clone()),
+                None => {
+                    eprintln!("--baseline-dir needs a path");
+                    return ExitCode::FAILURE;
                 }
-            }
-            flag @ ("--perf-floor" | "--threads-floor") => {
-                i += 1;
-                match args.get(i).and_then(|f| f.parse::<f64>().ok()) {
-                    Some(f) if f > 0.0 && f.is_finite() => {
-                        if flag == "--perf-floor" {
-                            perf_floor = f;
-                        } else {
-                            threads_floor = f;
-                        }
-                    }
-                    _ => {
-                        eprintln!("{flag} needs a positive number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--baseline-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => baseline_dir = Some(dir.clone()),
-                    None => {
-                        eprintln!("--baseline-dir needs a path");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            flag @ ("--delivery-tolerance" | "--overhead-tolerance") => {
-                i += 1;
-                match args.get(i).and_then(|f| f.parse::<f64>().ok()) {
-                    Some(f) if (0.0..=1.0).contains(&f) => {
-                        if flag == "--delivery-tolerance" {
-                            delivery_tol = f;
-                        } else {
-                            overhead_tol = f;
-                        }
-                    }
-                    _ => {
-                        eprintln!("{flag} needs a number in [0, 1]");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            },
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown validate flag: {flag}");
+                eprintln!("(gate thresholds are declared per scenario; see `list --json`)");
+                return ExitCode::FAILURE;
             }
             file => files.push(file.to_string()),
         }
-        i += 1;
     }
     if files.is_empty() {
         eprintln!("validate needs at least one report file");
@@ -189,16 +129,9 @@ fn validate(args: &[String]) -> ExitCode {
                 continue;
             }
         };
-        let mut notes: Vec<String> = Vec::new();
-        let mut fails: Vec<String> = Vec::new();
-        let floors = GateFloors {
-            loss: floor,
-            perf: perf_floor,
-            threads: threads_floor,
-        };
-        scenario_gates(&doc, &floors, &mut notes, &mut fails);
+        let mut results = check_gates(&doc, gates_of(&doc));
         if let Some(dir) = &baseline_dir {
-            let trajectory = (|| {
+            results.push((|| {
                 let scenario =
                     scenario_name(&doc).ok_or_else(|| "report has no scenario name".to_string())?;
                 let base_path = format!("{dir}/BENCH_{scenario}.json");
@@ -208,17 +141,18 @@ fn validate(args: &[String]) -> ExitCode {
                     .map_err(|e| format!("cannot read baseline {base_path}: {e}"))?;
                 let baseline = validate_report_str(&base_text)
                     .map_err(|e| format!("baseline {base_path} invalid: {e}"))?;
-                let rows = check_trajectory(&doc, &baseline, delivery_tol, overhead_tol)?;
-                Ok(vec![format!(
+                let rows = check_trajectory(&doc, &baseline)?;
+                Ok(format!(
                     "trajectory ok vs {base_path} ({} checks)",
                     rows.len()
-                )])
-            })();
-            run_gate(trajectory, &mut notes, &mut fails);
+                ))
+            })());
         }
+        let fails: Vec<&String> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+        let notes: Vec<&str> = results.iter().filter_map(|r| r.as_deref().ok()).collect();
         if !fails.is_empty() {
             eprintln!("{file}: FAIL ({} gate(s)):", fails.len());
-            for f in &fails {
+            for f in fails {
                 eprintln!("  - {f}");
             }
             failures += 1;
@@ -236,126 +170,22 @@ fn validate(args: &[String]) -> ExitCode {
     }
 }
 
-fn scenario_name(doc: &hvdb_bench::Json) -> Option<String> {
-    let hvdb_bench::Json::Obj(fields) = doc else {
+fn scenario_name(doc: &Json) -> Option<String> {
+    let Json::Obj(fields) = doc else {
         return None;
     };
     fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        ("scenario", hvdb_bench::Json::Str(s)) => Some(s.clone()),
+        ("scenario", Json::Str(s)) => Some(s.clone()),
         _ => None,
     })
 }
 
-/// Floors the scenario gates run at (`validate` parses overrides;
-/// `explain` uses the committed defaults).
-struct GateFloors {
-    loss: f64,
-    perf: f64,
-    threads: f64,
-}
-
-impl Default for GateFloors {
-    fn default() -> Self {
-        GateFloors {
-            loss: LOSS_DELIVERY_FLOOR,
-            perf: PERF_SPEEDUP_FLOOR,
-            threads: PERF_THREADS_SPEEDUP_FLOOR,
-        }
-    }
-}
-
-/// Runs one gate, folding its passed-check notes or its failure message
-/// into the per-file tallies: every applicable gate runs, so a failing
-/// report lists *all* broken gates (with expected vs actual) instead of
-/// stopping at the first.
-fn run_gate(res: Result<Vec<String>, String>, notes: &mut Vec<String>, fails: &mut Vec<String>) {
-    match res {
-        Ok(mut n) => notes.append(&mut n),
-        Err(e) => fails.push(e),
-    }
-}
-
-/// Every CI gate applicable to `doc`'s scenario, at the given floors —
-/// the one list `validate` enforces and `explain` narrates.
-fn scenario_gates(
-    doc: &Json,
-    floors: &GateFloors,
-    notes: &mut Vec<String>,
-    fails: &mut Vec<String>,
-) {
-    let (floor, perf_floor, threads_floor) = (floors.loss, floors.perf, floors.threads);
-    match scenario_name(doc).as_deref() {
-        Some("loss") => {
-            run_gate(
-                check_loss_floor(doc, floor)
-                    .map(|worst| vec![format!("worst-seed delivery {worst:.3} >= {floor}")]),
-                notes,
-                fails,
-            );
-            run_gate(
-                check_loss_high_band(doc).map(|band| {
-                    band.into_iter()
-                        .map(|(point, w)| format!("{point} worst {w:.3}"))
-                        .collect()
-                }),
-                notes,
-                fails,
-            );
-        }
-        Some("overhead") => {
-            run_gate(
-                check_overhead_gate(doc).map(|(ratio, total)| {
-                    vec![format!(
-                        "quiet-phase refresh improvement {ratio:.2}x, {total:.0} control frames/s"
-                    )]
-                }),
-                notes,
-                fails,
-            );
-        }
-        Some("perf") => {
-            run_gate(
-                check_perf_gate(doc, perf_floor).map(|(label, speedup)| {
-                    vec![format!(
-                        "shared-frame delivery {speedup:.2}x faster at {label} (floor {perf_floor})"
-                    )]
-                }),
-                notes,
-                fails,
-            );
-            run_gate(
-                check_perf_threads_gate(doc, threads_floor).map(|(tlabel, tspeedup, enforced)| {
-                    vec![if enforced {
-                        format!(
-                            "parallel engine {tspeedup:.2}x at {tlabel} (floor {threads_floor}), identical event counts"
-                        )
-                    } else {
-                        format!(
-                            "parallel engine {tspeedup:.2}x at {tlabel} (speedup floor waived: < 4 hardware threads), identical event counts"
-                        )
-                    }]
-                }),
-                notes,
-                fails,
-            );
-        }
-        Some("traffic") => {
-            run_gate(
-                check_traffic_gate(doc).map(|(knee, p99)| {
-                    vec![format!(
-                        "hvdb sustains {knee:.0} pps past both baselines' knees, \
-                         p99 {p99:.1} ms at {TRAFFIC_P99_REFERENCE_POINT}"
-                    )]
-                }),
-                notes,
-                fails,
-            );
-        }
-        Some("scale") => run_gate(check_scale_gate(doc), notes, fails),
-        Some("partition") => run_gate(check_partition_gate(doc), notes, fails),
-        Some("byzantine") => run_gate(check_byzantine_gate(doc), notes, fails),
-        _ => {}
-    }
+/// The gates declared by `doc`'s scenario; none for unknown scenarios,
+/// which are schema-checked only.
+fn gates_of(doc: &Json) -> &'static [Gate] {
+    scenario_name(doc)
+        .and_then(|name| find(&name))
+        .map_or(&[], |def| def.gates)
 }
 
 fn list(args: &[String]) -> ExitCode {
@@ -365,19 +195,24 @@ fn list(args: &[String]) -> ExitCode {
                 registry()
                     .iter()
                     .map(|def| {
+                        let mut metrics: Vec<Json> = Vec::new();
+                        for m in def.gates.iter().flat_map(Gate::metrics) {
+                            let m = Json::Str(m.into());
+                            if !metrics.contains(&m) {
+                                metrics.push(m);
+                            }
+                        }
+                        let gates = def
+                            .gates
+                            .iter()
+                            .map(|g| Json::Str(format!("{g}; smoke: {:?}", g.smoke)))
+                            .collect();
                         Json::Obj(vec![
                             ("name".into(), Json::Str(def.name.into())),
                             ("figure".into(), Json::Str(def.figure.into())),
                             ("summary".into(), Json::Str(def.summary.into())),
-                            (
-                                "gated_metrics".into(),
-                                Json::Arr(
-                                    gated_metrics(def.name)
-                                        .iter()
-                                        .map(|m| Json::Str((*m).into()))
-                                        .collect(),
-                                ),
-                            ),
+                            ("gated_metrics".into(), Json::Arr(metrics)),
+                            ("gates".into(), Json::Arr(gates)),
                         ])
                     })
                     .collect(),
@@ -400,7 +235,8 @@ fn list(args: &[String]) -> ExitCode {
 }
 
 /// `hvdb-bench explain <report.json>`: a human post-mortem of one
-/// report. Narrates what `validate` would enforce (at default floors)
+/// report. Narrates what `validate` enforces on it (the same declared
+/// gates, smoke thresholds picked by the report's own `smoke` field)
 /// plus everything the observability plane recorded: fault counters,
 /// timeline inflection points, and the profiler's phase split. Exits
 /// nonzero only if the file is unreadable or fails the schema — gate
@@ -435,18 +271,16 @@ fn explain(args: &[String]) -> ExitCode {
         }
     );
 
-    println!("## gates (default floors)");
-    let mut notes = Vec::new();
-    let mut fails = Vec::new();
-    scenario_gates(&doc, &GateFloors::default(), &mut notes, &mut fails);
-    for n in &notes {
-        println!("  PASS {n}");
+    println!("## gates (as `validate` enforces them on this report)");
+    let results = check_gates(&doc, gates_of(&doc));
+    for r in &results {
+        match r {
+            Ok(note) => println!("  PASS {note}"),
+            Err(e) => println!("  FAIL {e}"),
+        }
     }
-    for f in &fails {
-        println!("  FAIL {f}");
-    }
-    if notes.is_empty() && fails.is_empty() {
-        println!("  (no scenario-specific gates; schema check only)");
+    if results.is_empty() {
+        println!("  (no declared gates; schema check only)");
     }
 
     // Fault counters, totalled across rows wherever a scenario recorded
@@ -534,12 +368,9 @@ fn explain(args: &[String]) -> ExitCode {
                 println!("  {key}={v}");
             }
         }
-        match check_partition_timeline(&doc) {
-            Ok(Some(derived)) => println!(
-                "  re-merge re-derived from the series: {derived:.3}s (matches probe measurement)"
-            ),
-            Ok(None) => {}
-            Err(e) => println!("  re-merge cross-check FAILED: {e}"),
+        if tget("remerge_secs_probe").is_some() {
+            // The schema check already re-derived it from the series.
+            println!("  re-merge re-derived from the series matches the probe measurement");
         }
     }
 

@@ -12,8 +12,9 @@
 //!   seed) as a named, declarative entry with a smoke mode;
 //! * [`report`] is the uniform row model and the `BENCH_<scenario>.json`
 //!   serialization the perf trajectory is built from;
-//! * [`validate`] is the strict report validator and the CI regression
-//!   gates (`hvdb-bench validate`, and `run`'s post-write check).
+//! * [`validate`] is the strict report validator (`run`'s post-write
+//!   check) and the interpreter for the regression gates each scenario
+//!   declares (`hvdb-bench validate`, `explain`, `list --json`).
 
 #![warn(missing_docs)]
 
@@ -32,16 +33,8 @@ pub use runner::{
 };
 pub use scenario::{registry, run_scenario, CustomOut, RunOpts, ScenarioDef};
 pub use validate::{
-    check_byzantine_gate, check_loss_floor, check_loss_high_band, check_overhead_gate,
-    check_partition_gate, check_partition_timeline, check_perf_gate, check_perf_threads_gate,
-    check_scale_gate, check_traffic_gate, check_trajectory, gated_metrics, parse_strict,
-    validate_report_str, BYZANTINE_DAMAGE_PER_NODE, LOSS_DELIVERY_FLOOR, LOSS_GATE_POINT,
-    LOSS_HIGH_FLOOR, LOSS_HIGH_POINTS, OVERHEAD_CEILING_FRAMES_PER_S, OVERHEAD_GATED_METRICS,
-    OVERHEAD_QUIET_IMPROVEMENT, OVERHEAD_QUIET_POINT, PARTITION_REACHABLE_DELIVERY_FLOOR,
-    PARTITION_REMERGE_BUDGET_SECS, PERF_SPEEDUP_FLOOR, PERF_THREADS_SPEEDUP_FLOOR,
-    SCALE_DELIVERY_FLOOR, SCALE_GATE_MIN_NODES, TRAFFIC_BASELINE_PROTOS,
-    TRAFFIC_KNEE_DELIVERY_FLOOR, TRAFFIC_KNEE_P99_CEILING_MS, TRAFFIC_P99_BAND_MS,
-    TRAFFIC_P99_REFERENCE_POINT, TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE,
+    check_gates, check_trajectory, parse_strict, validate_report_str, Check, Gate, Label, Rows,
+    Smoke, OVERHEAD_GATED_METRICS, TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE,
 };
 pub use workload::{
     is_data_class, is_refresh_class, metrics_of, MobilityKind, RunMetrics, Scenario, Workload,

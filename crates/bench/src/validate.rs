@@ -1,95 +1,24 @@
 //! Strict validation of `BENCH_<scenario>.json` reports, plus the
-//! regression gates CI enforces on them.
+//! interpreter for the regression gates CI enforces on them.
 //!
 //! The report writer is hand-rolled (offline workspace), so nothing may
 //! trust it blindly: [`parse_strict`] is a strict recursive-descent JSON
-//! parser (no trailing garbage, no bad escapes, no bare control chars),
-//! and [`validate_report_str`] layers the exact report schema on top —
-//! the six top-level fields with their types, every row fully typed,
-//! finite metrics only, no unknown keys. The CLI (`hvdb-bench validate`,
-//! and `run`'s post-write check) and the test suite share this code, so
-//! a malformed report can neither land in CI artifacts nor be committed
-//! unnoticed.
+//! parser (no trailing garbage, no bad escapes, no bare control chars,
+//! bounded nesting), and [`validate_report_str`] layers the exact report
+//! schema on top — the six top-level fields with their types, every row
+//! fully typed, finite metrics only, no unknown keys, and a timeline's
+//! re-merge annotation re-derived from its own sample series. The CLI
+//! (`hvdb-bench validate`, and `run`'s post-write check) and the test
+//! suite share this code, so a malformed report can neither land in CI
+//! artifacts nor be committed unnoticed.
 //!
-//! [`check_loss_floor`] is the robustness regression gate: the committed
-//! delivery floor for the `loss` scenario's worst seed at the
-//! [`LOSS_GATE_POINT`] operating point.
+//! The gates are data: every scenario declares its [`Gate`]s on
+//! [`ScenarioDef::gates`](crate::ScenarioDef::gates), and [`check_gates`]
+//! is the one interpreter behind `validate`, `explain` and `list --json`.
+//! [`check_trajectory`] is the one cross-report comparison.
 
-use crate::report::Json;
-
-/// The committed robustness floor: worst-seed mean delivery of the `loss`
-/// scenario at [`LOSS_GATE_POINT`] must not drop below this (PR 1's
-/// baseline was ~0.65; the soft-state control plane lifts it above 0.90,
-/// and CI fails any change that regresses it).
-pub const LOSS_DELIVERY_FLOOR: f64 = 0.90;
-
-/// The `loss` sweep point the floor applies to (15% frame loss).
-pub const LOSS_GATE_POINT: &str = "loss=0.15";
-
-/// The committed floor band for the *high*-loss regime: worst-seed
-/// delivery at every [`LOSS_HIGH_POINTS`] point must stay at or above
-/// this (PR 3 measured 0.969 at 25% and 0.953 at 30%; the band keeps
-/// the whole ≥25% regime from silently eroding while the 15% point
-/// stays green).
-pub const LOSS_HIGH_FLOOR: f64 = 0.93;
-
-/// The `loss` sweep points gated by [`LOSS_HIGH_FLOOR`].
-pub const LOSS_HIGH_POINTS: [&str; 2] = ["loss=0.25", "loss=0.3"];
-
-/// The `perf` scenario's committed speedup floor: shared-frame delivery
-/// must process events at least this many times faster than the legacy
-/// per-receiver-clone arm at the largest node count both arms ran (the
-/// committed full run measures ~3x at 600+ nodes; the gate's margin
-/// absorbs shared-runner wall-clock noise). CI's `perf-smoke` job passes
-/// a lower floor for its shrunk workload via `--perf-floor`.
-pub const PERF_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// The `perf` scenario's parallel-engine speedup floor: the
-/// `engine-threads` arm's multi-thread row must process events at least
-/// this many times faster than its single-thread row — *when the machine
-/// can actually run the threads* (see [`check_perf_threads_gate`]; on a
-/// box with fewer than 4 hardware threads only the determinism half of
-/// the gate is enforced, because a timesliced "speedup" measures nothing).
-pub const PERF_THREADS_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// The `overhead` scenario's gated operating point: the quiet phase (no
-/// membership churn), where the adaptive refresh controller must earn
-/// its keep.
-pub const OVERHEAD_QUIET_POINT: &str = "churn=0";
-
-/// Quiet-phase improvement floor: the fixed-rate baseline's
-/// refresh-plane frames/s divided by the adaptive controller's must be
-/// at least this (the committed run measures ~3.2x; the gate keeps the
-/// headline ≥2x claim honest).
-pub const OVERHEAD_QUIET_IMPROVEMENT: f64 = 2.0;
-
-/// Absolute ceiling on the adaptive controller's quiet-phase *total*
-/// control frames/s on the `overhead` workload (committed run: ~719;
-/// the PR 2 fixed rate burned ~1132). Fails any change that quietly
-/// re-inflates the control plane even if the relative gate still passes.
-pub const OVERHEAD_CEILING_FRAMES_PER_S: f64 = 900.0;
-
-/// The `traffic` scenario's knee rule, delivery half: an offered-load
-/// point is *sustained* only while mean delivery stays at or above this.
-pub const TRAFFIC_KNEE_DELIVERY_FLOOR: f64 = 0.90;
-
-/// The `traffic` knee rule, latency half: an offered-load point whose
-/// p99 latency exceeds half a second is past the knee even if delivery
-/// has not collapsed yet (queues saturated; packets ride the cooldown
-/// out).
-pub const TRAFFIC_KNEE_P99_CEILING_MS: f64 = 500.0;
-
-/// Baselines HVDB must out-sustain in the `traffic` sweep.
-pub const TRAFFIC_BASELINE_PROTOS: [&str; 2] = ["flooding", "shared-tree"];
-
-/// The pre-knee operating point whose HVDB p99 latency is band-gated.
-pub const TRAFFIC_P99_REFERENCE_POINT: &str = "pps=160";
-
-/// Committed HVDB p99 band (ms) at [`TRAFFIC_P99_REFERENCE_POINT`]: the
-/// run is deterministic, so drift outside this band means the data path
-/// or the radio model changed. The committed run measures ~29 ms; the
-/// band gives 2x headroom either way for deliberate retuning.
-pub const TRAFFIC_P99_BAND_MS: (f64, f64) = (10.0, 60.0);
+use crate::report::{Json, Row};
+use std::fmt;
 
 /// Bench-trajectory tolerance: a candidate row's `delivery` may fall at
 /// most this fraction below the committed baseline's.
@@ -112,36 +41,10 @@ pub const OVERHEAD_GATED_METRICS: [&str; 4] = [
     "memory_per_node_bytes",
 ];
 
-/// Minimum delivery ratio the `scale` scenario's largest parallel-engine
-/// point must sustain ([`check_scale_gate`]).
-pub const SCALE_DELIVERY_FLOOR: f64 = 0.99;
-
-/// The `scale` delivery gate applies from this node count up: the 100k
-/// scale campaign's first enforced milestone is "delivery holds at 20k".
-pub const SCALE_GATE_MIN_NODES: u64 = 20_000;
-
-/// The `partition` scenario's steady-state delivery floor *among
-/// reachable nodes*: once each island has had the settle interval to
-/// re-grow its half of the backbone, worst-seed delivery to receivers in
-/// the sender's own island must stay at or above this. Cross-island
-/// traffic is physically impossible during the split and is excluded —
-/// the gate asserts the protocol keeps serving whatever the radio still
-/// permits, per the paper's partition-tolerance claim. (The cut
-/// transient itself is reported as `delivery_reachable` but not gated:
-/// re-election takes tens of seconds by design.)
-pub const PARTITION_REACHABLE_DELIVERY_FLOOR: f64 = 0.95;
-
-/// The `partition` scenario's re-merge budget (seconds): after the heal,
-/// the worst seed's cluster-head census must fall back to its
-/// pre-partition level within this long (the committed full run measures
-/// re-merge in ~5 s; the budget gives soft-state expiry headroom).
-pub const PARTITION_REMERGE_BUDGET_SECS: f64 = 15.0;
-
-/// The `byzantine` scenario's damage ceiling: mean delivery lost per
-/// misbehaving node, `(delivery(k=0) - delivery(k)) / k`, must stay at
-/// or below this at every injected count k > 0. Bounds the blast radius
-/// of one adversarial node on the multicast plane.
-pub const BYZANTINE_DAMAGE_PER_NODE: f64 = 0.05;
+/// Deepest array/object nesting [`parse_strict`] accepts. Committed
+/// reports nest at most 6 levels; the cap keeps a hostile file from
+/// overflowing the parser's stack.
+const MAX_DEPTH: usize = 64;
 
 /// Parses `input` as one strict JSON document (the whole string, no
 /// trailing garbage) into a [`Json`] value.
@@ -149,6 +52,7 @@ pub fn parse_strict(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p
@@ -172,10 +76,20 @@ pub fn validate_report_str(input: &str) -> Result<Json, String> {
     Ok(doc)
 }
 
+/// A schema error's echo of the offending value, cut short: a hostile
+/// report must not turn one error line into kilobytes.
+fn brief(v: &Json) -> String {
+    let s = format!("{v:?}");
+    match s.char_indices().nth(60) {
+        Some((cut, _)) => format!("{}...", &s[..cut]),
+        None => s,
+    }
+}
+
 fn obj_fields(v: &Json) -> Result<&[(String, Json)], String> {
     match v {
         Json::Obj(fields) => Ok(fields),
-        other => Err(format!("expected object, got {other:?}")),
+        other => Err(format!("expected object, got {}", brief(other))),
     }
 }
 
@@ -190,7 +104,20 @@ fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String
 fn as_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
     match v {
         Json::Str(s) => Ok(s),
-        other => Err(format!("{what}: expected string, got {other:?}")),
+        other => Err(format!("{what}: expected string, got {}", brief(other))),
+    }
+}
+
+/// Reads `key` as a number accepted by `ok`; the error names `want`.
+fn num(
+    fields: &[(String, Json)],
+    key: &str,
+    want: &str,
+    ok: fn(f64) -> bool,
+) -> Result<f64, String> {
+    match field(fields, key)? {
+        Json::Num(n) if ok(*n) => Ok(*n),
+        other => Err(format!("{key}: expected {want}, got {}", brief(other))),
     }
 }
 
@@ -213,7 +140,7 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     }
     if let Some((_, v)) = fields.iter().find(|(k, _)| k == "workload") {
         if !matches!(v, Json::Obj(_)) {
-            return Err(format!("workload: expected object, got {v:?}"));
+            return Err(format!("workload: expected object, got {}", brief(v)));
         }
     }
     if let Some((_, v)) = fields.iter().find(|(k, _)| k == "timeline") {
@@ -228,21 +155,13 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     }
     as_str(field(fields, "figure")?, "figure")?;
     as_str(field(fields, "summary")?, "summary")?;
-    match field(fields, "smoke")? {
-        Json::Bool(_) => {}
-        other => return Err(format!("smoke: expected bool, got {other:?}")),
-    }
-    match field(fields, "threads")? {
-        Json::Num(n) if *n >= 1.0 && n.fract() == 0.0 => {}
-        other => {
-            return Err(format!(
-                "threads: expected a positive integer, got {other:?}"
-            ))
-        }
-    }
+    is_smoke(doc)?;
+    num(fields, "threads", "a positive integer", |n| {
+        n >= 1.0 && n.fract() == 0.0
+    })?;
     let rows = match field(fields, "rows")? {
         Json::Arr(rows) => rows,
-        other => return Err(format!("rows: expected array, got {other:?}")),
+        other => return Err(format!("rows: expected array, got {}", brief(other))),
     };
     if rows.is_empty() {
         return Err(format!("scenario {scenario:?} has no rows"));
@@ -267,21 +186,16 @@ fn validate_row(row: &Json) -> Result<(), String> {
             return Err(format!("empty {key}"));
         }
     }
-    let metrics = match field(fields, "metrics")? {
-        Json::Obj(m) => m,
-        other => return Err(format!("metrics: expected object, got {other:?}")),
-    };
+    let metrics = obj_fields(field(fields, "metrics")?).map_err(|e| format!("metrics: {e}"))?;
     if metrics.is_empty() {
         return Err("row has no metrics".into());
     }
     for (name, v) in metrics {
-        match v {
-            Json::Num(n) if n.is_finite() => {}
-            other => {
-                return Err(format!(
-                    "metric {name:?}: expected finite number, got {other:?}"
-                ))
-            }
+        if !matches!(v, Json::Num(n) if n.is_finite()) {
+            return Err(format!(
+                "metric {name:?}: expected finite number, got {}",
+                brief(v)
+            ));
         }
     }
     Ok(())
@@ -290,140 +204,70 @@ fn validate_row(row: &Json) -> Result<(), String> {
 /// Structural check of a report's optional `timeline` block: a positive
 /// sampling cadence and a non-empty sample series with strictly
 /// increasing `t_secs`. Annotation keys between `interval_secs` and
-/// `samples` are scenario-specific and pass through unchecked (their
-/// values must still be valid JSON by construction).
+/// `samples` are scenario-specific and pass through unchecked — except
+/// `remerge_secs_probe`, which must agree with the series ([`check_remerge`]).
 fn validate_timeline(v: &Json) -> Result<(), String> {
     let fields = obj_fields(v)?;
-    match field(fields, "interval_secs")? {
-        Json::Num(n) if *n > 0.0 && n.is_finite() => {}
-        other => {
-            return Err(format!(
-                "interval_secs: expected positive number, got {other:?}"
-            ))
-        }
-    }
+    num(fields, "interval_secs", "positive number", |n| {
+        n > 0.0 && n.is_finite()
+    })?;
     let samples = match field(fields, "samples")? {
         Json::Arr(s) => s,
-        other => return Err(format!("samples: expected array, got {other:?}")),
+        other => return Err(format!("samples: expected array, got {}", brief(other))),
     };
     if samples.is_empty() {
         return Err("empty sample series".into());
     }
+    let mut series = Vec::with_capacity(samples.len()); // (t_secs, heads)
     let mut prev = f64::NEG_INFINITY;
     for (i, s) in samples.iter().enumerate() {
-        let sf = obj_fields(s).map_err(|e| format!("sample {i}: {e}"))?;
-        let t = match field(sf, "t_secs").map_err(|e| format!("sample {i}: {e}"))? {
-            Json::Num(t) if t.is_finite() => *t,
-            other => {
-                return Err(format!(
-                    "sample {i}: t_secs: expected number, got {other:?}"
-                ))
-            }
-        };
+        let at = |e: String| format!("sample {i}: {e}");
+        let sf = obj_fields(s).map_err(at)?;
+        let t = num(sf, "t_secs", "number", f64::is_finite).map_err(at)?;
         if t <= prev {
             return Err(format!(
                 "sample {i}: t_secs {t} not increasing (prev {prev})"
             ));
         }
         prev = t;
-        for key in [
-            "heads",
-            "delivery",
-            "control_frames",
-            "memory_per_node_bytes",
-        ] {
-            match field(sf, key).map_err(|e| format!("sample {i}: {e}"))? {
-                Json::Num(n) if n.is_finite() => {}
-                other => {
-                    return Err(format!(
-                        "sample {i}: {key}: expected finite number, got {other:?}"
-                    ))
-                }
-            }
+        for key in ["delivery", "control_frames", "memory_per_node_bytes"] {
+            num(sf, key, "finite number", f64::is_finite).map_err(at)?;
         }
+        series.push((
+            t,
+            num(sf, "heads", "finite number", f64::is_finite).map_err(at)?,
+        ));
+    }
+    if fields.iter().any(|(k, _)| k == "remerge_secs_probe") {
+        check_remerge(fields, &series)?;
     }
     Ok(())
 }
 
-/// Structural check of a report's optional `profile` block. Values are
-/// wall-clock derived and machine-dependent, so only shape and
-/// non-negativity are checked — never magnitudes.
-fn validate_profile(v: &Json) -> Result<(), String> {
-    let fields = obj_fields(v)?;
-    for key in ["windows", "drain_secs", "commit_secs", "barrier_secs"] {
-        match field(fields, key)? {
-            Json::Num(n) if *n >= 0.0 && n.is_finite() => {}
-            other => {
-                return Err(format!(
-                    "{key}: expected non-negative number, got {other:?}"
-                ))
-            }
-        }
-    }
-    match field(fields, "lane_busy_secs")? {
-        Json::Arr(lanes) => {
-            for lane in lanes {
-                match lane {
-                    Json::Num(n) if *n >= 0.0 && n.is_finite() => {}
-                    other => {
-                        return Err(format!(
-                            "lane_busy_secs: expected non-negative number, got {other:?}"
-                        ))
-                    }
-                }
-            }
-        }
-        other => return Err(format!("lane_busy_secs: expected array, got {other:?}")),
-    }
-    Ok(())
-}
-
-/// Cross-checks a `partition` report's `timeline` block against its
-/// probe-loop measurement: the re-merge instant *derived from the sample
-/// series* (first sample after `heal_at_secs` whose head census is at or
-/// below `heads_target`) must equal the `remerge_secs_probe` annotation
-/// the run measured directly. A report without a timeline passes — the
-/// block is optional and legacy reports predate it.
+/// Cross-checks a partition timeline against its probe-loop measurement:
+/// the re-merge instant *derived from the sample series* (first sample
+/// after `heal_at_secs` whose head census is at or below `heads_target`)
+/// must equal the `remerge_secs_probe` annotation the run measured
+/// directly.
 ///
 /// This is the point of the timeline plane: a transient claim like
 /// "re-merge in 5 s" stops being a number the harness asserts and starts
 /// being a curve anyone can re-derive from the committed report.
-pub fn check_partition_timeline(doc: &Json) -> Result<Option<f64>, String> {
-    let fields = obj_fields(doc)?;
-    let Some((_, tl)) = fields.iter().find(|(k, _)| k == "timeline") else {
-        return Ok(None);
-    };
-    let tf = obj_fields(tl)?;
-    let num = |key: &str| -> Result<f64, String> {
-        match field(tf, key)? {
-            Json::Num(n) => Ok(*n),
-            other => Err(format!("timeline {key}: expected number, got {other:?}")),
-        }
-    };
-    let heal_at = num("heal_at_secs")?;
-    let target = num("heads_target")?;
-    let measured = num("remerge_secs_probe")?;
-    let Json::Arr(samples) = field(tf, "samples")? else {
-        return Err("timeline samples: expected array".into());
-    };
-    let mut derived = None;
-    for s in samples {
-        let sf = obj_fields(s)?;
-        let (Ok(Json::Num(t)), Ok(Json::Num(heads))) = (field(sf, "t_secs"), field(sf, "heads"))
-        else {
-            return Err("timeline sample missing t_secs/heads".into());
-        };
-        if *t > heal_at && *heads <= target {
-            derived = Some(t - heal_at);
-            break;
-        }
-    }
-    let Some(derived) = derived else {
+fn check_remerge(fields: &[(String, Json)], series: &[(f64, f64)]) -> Result<(), String> {
+    let any = |_: f64| true;
+    let heal_at = num(fields, "heal_at_secs", "number", any)?;
+    let target = num(fields, "heads_target", "number", any)?;
+    let measured = num(fields, "remerge_secs_probe", "number", any)?;
+    let Some(&(t, _)) = series
+        .iter()
+        .find(|&&(t, heads)| t > heal_at && heads <= target)
+    else {
         return Err(format!(
             "timeline never returns to heads_target {target} after heal_at {heal_at}s \
              (probe measured {measured}s)"
         ));
     };
+    let derived = t - heal_at;
     // The probe loop and the sampler observe the same stepped run at the
     // same cadence, so the two numbers must agree exactly (both are
     // probe-multiples; compare with a float hair of slack).
@@ -433,696 +277,502 @@ pub fn check_partition_timeline(doc: &Json) -> Result<Option<f64>, String> {
              ({measured}s)"
         ));
     }
-    Ok(Some(derived))
+    Ok(())
 }
 
-/// The metrics CI gates read for a given scenario, for tooling
-/// (`hvdb-bench list --json`) and the job matrix. Scenarios not listed
-/// here are schema-validated only.
-pub fn gated_metrics(scenario: &str) -> &'static [&'static str] {
-    match scenario {
-        "loss" => &["delivery_worst"],
-        "overhead" => &["refresh_frames_per_s", "control_frames_per_s"],
-        "perf" => &["events_per_s", "events_processed"],
-        "traffic" => &["delivery", "p99_ms"],
-        "scale" => &["delivery", "events_processed"],
-        "partition" => &[
-            "delivery_reachable_steady_worst",
-            "remerge_secs_worst",
-            "drops_partitioned",
-        ],
-        "byzantine" => &["damage_per_node"],
-        _ => &[],
+/// Structural check of a report's optional `profile` block. Values are
+/// wall-clock derived and machine-dependent, so only shape and
+/// non-negativity are checked — never magnitudes.
+fn validate_profile(v: &Json) -> Result<(), String> {
+    let fields = obj_fields(v)?;
+    let non_negative = |n: f64| n >= 0.0 && n.is_finite();
+    for key in ["windows", "drain_secs", "commit_secs", "barrier_secs"] {
+        num(fields, key, "non-negative number", non_negative)?;
     }
+    match field(fields, "lane_busy_secs")? {
+        Json::Arr(lanes) => {
+            for lane in lanes {
+                match lane {
+                    Json::Num(n) if non_negative(*n) => {}
+                    other => {
+                        return Err(format!(
+                            "lane_busy_secs: expected non-negative number, got {}",
+                            brief(other)
+                        ))
+                    }
+                }
+            }
+        }
+        other => {
+            return Err(format!(
+                "lane_busy_secs: expected array, got {}",
+                brief(other)
+            ))
+        }
+    }
+    Ok(())
 }
 
 /// Reads a metric from the row matching `(sweep, label, proto)`.
 pub fn metric_of(doc: &Json, sweep: &str, label: &str, proto: &str, metric: &str) -> Option<f64> {
-    let fields = obj_fields(doc).ok()?;
-    let Json::Arr(rows) = field(fields, "rows").ok()? else {
-        return None;
-    };
-    for row in rows {
-        let rf = obj_fields(row).ok()?;
-        let matches =
-            |key: &str, want: &str| matches!(field(rf, key), Ok(Json::Str(s)) if s == want);
-        if matches("sweep", sweep) && matches("label", label) && matches("proto", proto) {
-            if let Ok(Json::Obj(metrics)) = field(rf, "metrics") {
-                if let Some((_, Json::Num(n))) = metrics.iter().find(|(k, _)| k == metric) {
-                    return Some(*n);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// The CI regression gate over a validated `loss` report: worst-seed
-/// delivery at [`LOSS_GATE_POINT`] must be at least `floor`. Refuses
-/// smoke reports (their numbers are meaningless) and missing gate rows.
-pub fn check_loss_floor(doc: &Json, floor: f64) -> Result<f64, String> {
-    let fields = obj_fields(doc)?;
-    if matches!(field(fields, "smoke")?, Json::Bool(true)) {
-        return Err(
-            "loss gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let worst = metric_of(doc, "frame-loss", LOSS_GATE_POINT, "hvdb", "delivery_worst")
-        .ok_or_else(|| {
-            format!("no hvdb frame-loss row at {LOSS_GATE_POINT} with a delivery_worst metric")
-        })?;
-    if worst < floor {
-        return Err(format!(
-            "worst-seed delivery {worst:.3} at {LOSS_GATE_POINT} is below the committed floor {floor:.2}"
-        ));
-    }
-    Ok(worst)
-}
-
-/// The high-loss regression band over a validated `loss` report: every
-/// [`LOSS_HIGH_POINTS`] row's worst-seed delivery must be at least
-/// [`LOSS_HIGH_FLOOR`]. Missing rows fail loudly (a gate that cannot
-/// find its point must not wave the report through). Refuses smoke
-/// reports. Returns the checked `(point, worst)` pairs.
-pub fn check_loss_high_band(doc: &Json) -> Result<Vec<(String, f64)>, String> {
-    let fields = obj_fields(doc)?;
-    if matches!(field(fields, "smoke")?, Json::Bool(true)) {
-        return Err(
-            "loss gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let mut checked = Vec::new();
-    for point in LOSS_HIGH_POINTS {
-        let worst =
-            metric_of(doc, "frame-loss", point, "hvdb", "delivery_worst").ok_or_else(|| {
-                format!("no hvdb frame-loss row at {point} with a delivery_worst metric")
-            })?;
-        if worst < LOSS_HIGH_FLOOR {
-            return Err(format!(
-                "worst-seed delivery {worst:.3} at {point} is below the committed \
-                 high-loss floor {LOSS_HIGH_FLOOR:.2}"
-            ));
-        }
-        checked.push((point.to_string(), worst));
-    }
-    Ok(checked)
-}
-
-/// The `perf` scenario's throughput gate: at the largest node count both
-/// delivery arms ran, shared-frame delivery must be at least `floor`
-/// times faster (events/s) than the per-receiver-clone arm — and both
-/// arms must have processed **exactly** the same number of events, which
-/// is what makes the ratio a pure wall-clock speedup (a mismatch means
-/// the legacy emulation diverged from the shared path and the whole
-/// comparison is void). Smoke reports are allowed: `perf --smoke` runs a
-/// shrunk-but-real workload (tens of simulated seconds), unlike the
-/// millisecond pipelines other scenarios smoke with — callers pass a
-/// lower `floor` for it. Returns `(gated label, measured speedup)`.
-pub fn check_perf_gate(doc: &Json, floor: f64) -> Result<(String, f64), String> {
-    let rows = report_rows(doc)?;
-    let nodes_of =
-        |label: &str| -> Option<u64> { label.strip_prefix("nodes=").and_then(|n| n.parse().ok()) };
-    let find = |label: &str, proto: &str, metric: &str| -> Option<f64> {
-        rows.iter()
-            .find(|(s, l, p, _)| s == "delivery-mode" && l == label && p == proto)
-            .and_then(|(.., m)| m.iter().find(|(k, _)| k == metric).map(|(_, v)| *v))
-    };
-    let gate_label = rows
+    report_rows(doc)
+        .ok()?
         .iter()
-        .filter(|(s, _, p, _)| s == "delivery-mode" && p == "hvdb-cloned")
-        .filter_map(|(_, l, ..)| nodes_of(l).map(|n| (n, l.clone())))
-        .filter(|(_, l)| find(l, "hvdb-shared", "events_per_s").is_some())
-        .max_by_key(|(n, _)| *n)
-        .map(|(_, l)| l)
-        .ok_or("no delivery-mode row present for both hvdb-shared and hvdb-cloned")?;
-    let read = |proto: &str, metric: &str| -> Result<f64, String> {
-        find(&gate_label, proto, metric)
-            .ok_or_else(|| format!("no {proto} row at {gate_label} with a {metric} metric"))
-    };
-    let shared_events = read("hvdb-shared", "events_processed")?;
-    let cloned_events = read("hvdb-cloned", "events_processed")?;
-    if shared_events != cloned_events {
-        return Err(format!(
-            "delivery arms diverged at {gate_label}: shared processed {shared_events:.0} \\
-             events, cloned {cloned_events:.0} — not a byte-identical workload"
-        ));
-    }
-    let shared = read("hvdb-shared", "events_per_s")?;
-    let cloned = read("hvdb-cloned", "events_per_s")?;
-    if cloned <= 0.0 {
-        return Err("cloned-arm events_per_s is zero — measurement broken".into());
-    }
-    let speedup = shared / cloned;
-    if speedup < floor {
-        return Err(format!(
-            "shared-frame delivery speedup {speedup:.2}x at {gate_label} is below the \
-             {floor:.1}x floor (shared {shared:.0} vs cloned {cloned:.0} events/s)"
-        ));
-    }
-    Ok((gate_label, speedup))
+        .filter(|r| r.sweep == sweep && r.label == label && r.proto == proto)
+        .find_map(|r| metric_in(r, metric))
 }
 
-/// The `perf` scenario's parallel-engine gate, over the `engine-threads`
-/// sweep (the `par-flood` protocol run at 1 and N worker threads on the
-/// same workload).
-///
-/// Two halves:
-///
-/// * **Determinism** — always enforced: every `engine-threads` row must
-///   report **exactly** the same `events_processed`. Threads are allowed
-///   to change wall-clock only; a diverging event count means the
-///   parallel engine's commit order leaked into results.
-/// * **Speedup** — enforced only when it can mean something: the
-///   multi-thread row must show `events_per_s` at least `floor` times the
-///   single-thread row's, *if* that row ran with >= 4 threads on a
-///   machine reporting >= 4 hardware threads (the row's
-///   `hardware_threads` metric). On smaller machines the threads
-///   timeslice one core and the ratio measures scheduler noise, so the
-///   gate records the measurement without enforcing the floor.
-///
-/// Returns `(multi-thread label, speedup, enforced)`. Missing rows or
-/// metrics fail loudly — a gate that cannot find its points must not wave
-/// the report through.
-pub fn check_perf_threads_gate(doc: &Json, floor: f64) -> Result<(String, f64, bool), String> {
-    let rows = report_rows(doc)?;
-    let mut points: Vec<(u64, f64, f64, f64)> = Vec::new(); // (threads, events/s, events, hw)
-    for (sweep, label, proto, metrics) in &rows {
-        if sweep != "engine-threads" || proto != "par-flood" {
-            continue;
-        }
-        let threads: u64 = label
-            .strip_prefix("threads=")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("engine-threads row has unparseable label {label:?}"))?;
-        let get = |name: &str| -> Result<f64, String> {
-            metrics
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("engine-threads row {label} has no {name} metric"))
-        };
-        points.push((
-            threads,
-            get("events_per_s")?,
-            get("events_processed")?,
-            get("hardware_threads")?,
-        ));
-    }
-    if points.len() < 2 {
-        return Err(format!(
-            "need engine-threads par-flood rows at >= 2 thread counts, found {}",
-            points.len()
-        ));
-    }
-    points.sort_by_key(|p| p.0);
-    let &(single_threads, single_eps, single_events, _) = points.first().expect("len checked");
-    let &(threads, multi_eps, _, hw) = points.last().expect("len checked");
-    let multi_label = format!("threads={threads}");
-    if single_threads != 1 {
-        return Err("engine-threads sweep has no threads=1 baseline row".into());
-    }
-    for &(t, _, events, _) in &points {
-        if events != single_events {
-            return Err(format!(
-                "parallel engine diverged: threads={t} processed {events:.0} events, \
-                 threads=1 processed {single_events:.0} — determinism contract broken"
-            ));
-        }
-    }
-    if single_eps <= 0.0 {
-        return Err("single-thread events_per_s is zero — measurement broken".into());
-    }
-    let speedup = multi_eps / single_eps;
-    let enforced = threads >= 4 && hw >= 4.0;
-    if enforced && speedup < floor {
-        return Err(format!(
-            "parallel-engine speedup {speedup:.2}x at {multi_label} is below the {floor:.1}x \
-             floor (multi {multi_eps:.0} vs single {single_eps:.0} events/s, \
-             {hw:.0} hardware threads)"
-        ));
-    }
-    Ok((multi_label, speedup, enforced))
-}
-
-/// The CI gate over a validated `scale` report, in two parts:
-///
-/// * **Determinism** (applies to smoke and full runs): the
-///   `engine-threads` sweep's `hvdb-par` rows — HVDB itself on the
-///   sharded parallel engine — must exist at a `threads=1` baseline plus
-///   at least one other thread count, with *exactly* equal
-///   `events_processed` everywhere. This is the thread-invariance
-///   contract enforced on the real protocol, not just the flooding
-///   benchmark.
-/// * **Scale campaign** (full runs only): the largest `network-size`
-///   point at or above [`SCALE_GATE_MIN_NODES`] nodes must deliver at
-///   least [`SCALE_DELIVERY_FLOOR`]; a full report with no such point
-///   fails — the campaign row cannot silently drop out of the sweep.
-///
-/// Returns one human-readable note per passed part.
-pub fn check_scale_gate(doc: &Json) -> Result<Vec<String>, String> {
-    let rows = report_rows(doc)?;
-    let mut notes = Vec::new();
-
-    let mut points: Vec<(u64, f64)> = Vec::new(); // (threads, events_processed)
-    for (sweep, label, proto, metrics) in &rows {
-        if sweep != "engine-threads" || proto != "hvdb-par" {
-            continue;
-        }
-        let threads: u64 = label
-            .strip_prefix("threads=")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("engine-threads row has unparseable label {label:?}"))?;
-        let events = metrics
-            .iter()
-            .find(|(k, _)| k == "events_processed")
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("engine-threads row {label} has no events_processed"))?;
-        points.push((threads, events));
-    }
-    if points.len() < 2 {
-        return Err(format!(
-            "need engine-threads hvdb-par rows at >= 2 thread counts, found {}",
-            points.len()
-        ));
-    }
-    points.sort_by_key(|p| p.0);
-    let &(single_threads, single_events) = points.first().expect("len checked");
-    if single_threads != 1 {
-        return Err("engine-threads sweep has no threads=1 baseline row".into());
-    }
-    let diverged: Vec<String> = points
+fn metric_in(row: &Row, metric: &str) -> Option<f64> {
+    row.metrics
         .iter()
-        .filter(|&&(_, events)| events != single_events)
-        .map(|&(t, events)| {
-            format!(
-                "threads={t} processed {events:.0} events, threads=1 processed \
-                 {single_events:.0}"
-            )
-        })
-        .collect();
-    if !diverged.is_empty() {
-        return Err(format!(
-            "HVDB on the parallel engine diverged — determinism contract broken: {}",
-            diverged.join("; ")
-        ));
-    }
-    notes.push(format!(
-        "hvdb-par events_processed identical across {} thread counts",
-        points.len()
-    ));
-
-    if !is_smoke(doc)? {
-        // Every campaign point at or above the threshold must clear the
-        // delivery floor; all violations are reported, not just the
-        // first.
-        let mut campaign: Vec<(u64, f64)> = Vec::new(); // (nodes, delivery)
-        for (sweep, label, _, metrics) in &rows {
-            if sweep != "network-size" {
-                continue;
-            }
-            let Some(nodes) = label
-                .strip_prefix("nodes=")
-                .and_then(|n| n.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            if nodes < SCALE_GATE_MIN_NODES {
-                continue;
-            }
-            let delivery = metrics
-                .iter()
-                .find(|(k, _)| k == "delivery")
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("network-size row {label} has no delivery metric"))?;
-            campaign.push((nodes, delivery));
-        }
-        if campaign.is_empty() {
-            return Err(format!(
-                "full scale report has no network-size point at >= {SCALE_GATE_MIN_NODES} nodes"
-            ));
-        }
-        campaign.sort_by_key(|p| p.0);
-        let low: Vec<String> = campaign
-            .iter()
-            .filter(|&&(_, delivery)| delivery < SCALE_DELIVERY_FLOOR)
-            .map(|&(nodes, delivery)| {
-                format!(
-                    "delivery {delivery:.3} at nodes={nodes} is below the scale-campaign \
-                     floor {SCALE_DELIVERY_FLOOR}"
-                )
-            })
-            .collect();
-        if !low.is_empty() {
-            return Err(low.join("; "));
-        }
-        let &(max_nodes, max_delivery) = campaign.last().expect("non-empty checked");
-        notes.push(format!(
-            "delivery >= {SCALE_DELIVERY_FLOOR} at {} campaign point(s), \
-             {max_delivery:.3} at nodes={max_nodes}",
-            campaign.len()
-        ));
-    }
-    Ok(notes)
+        .find(|(k, _)| k == metric)
+        .map(|(_, v)| *v)
 }
 
-/// The CI gate over a validated `partition` report:
-///
-/// * at `phase=partition`, worst-seed `delivery_reachable_steady_worst`
-///   must be at least [`PARTITION_REACHABLE_DELIVERY_FLOOR`] — once past
-///   the re-election transient, the split network keeps serving every
-///   receiver the radio can still reach;
-/// * at `phase=healed`, `remerge_secs_worst` must be at most
-///   [`PARTITION_REMERGE_BUDGET_SECS`] — the split head hierarchies
-///   re-merge promptly once connectivity returns.
-///
-/// Refuses smoke reports; missing rows or metrics fail loudly. Returns
-/// one human-readable note per passed check.
-pub fn check_partition_gate(doc: &Json) -> Result<Vec<String>, String> {
-    if is_smoke(doc)? {
-        return Err(
-            "partition gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let read = |label: &str, metric: &str| -> Result<f64, String> {
-        metric_of(doc, "partition", label, "hvdb", metric)
-            .ok_or_else(|| format!("no hvdb partition row at {label} with a {metric} metric"))
-    };
-    let mut notes = Vec::new();
-    let reachable = read("phase=partition", "delivery_reachable_steady_worst")?;
-    if reachable < PARTITION_REACHABLE_DELIVERY_FLOOR {
-        return Err(format!(
-            "worst-seed steady reachable delivery {reachable:.3} during the partition is below \
-             the committed floor {PARTITION_REACHABLE_DELIVERY_FLOOR:.2}"
-        ));
-    }
-    notes.push(format!(
-        "steady reachable delivery {reachable:.3} >= {PARTITION_REACHABLE_DELIVERY_FLOOR} \
-         during the split"
-    ));
-    let remerge = read("phase=healed", "remerge_secs_worst")?;
-    if remerge > PARTITION_REMERGE_BUDGET_SECS {
-        return Err(format!(
-            "worst-seed head-hierarchy re-merge took {remerge:.1} s after the heal, over the \
-             committed budget {PARTITION_REMERGE_BUDGET_SECS:.0} s"
-        ));
-    }
-    notes.push(format!(
-        "re-merge {remerge:.1} s <= {PARTITION_REMERGE_BUDGET_SECS:.0} s budget"
-    ));
-    match check_partition_timeline(doc)? {
-        Some(derived) => notes.push(format!(
-            "timeline cross-check: re-merge {derived:.1} s re-derived from the sample series \
-             matches the probe measurement"
-        )),
-        None => notes.push("no timeline block (legacy report): cross-check skipped".into()),
-    }
-    Ok(notes)
-}
-
-/// The CI gate over a validated `byzantine` report: every `byz=k` row
-/// with k > 0 must keep `damage_per_node` — mean delivery lost per
-/// misbehaving node relative to the k=0 control — at or below
-/// [`BYZANTINE_DAMAGE_PER_NODE`]. The k=0 control row must exist (the
-/// damage metric is meaningless without its reference). Refuses smoke
-/// reports. Returns one note per checked row.
-pub fn check_byzantine_gate(doc: &Json) -> Result<Vec<String>, String> {
-    if is_smoke(doc)? {
-        return Err(
-            "byzantine gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let rows = report_rows(doc)?;
-    if !rows
-        .iter()
-        .any(|(s, l, p, _)| s == "byzantine" && l == "byz=0" && p == "hvdb")
-    {
-        return Err("no hvdb byzantine row at byz=0 (the damage reference)".into());
-    }
-    let mut notes = Vec::new();
-    for (sweep, label, proto, metrics) in &rows {
-        if sweep != "byzantine" || proto != "hvdb" || label == "byz=0" {
-            continue;
-        }
-        let k: u64 = label
-            .strip_prefix("byz=")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("byzantine row has unparseable label {label:?}"))?;
-        let damage = metrics
-            .iter()
-            .find(|(name, _)| name == "damage_per_node")
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("byzantine row {label} has no damage_per_node metric"))?;
-        if damage > BYZANTINE_DAMAGE_PER_NODE {
-            return Err(format!(
-                "delivery damage {damage:.3} per Byzantine node at {label} exceeds the \
-                 committed ceiling {BYZANTINE_DAMAGE_PER_NODE:.2}"
-            ));
-        }
-        notes.push(format!(
-            "damage {damage:.3}/node <= {BYZANTINE_DAMAGE_PER_NODE:.2} at k={k}"
-        ));
-    }
-    if notes.is_empty() {
-        return Err("no hvdb byzantine rows with k > 0 to gate".into());
-    }
-    Ok(notes)
-}
-
-/// Whether a validated report document is a smoke run.
+/// Whether a report document is a smoke run.
 fn is_smoke(doc: &Json) -> Result<bool, String> {
-    let fields = obj_fields(doc)?;
-    Ok(matches!(field(fields, "smoke")?, Json::Bool(true)))
+    match field(obj_fields(doc)?, "smoke")? {
+        Json::Bool(b) => Ok(*b),
+        other => Err(format!("smoke: expected bool, got {}", brief(other))),
+    }
 }
 
-/// The CI gate over a validated `overhead` report: at the quiet point
-/// ([`OVERHEAD_QUIET_POINT`]) the fixed-rate baseline's refresh-plane
-/// frames/s must be at least [`OVERHEAD_QUIET_IMPROVEMENT`]× the
-/// adaptive controller's, and the adaptive controller's total control
-/// frames/s must stay under [`OVERHEAD_CEILING_FRAMES_PER_S`]. Returns
-/// `(improvement ratio, adaptive control frames/s)`. Refuses smoke
-/// reports.
-pub fn check_overhead_gate(doc: &Json) -> Result<(f64, f64), String> {
-    if is_smoke(doc)? {
-        return Err(
-            "overhead gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let read = |proto: &str, metric: &str| -> Result<f64, String> {
-        metric_of(doc, "churn", OVERHEAD_QUIET_POINT, proto, metric).ok_or_else(|| {
-            format!("no {proto} churn row at {OVERHEAD_QUIET_POINT} with a {metric} metric")
-        })
-    };
-    let fixed = read("hvdb-fixed", "refresh_frames_per_s")?;
-    let adaptive = read("hvdb-adaptive", "refresh_frames_per_s")?;
-    if adaptive <= 0.0 {
-        return Err(
-            "adaptive quiet-phase refresh_frames_per_s is zero — measurement broken".into(),
-        );
-    }
-    let ratio = fixed / adaptive;
-    if ratio < OVERHEAD_QUIET_IMPROVEMENT {
-        return Err(format!(
-            "quiet-phase refresh overhead improvement {ratio:.2}x is below the committed \
-             {OVERHEAD_QUIET_IMPROVEMENT:.1}x floor (fixed {fixed:.1} vs adaptive {adaptive:.1} frames/s)"
-        ));
-    }
-    let total = read("hvdb-adaptive", "control_frames_per_s")?;
-    if total > OVERHEAD_CEILING_FRAMES_PER_S {
-        return Err(format!(
-            "quiet-phase adaptive control traffic {total:.1} frames/s exceeds the committed \
-             ceiling {OVERHEAD_CEILING_FRAMES_PER_S:.0}"
-        ));
-    }
-    Ok((ratio, total))
-}
-
-/// The `traffic` scenario's saturation-knee gate.
-///
-/// Per protocol, the **knee** is the largest offered load such that the
-/// sweep passes continuously up to it (mean delivery ≥
-/// [`TRAFFIC_KNEE_DELIVERY_FLOOR`] *and* p99 latency ≤
-/// [`TRAFFIC_KNEE_P99_CEILING_MS`] at every point at or below it —
-/// prefix semantics, so a fluke recovery beyond saturation cannot move
-/// the knee). The gate enforces the §5 load claim: HVDB's knee must sit
-/// **strictly above** every [`TRAFFIC_BASELINE_PROTOS`] knee (which also
-/// forces the sweep to actually extend past the baselines' knees), and
-/// HVDB's p99 at [`TRAFFIC_P99_REFERENCE_POINT`] must stay inside
-/// [`TRAFFIC_P99_BAND_MS`]. Refuses smoke reports. Returns
-/// `(hvdb knee pps, reference-point p99 ms)`.
-pub fn check_traffic_gate(doc: &Json) -> Result<(f64, f64), String> {
-    if is_smoke(doc)? {
-        return Err(
-            "traffic gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let rows = report_rows(doc)?;
-    // (offered, delivery, p99) per proto, ascending by offered load.
-    let series = |proto: &str| -> Vec<(f64, f64, f64)> {
-        let mut pts: Vec<(f64, f64, f64)> = rows
-            .iter()
-            .filter(|(s, _, p, _)| s == "offered-load" && p == proto)
-            .filter_map(|(_, label, _, m)| {
-                // Non-finite labels (a corrupt "pps=nan" parses!) are
-                // skipped rather than poisoning the sort below.
-                let offered = label
-                    .strip_prefix("pps=")?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|o| o.is_finite())?;
-                let get = |k: &str| m.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-                Some((offered, get("delivery")?, get("p99_ms")?))
-            })
-            .collect();
-        pts.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("offered loads filtered finite")
-        });
-        pts
-    };
-    let knee = |pts: &[(f64, f64, f64)]| -> f64 {
-        let mut knee = 0.0;
-        for &(offered, delivery, p99) in pts {
-            if delivery >= TRAFFIC_KNEE_DELIVERY_FLOOR && p99 <= TRAFFIC_KNEE_P99_CEILING_MS {
-                knee = offered;
-            } else {
-                break;
-            }
-        }
-        knee
-    };
-    let hvdb = series("hvdb");
-    if hvdb.is_empty() {
-        return Err("no hvdb offered-load rows with delivery and p99_ms metrics".into());
-    }
-    let hvdb_knee = knee(&hvdb);
-    if hvdb_knee <= 0.0 {
-        return Err(format!(
-            "hvdb fails the knee rule at the lowest offered point ({:.3} delivery, {:.1} ms p99)",
-            hvdb[0].1, hvdb[0].2
-        ));
-    }
-    for baseline in TRAFFIC_BASELINE_PROTOS {
-        let pts = series(baseline);
-        if pts.is_empty() {
-            return Err(format!(
-                "no {baseline} offered-load rows in the traffic report"
-            ));
-        }
-        let b_knee = knee(&pts);
-        if hvdb_knee <= b_knee {
-            return Err(format!(
-                "hvdb sustains {hvdb_knee:.0} pps but {baseline} sustains {b_knee:.0} — \
-                 the backbone must out-sustain its baselines strictly"
-            ));
-        }
-    }
-    let p99 = metric_of(
-        doc,
-        "offered-load",
-        TRAFFIC_P99_REFERENCE_POINT,
-        "hvdb",
-        "p99_ms",
-    )
-    .ok_or_else(|| {
-        format!("no hvdb offered-load row at {TRAFFIC_P99_REFERENCE_POINT} with a p99_ms metric")
-    })?;
-    let (lo, hi) = TRAFFIC_P99_BAND_MS;
-    if !(lo..=hi).contains(&p99) {
-        return Err(format!(
-            "hvdb p99 {p99:.1} ms at {TRAFFIC_P99_REFERENCE_POINT} left the committed \
-             [{lo:.0}, {hi:.0}] ms band"
-        ));
-    }
-    Ok((hvdb_knee, p99))
-}
-
-/// Row coordinates and metrics extracted from a validated report:
-/// `(sweep, label, proto, metrics)`.
-type ReportRow = (String, String, String, Vec<(String, f64)>);
-
-fn report_rows(doc: &Json) -> Result<Vec<ReportRow>, String> {
-    let fields = obj_fields(doc)?;
-    let Json::Arr(rows) = field(fields, "rows")? else {
+/// The rows of a report document.
+pub fn report_rows(doc: &Json) -> Result<Vec<Row>, String> {
+    let Json::Arr(rows) = field(obj_fields(doc)?, "rows")? else {
         return Err("rows: expected array".into());
     };
     let mut out = Vec::new();
     for row in rows {
         let rf = obj_fields(row)?;
-        let get = |key: &str| -> Result<String, String> {
-            as_str(field(rf, key)?, key).map(str::to_string)
-        };
-        let Json::Obj(metrics) = field(rf, "metrics")? else {
-            return Err("metrics: expected object".into());
-        };
-        let metrics: Vec<(String, f64)> = metrics
+        let get = |key: &str| as_str(field(rf, key)?, key);
+        let metrics = obj_fields(field(rf, "metrics")?)?
             .iter()
             .filter_map(|(k, v)| match v {
                 Json::Num(n) => Some((k.clone(), *n)),
                 _ => None,
             })
             .collect();
-        out.push((get("sweep")?, get("label")?, get("proto")?, metrics));
+        out.push(Row::new(
+            get("sweep")?,
+            get("label")?,
+            get("proto")?,
+            metrics,
+        ));
     }
     Ok(out)
+}
+
+/// One declared CI gate: the rows it reads, the metric, one [`Check`],
+/// and what a smoke report does with it ([`Smoke`]). Declared as
+/// `Rows::new(sweep, protos, label).check(metric, check, smoke)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// Which rows.
+    pub rows: Rows,
+    /// The metric checked in every selected row.
+    pub metric: &'static str,
+    /// What must hold.
+    pub check: Check,
+    /// What a smoke report does.
+    pub smoke: Smoke,
+}
+
+/// A gate's row selector: one sweep, its protocols and a [`Label`] rule.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows {
+    /// The sweep axis ([`Row::sweep`]).
+    pub sweep: &'static str,
+    /// Protocols, reference first (see [`Check::Ratio`] and
+    /// [`Check::Knee`]); every one must have a selected row. Empty means
+    /// any protocol.
+    pub protos: &'static [&'static str],
+    /// Which labels of the sweep.
+    pub label: Label,
+}
+
+/// Which labels a [`Rows`] selector reads. The numbered rules read
+/// labels of the form `key=<n>` and skip labels whose `n` is not a
+/// finite number.
+#[derive(Debug, Clone, Copy)]
+pub enum Label {
+    /// Exactly this label.
+    Is(&'static str),
+    /// Every `key=<n>` with `n` at least the given value.
+    AtLeast(&'static str, f64),
+    /// The `key=<base>` baseline and every larger `key=<n>`; the baseline
+    /// and at least one larger label must be present.
+    Baseline(&'static str, f64),
+    /// The largest `key=<n>` that every listed protocol has.
+    LargestCommon(&'static str),
+    /// Every label except this reference, which must be present.
+    Except(&'static str),
+}
+
+/// What a [`Gate`] asserts over its selected rows, which are ordered by
+/// protocol as listed, then by label number.
+#[derive(Debug, Clone, Copy)]
+pub enum Check {
+    /// Every row's metric is at least this.
+    Floor(f64),
+    /// Every row's metric is at most this.
+    Ceiling(f64),
+    /// Every row's metric lies in `[lo, hi]`.
+    Band(f64, f64),
+    /// `Ratio(floor, parallel)`: the last row's metric over the first's
+    /// is at least `floor`; a first row at or below zero fails. With
+    /// `parallel = Some(n)` the floor binds only when the last row's label
+    /// number and its `hardware_threads` metric both reach `n` — threads
+    /// timesliced onto fewer cores measure scheduler noise, not speedup.
+    Ratio(f64, Option<f64>),
+    /// Every row's metric is exactly equal.
+    Equal,
+    /// `Knee(floor, ceiling_metric, ceiling)`: a protocol's knee is the
+    /// largest label number up to which *every* row keeps the metric at
+    /// or above `floor` and `ceiling_metric` at or below `ceiling` (prefix
+    /// semantics: a fluke recovery past saturation cannot move it). The
+    /// last listed protocol's knee must be positive and strictly above
+    /// every other's. Rows missing either metric are skipped.
+    Knee(f64, &'static str, f64),
+}
+
+/// What a [`Gate`] does with a smoke report (shrunk inputs).
+#[derive(Debug, Clone, Copy)]
+pub enum Smoke {
+    /// Fail: smoke numbers are meaningless for this check.
+    Refuse,
+    /// Pass without checking.
+    Skip,
+    /// Check as declared.
+    Apply,
+    /// Check against this lower floor instead.
+    Lower(f64),
+}
+
+impl Rows {
+    /// A row selector.
+    pub const fn new(sweep: &'static str, protos: &'static [&'static str], label: Label) -> Self {
+        Rows {
+            sweep,
+            protos,
+            label,
+        }
+    }
+
+    /// The gate checking `metric` in these rows.
+    pub const fn check(self, metric: &'static str, check: Check, smoke: Smoke) -> Gate {
+        Gate {
+            rows: self,
+            metric,
+            check,
+            smoke,
+        }
+    }
+
+    /// The selected rows with their label numbers (0 for the exact-label
+    /// rules), in check order. Fails when the rule's rows are missing — a
+    /// gate that cannot find its points must not wave the report through.
+    pub fn select<'r>(&self, rows: &'r [Row]) -> Result<Vec<(f64, &'r Row)>, String> {
+        let order = |r: &Row| self.protos.iter().position(|p| *p == r.proto);
+        let number = |r: &Row| match self.label {
+            Label::Is(_) | Label::Except(_) => Some(0.0),
+            Label::AtLeast(key, _) | Label::Baseline(key, _) | Label::LargestCommon(key) => r
+                .label
+                .strip_prefix(key)?
+                .strip_prefix('=')?
+                .parse::<f64>()
+                .ok()
+                .filter(|n| n.is_finite()),
+        };
+        let mut sel: Vec<(f64, &Row)> = rows
+            .iter()
+            .filter(|r| r.sweep == self.sweep && (self.protos.is_empty() || order(r).is_some()))
+            .filter_map(|r| Some((number(r)?, r)))
+            .collect();
+        match self.label {
+            Label::Is(label) => sel.retain(|(_, r)| r.label == label),
+            Label::AtLeast(_, min) => sel.retain(|&(n, _)| n >= min),
+            Label::Baseline(key, base) => {
+                sel.retain(|&(n, _)| n >= base);
+                if !sel.iter().any(|&(n, _)| n == base) || sel.len() < 2 {
+                    return Err(format!(
+                        "needs the {key}={base} baseline row and a larger one, found {}",
+                        sel.len()
+                    ));
+                }
+            }
+            Label::LargestCommon(key) => {
+                let common = |n: f64| {
+                    self.protos
+                        .iter()
+                        .all(|p| sel.iter().any(|&(m, r)| m == n && r.proto == *p))
+                };
+                let top = sel
+                    .iter()
+                    .map(|&(n, _)| n)
+                    .filter(|&n| common(n))
+                    .max_by(f64::total_cmp)
+                    .ok_or_else(|| format!("no {key}= label present for every protocol"))?;
+                sel.retain(|&(n, _)| n == top);
+            }
+            Label::Except(reference) => {
+                if !sel.iter().any(|(_, r)| r.label == reference) {
+                    return Err(format!("no {reference} reference row"));
+                }
+                sel.retain(|(_, r)| r.label != reference);
+            }
+        }
+        sel.sort_by(|a, b| order(a.1).cmp(&order(b.1)).then(a.0.total_cmp(&b.0)));
+        if let Some(p) = self
+            .protos
+            .iter()
+            .find(|p| !sel.iter().any(|(_, r)| r.proto == **p))
+        {
+            return Err(format!("no {p} row"));
+        }
+        if sel.is_empty() {
+            return Err("no row".into());
+        }
+        Ok(sel)
+    }
+}
+
+impl Gate {
+    /// Every metric the gate reads.
+    pub fn metrics(&self) -> Vec<&'static str> {
+        match self.check {
+            Check::Ratio(_, Some(_)) => vec![self.metric, "hardware_threads"],
+            Check::Knee(_, other, _) => vec![self.metric, other],
+            _ => vec![self.metric],
+        }
+    }
+
+    /// Evaluates the gate over a report's rows: `Ok` with what was
+    /// measured, or `Err` with why it fails.
+    fn eval(&self, rows: &[Row], smoke: bool) -> Result<String, String> {
+        let mut check = self.check;
+        if smoke {
+            match self.smoke {
+                Smoke::Refuse => {
+                    return Err(
+                        "needs a full run, not --smoke (smoke numbers are meaningless)".into(),
+                    )
+                }
+                Smoke::Skip => return Ok("skipped on a smoke report".into()),
+                Smoke::Apply => {}
+                Smoke::Lower(floor) => {
+                    if let Check::Floor(f) | Check::Ratio(f, _) = &mut check {
+                        *f = floor;
+                    }
+                }
+            }
+        }
+        let sel = self.rows.select(rows)?;
+        let at = |r: &Row| format!("{}/{}", r.label, r.proto);
+        let value = |r: &Row, metric: &str| {
+            metric_in(r, metric).ok_or_else(|| format!("{} has no {metric} metric", at(r)))
+        };
+        let (lo, hi) = match check {
+            Check::Floor(lo) => (lo, f64::INFINITY),
+            Check::Ceiling(hi) => (f64::NEG_INFINITY, hi),
+            Check::Band(lo, hi) => (lo, hi),
+            Check::Ratio(floor, parallel) => {
+                if sel.len() < 2 {
+                    return Err("needs two rows for a ratio".into());
+                }
+                let (&(_, first), &(last_n, last)) = (&sel[0], &sel[sel.len() - 1]);
+                let (den, num) = (value(first, self.metric)?, value(last, self.metric)?);
+                if den <= 0.0 {
+                    return Err(format!("{} is zero: measurement broken", at(first)));
+                }
+                let ratio = num / den;
+                let measured = format!("{} over {} is {ratio:.2}x", at(last), at(first));
+                if let Some(n) = parallel {
+                    if last_n < n || value(last, "hardware_threads")? < n {
+                        return Ok(format!(
+                            "{measured}; the {floor}x floor is waived below {n} threads on \
+                             {n} hardware threads"
+                        ));
+                    }
+                }
+                return if ratio < floor {
+                    Err(format!("{measured}, below the {floor}x floor"))
+                } else {
+                    Ok(format!("{measured} >= {floor}x"))
+                };
+            }
+            Check::Equal => {
+                let want = value(sel[0].1, self.metric)?;
+                let mut diverged = Vec::new();
+                for &(_, r) in &sel[1..] {
+                    let v = value(r, self.metric)?;
+                    if v != want {
+                        diverged.push(format!("{} has {v}", at(r)));
+                    }
+                }
+                return if diverged.is_empty() {
+                    Ok(format!("{want} at all {} rows", sel.len()))
+                } else {
+                    Err(format!(
+                        "diverged from {} ({want}): {}",
+                        at(sel[0].1),
+                        diverged.join(", ")
+                    ))
+                };
+            }
+            Check::Knee(floor, other, ceiling) => {
+                let mut knees = Vec::new();
+                for &proto in self.rows.protos {
+                    let pts: Vec<(f64, f64, f64)> = sel
+                        .iter()
+                        .filter(|(_, r)| r.proto == proto)
+                        .filter_map(|&(n, r)| {
+                            Some((n, metric_in(r, self.metric)?, metric_in(r, other)?))
+                        })
+                        .collect();
+                    if pts.is_empty() {
+                        return Err(format!("no {proto} rows with {} and {other}", self.metric));
+                    }
+                    let knee = pts
+                        .iter()
+                        .take_while(|&&(_, m, o)| m >= floor && o <= ceiling)
+                        .last()
+                        .map_or(0.0, |p| p.0);
+                    knees.push((proto, knee));
+                }
+                let Some((top, knee)) = knees.pop() else {
+                    return Err("a knee needs protocols".into());
+                };
+                if knee <= 0.0 {
+                    return Err(format!("{top} fails the knee rule at its lowest point"));
+                }
+                if let Some((p, k)) = knees.iter().find(|&&(_, k)| knee <= k) {
+                    return Err(format!(
+                        "{top} sustains {knee} but {p} sustains {k}: it must out-sustain every baseline strictly"
+                    ));
+                }
+                let others: Vec<String> = knees.iter().map(|(p, k)| format!("{p} {k}")).collect();
+                return Ok(format!("{top} knee {knee} above {}", others.join(", ")));
+            }
+        };
+        let mut seen = Vec::new();
+        let mut outside = Vec::new();
+        for &(_, r) in &sel {
+            let v = value(r, self.metric)?;
+            let note = format!("{v:.3} at {}", at(r));
+            if (lo..=hi).contains(&v) {
+                seen.push(note);
+            } else {
+                outside.push(note);
+            }
+        }
+        if outside.is_empty() {
+            Ok(seen.join(", "))
+        } else {
+            Err(format!("got {}", outside.join(", ")))
+        }
+    }
+}
+
+/// Evaluates `gates` against a schema-valid report: one entry per gate,
+/// `Ok` with what was measured or `Err` with why it fails, each prefixed
+/// by the gate. Every gate runs, so a failing report lists all of its
+/// broken gates.
+pub fn check_gates(doc: &Json, gates: &[Gate]) -> Vec<Result<String, String>> {
+    let report = is_smoke(doc).and_then(|smoke| Ok((smoke, report_rows(doc)?)));
+    gates
+        .iter()
+        .map(|gate| {
+            let (smoke, rows) = report.as_ref().map_err(|e| format!("{gate}: {e}"))?;
+            gate.eval(rows, *smoke)
+                .map(|ok| format!("{gate}: {ok}"))
+                .map_err(|e| format!("{gate}: {e}"))
+        })
+        .collect()
+}
+
+impl fmt::Display for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} ", self.rows, self.metric)?;
+        match self.check {
+            Check::Floor(lo) => write!(f, ">= {lo}"),
+            Check::Ceiling(hi) => write!(f, "<= {hi}"),
+            Check::Band(lo, hi) => write!(f, "in [{lo}, {hi}]"),
+            Check::Ratio(floor, None) => write!(f, "last/first >= {floor}"),
+            Check::Ratio(floor, Some(n)) => {
+                write!(f, "last/first >= {floor} on >= {n} hardware threads")
+            }
+            Check::Equal => write!(f, "equal"),
+            Check::Knee(lo, other, hi) => {
+                write!(f, ">= {lo} and {other} <= {hi}: last knee highest")
+            }
+        }
+    }
+}
+
+impl fmt::Display for Rows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/", self.sweep)?;
+        match self.label {
+            Label::Is(label) => write!(f, "{label}"),
+            Label::AtLeast(key, n) => write!(f, "{key}>={n}"),
+            Label::Baseline(key, n) => write!(f, "{key}={n}.."),
+            Label::LargestCommon(key) => write!(f, "{key}=largest-common"),
+            Label::Except(label) => write!(f, "all-but-{label}"),
+        }?;
+        match self.protos {
+            [] => write!(f, "/*"),
+            protos => write!(f, "/{}", protos.join(",")),
+        }
+    }
 }
 
 /// The bench-trajectory gate: compares a freshly produced `candidate`
 /// report against the committed `baseline` within tolerance bands —
 /// every baseline row must exist in the candidate, `delivery` may
-/// regress at most `delivery_tol` (fraction), and the
-/// [`OVERHEAD_GATED_METRICS`] may grow at most `overhead_tol`. Refuses
-/// smoke candidates. Returns one summary line per compared row; all
-/// violations are collected into the error, not just the first.
-pub fn check_trajectory(
-    candidate: &Json,
-    baseline: &Json,
-    delivery_tol: f64,
-    overhead_tol: f64,
-) -> Result<Vec<String>, String> {
+/// regress at most [`TRAJECTORY_DELIVERY_TOLERANCE`], and the
+/// [`OVERHEAD_GATED_METRICS`] may grow at most
+/// [`TRAJECTORY_OVERHEAD_TOLERANCE`]. Refuses smoke candidates. Returns
+/// one summary line per compared metric; all violations are collected
+/// into the error, not just the first.
+pub fn check_trajectory(candidate: &Json, baseline: &Json) -> Result<Vec<String>, String> {
     if is_smoke(candidate)? {
         return Err("trajectory gate needs a full run, not --smoke".into());
     }
-    let base_rows = report_rows(baseline)?;
     let cand_rows = report_rows(candidate)?;
     let mut summary = Vec::new();
     let mut violations = Vec::new();
-    for (sweep, label, proto, metrics) in &base_rows {
-        let coord = format!("{sweep}/{label}/{proto}");
-        let Some((.., cand_metrics)) = cand_rows
+    for base in report_rows(baseline)? {
+        let coord = format!("{}/{}/{}", base.sweep, base.label, base.proto);
+        let Some(cand) = cand_rows
             .iter()
-            .find(|(s, l, p, _)| s == sweep && l == label && p == proto)
+            .find(|r| r.sweep == base.sweep && r.label == base.label && r.proto == base.proto)
         else {
             violations.push(format!("row {coord} missing from candidate"));
             continue;
         };
-        let cand = |name: &str| {
-            cand_metrics
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-        };
-        for (name, base_v) in metrics {
+        for (name, base_v) in &base.metrics {
             if name == "delivery" {
-                let floor = base_v * (1.0 - delivery_tol);
-                match cand(name) {
+                let floor = base_v * (1.0 - TRAJECTORY_DELIVERY_TOLERANCE);
+                match metric_in(cand, name) {
                     Some(v) if v >= floor => {
                         summary.push(format!("{coord}: delivery {v:.3} vs baseline {base_v:.3}"))
                     }
                     Some(v) => violations.push(format!(
                         "{coord}: delivery {v:.3} regressed more than {:.0}% below baseline {base_v:.3}",
-                        delivery_tol * 100.0
+                        TRAJECTORY_DELIVERY_TOLERANCE * 100.0
                     )),
                     None => violations.push(format!("{coord}: delivery metric missing")),
                 }
             } else if OVERHEAD_GATED_METRICS.contains(&name.as_str()) {
-                let ceiling = base_v * (1.0 + overhead_tol);
-                match cand(name) {
+                let ceiling = base_v * (1.0 + TRAJECTORY_OVERHEAD_TOLERANCE);
+                match metric_in(cand, name) {
                     Some(v) if v <= ceiling || *base_v == 0.0 && v == 0.0 => {
                         summary.push(format!("{coord}: {name} {v:.1} vs baseline {base_v:.1}"))
                     }
                     Some(v) => violations.push(format!(
                         "{coord}: {name} {v:.1} grew more than {:.0}% over baseline {base_v:.1}",
-                        overhead_tol * 100.0
+                        TRAJECTORY_OVERHEAD_TOLERANCE * 100.0
                     )),
                     None => violations.push(format!("{coord}: {name} metric missing")),
                 }
@@ -1140,6 +790,8 @@ pub fn check_trajectory(
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open, capped at [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -1173,8 +825,11 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
@@ -1182,6 +837,13 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?}")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), String> {
@@ -1335,21 +997,14 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::report::{Row, ScenarioReport};
+    use crate::scenario::find;
 
     fn report(scenario: &str, rows: Vec<Row>) -> String {
-        ScenarioReport {
-            scenario: scenario.into(),
-            figure: "Fig. X".into(),
-            summary: "s".into(),
-            smoke: false,
-            threads: 1,
-            workload: None,
-            timeline: None,
-            profile: None,
-            rows,
-        }
-        .to_json()
-        .to_string()
+        report_with_blocks(scenario, rows, None, None)
+    }
+
+    fn smoke(json: String) -> String {
+        json.replace("\"smoke\": false", "\"smoke\": true")
     }
 
     fn sample(t: f64, heads: f64) -> Json {
@@ -1390,6 +1045,28 @@ mod tests {
         }
         .to_json()
         .to_string()
+    }
+
+    /// Runs `scenario`'s declared gates on `sweep` over a report: `Ok`
+    /// with every gate's note, or `Err` with the failing gates.
+    fn gates(scenario: &str, sweep: &str, json: &str) -> Result<Vec<String>, Vec<String>> {
+        let doc = validate_report_str(json).expect("schema-valid report");
+        let declared: Vec<Gate> = find(scenario)
+            .expect("registered scenario")
+            .gates
+            .iter()
+            .filter(|g| g.rows.sweep == sweep)
+            .copied()
+            .collect();
+        assert!(!declared.is_empty(), "{scenario} declares no {sweep} gate");
+        let (ok, failed): (Vec<_>, Vec<_>) = check_gates(&doc, &declared)
+            .into_iter()
+            .partition(Result::is_ok);
+        if failed.is_empty() {
+            Ok(ok.into_iter().map(Result::unwrap).collect())
+        } else {
+            Err(failed.into_iter().map(Result::unwrap_err).collect())
+        }
     }
 
     #[test]
@@ -1493,18 +1170,27 @@ mod tests {
             ],
         );
         let s = report_with_blocks("partition", any_rows(), Some(tl), None);
-        let doc = validate_report_str(&s).unwrap();
-        assert_eq!(check_partition_timeline(&doc).unwrap(), Some(2.0));
+        validate_report_str(&s).expect("agreeing timeline accepted");
 
-        // A report without the block passes (legacy reports predate it).
-        let s = report("partition", any_rows());
-        let doc = validate_report_str(&s).unwrap();
-        assert_eq!(check_partition_timeline(&doc).unwrap(), None);
+        // A timeline without the probe annotation has nothing to
+        // cross-check (the scale scenario's timeline is one).
+        let tl = timeline_block(&[("heal_at_secs", 3.0)], vec![sample(4.0, 9.0)]);
+        let s = report_with_blocks("partition", any_rows(), Some(tl), None);
+        validate_report_str(&s).expect("unannotated timeline accepted");
+
+        // The annotation needs the heal instant and census target.
+        let tl = timeline_block(&[("remerge_secs_probe", 2.0)], vec![sample(4.0, 9.0)]);
+        let s = report_with_blocks("partition", any_rows(), Some(tl), None);
+        assert!(validate_report_str(&s)
+            .unwrap_err()
+            .contains("heal_at_secs"));
     }
 
     #[test]
     fn partition_timeline_cross_check_rejects_disagreement() {
-        // Derived re-merge is 2 s but the probe annotation claims 4 s.
+        // Derived re-merge is 2 s but the probe annotation claims 4 s:
+        // the schema check itself fails, so `run`'s re-validation of the
+        // report it wrote enforces the cross-check.
         let tl = timeline_block(
             &[
                 ("heal_at_secs", 3.0),
@@ -1514,10 +1200,7 @@ mod tests {
             vec![sample(3.0, 9.0), sample(5.0, 5.0)],
         );
         let s = report_with_blocks("partition", any_rows(), Some(tl), None);
-        let doc = validate_report_str(&s).unwrap();
-        assert!(check_partition_timeline(&doc)
-            .unwrap_err()
-            .contains("disagrees"));
+        assert!(validate_report_str(&s).unwrap_err().contains("disagrees"));
 
         // Census never returns to the target.
         let tl = timeline_block(
@@ -1529,8 +1212,7 @@ mod tests {
             vec![sample(3.0, 9.0), sample(5.0, 9.0)],
         );
         let s = report_with_blocks("partition", any_rows(), Some(tl), None);
-        let doc = validate_report_str(&s).unwrap();
-        assert!(check_partition_timeline(&doc)
+        assert!(validate_report_str(&s)
             .unwrap_err()
             .contains("never returns"));
     }
@@ -1543,6 +1225,33 @@ mod tests {
         assert!(parse_strict("\"unterminated").is_err());
         assert!(parse_strict("{\"a\": nul}").is_err());
         assert!(parse_strict("[1, 2,]").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        // Unbounded recursion used to overflow the stack on this input.
+        let deep = "[".repeat(100_000);
+        let err = parse_strict(&deep).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let deep_obj = "{\"a\": ".repeat(100_000);
+        assert!(parse_strict(&deep_obj).is_err());
+        // The cap itself is accepted, one more level is not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_strict(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(parse_strict(&over).is_err());
+    }
+
+    #[test]
+    fn schema_errors_echo_a_bounded_prefix() {
+        let nested = format!("{}{}", "[".repeat(60), "]".repeat(60));
+        let s = format!(
+            "{{\"scenario\": \"x\", \"figure\": \"f\", \"summary\": \"s\", \"smoke\": false, \
+             \"threads\": 1, \"workload\": {nested}, \"rows\": []}}"
+        );
+        let err = validate_report_str(&s).unwrap_err();
+        assert!(err.starts_with("workload: expected object"), "{err}");
+        assert!(err.len() < 120, "{} bytes: {err}", err.len());
     }
 
     #[test]
@@ -1575,69 +1284,70 @@ mod tests {
         assert!(validate_report_str(&s).is_err());
     }
 
+    fn loss_row(point: &str, worst: f64) -> Row {
+        Row::new(
+            "frame-loss",
+            point,
+            "hvdb",
+            vec![("delivery_worst".into(), worst)],
+        )
+    }
+
+    fn loss_report(worst_15: f64, worst_25: f64, worst_30: f64) -> String {
+        report(
+            "loss",
+            vec![
+                loss_row("loss=0", 1.0),
+                loss_row("loss=0.15", worst_15),
+                loss_row("loss=0.25", worst_25),
+                loss_row("loss=0.3", worst_30),
+            ],
+        )
+    }
+
     #[test]
     fn loss_gate_passes_and_fails_on_the_floor() {
-        let ok = report(
-            "loss",
-            vec![Row::new(
-                "frame-loss",
-                LOSS_GATE_POINT,
-                "hvdb",
-                vec![("delivery_worst".into(), LOSS_DELIVERY_FLOOR + 0.02)],
-            )],
-        );
-        let doc = validate_report_str(&ok).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_ok());
+        // Exactly on the 0.90 floor passes.
+        let notes = gates("loss", "frame-loss", &loss_report(0.90, 0.95, 0.94)).unwrap();
+        assert_eq!(notes.len(), 3);
+        let failed = gates("loss", "frame-loss", &loss_report(0.85, 0.95, 0.94)).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("loss=0.15"), "{failed:?}");
 
-        let bad = report(
-            "loss",
-            vec![Row::new(
-                "frame-loss",
-                LOSS_GATE_POINT,
-                "hvdb",
-                vec![("delivery_worst".into(), LOSS_DELIVERY_FLOOR - 0.05)],
-            )],
-        );
-        let doc = validate_report_str(&bad).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_err());
-
-        // Missing gate row.
+        // A missing gate row fails loudly.
         let none = report(
             "loss",
-            vec![Row::new(
-                "frame-loss",
-                "loss=0",
-                "hvdb",
-                vec![("delivery".into(), 1.0)],
-            )],
+            vec![loss_row("loss=0.25", 0.95), loss_row("loss=0.3", 0.94)],
         );
-        let doc = validate_report_str(&none).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_err());
+        let failed = gates("loss", "frame-loss", &none).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("no hvdb row"), "{failed:?}");
     }
 
     #[test]
     fn loss_gate_refuses_smoke_reports() {
-        let mut rep = ScenarioReport {
-            scenario: "loss".into(),
-            figure: "f".into(),
-            summary: "s".into(),
-            smoke: true,
-            threads: 1,
-            workload: None,
-            timeline: None,
-            profile: None,
-            rows: vec![Row::new(
-                "frame-loss",
-                LOSS_GATE_POINT,
-                "hvdb",
-                vec![("delivery_worst".into(), 1.0)],
-            )],
-        };
-        let doc = validate_report_str(&rep.to_json().to_string()).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_err());
-        rep.smoke = false;
-        let doc = validate_report_str(&rep.to_json().to_string()).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_ok());
+        let failed = gates("loss", "frame-loss", &smoke(loss_report(1.0, 1.0, 1.0))).unwrap_err();
+        assert_eq!(failed.len(), 3);
+        assert!(failed.iter().all(|f| f.contains("smoke")), "{failed:?}");
+        assert!(gates("loss", "frame-loss", &loss_report(1.0, 1.0, 1.0)).is_ok());
+    }
+
+    #[test]
+    fn loss_high_band_gates_both_points() {
+        // One point under the 0.93 band fails.
+        let failed = gates("loss", "frame-loss", &loss_report(1.0, 0.95, 0.92)).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("loss=0.3"), "{failed:?}");
+        let failed = gates("loss", "frame-loss", &loss_report(1.0, 0.92, 0.95)).unwrap_err();
+        assert!(failed[0].contains("loss=0.25"), "{failed:?}");
+        // A missing point fails loudly instead of silently passing.
+        let partial = report(
+            "loss",
+            vec![loss_row("loss=0.15", 0.99), loss_row("loss=0.25", 0.99)],
+        );
+        let failed = gates("loss", "frame-loss", &partial).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("loss=0.3"), "{failed:?}");
     }
 
     fn overhead_report(fixed_refresh: f64, adaptive_refresh: f64, adaptive_total: f64) -> String {
@@ -1646,7 +1356,7 @@ mod tests {
             vec![
                 Row::new(
                     "churn",
-                    OVERHEAD_QUIET_POINT,
+                    "churn=0",
                     "hvdb-fixed",
                     vec![
                         ("refresh_frames_per_s".into(), fixed_refresh),
@@ -1655,7 +1365,7 @@ mod tests {
                 ),
                 Row::new(
                     "churn",
-                    OVERHEAD_QUIET_POINT,
+                    "churn=0",
                     "hvdb-adaptive",
                     vec![
                         ("refresh_frames_per_s".into(), adaptive_refresh),
@@ -1669,23 +1379,25 @@ mod tests {
     #[test]
     fn overhead_gate_enforces_ratio_and_ceiling() {
         // 3x improvement, total under the ceiling: passes.
-        let doc = validate_report_str(&overhead_report(600.0, 200.0, 700.0)).unwrap();
-        let (ratio, total) = check_overhead_gate(&doc).expect("gate passes");
-        assert!((ratio - 3.0).abs() < 1e-9);
-        assert!((total - 700.0).abs() < 1e-9);
+        let notes = gates("overhead", "churn", &overhead_report(600.0, 200.0, 700.0)).unwrap();
+        assert!(notes[0].contains("3.00x"), "{notes:?}");
         // Only 1.5x improvement: fails.
-        let doc = validate_report_str(&overhead_report(300.0, 200.0, 700.0)).unwrap();
-        assert!(check_overhead_gate(&doc).unwrap_err().contains("below"));
+        let failed = gates("overhead", "churn", &overhead_report(300.0, 200.0, 700.0)).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("below"), "{failed:?}");
         // Ratio fine but total control traffic blew through the ceiling.
-        let doc = validate_report_str(&overhead_report(
-            9000.0,
-            200.0,
-            OVERHEAD_CEILING_FRAMES_PER_S + 1.0,
-        ))
-        .unwrap();
-        assert!(check_overhead_gate(&doc).unwrap_err().contains("ceiling"));
-        // Missing quiet rows: fails loudly.
-        let doc = validate_report_str(&report(
+        let failed =
+            gates("overhead", "churn", &overhead_report(9000.0, 200.0, 901.0)).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(
+            failed[0].contains("control_frames_per_s <= 900"),
+            "{failed:?}"
+        );
+        // A zero denominator fails rather than dividing to infinity.
+        let failed = gates("overhead", "churn", &overhead_report(600.0, 0.0, 700.0)).unwrap_err();
+        assert!(failed[0].contains("zero"), "{failed:?}");
+        // Missing quiet rows: both gates fail loudly.
+        let other = report(
             "overhead",
             vec![Row::new(
                 "churn",
@@ -1693,23 +1405,26 @@ mod tests {
                 "hvdb-adaptive",
                 vec![("refresh_frames_per_s".into(), 1.0)],
             )],
-        ))
-        .unwrap();
-        assert!(check_overhead_gate(&doc).is_err());
+        );
+        assert_eq!(gates("overhead", "churn", &other).unwrap_err().len(), 2);
     }
 
     #[test]
     fn overhead_gate_refuses_smoke() {
-        let mut rep = overhead_report(600.0, 200.0, 700.0);
-        rep = rep.replace("\"smoke\": false", "\"smoke\": true");
-        let doc = validate_report_str(&rep).unwrap();
-        assert!(check_overhead_gate(&doc).unwrap_err().contains("smoke"));
+        let failed = gates(
+            "overhead",
+            "churn",
+            &smoke(overhead_report(600.0, 200.0, 700.0)),
+        )
+        .unwrap_err();
+        assert_eq!(failed.len(), 2);
+        assert!(failed.iter().all(|f| f.contains("smoke")), "{failed:?}");
     }
 
-    fn scale_row(delivery: f64, frames: f64) -> Row {
+    fn scale_row(label: &str, delivery: f64, frames: f64) -> Row {
         Row::new(
             "network-size",
-            "nodes=200",
+            label,
             "hvdb",
             vec![
                 ("delivery".into(), delivery),
@@ -1719,82 +1434,59 @@ mod tests {
         )
     }
 
+    fn traj(candidate: Vec<Row>, baseline: Vec<Row>) -> Result<Vec<String>, String> {
+        let cand = validate_report_str(&report("scale", candidate)).unwrap();
+        let base = validate_report_str(&report("scale", baseline)).unwrap();
+        check_trajectory(&cand, &base)
+    }
+
     #[test]
     fn trajectory_gate_bands_delivery_and_overhead() {
-        let baseline = validate_report_str(&report("scale", vec![scale_row(1.0, 500.0)])).unwrap();
-        // Within both bands: passes with a summary line per checked row.
-        let cand = validate_report_str(&report("scale", vec![scale_row(0.95, 540.0)])).unwrap();
-        let summary = check_trajectory(&cand, &baseline, 0.10, 0.15).expect("within bands");
+        let base = || vec![scale_row("nodes=200", 1.0, 500.0)];
+        // Within both bands: passes with a summary line per checked metric.
+        let summary = traj(vec![scale_row("nodes=200", 0.95, 540.0)], base()).unwrap();
         assert_eq!(summary.len(), 2);
         // Delivery regressed past the band.
-        let cand = validate_report_str(&report("scale", vec![scale_row(0.85, 500.0)])).unwrap();
-        let err = check_trajectory(&cand, &baseline, 0.10, 0.15).unwrap_err();
+        let err = traj(vec![scale_row("nodes=200", 0.85, 500.0)], base()).unwrap_err();
         assert!(err.contains("delivery"), "{err}");
         // Overhead grew past the band.
-        let cand = validate_report_str(&report("scale", vec![scale_row(1.0, 600.0)])).unwrap();
-        let err = check_trajectory(&cand, &baseline, 0.10, 0.15).unwrap_err();
+        let err = traj(vec![scale_row("nodes=200", 1.0, 600.0)], base()).unwrap_err();
         assert!(err.contains("control_frames_per_s"), "{err}");
         // A baseline row vanishing from the candidate is a failure, not a
         // silent skip.
-        let other = Row::new(
-            "network-size",
-            "nodes=400",
-            "hvdb",
-            vec![("delivery".into(), 1.0)],
-        );
-        let cand = validate_report_str(&report("scale", vec![other])).unwrap();
-        let err = check_trajectory(&cand, &baseline, 0.10, 0.15).unwrap_err();
+        let err = traj(vec![scale_row("nodes=400", 1.0, 500.0)], base()).unwrap_err();
         assert!(err.contains("missing"), "{err}");
+        // Smoke candidates are refused.
+        let cand = smoke(report("scale", base()));
+        let cand = validate_report_str(&cand).unwrap();
+        let base = validate_report_str(&report("scale", base())).unwrap();
+        assert!(check_trajectory(&cand, &base)
+            .unwrap_err()
+            .contains("smoke"));
     }
 
     #[test]
     fn trajectory_gate_collects_every_violation() {
-        let baseline = validate_report_str(&report("scale", vec![scale_row(1.0, 500.0)])).unwrap();
-        let cand = validate_report_str(&report("scale", vec![scale_row(0.5, 900.0)])).unwrap();
-        let err = check_trajectory(&cand, &baseline, 0.10, 0.15).unwrap_err();
-        assert!(
-            err.contains("delivery") && err.contains("control_frames_per_s"),
-            "{err}"
-        );
-    }
-
-    fn loss_row(point: &str, worst: f64) -> Row {
-        Row::new(
-            "frame-loss",
-            point,
-            "hvdb",
-            vec![("delivery_worst".into(), worst)],
-        )
-    }
-
-    #[test]
-    fn loss_high_band_gates_both_points() {
-        let ok = report(
-            "loss",
-            vec![loss_row("loss=0.25", 0.95), loss_row("loss=0.3", 0.94)],
-        );
-        let doc = validate_report_str(&ok).unwrap();
-        let band = check_loss_high_band(&doc).expect("band holds");
-        assert_eq!(band.len(), 2);
-        // One point under the band fails.
-        let bad = report(
-            "loss",
+        let err = traj(
+            vec![scale_row("nodes=200", 0.5, 900.0)],
             vec![
-                loss_row("loss=0.25", 0.95),
-                loss_row("loss=0.3", LOSS_HIGH_FLOOR - 0.01),
+                scale_row("nodes=200", 1.0, 500.0),
+                scale_row("nodes=400", 1.0, 500.0),
+                scale_row("nodes=600", 1.0, 500.0),
             ],
-        );
-        let doc = validate_report_str(&bad).unwrap();
-        assert!(check_loss_high_band(&doc).unwrap_err().contains("loss=0.3"));
-        // A missing point fails loudly instead of silently passing.
-        let partial = report("loss", vec![loss_row("loss=0.25", 0.99)]);
-        let doc = validate_report_str(&partial).unwrap();
-        assert!(check_loss_high_band(&doc)
-            .unwrap_err()
-            .contains("no hvdb frame-loss row"));
+        )
+        .unwrap_err();
+        for want in [
+            "nodes=200/hvdb: delivery",
+            "nodes=200/hvdb: control_frames_per_s",
+            "nodes=400/hvdb missing",
+            "nodes=600/hvdb missing",
+        ] {
+            assert!(err.contains(want), "{want}: {err}");
+        }
     }
 
-    fn traffic_row(pps: f64, proto: &str, delivery: f64, p99_ms: f64) -> Row {
+    fn traffic_row(pps: &str, proto: &str, delivery: f64, p99_ms: f64) -> Row {
         Row::new(
             "offered-load",
             format!("pps={pps}"),
@@ -1803,44 +1495,47 @@ mod tests {
         )
     }
 
-    /// A traffic report where hvdb knees at `hvdb_knee` pps and both
+    /// Traffic rows where hvdb knees at `hvdb_knee` pps and both
     /// baselines knee at `base_knee` pps, over the standard sweep.
-    fn traffic_report(hvdb_knee: f64, base_knee: f64) -> String {
-        let sweep = [20.0, 80.0, 160.0, 320.0, 640.0];
+    fn traffic_rows(hvdb_knee: f64, base_knee: f64) -> Vec<Row> {
         let mut rows = Vec::new();
-        for &pps in &sweep {
+        for pps in [20.0, 80.0, 160.0, 320.0, 640.0] {
             for proto in ["hvdb", "flooding", "shared-tree"] {
-                let k = if proto == "hvdb" {
+                let knee = if proto == "hvdb" {
                     hvdb_knee
                 } else {
                     base_knee
                 };
-                let (d, p99) = if pps <= k {
+                let (d, p99) = if pps <= knee {
                     (0.99, 40.0)
                 } else {
                     (0.4, 2_000.0)
                 };
-                rows.push(traffic_row(pps, proto, d, p99));
+                rows.push(traffic_row(&pps.to_string(), proto, d, p99));
             }
         }
-        report("traffic", rows)
+        rows
+    }
+
+    fn traffic(rows: Vec<Row>) -> Result<Vec<String>, Vec<String>> {
+        gates("traffic", "offered-load", &report("traffic", rows))
     }
 
     #[test]
     fn traffic_gate_enforces_knee_ordering() {
         // hvdb knees at 320, baselines at 80: passes, knee reported.
-        let doc = validate_report_str(&traffic_report(320.0, 80.0)).unwrap();
-        let (knee, p99) = check_traffic_gate(&doc).expect("gate passes");
-        assert_eq!(knee, 320.0);
-        assert!((p99 - 40.0).abs() < 1e-9);
+        let notes = traffic(traffic_rows(320.0, 80.0)).unwrap();
+        assert!(notes[0].contains("hvdb knee 320"), "{notes:?}");
         // Baselines sustain as much as hvdb: fails (strict ordering).
-        let doc = validate_report_str(&traffic_report(320.0, 320.0)).unwrap();
-        assert!(check_traffic_gate(&doc)
-            .unwrap_err()
-            .contains("out-sustain"));
+        let failed = traffic(traffic_rows(320.0, 320.0)).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("out-sustain"), "{failed:?}");
         // hvdb knees below a baseline: fails.
-        let doc = validate_report_str(&traffic_report(80.0, 160.0)).unwrap();
-        assert!(check_traffic_gate(&doc).is_err());
+        let failed = traffic(traffic_rows(160.0, 320.0)).unwrap_err();
+        assert!(failed[0].contains("out-sustain"), "{failed:?}");
+        // hvdb fails at its lowest point: knee 0 fails outright.
+        let failed = traffic(traffic_rows(0.0, 0.0)).unwrap_err();
+        assert!(failed[0].contains("lowest point"), "{failed:?}");
     }
 
     #[test]
@@ -1848,14 +1543,14 @@ mod tests {
         // hvdb "recovers" at 640 after failing at 320: the knee must
         // still be 160, and with baselines at 160 the gate fails.
         let mut rows = Vec::new();
-        for &(pps, d, p99) in &[
-            (20.0, 0.99, 30.0),
-            (160.0, 0.97, 50.0),
-            (320.0, 0.50, 900.0),
-            (640.0, 0.95, 60.0), // past-saturation fluke
+        for (pps, d, p99) in [
+            ("20", 0.99, 30.0),
+            ("160", 0.97, 50.0),
+            ("320", 0.50, 900.0),
+            ("640", 0.95, 60.0), // past-saturation fluke
         ] {
             rows.push(traffic_row(pps, "hvdb", d, p99));
-            let (bd, bp) = if pps <= 160.0 {
+            let (bd, bp) = if pps == "20" || pps == "160" {
                 (0.95, 45.0)
             } else {
                 (0.3, 3_000.0)
@@ -1863,42 +1558,38 @@ mod tests {
             rows.push(traffic_row(pps, "flooding", bd, bp));
             rows.push(traffic_row(pps, "shared-tree", bd, bp));
         }
-        let doc = validate_report_str(&report("traffic", rows)).unwrap();
-        let err = check_traffic_gate(&doc).unwrap_err();
-        assert!(err.contains("160"), "{err}");
+        let failed = traffic(rows).unwrap_err();
+        assert!(failed[0].contains("hvdb sustains 160"), "{failed:?}");
     }
 
     #[test]
     fn traffic_gate_checks_p99_band_and_refuses_smoke() {
         // Reference-point p99 outside the band: fails even with the knee
         // ordering intact.
-        let sweep = [20.0, 80.0, 160.0, 320.0, 640.0];
-        let mut rows = Vec::new();
-        for &pps in &sweep {
-            let p99 = if pps == 160.0 {
-                TRAFFIC_P99_BAND_MS.1 + 1.0
-            } else {
-                40.0
-            };
-            rows.push(traffic_row(pps, "hvdb", 0.99, p99));
-            let (bd, bp) = if pps <= 80.0 {
-                (0.95, 45.0)
-            } else {
-                (0.3, 3_000.0)
-            };
-            rows.push(traffic_row(pps, "flooding", bd, bp));
-            rows.push(traffic_row(pps, "shared-tree", bd, bp));
-        }
-        let doc = validate_report_str(&report("traffic", rows)).unwrap();
-        assert!(check_traffic_gate(&doc).unwrap_err().contains("band"));
-        // Smoke reports are refused outright.
-        let smoke = traffic_report(320.0, 80.0).replace("\"smoke\": false", "\"smoke\": true");
-        let doc = validate_report_str(&smoke).unwrap();
-        assert!(check_traffic_gate(&doc).unwrap_err().contains("smoke"));
+        let mut rows = traffic_rows(640.0, 80.0);
+        let at_160 = rows
+            .iter_mut()
+            .find(|r| r.label == "pps=160" && r.proto == "hvdb")
+            .unwrap();
+        at_160.metrics[1].1 = 61.0;
+        let failed = traffic(rows).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("p99_ms in [10, 60]"), "{failed:?}");
+        // Smoke reports are refused outright, by both gates.
+        let smoke_json = smoke(report("traffic", traffic_rows(320.0, 80.0)));
+        let failed = gates("traffic", "offered-load", &smoke_json).unwrap_err();
+        assert_eq!(failed.len(), 2);
+        assert!(failed.iter().all(|f| f.contains("smoke")), "{failed:?}");
         // Missing baseline rows fail loudly.
-        let hvdb_only = report("traffic", vec![traffic_row(20.0, "hvdb", 0.99, 30.0)]);
-        let doc = validate_report_str(&hvdb_only).unwrap();
-        assert!(check_traffic_gate(&doc).unwrap_err().contains("flooding"));
+        let hvdb_only = vec![traffic_row("20", "hvdb", 0.99, 30.0)];
+        let failed = traffic(hvdb_only).unwrap_err();
+        assert!(failed[0].contains("no flooding row"), "{failed:?}");
+        // A corrupt `pps=nan` label is skipped, not sorted into the
+        // series (where it would end hvdb's knee at its first point).
+        let mut rows = traffic_rows(320.0, 80.0);
+        rows.push(traffic_row("nan", "hvdb", 0.0, 9_000.0));
+        let notes = traffic(rows).unwrap();
+        assert!(notes[0].contains("hvdb knee 320"), "{notes:?}");
     }
 
     fn perf_row(label: &str, proto: &str, eps: f64, events: f64) -> Row {
@@ -1915,23 +1606,27 @@ mod tests {
 
     #[test]
     fn perf_gate_checks_speedup_at_largest_common_point() {
-        // Gate applies at nodes=600 (largest label present in both arms),
-        // not at the slower 200-point.
-        let rep_ok = report(
-            "perf",
+        // Gates apply at nodes=600 (largest label present in both arms),
+        // not at the slower 200 point nor the shared-only 1200 point.
+        let rows = |cloned_600: f64| {
             vec![
                 perf_row("nodes=200", "hvdb-shared", 9e6, 5e6),
                 perf_row("nodes=200", "hvdb-cloned", 6e6, 5e6),
                 perf_row("nodes=600", "hvdb-shared", 9e6, 8e6),
-                perf_row("nodes=600", "hvdb-cloned", 3e6, 8e6),
-            ],
-        );
-        let doc = validate_report_str(&rep_ok).unwrap();
-        let (label, speedup) = check_perf_gate(&doc, 2.0).expect("gate passes");
-        assert_eq!(label, "nodes=600");
-        assert!((speedup - 3.0).abs() < 1e-9);
-        // Below the floor: fails.
-        assert!(check_perf_gate(&doc, 3.5).unwrap_err().contains("below"));
+                perf_row("nodes=600", "hvdb-cloned", cloned_600, 8e6),
+                perf_row("nodes=1200", "hvdb-shared", 9e6, 9e6),
+            ]
+        };
+        let notes = gates("perf", "delivery-mode", &report("perf", rows(3e6))).unwrap();
+        assert!(notes[1].contains("nodes=600/hvdb-shared over"), "{notes:?}");
+        assert!(notes[1].contains("3.00x"), "{notes:?}");
+        // Below the 2x floor: fails.
+        let failed = gates("perf", "delivery-mode", &report("perf", rows(5e6))).unwrap_err();
+        assert!(failed[0].contains("below"), "{failed:?}");
+        // A smoke report is checked against its lower 1.5x floor.
+        let smoke_at = |cloned| smoke(report("perf", rows(cloned)));
+        assert!(gates("perf", "delivery-mode", &smoke_at(9e6 / 1.6)).is_ok());
+        assert!(gates("perf", "delivery-mode", &smoke_at(9e6 / 1.4)).is_err());
     }
 
     #[test]
@@ -1943,12 +1638,15 @@ mod tests {
                 perf_row("nodes=600", "hvdb-cloned", 3e6, 8e6 + 1.0),
             ],
         );
-        let doc = validate_report_str(&rep_bad).unwrap();
-        assert!(check_perf_gate(&doc, 2.0).unwrap_err().contains("diverged"));
-        // No common label at all: loud failure.
+        let failed = gates("perf", "delivery-mode", &rep_bad).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("diverged"), "{failed:?}");
+        // No common label at all: loud failure of both gates.
         let rep_none = report("perf", vec![perf_row("nodes=600", "hvdb-shared", 9e6, 8e6)]);
-        let doc = validate_report_str(&rep_none).unwrap();
-        assert!(check_perf_gate(&doc, 2.0).is_err());
+        assert_eq!(
+            gates("perf", "delivery-mode", &rep_none).unwrap_err().len(),
+            2
+        );
     }
 
     fn threads_row(threads: u64, eps: f64, events: f64, hw: f64) -> Row {
@@ -1964,77 +1662,100 @@ mod tests {
         )
     }
 
+    fn threads(rows: Vec<Row>) -> Result<Vec<String>, Vec<String>> {
+        gates("perf", "engine-threads", &report("perf", rows))
+    }
+
     #[test]
     fn threads_gate_enforces_speedup_on_capable_machines() {
         // 4 threads on a 4-core box at 2.5x: enforced and passing.
-        let rep = report(
-            "perf",
-            vec![
-                threads_row(1, 1e6, 5e6, 4.0),
-                threads_row(4, 2.5e6, 5e6, 4.0),
-            ],
-        );
-        let doc = validate_report_str(&rep).unwrap();
-        let (label, speedup, enforced) = check_perf_threads_gate(&doc, 2.0).expect("passes");
-        assert_eq!(label, "threads=4");
-        assert!((speedup - 2.5).abs() < 1e-9);
-        assert!(enforced);
+        let notes = threads(vec![
+            threads_row(1, 1e6, 5e6, 4.0),
+            threads_row(4, 2.5e6, 5e6, 4.0),
+        ])
+        .unwrap();
+        assert!(notes[1].contains("threads=4/par-flood over"), "{notes:?}");
+        assert!(notes[1].contains("2.50x") && !notes[1].contains("waived"));
         // Below the floor on a capable machine: fails.
-        let rep = report(
-            "perf",
+        let rows = || {
             vec![
                 threads_row(1, 1e6, 5e6, 4.0),
                 threads_row(4, 1.5e6, 5e6, 4.0),
-            ],
-        );
-        let doc = validate_report_str(&rep).unwrap();
-        assert!(check_perf_threads_gate(&doc, 2.0)
-            .unwrap_err()
-            .contains("below"));
+            ]
+        };
+        let failed = threads(rows()).unwrap_err();
+        assert!(failed[0].contains("below"), "{failed:?}");
+        // A smoke report is checked against its lower 1.2x floor.
+        let smoke_json = smoke(report("perf", rows()));
+        assert!(gates("perf", "engine-threads", &smoke_json).is_ok());
     }
 
     #[test]
     fn threads_gate_skips_speedup_without_hardware_parallelism() {
-        // Same sub-floor ratio, but only 1 hardware thread: the speedup
-        // half is waived (timesliced threads measure nothing)...
-        let rep = report(
-            "perf",
-            vec![
-                threads_row(1, 1e6, 5e6, 1.0),
-                threads_row(4, 0.9e6, 5e6, 1.0),
-            ],
-        );
-        let doc = validate_report_str(&rep).unwrap();
-        let (_, _, enforced) = check_perf_threads_gate(&doc, 2.0).expect("waived");
-        assert!(!enforced);
+        // Same sub-floor ratio, but only 1 hardware thread — or only 2
+        // worker threads: the speedup half is waived (timesliced threads
+        // measure nothing)...
+        for (t, hw) in [(4, 1.0), (2, 8.0)] {
+            let notes = threads(vec![
+                threads_row(1, 1e6, 5e6, hw),
+                threads_row(t, 0.9e6, 5e6, hw),
+            ])
+            .unwrap();
+            assert!(notes[1].contains("waived"), "{notes:?}");
+        }
         // ...but the determinism half never is.
-        let rep = report(
-            "perf",
-            vec![
-                threads_row(1, 1e6, 5e6, 1.0),
-                threads_row(4, 0.9e6, 5e6 + 1.0, 1.0),
-            ],
-        );
-        let doc = validate_report_str(&rep).unwrap();
-        assert!(check_perf_threads_gate(&doc, 2.0)
-            .unwrap_err()
-            .contains("diverged"));
+        let failed = threads(vec![
+            threads_row(1, 1e6, 5e6, 1.0),
+            threads_row(4, 0.9e6, 5e6 + 1.0, 1.0),
+        ])
+        .unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("diverged"), "{failed:?}");
     }
 
     #[test]
     fn threads_gate_requires_both_rows() {
-        let rep = report("perf", vec![threads_row(4, 2.5e6, 5e6, 4.0)]);
-        let doc = validate_report_str(&rep).unwrap();
-        assert!(check_perf_threads_gate(&doc, 2.0).is_err());
+        let failed = threads(vec![threads_row(4, 2.5e6, 5e6, 4.0)]).unwrap_err();
+        assert_eq!(failed.len(), 2);
         // Two rows but no threads=1 baseline.
-        let rep = report(
-            "perf",
-            vec![threads_row(2, 1e6, 5e6, 4.0), threads_row(4, 2e6, 5e6, 4.0)],
-        );
-        let doc = validate_report_str(&rep).unwrap();
-        assert!(check_perf_threads_gate(&doc, 2.0)
-            .unwrap_err()
-            .contains("baseline"));
+        let failed = threads(vec![
+            threads_row(2, 1e6, 5e6, 4.0),
+            threads_row(4, 2e6, 5e6, 4.0),
+        ])
+        .unwrap_err();
+        assert!(failed[0].contains("threads=1 baseline"), "{failed:?}");
+    }
+
+    #[test]
+    fn scale_gates_check_thread_invariance_and_the_campaign_point() {
+        let par = |t: u64, events: f64| {
+            Row::new(
+                "engine-threads",
+                format!("threads={t}"),
+                "hvdb-par",
+                vec![("events_processed".into(), events)],
+            )
+        };
+        let rows = |delivery: f64, events_4: f64| {
+            vec![
+                scale_row("nodes=2000", 0.5, 1.0),
+                scale_row("nodes=20000", delivery, 1.0),
+                par(1, 7.0),
+                par(4, events_4),
+            ]
+        };
+        let full = |delivery, events_4| report("scale", rows(delivery, events_4));
+        assert!(gates("scale", "network-size", &full(0.99, 7.0)).is_ok());
+        assert!(gates("scale", "engine-threads", &full(0.99, 7.0)).is_ok());
+        assert!(gates("scale", "network-size", &full(0.98, 7.0)).is_err());
+        assert!(gates("scale", "engine-threads", &full(0.99, 8.0)).is_err());
+        // Smoke reports skip the campaign point but keep determinism.
+        let notes = gates("scale", "network-size", &smoke(full(0.5, 7.0))).unwrap();
+        assert!(notes[0].contains("skipped"), "{notes:?}");
+        assert!(gates("scale", "engine-threads", &smoke(full(0.99, 8.0))).is_err());
+        // A full report without a campaign point fails loudly.
+        let small = report("scale", vec![scale_row("nodes=2000", 1.0, 1.0)]);
+        assert!(gates("scale", "network-size", &small).is_err());
     }
 
     #[test]
@@ -2071,39 +1792,27 @@ mod tests {
         ]
     }
 
+    fn partition(rows: Vec<Row>) -> Result<Vec<String>, Vec<String>> {
+        gates("partition", "partition", &report("partition", rows))
+    }
+
     #[test]
     fn partition_gate_enforces_floor_and_remerge_budget() {
-        let ok = report("partition", partition_rows(0.99, 10.0));
-        let doc = validate_report_str(&ok).unwrap();
-        // Two numeric gates plus the timeline cross-check note (skipped
-        // here: the synthetic report has no timeline block).
-        assert_eq!(check_partition_gate(&doc).expect("passes").len(), 3);
+        assert_eq!(partition(partition_rows(0.99, 10.0)).unwrap().len(), 2);
         // Reachable delivery under the floor.
-        let bad = report(
-            "partition",
-            partition_rows(PARTITION_REACHABLE_DELIVERY_FLOOR - 0.01, 10.0),
-        );
-        let doc = validate_report_str(&bad).unwrap();
-        assert!(check_partition_gate(&doc)
-            .unwrap_err()
-            .contains("reachable"));
+        let failed = partition(partition_rows(0.94, 10.0)).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("delivery_reachable"), "{failed:?}");
         // Re-merge over budget.
-        let bad = report(
-            "partition",
-            partition_rows(0.99, PARTITION_REMERGE_BUDGET_SECS + 1.0),
-        );
-        let doc = validate_report_str(&bad).unwrap();
-        assert!(check_partition_gate(&doc).unwrap_err().contains("re-merge"));
+        let failed = partition(partition_rows(0.99, 16.0)).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("remerge_secs_worst"), "{failed:?}");
         // Missing rows fail loudly; smoke is refused.
-        let none = report("partition", partition_rows(0.99, 10.0)[..1].to_vec());
-        let doc = validate_report_str(&none).unwrap();
-        assert!(check_partition_gate(&doc)
-            .unwrap_err()
-            .contains("remerge_secs_worst"));
-        let smoke = report("partition", partition_rows(0.99, 10.0))
-            .replace("\"smoke\": false", "\"smoke\": true");
-        let doc = validate_report_str(&smoke).unwrap();
-        assert!(check_partition_gate(&doc).unwrap_err().contains("smoke"));
+        let failed = partition(partition_rows(0.99, 10.0)[..1].to_vec()).unwrap_err();
+        assert!(failed[0].contains("remerge_secs_worst"), "{failed:?}");
+        let smoke_json = smoke(report("partition", partition_rows(0.99, 10.0)));
+        let failed = gates("partition", "partition", &smoke_json).unwrap_err();
+        assert!(failed.iter().all(|f| f.contains("smoke")), "{failed:?}");
     }
 
     fn byz_row(k: u64, damage: f64) -> Row {
@@ -2118,35 +1827,27 @@ mod tests {
         )
     }
 
+    fn byzantine(rows: Vec<Row>) -> Result<Vec<String>, Vec<String>> {
+        gates("byzantine", "byzantine", &report("byzantine", rows))
+    }
+
     #[test]
     fn byzantine_gate_bounds_damage_per_node() {
-        let ok = report("byzantine", vec![byz_row(0, 0.0), byz_row(2, 0.01)]);
-        let doc = validate_report_str(&ok).unwrap();
-        assert_eq!(check_byzantine_gate(&doc).expect("passes").len(), 1);
+        let notes = byzantine(vec![byz_row(0, 0.0), byz_row(2, 0.01)]).unwrap();
+        assert!(notes[0].contains("byz=2"), "{notes:?}");
         // One row over the ceiling fails.
-        let bad = report(
-            "byzantine",
-            vec![
-                byz_row(0, 0.0),
-                byz_row(1, 0.01),
-                byz_row(4, BYZANTINE_DAMAGE_PER_NODE + 0.01),
-            ],
-        );
-        let doc = validate_report_str(&bad).unwrap();
-        assert!(check_byzantine_gate(&doc).unwrap_err().contains("byz=4"));
+        let failed = byzantine(vec![byz_row(0, 0.0), byz_row(1, 0.01), byz_row(4, 0.06)]);
+        let failed = failed.unwrap_err();
+        assert!(failed[0].contains("0.060 at byz=4"), "{failed:?}");
         // Missing k=0 control fails loudly.
-        let none = report("byzantine", vec![byz_row(2, 0.01)]);
-        let doc = validate_report_str(&none).unwrap();
-        assert!(check_byzantine_gate(&doc).unwrap_err().contains("byz=0"));
+        let failed = byzantine(vec![byz_row(2, 0.01)]).unwrap_err();
+        assert!(failed[0].contains("byz=0"), "{failed:?}");
         // No gated rows at all fails (k=0 alone proves nothing).
-        let only_control = report("byzantine", vec![byz_row(0, 0.0)]);
-        let doc = validate_report_str(&only_control).unwrap();
-        assert!(check_byzantine_gate(&doc).is_err());
+        assert!(byzantine(vec![byz_row(0, 0.0)]).is_err());
         // Smoke refused.
-        let smoke = report("byzantine", vec![byz_row(0, 0.0), byz_row(2, 0.01)])
-            .replace("\"smoke\": false", "\"smoke\": true");
-        let doc = validate_report_str(&smoke).unwrap();
-        assert!(check_byzantine_gate(&doc).unwrap_err().contains("smoke"));
+        let smoke_json = smoke(report("byzantine", vec![byz_row(0, 0.0), byz_row(2, 0.01)]));
+        let failed = gates("byzantine", "byzantine", &smoke_json).unwrap_err();
+        assert!(failed[0].contains("smoke"), "{failed:?}");
     }
 
     #[test]
