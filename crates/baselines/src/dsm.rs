@@ -260,7 +260,6 @@ mod tests {
             mobility_tick: SimDuration::ZERO,
             enhanced_fraction: 1.0,
             seed,
-            per_receiver_delivery: false,
             compact_delivery: false,
         };
         let mut sim = Simulator::new(cfg, Box::new(Stationary));

@@ -214,7 +214,6 @@ mod tests {
             mobility_tick: SimDuration::ZERO,
             enhanced_fraction: 1.0,
             seed,
-            per_receiver_delivery: false,
             compact_delivery: false,
         }
     }

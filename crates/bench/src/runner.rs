@@ -9,7 +9,7 @@ use hvdb_baselines::{
     SpbmProtocol,
 };
 use hvdb_core::{HvdbConfig, HvdbProtocol};
-use hvdb_sim::{EngineProfile, ParSimulator, SimDuration, Simulator, Trace, TraceConfig};
+use hvdb_sim::{EngineProfile, ParSimulator, SimDuration, Simulator, Stats, Trace, TraceConfig};
 use rayon::prelude::*;
 
 /// The protocols under comparison.
@@ -66,20 +66,16 @@ pub struct RunDetail {
     /// adaptive refresh controller suppresses in quiet phases.
     pub refresh_frames: u64,
     /// Protocol callbacks dispatched by the engine
-    /// ([`hvdb_sim::Stats::events_processed`]): identical across
-    /// delivery modes on the same workload, making events/s a pure
-    /// wall-clock speedup for the `perf` scenario.
+    /// ([`hvdb_sim::Stats::events_processed`]): identical at every
+    /// thread count on the same workload, making events/s a pure
+    /// wall-clock measure.
     pub events_processed: u64,
-    /// Wall-clock seconds spent inside [`Simulator::run`].
+    /// Wall-clock seconds spent inside the engine's `run` calls.
     pub wall_secs: f64,
     /// Simulated seconds actually advanced across those `run` calls
     /// (resume-safe, unlike reading the scenario horizon: a resumed run
     /// advances the clock once per segment, not once per call).
     pub sim_secs: f64,
-    /// Deliveries served from a shared broadcast payload.
-    pub frames_shared: u64,
-    /// Per-receiver payload clones in the legacy delivery mode.
-    pub frames_cloned: u64,
     /// Traffic-plane delivery profile (histogram quantiles, per-flow
     /// goodput, pacing drops). Meaningful whenever data was delivered;
     /// flow/jitter/hop figures need flow-tagged traffic.
@@ -156,24 +152,34 @@ pub fn traffic_profile_of(stats: &hvdb_sim::Stats) -> TrafficProfile {
     }
 }
 
-/// Collects the engine-side instrumentation common to every protocol.
-fn engine_detail<M: Clone>(sim: &Simulator<M>) -> RunDetail {
+/// Collects the engine-side instrumentation common to every protocol and
+/// both engines; `profile` is the parallel engine's (`None` for serial
+/// runs). Protocol counters and the state footprint start empty.
+fn detail_of(
+    stats: &Stats,
+    wall_secs: f64,
+    sim_secs: f64,
+    profile: Option<&EngineProfile>,
+) -> RunDetail {
     RunDetail {
         hvdb_counters: None,
-        refresh_frames: sim.stats().msgs_where(is_refresh_class),
-        events_processed: sim.stats().events_processed,
-        wall_secs: sim.wall_secs(),
-        sim_secs: sim.sim_secs(),
-        frames_shared: sim.stats().frames_shared,
-        frames_cloned: sim.stats().frames_cloned,
-        traffic: traffic_profile_of(sim.stats()),
+        refresh_frames: stats.msgs_where(is_refresh_class),
+        events_processed: stats.events_processed,
+        wall_secs,
+        sim_secs,
+        traffic: traffic_profile_of(stats),
         memory_per_node_bytes: 0.0,
-        drops_partitioned: sim.stats().drops_partitioned,
-        byzantine_dropped: sim.stats().byzantine_dropped,
-        byzantine_replayed: sim.stats().byzantine_replayed,
-        lane_imbalance: 0.0,
-        engine_profile: None,
+        drops_partitioned: stats.drops_partitioned,
+        byzantine_dropped: stats.byzantine_dropped,
+        byzantine_replayed: stats.byzantine_replayed,
+        lane_imbalance: profile.map_or(0.0, EngineProfile::lane_imbalance),
+        engine_profile: profile.cloned(),
     }
+}
+
+/// [`detail_of`] for a finished serial simulation.
+fn engine_detail<M: Clone>(sim: &Simulator<M>) -> RunDetail {
+    detail_of(sim.stats(), sim.wall_secs(), sim.sim_secs(), None)
 }
 
 /// Runs one scenario under one protocol, returning metrics plus
@@ -280,22 +286,12 @@ pub fn run_par_flood(scenario: &Scenario, shards: usize) -> (RunMetrics, RunDeta
         scenario.group_events.clone(),
     );
     sim.run(&p, scenario.until);
-    let detail = RunDetail {
-        hvdb_counters: None,
-        refresh_frames: sim.stats().msgs_where(is_refresh_class),
-        events_processed: sim.stats().events_processed,
-        wall_secs: sim.wall_secs(),
-        sim_secs: sim.sim_secs(),
-        frames_shared: sim.stats().frames_shared,
-        frames_cloned: sim.stats().frames_cloned,
-        traffic: traffic_profile_of(sim.stats()),
-        memory_per_node_bytes: 0.0,
-        drops_partitioned: sim.stats().drops_partitioned,
-        byzantine_dropped: sim.stats().byzantine_dropped,
-        byzantine_replayed: sim.stats().byzantine_replayed,
-        lane_imbalance: sim.profile().lane_imbalance(),
-        engine_profile: Some(sim.profile().clone()),
-    };
+    let detail = detail_of(
+        sim.stats(),
+        sim.wall_secs(),
+        sim.sim_secs(),
+        Some(sim.profile()),
+    );
     (metrics_of(sim.stats()), detail)
 }
 
@@ -349,19 +345,13 @@ fn par_hvdb_detail(sim: &ParHvdbSim) -> RunDetail {
     }
     RunDetail {
         hvdb_counters: Some(counters),
-        refresh_frames: sim.stats().msgs_where(is_refresh_class),
-        events_processed: sim.stats().events_processed,
-        wall_secs: sim.wall_secs(),
-        sim_secs: sim.sim_secs(),
-        frames_shared: sim.stats().frames_shared,
-        frames_cloned: sim.stats().frames_cloned,
-        traffic: traffic_profile_of(sim.stats()),
         memory_per_node_bytes: (sim.world().memory_bytes() + state_bytes) as f64 / n as f64,
-        drops_partitioned: sim.stats().drops_partitioned,
-        byzantine_dropped: sim.stats().byzantine_dropped,
-        byzantine_replayed: sim.stats().byzantine_replayed,
-        lane_imbalance: sim.profile().lane_imbalance(),
-        engine_profile: Some(sim.profile().clone()),
+        ..detail_of(
+            sim.stats(),
+            sim.wall_secs(),
+            sim.sim_secs(),
+            Some(sim.profile()),
+        )
     }
 }
 

@@ -23,7 +23,7 @@ use crate::runner::{
     TimelineSample, TrafficProfile,
 };
 use crate::validate::Check::{Band, Ceiling, Equal, Floor, Knee, Ratio};
-use crate::validate::Label::{AtLeast, Baseline, Except, Is, LargestCommon};
+use crate::validate::Label::{AtLeast, Baseline, Except, Is};
 use crate::validate::Smoke::{Apply, Lower, Refuse, Skip};
 use crate::validate::{Gate, Rows};
 use crate::workload::{metrics_of, MobilityKind, RunMetrics, Scenario, Workload};
@@ -152,7 +152,7 @@ pub fn registry() -> Vec<ScenarioDef> {
         ScenarioDef {
             name: "perf",
             figure: "north-star",
-            summary: "engine wall-clock throughput: shared-frame vs per-receiver-clone delivery on byte-identical workloads (events/s gate)",
+            summary: "parallel-engine wall-clock throughput at 1 vs N worker threads on one flooding workload (event-count equality + events/s speedup gates)",
             exec: Exec::Detailed(custom_perf),
             gates: PERF_GATES,
         },
@@ -297,17 +297,6 @@ const SCALE_GATES: &[Gate] = &[
 
 #[rustfmt::skip]
 const PERF_GATES: &[Gate] = &[
-    // Both delivery arms replay the identical event sequence at the
-    // largest node count both ran; a mismatch means the legacy emulation
-    // diverged and the events/s ratio below is void.
-    Rows::new("delivery-mode", &["hvdb-cloned", "hvdb-shared"], LargestCommon("nodes"))
-        .check("events_processed", Equal, Apply),
-    // Shared-frame over per-receiver-clone delivery: the committed run
-    // measures ~3x at 600+ nodes; the 2x floor absorbs shared-runner
-    // wall-clock noise. `perf --smoke` still runs tens of simulated
-    // seconds (local runs: 3.2-3.8x), so its ratio is gated at 1.5x.
-    Rows::new("delivery-mode", &["hvdb-cloned", "hvdb-shared"], LargestCommon("nodes"))
-        .check("events_per_s", Ratio(2.0, None), Lower(1.5)),
     // Determinism, always enforced: threads may change wall-clock only; a
     // diverging event count means the commit order leaked into results.
     Rows::new("engine-threads", &["par-flood"], Baseline("threads", 1.0))
@@ -1552,57 +1541,38 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
     }
 }
 
-/// The `perf` scenario: wall-clock throughput of the simulation engine
-/// itself, measured as events/s and simulated-seconds per wall-second on
-/// **byte-identical workloads** under two delivery machineries:
+/// The `perf` scenario: wall-clock throughput of the sharded parallel
+/// engine ([`hvdb_sim::ParSimulator`] running [`hvdb_baselines::ParFlood`])
+/// on one flooding workload at 1 and `--threads` (default 4) worker
+/// threads, as events/s and simulated-seconds per wall-second. The gates
+/// ([`ScenarioDef::gates`]) require identical `events_processed` at every
+/// thread count (the determinism contract, always) and a >= 2x events/s
+/// speedup when the machine has the cores to show one.
 ///
-/// * `hvdb-shared` — the zero-copy frame plane: one `DeliverMany` event
-///   per broadcast, payload shared by refcount;
-/// * `hvdb-cloned` — the pre-refactor arm: one event and one deep
-///   payload copy per receiver
-///   ([`SimConfig::per_receiver_delivery`](hvdb_sim::SimConfig) +
-///   `HvdbConfig::deep_clone_frames`).
-///
-/// Both arms replay the identical event sequence (the golden-report test
-/// enforces this bit-for-bit), so `events_processed` matches exactly and
-/// the events/s ratio is a pure speedup. Runs are **serial** — no rayon —
-/// because wall-clock is the measurand. `validate` gates the ratio at
-/// the largest common node count ([`ScenarioDef::gates`]).
-///
-/// A third sweep, `engine-threads`, measures the sharded parallel engine
-/// ([`hvdb_sim::ParSimulator`] running [`hvdb_baselines::ParFlood`]) at 1
-/// and `--threads` (default 4) worker threads on the gate node count:
-/// identical `events_processed` at every thread count (the determinism
-/// contract, always gated) and a >= 2x events/s speedup when the machine
-/// has the cores to show one
-/// ([`ScenarioDef::gates`]).
-///
-/// Smoke mode shrinks the node counts but keeps tens of simulated
+/// Smoke mode shrinks the node count but keeps tens of simulated
 /// seconds (unlike [`Workload::smoke`]'s milliseconds): a wall-clock
 /// ratio needs enough work to rise above timer noise.
 ///
-/// The engine-threads rows additionally report `lane_imbalance` —
-/// max/mean per-lane busy wall-time from the engine profiler, 1.0 being
-/// perfect balance. It is observational (never gated: wall-clock is
-/// machine-dependent); the multi-thread arm's first seed also
-/// contributes the report's non-deterministic `profile` block.
+/// Rows additionally report `lane_imbalance` — max/mean per-lane busy
+/// wall-time from the engine profiler, 1.0 being perfect balance. It is
+/// observational (never gated: wall-clock is machine-dependent); the
+/// multi-thread row's first seed also contributes the report's
+/// non-deterministic `profile` block.
 fn custom_perf(opts: &RunOpts) -> CustomOut {
-    let node_counts: Vec<usize> = if opts.smoke {
-        vec![120]
-    } else {
-        vec![200, 600, 1200, 2000]
-    };
     let mut seeds = opts.seeds.clone().unwrap_or_else(|| vec![1, 2]);
     if opts.smoke && opts.seeds.is_none() {
         seeds.truncate(1);
     }
-    // vc_side is set per point by `scaled_vc_side` below.
+    // vc_side is set by `scaled_vc_side` below.
     let full = Workload {
         dim: 4,
         range: 450.0,
         groups: 3,
         members_per_group: 10,
-        packets_per_group: 8,
+        // Flooding carries the whole load here; a dense packet schedule
+        // keeps lookahead windows full enough for the speedup measurement
+        // to reflect the engine, not idle lanes between wavefronts.
+        packets_per_group: 24,
         warmup: SimDuration::from_secs(100),
         traffic_window: SimDuration::from_secs(30),
         cooldown: SimDuration::from_secs(20),
@@ -1618,63 +1588,10 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
     } else {
         full
     };
-    const ARMS: [(&str, bool); 2] = [("hvdb-shared", false), ("hvdb-cloned", true)];
-    let mut rows = Vec::new();
-    for &nodes in &node_counts {
-        for &(arm, cloned) in &ARMS {
-            let mut events = 0u64;
-            let mut wall = 0.0f64;
-            let mut sim_secs = 0.0f64;
-            let mut shared_frames = 0u64;
-            let mut cloned_frames = 0u64;
-            let mut delivery = 0.0f64;
-            for &seed in &seeds {
-                let w = Workload {
-                    nodes,
-                    side: (nodes as f64 * 8533.0).sqrt(),
-                    vc_side: scaled_vc_side(nodes),
-                    seed,
-                    ..base.clone()
-                };
-                let mut scenario = w.build();
-                scenario.sim.per_receiver_delivery = cloned;
-                let (m, detail) =
-                    run_hvdb_tweaked(&scenario, &|cfg| cfg.deep_clone_frames = cloned);
-                events += detail.events_processed;
-                wall += detail.wall_secs;
-                sim_secs += detail.sim_secs;
-                shared_frames += detail.frames_shared;
-                cloned_frames += detail.frames_cloned;
-                delivery += m.delivery;
-            }
-            rows.push(Row::new(
-                "delivery-mode",
-                format!("nodes={nodes}"),
-                arm,
-                vec![
-                    ("events_per_s".into(), events as f64 / wall.max(1e-9)),
-                    (
-                        "sim_sec_per_wall_sec".into(),
-                        sim_sec_per_wall_sec(sim_secs, wall),
-                    ),
-                    ("wall_ms".into(), wall * 1e3),
-                    ("events_processed".into(), events as f64),
-                    ("frames_shared".into(), shared_frames as f64),
-                    ("frames_cloned".into(), cloned_frames as f64),
-                    ("delivery".into(), delivery / seeds.len() as f64),
-                ],
-            ));
-        }
-    }
-    // The engine-threads arm: the *same* flooding workload on the sharded
-    // parallel engine at 1 and N worker threads. Thread count must be
-    // invisible in everything but wall-clock (events_processed is gated
-    // for exact equality); on a machine with >= 4 hardware threads the
-    // multi-thread row must also clear the speedup floor
-    // (the `perf` entry's gates).
     const PAR_SHARDS: usize = 16;
     let par_nodes = if opts.smoke { 120 } else { 600 };
     let multi = if opts.threads > 1 { opts.threads } else { 4 };
+    let mut rows = Vec::new();
     let mut profile = None;
     for &threads in &[1usize, multi] {
         let mut events = 0u64;
@@ -1689,11 +1606,6 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
                 vc_side: scaled_vc_side(par_nodes),
                 seed,
                 threads,
-                // Flooding carries the whole load here; triple the packet
-                // schedule so lookahead windows stay dense enough for the
-                // speedup measurement to reflect the engine, not idle
-                // lanes between wavefronts.
-                packets_per_group: base.packets_per_group * 3,
                 ..base.clone()
             };
             let (m, detail) = run_par_flood(&w.build(), PAR_SHARDS);
@@ -2555,7 +2467,6 @@ fn custom_f4(opts: &RunOpts) -> Vec<Row> {
             mobility_tick: SimDuration::ZERO,
             enhanced_fraction: 1.0,
             seed,
-            per_receiver_delivery: false,
             compact_delivery: false,
         };
         let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg, Box::new(Stationary));

@@ -403,8 +403,6 @@ pub enum Label {
     /// The `key=<base>` baseline and every larger `key=<n>`; the baseline
     /// and at least one larger label must be present.
     Baseline(&'static str, f64),
-    /// The largest `key=<n>` that every listed protocol has.
-    LargestCommon(&'static str),
     /// Every label except this reference, which must be present.
     Except(&'static str),
 }
@@ -476,7 +474,7 @@ impl Rows {
         let order = |r: &Row| self.protos.iter().position(|p| *p == r.proto);
         let number = |r: &Row| match self.label {
             Label::Is(_) | Label::Except(_) => Some(0.0),
-            Label::AtLeast(key, _) | Label::Baseline(key, _) | Label::LargestCommon(key) => r
+            Label::AtLeast(key, _) | Label::Baseline(key, _) => r
                 .label
                 .strip_prefix(key)?
                 .strip_prefix('=')?
@@ -500,20 +498,6 @@ impl Rows {
                         sel.len()
                     ));
                 }
-            }
-            Label::LargestCommon(key) => {
-                let common = |n: f64| {
-                    self.protos
-                        .iter()
-                        .all(|p| sel.iter().any(|&(m, r)| m == n && r.proto == *p))
-                };
-                let top = sel
-                    .iter()
-                    .map(|&(n, _)| n)
-                    .filter(|&n| common(n))
-                    .max_by(f64::total_cmp)
-                    .ok_or_else(|| format!("no {key}= label present for every protocol"))?;
-                sel.retain(|&(n, _)| n == top);
             }
             Label::Except(reference) => {
                 if !sel.iter().any(|(_, r)| r.label == reference) {
@@ -717,7 +701,6 @@ impl fmt::Display for Rows {
             Label::Is(label) => write!(f, "{label}"),
             Label::AtLeast(key, n) => write!(f, "{key}>={n}"),
             Label::Baseline(key, n) => write!(f, "{key}={n}.."),
-            Label::LargestCommon(key) => write!(f, "{key}=largest-common"),
             Label::Except(label) => write!(f, "all-but-{label}"),
         }?;
         match self.protos {
@@ -1590,63 +1573,6 @@ mod tests {
         rows.push(traffic_row("nan", "hvdb", 0.0, 9_000.0));
         let notes = traffic(rows).unwrap();
         assert!(notes[0].contains("hvdb knee 320"), "{notes:?}");
-    }
-
-    fn perf_row(label: &str, proto: &str, eps: f64, events: f64) -> Row {
-        Row::new(
-            "delivery-mode",
-            label,
-            proto,
-            vec![
-                ("events_per_s".into(), eps),
-                ("events_processed".into(), events),
-            ],
-        )
-    }
-
-    #[test]
-    fn perf_gate_checks_speedup_at_largest_common_point() {
-        // Gates apply at nodes=600 (largest label present in both arms),
-        // not at the slower 200 point nor the shared-only 1200 point.
-        let rows = |cloned_600: f64| {
-            vec![
-                perf_row("nodes=200", "hvdb-shared", 9e6, 5e6),
-                perf_row("nodes=200", "hvdb-cloned", 6e6, 5e6),
-                perf_row("nodes=600", "hvdb-shared", 9e6, 8e6),
-                perf_row("nodes=600", "hvdb-cloned", cloned_600, 8e6),
-                perf_row("nodes=1200", "hvdb-shared", 9e6, 9e6),
-            ]
-        };
-        let notes = gates("perf", "delivery-mode", &report("perf", rows(3e6))).unwrap();
-        assert!(notes[1].contains("nodes=600/hvdb-shared over"), "{notes:?}");
-        assert!(notes[1].contains("3.00x"), "{notes:?}");
-        // Below the 2x floor: fails.
-        let failed = gates("perf", "delivery-mode", &report("perf", rows(5e6))).unwrap_err();
-        assert!(failed[0].contains("below"), "{failed:?}");
-        // A smoke report is checked against its lower 1.5x floor.
-        let smoke_at = |cloned| smoke(report("perf", rows(cloned)));
-        assert!(gates("perf", "delivery-mode", &smoke_at(9e6 / 1.6)).is_ok());
-        assert!(gates("perf", "delivery-mode", &smoke_at(9e6 / 1.4)).is_err());
-    }
-
-    #[test]
-    fn perf_gate_requires_identical_event_counts() {
-        let rep_bad = report(
-            "perf",
-            vec![
-                perf_row("nodes=600", "hvdb-shared", 9e6, 8e6),
-                perf_row("nodes=600", "hvdb-cloned", 3e6, 8e6 + 1.0),
-            ],
-        );
-        let failed = gates("perf", "delivery-mode", &rep_bad).unwrap_err();
-        assert_eq!(failed.len(), 1);
-        assert!(failed[0].contains("diverged"), "{failed:?}");
-        // No common label at all: loud failure of both gates.
-        let rep_none = report("perf", vec![perf_row("nodes=600", "hvdb-shared", 9e6, 8e6)]);
-        assert_eq!(
-            gates("perf", "delivery-mode", &rep_none).unwrap_err().len(),
-            2
-        );
     }
 
     fn threads_row(threads: u64, eps: f64, events: f64, hw: f64) -> Row {

@@ -188,7 +188,6 @@ impl Workload {
             },
             enhanced_fraction: self.enhanced_fraction,
             seed: self.seed,
-            per_receiver_delivery: false,
             compact_delivery: self.compact_delivery,
         };
         let hvdb = HvdbConfig::new(area, self.vc_side, self.vc_side, self.dim);

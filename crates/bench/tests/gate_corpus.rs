@@ -183,6 +183,10 @@ enum Edit {
     Set(&'static str, &'static str, f64),
     /// Multiply a row's metric.
     Scale(&'static str, &'static str, f64),
+    /// Set a row's metric to a multiple of the same metric in another
+    /// row, read from the committed report: `Times(row, metric, base,
+    /// factor)`.
+    Times(&'static str, &'static str, &'static str, f64),
     /// Remove a row.
     Remove(&'static str),
     /// Rename a row's label.
@@ -191,7 +195,7 @@ enum Edit {
     Smoke,
 }
 
-use Edit::{Relabel, Remove, Scale, Set, Smoke};
+use Edit::{Relabel, Remove, Scale, Set, Smoke, Times};
 
 struct Case {
     name: &'static str,
@@ -235,14 +239,11 @@ const fn trajectory(
     }
 }
 
-/// `perf`'s committed hvdb-cloned events/s at nodes=2000 and par-flood
-/// events/s at threads=1, the denominators the ratio cases scale.
-const CLONED_2000: f64 = 3073926.599191094;
-const PAR_FLOOD_1: f64 = 14359106.965171741;
+/// `perf`'s engine-threads rows; the speedup cases scale the threads=4
+/// row's events/s off the committed threads=1 row.
+const PAR_FLOOD_1: &str = "engine-threads/threads=1/par-flood";
+const PAR_FLOOD_4: &str = "engine-threads/threads=4/par-flood";
 
-const PERF_SHARED: &str = "delivery-mode/nodes=largest-common/hvdb-cloned,hvdb-shared events_per_s";
-const PERF_EVENTS: &str =
-    "delivery-mode/nodes=largest-common/hvdb-cloned,hvdb-shared events_processed";
 const PERF_THREADS: &str = "engine-threads/threads=1../par-flood events_per_s";
 const PERF_THREADS_EVENTS: &str = "engine-threads/threads=1../par-flood events_processed";
 const KNEE: &str = "offered-load/pps>=0/";
@@ -316,97 +317,27 @@ const CASES: &[Case] = &[
         &[Smoke],
         &["refresh_frames_per_s", "control_frames_per_s"],
     ),
-    // perf, delivery arms: event equality and the speedup floor (1.5x
-    // on smoke reports) at the largest common node count.
-    case(
-        "perf-arms-diverge",
-        "perf",
-        &[Set(
-            "delivery-mode/nodes=2000/hvdb-cloned",
-            "events_processed",
-            25986789.0,
-        )],
-        &[PERF_EVENTS],
-    ),
-    case(
-        "perf-speedup-below-floor",
-        "perf",
-        &[Set(
-            "delivery-mode/nodes=2000/hvdb-shared",
-            "events_per_s",
-            CLONED_2000 * 1.9,
-        )],
-        &[PERF_SHARED],
-    ),
-    case(
-        "perf-largest-cloned-missing",
-        "perf",
-        &[Remove("delivery-mode/nodes=2000/hvdb-cloned")],
-        &[],
-    ),
-    case("perf-smoke", "perf", &[Smoke], &[]),
-    case(
-        "perf-smoke-1.6x",
-        "perf",
-        &[
-            Smoke,
-            Set(
-                "delivery-mode/nodes=2000/hvdb-shared",
-                "events_per_s",
-                CLONED_2000 * 1.6,
-            ),
-        ],
-        &[],
-    ),
-    case(
-        "perf-smoke-1.4x",
-        "perf",
-        &[
-            Smoke,
-            Set(
-                "delivery-mode/nodes=2000/hvdb-shared",
-                "events_per_s",
-                CLONED_2000 * 1.4,
-            ),
-        ],
-        &[PERF_SHARED],
-    ),
     // perf, engine threads: determinism always; speedup only on >= 4
     // threads and >= 4 hardware threads (1.2x on smoke reports).
+    case("perf-threads-smoke", "perf", &[Smoke], &[]),
     case(
         "perf-threads-diverge",
         "perf",
-        &[Set(
-            "engine-threads/threads=4/par-flood",
-            "events_processed",
-            5312017.0,
-        )],
+        &[Set(PAR_FLOOD_4, "events_processed", 5312017.0)],
         &[PERF_THREADS_EVENTS],
     ),
     case(
         "perf-threads-waived-on-one-core",
         "perf",
-        &[Set(
-            "engine-threads/threads=4/par-flood",
-            "events_per_s",
-            1e6,
-        )],
+        &[Set(PAR_FLOOD_4, "events_per_s", 1e6)],
         &[],
     ),
     case(
         "perf-threads-capable-1.9x",
         "perf",
         &[
-            Set(
-                "engine-threads/threads=4/par-flood",
-                "hardware_threads",
-                4.0,
-            ),
-            Set(
-                "engine-threads/threads=4/par-flood",
-                "events_per_s",
-                PAR_FLOOD_1 * 1.9,
-            ),
+            Set(PAR_FLOOD_4, "hardware_threads", 4.0),
+            Times(PAR_FLOOD_4, "events_per_s", PAR_FLOOD_1, 1.9),
         ],
         &[PERF_THREADS],
     ),
@@ -414,58 +345,34 @@ const CASES: &[Case] = &[
         "perf-threads-capable-2.1x",
         "perf",
         &[
-            Set(
-                "engine-threads/threads=4/par-flood",
-                "hardware_threads",
-                4.0,
-            ),
-            Set(
-                "engine-threads/threads=4/par-flood",
-                "events_per_s",
-                PAR_FLOOD_1 * 2.1,
-            ),
+            Set(PAR_FLOOD_4, "hardware_threads", 4.0),
+            Times(PAR_FLOOD_4, "events_per_s", PAR_FLOOD_1, 2.1),
         ],
         &[],
     ),
     case(
         "perf-threads-baseline-missing",
         "perf",
-        &[Remove("engine-threads/threads=1/par-flood")],
+        &[Remove(PAR_FLOOD_1)],
         &[PERF_THREADS_EVENTS, PERF_THREADS],
     ),
     case(
-        "perf-smoke-threads-1.3x",
+        "perf-threads-smoke-1.3x",
         "perf",
         &[
             Smoke,
-            Set(
-                "engine-threads/threads=4/par-flood",
-                "hardware_threads",
-                4.0,
-            ),
-            Set(
-                "engine-threads/threads=4/par-flood",
-                "events_per_s",
-                PAR_FLOOD_1 * 1.3,
-            ),
+            Set(PAR_FLOOD_4, "hardware_threads", 4.0),
+            Times(PAR_FLOOD_4, "events_per_s", PAR_FLOOD_1, 1.3),
         ],
         &[],
     ),
     case(
-        "perf-smoke-threads-1.1x",
+        "perf-threads-smoke-1.1x",
         "perf",
         &[
             Smoke,
-            Set(
-                "engine-threads/threads=4/par-flood",
-                "hardware_threads",
-                4.0,
-            ),
-            Set(
-                "engine-threads/threads=4/par-flood",
-                "events_per_s",
-                PAR_FLOOD_1 * 1.1,
-            ),
+            Set(PAR_FLOOD_4, "hardware_threads", 4.0),
+            Times(PAR_FLOOD_4, "events_per_s", PAR_FLOOD_1, 1.1),
         ],
         &[PERF_THREADS],
     ),
@@ -696,7 +603,23 @@ fn addressed(row: &Json, addr: &str) -> bool {
         .all(|(key, want)| *field(row, key) == Json::Str(want.into()))
 }
 
+/// A row's metric value.
+fn metric_of(rows: &[Json], addr: &str, metric: &str) -> f64 {
+    let row = rows
+        .iter()
+        .find(|r| addressed(r, addr))
+        .unwrap_or_else(|| panic!("{addr}: no such row"));
+    match field(field(row, "metrics"), metric) {
+        Json::Num(v) => *v,
+        other => panic!("{addr} {metric}: {other:?}"),
+    }
+}
+
 fn apply(doc: &mut Json, edit: &Edit) {
+    if let Times(addr, metric, base, factor) = *edit {
+        let value = factor * metric_of(rows_mut(doc), base, metric);
+        return apply(doc, &Set(addr, metric, value));
+    }
     if let Smoke = edit {
         let Json::Obj(fields) = doc else { panic!() };
         fields.iter_mut().find(|(k, _)| k == "smoke").unwrap().1 = Json::Bool(true);

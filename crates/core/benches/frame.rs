@@ -1,7 +1,6 @@
 //! Micro-benchmarks for the frame plane (vendored criterion harness):
-//! sealing (the one-time header interning every frame pays), shared
-//! clones (the per-receiver cost after the zero-copy refactor) and deep
-//! clones (the per-receiver cost before it). Run with
+//! sealing (the one-time header interning every frame pays) and shared
+//! clones (the per-receiver cost of a broadcast). Run with
 //! `cargo bench -p hvdb-core`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -64,10 +63,6 @@ fn bench_frame(c: &mut Criterion) {
         });
         group.bench_function("clone_shared", |b| {
             let frame = FrameBytes::seal(make());
-            b.iter(|| black_box(frame.clone().wire_size()))
-        });
-        group.bench_function("clone_deep", |b| {
-            let frame = FrameBytes::seal_deep(make());
             b.iter(|| black_box(frame.clone().wire_size()))
         });
         group.finish();

@@ -20,11 +20,7 @@
 //!   `frame.wire_size() == frame.msg().wire_size()` and (unless sealed
 //!   with an explicit accounting override via [`FrameBytes::seal_as`])
 //!   `frame.class() == frame.msg().class()`.
-//! * **Cheap clone** — `clone()` is `Arc::clone` (a refcount bump). The
-//!   one deliberate exception is a frame sealed by
-//!   [`FrameBytes::seal_deep`], whose clones deep-copy the payload; the
-//!   `perf` scenario's "cloned" comparison arm uses it to reproduce the
-//!   pre-zero-copy delivery cost on byte-identical workloads.
+//! * **Cheap clone** — `clone()` is `Arc::clone` (a refcount bump).
 //! * **Unique unwrap** — [`FrameBytes::into_msg`] moves the payload out
 //!   without copying when the frame is uniquely held (always true for
 //!   unicast deliveries), and deep-clones only when receivers still
@@ -37,7 +33,7 @@ use std::sync::Arc;
 /// An immutable, reference-shared wire payload: the message type the
 /// simulator actually delivers (`Protocol::Msg` of
 /// [`crate::HvdbProtocol`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FrameBytes {
     inner: Arc<FrameInner>,
 }
@@ -48,8 +44,6 @@ struct FrameInner {
     class: &'static str,
     /// Modelled encoded size, computed once at seal time.
     wire: u32,
-    /// When set, clones deep-copy the payload (perf comparison arm).
-    deep: bool,
     /// The sealed payload.
     msg: HvdbMsg,
 }
@@ -58,39 +52,20 @@ impl FrameBytes {
     /// Seals `msg` into an immutable shared frame, interning its stats
     /// class and wire size.
     pub fn seal(msg: HvdbMsg) -> Self {
-        Self::build(msg, None, false)
+        Self::build(msg, None)
     }
 
     /// Seals `msg` under an explicit accounting class (e.g. a corrective
     /// `stamp-hint` that carries an ordinary summary payload).
     pub fn seal_as(msg: HvdbMsg, class: &'static str) -> Self {
-        Self::build(msg, Some(class), false)
+        Self::build(msg, Some(class))
     }
 
-    /// Seals `msg` into a frame whose **clones deep-copy the payload** —
-    /// the pre-refactor per-receiver cost, kept so the `perf` scenario
-    /// can compare shared against cloned delivery on byte-identical
-    /// workloads. Never used on the production path.
-    pub fn seal_deep(msg: HvdbMsg) -> Self {
-        Self::build(msg, None, true)
-    }
-
-    /// Seals with the deep-clone mode chosen at runtime (see
-    /// [`FrameBytes::seal_deep`]).
-    pub fn seal_mode(msg: HvdbMsg, deep: bool) -> Self {
-        Self::build(msg, None, deep)
-    }
-
-    fn build(msg: HvdbMsg, class: Option<&'static str>, deep: bool) -> Self {
+    fn build(msg: HvdbMsg, class: Option<&'static str>) -> Self {
         let class = class.unwrap_or_else(|| msg.class());
         let wire = msg.wire_size() as u32;
         FrameBytes {
-            inner: Arc::new(FrameInner {
-                class,
-                wire,
-                deep,
-                msg,
-            }),
+            inner: Arc::new(FrameInner { class, wire, msg }),
         }
     }
 
@@ -126,27 +101,6 @@ impl FrameBytes {
         match Arc::try_unwrap(self.inner) {
             Ok(inner) => inner.msg,
             Err(shared) => shared.msg.clone(),
-        }
-    }
-}
-
-impl Clone for FrameBytes {
-    fn clone(&self) -> Self {
-        if self.inner.deep {
-            // Perf-comparison mode: reproduce the legacy per-receiver
-            // deep copy (payload and all its heap contents).
-            FrameBytes {
-                inner: Arc::new(FrameInner {
-                    class: self.inner.class,
-                    wire: self.inner.wire,
-                    deep: true,
-                    msg: self.inner.msg.clone(),
-                }),
-            }
-        } else {
-            FrameBytes {
-                inner: Arc::clone(&self.inner),
-            }
         }
     }
 }
@@ -228,17 +182,6 @@ mod tests {
             panic!("payload changed shape");
         };
         assert_eq!(data_id, 7);
-    }
-
-    #[test]
-    fn deep_mode_clones_are_independent_copies() {
-        let f = FrameBytes::seal_deep(sample());
-        let g = f.clone();
-        assert!(!std::ptr::eq(f.msg(), g.msg()));
-        // Both stay unique owners: no sharing happened.
-        assert!(f.is_unique());
-        assert!(g.is_unique());
-        assert_eq!(g.wire_size(), f.wire_size());
     }
 
     #[test]

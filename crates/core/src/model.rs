@@ -85,12 +85,6 @@ pub struct HvdbConfig {
     /// Whether CHs cache computed multicast trees (§4.3: "The multicast
     /// tree is then cached for future use"); ablation A1 toggles this.
     pub cache_trees: bool,
-    /// Seal outgoing frames in deep-clone mode
-    /// ([`crate::FrameBytes::seal_deep`]): every per-receiver handoff
-    /// deep-copies the payload, reproducing the pre-zero-copy delivery
-    /// cost. Only the `perf` scenario's "cloned" comparison arm turns
-    /// this on.
-    pub deep_clone_frames: bool,
 }
 
 /// The two designated-broadcaster criteria of §4.2.
@@ -141,7 +135,6 @@ impl HvdbConfig {
             geo_ttl: 24,
             designation: DesignationCriterion::NeighborhoodGroups,
             cache_trees: true,
-            deep_clone_frames: false,
         }
     }
 

@@ -553,17 +553,7 @@ impl HvdbCore {
     }
 
     // ------------------------------------------------------------------
-    // Frame sealing and geographic sending.
-
-    /// Seals an outgoing message into a shared frame: class and wire
-    /// size interned once, clones are refcount bumps from here on. The
-    /// `perf` scenario's "cloned" arm flips
-    /// [`HvdbConfig::deep_clone_frames`] to re-pay the legacy per-copy
-    /// cost on byte-identical workloads.
-    #[inline]
-    fn seal(&self, msg: HvdbMsg) -> FrameBytes {
-        FrameBytes::seal_mode(msg, self.cfg.deep_clone_frames)
-    }
+    // Geographic sending.
 
     fn target_point(&self, target: GeoTarget) -> hvdb_geo::Point {
         match target {
@@ -590,7 +580,7 @@ impl HvdbCore {
         let dest = self.target_point(pkt.target);
         match georoute::next_hop(ctx, from, dest, &pkt.visited) {
             Some(nh) => {
-                let frame = self.seal(HvdbMsg::Geo(pkt));
+                let frame = FrameBytes::seal(HvdbMsg::Geo(pkt));
                 ctx.send_frame_reliable(from, nh, frame);
             }
             None => Self::count_geo_stuck(st, &pkt),
@@ -700,7 +690,7 @@ impl HvdbCore {
             ctx.trace(TraceKind::HeadRetire {
                 vc: (old_vc.row, old_vc.col),
             });
-            let frame = self.seal(HvdbMsg::ChRetire { vc: old_vc });
+            let frame = FrameBytes::seal(HvdbMsg::ChRetire { vc: old_vc });
             ctx.broadcast_frame(node, frame);
         }
         if let Some(score) = self.my_score(st, ctx, node) {
@@ -713,7 +703,7 @@ impl HvdbCore {
             ctx.trace(TraceKind::ElectionStart {
                 vc: (vc.row, vc.col),
             });
-            let frame = self.seal(HvdbMsg::Candidacy { vc, score });
+            let frame = FrameBytes::seal(HvdbMsg::Candidacy { vc, score });
             ctx.broadcast_frame(node, frame);
             // Decision fires 40% into the round.
             let tag = ptag(st, TAG_DECIDE);
@@ -783,7 +773,7 @@ impl HvdbCore {
                 vc: (vc.row, vc.col),
                 to: rival.0,
             });
-            let frame = self.seal(HvdbMsg::Handover {
+            let frame = FrameBytes::seal(HvdbMsg::Handover {
                 vc,
                 mnt_gen,
                 ht_gen,
@@ -857,7 +847,7 @@ impl HvdbCore {
                 vc: (my_vc.row, my_vc.col),
                 term,
             });
-            let frame = self.seal(HvdbMsg::ChAnnounce { vc: my_vc, term });
+            let frame = FrameBytes::seal(HvdbMsg::ChAnnounce { vc: my_vc, term });
             ctx.broadcast_frame(node, frame);
         } else if was_head {
             // Someone better exists in my VC: step down, handing the
@@ -890,7 +880,7 @@ impl HvdbCore {
                             gen: st.report_gen.tick(),
                             lm: st.lm.clone(),
                         };
-                        let frame = self.seal(report);
+                        let frame = FrameBytes::seal(report);
                         ctx.send_frame_reliable(node, ch, frame);
                     }
                 }
@@ -958,7 +948,7 @@ impl HvdbCore {
             sent_at: now,
             advertised,
         };
-        let frame = self.seal(HvdbMsg::Local(inner.clone()));
+        let frame = FrameBytes::seal(HvdbMsg::Local(inner.clone()));
         ctx.broadcast_frame(node, frame);
         // Long logical links (two grid cells) may exceed broadcast reach.
         let far = self.far_neighbors(ctx, node, self.cfg.map.logical_neighbors(my_vc));
@@ -1062,7 +1052,7 @@ impl HvdbCore {
             refresh: false,
             mnt,
         };
-        let frame = self.seal(HvdbMsg::Local(inner.clone()));
+        let frame = FrameBytes::seal(HvdbMsg::Local(inner.clone()));
         ctx.broadcast_frame(node, frame);
         self.mnt_far_supplement(st, ctx, node, my_vc, hid, inner);
     }
@@ -1185,7 +1175,7 @@ impl HvdbCore {
             // (e.g. "stamp-hint") must not leak that class into the
             // flood's relay accounting.
             Some(f) if f.class() == f.msg().class() => f.clone(),
-            _ => self.seal(HvdbMsg::Local(ChMsg::MntShare {
+            _ => FrameBytes::seal(HvdbMsg::Local(ChMsg::MntShare {
                 origin,
                 hid,
                 holder,
@@ -1235,7 +1225,7 @@ impl HvdbCore {
         h.db.integrate_ht(&ht, node.0, gen, now);
         let origin = h.addr.hid;
         st.counters.ht_broadcasts += 1;
-        let frame = self.seal(HvdbMsg::Local(ChMsg::HtBroadcast {
+        let frame = FrameBytes::seal(HvdbMsg::Local(ChMsg::HtBroadcast {
             origin,
             holder: node.0,
             gen,
@@ -1321,7 +1311,7 @@ impl HvdbCore {
             // "stamp-hint" re-enters the flood as ht-bcast/ht-refresh,
             // exactly as the pre-refactor rebuild accounted it.
             Some(f) if f.class() == f.msg().class() => f.clone(),
-            _ => self.seal(HvdbMsg::Local(ChMsg::HtBroadcast {
+            _ => FrameBytes::seal(HvdbMsg::Local(ChMsg::HtBroadcast {
                 origin,
                 holder,
                 gen,
@@ -1460,7 +1450,7 @@ impl HvdbCore {
                     refresh: true,
                     mnt,
                 };
-                let frame = self.seal(HvdbMsg::Local(inner.clone()));
+                let frame = FrameBytes::seal(HvdbMsg::Local(inner.clone()));
                 ctx.broadcast_frame(node, frame);
                 self.mnt_far_supplement(st, ctx, node, vc, addr.hid, inner);
                 ctx.record_refresh_tx();
@@ -1505,7 +1495,7 @@ impl HvdbCore {
         if st.is_head() {
             self.start_multicast_at_ch(node, st, ctx, data_id, item.group, item.size, 0);
         } else if let Some(ch) = self.current_ch(st, ctx.now()) {
-            let frame = self.seal(HvdbMsg::DataToCh {
+            let frame = FrameBytes::seal(HvdbMsg::DataToCh {
                 data_id,
                 group: item.group,
                 size: item.size,
@@ -1782,7 +1772,7 @@ impl HvdbCore {
         if st.lm.contains(group) && st.seen_data.insert(data_id) {
             ctx.record_delivery_hops(data_id, node, hops);
         }
-        let frame = self.seal(HvdbMsg::LocalDeliver {
+        let frame = FrameBytes::seal(HvdbMsg::LocalDeliver {
             data_id,
             group,
             size,
@@ -1912,7 +1902,7 @@ impl HvdbCore {
             // head simply relays the packet onward — the TTL still bounds
             // the detour.
             if ch != node && ctx.is_alive(ch) {
-                let frame = self.seal(HvdbMsg::Geo(pkt));
+                let frame = FrameBytes::seal(HvdbMsg::Geo(pkt));
                 ctx.send_frame_reliable(node, ch, frame);
                 return;
             }

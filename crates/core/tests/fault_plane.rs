@@ -31,7 +31,6 @@ fn sim_cfg(area: Aabb, seed: u64) -> SimConfig {
         mobility_tick: SimDuration::ZERO,
         enhanced_fraction: 1.0,
         seed,
-        per_receiver_delivery: false,
         compact_delivery: false,
     }
 }

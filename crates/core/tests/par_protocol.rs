@@ -40,7 +40,6 @@ fn sim_cfg(area: Aabb, seed: u64, mobility_tick: SimDuration) -> SimConfig {
         mobility_tick,
         enhanced_fraction: 1.0,
         seed,
-        per_receiver_delivery: false,
         compact_delivery: false,
     }
 }

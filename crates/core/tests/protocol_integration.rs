@@ -25,7 +25,6 @@ fn fig2_sim(num_extra: usize, seed: u64) -> (Simulator<FrameBytes>, HvdbConfig) 
         mobility_tick: SimDuration::ZERO,
         enhanced_fraction: 1.0,
         seed,
-        per_receiver_delivery: false,
         compact_delivery: false,
     };
     let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg, Box::new(Stationary));

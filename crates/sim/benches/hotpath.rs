@@ -1,11 +1,9 @@
 //! Micro-benchmarks for the engine's delivery hot path (vendored
 //! criterion harness — wall-clock mean/min, comparable run-to-run):
 //!
-//! * `neighbors_into` — scratch-threaded spatial query vs the preserved
-//!   legacy allocate-and-sort-per-call path;
+//! * `neighbors_into` — the scratch-threaded spatial query;
 //! * `broadcast_round` — one full broadcast fan-out through the event
-//!   loop (send → queue → per-receiver dispatch), shared `DeliverMany`
-//!   vs legacy per-receiver clone events;
+//!   loop (send → one shared `DeliverMany` → per-receiver dispatch);
 //! * `mobility_tick` — the incremental spatial-index update under a
 //!   whole-population waypoint step;
 //! * `class_counters` — per-transmission stats accounting: interned
@@ -17,7 +15,7 @@
 //!
 //! Run with `cargo bench -p hvdb-sim`.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hvdb_geo::Aabb;
 use hvdb_sim::event::Scheduled;
 use hvdb_sim::{
@@ -40,10 +38,9 @@ fn bench_world() -> World {
 
 fn bench_neighbors(c: &mut Criterion) {
     let world = bench_world();
-    let mut group = c.benchmark_group("neighbors_into");
     let mut out = Vec::new();
     let mut raw = Vec::new();
-    group.bench_function("scratch", |b| {
+    c.bench_function("neighbors_into/scratch", |b| {
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % NODES as u32;
@@ -51,15 +48,6 @@ fn bench_neighbors(c: &mut Criterion) {
             black_box(out.len())
         })
     });
-    group.bench_function("legacy_alloc", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % NODES as u32;
-            world.neighbors_into_legacy(NodeId(i), &mut out);
-            black_box(out.len())
-        })
-    });
-    group.finish();
 }
 
 /// A protocol that floods one bounded gossip wave: node 0 broadcasts at
@@ -88,25 +76,22 @@ impl Protocol for Gossip {
 fn bench_broadcast_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("broadcast_round");
     group.sample_size(20);
-    for (label, legacy) in [("shared", false), ("per_receiver_clone", true)] {
-        group.bench_with_input(BenchmarkId::new("mode", label), &legacy, |b, &legacy| {
-            b.iter(|| {
-                let side = (NODES as f64 * 8533.0).sqrt();
-                let cfg = SimConfig {
-                    area: Aabb::from_size(side, side),
-                    num_nodes: NODES,
-                    mobility_tick: SimDuration::ZERO,
-                    per_receiver_delivery: legacy,
-                    ..SimConfig::default()
-                };
-                let mut sim: Simulator<u32> =
-                    Simulator::new(cfg, Box::new(RandomWaypoint::new(1.0, 5.0, 10.0)));
-                let mut p = Gossip;
-                sim.run(&mut p, SimTime::from_secs(5));
-                black_box(sim.stats().events_processed)
-            })
-        });
-    }
+    group.bench_function("shared", |b| {
+        b.iter(|| {
+            let side = (NODES as f64 * 8533.0).sqrt();
+            let cfg = SimConfig {
+                area: Aabb::from_size(side, side),
+                num_nodes: NODES,
+                mobility_tick: SimDuration::ZERO,
+                ..SimConfig::default()
+            };
+            let mut sim: Simulator<u32> =
+                Simulator::new(cfg, Box::new(RandomWaypoint::new(1.0, 5.0, 10.0)));
+            let mut p = Gossip;
+            sim.run(&mut p, SimTime::from_secs(5));
+            black_box(sim.stats().events_processed)
+        })
+    });
     group.finish();
 }
 

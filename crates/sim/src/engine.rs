@@ -39,15 +39,6 @@ pub struct SimConfig {
     pub enhanced_fraction: f64,
     /// Master random seed.
     pub seed: u64,
-    /// Legacy delivery machinery, preserved as the `perf` scenario's
-    /// before/after comparison arm: broadcasts push one `Deliver` event
-    /// per receiver (each with its own payload clone) instead of one
-    /// shared [`EventKind::DeliverMany`], and neighbour queries run the
-    /// old allocate-and-sort-per-call path
-    /// ([`World::neighbors_into_legacy`]). Both modes dispatch receivers
-    /// in the same total order and draw the RNG identically, so results
-    /// are bit-identical — only the wall-clock cost differs.
-    pub per_receiver_delivery: bool,
     /// Compact delivery accounting ([`Stats::set_compact_delivery`]):
     /// origins keep counters only — no per-receiver record lists — so
     /// heavy traffic-plane runs stay O(packets) in memory. Requires the
@@ -64,7 +55,6 @@ impl Default for SimConfig {
             mobility_tick: SimDuration::from_secs(1),
             enhanced_fraction: 1.0,
             seed: 1,
-            per_receiver_delivery: false,
             compact_delivery: false,
         }
     }
@@ -113,7 +103,6 @@ pub struct Ctx<'a, M> {
     scratch: &'a mut Vec<NodeId>,
     raw_scratch: &'a mut Vec<u32>,
     recv_pool: &'a mut Vec<Vec<NodeId>>,
-    per_receiver_delivery: bool,
     trace: &'a mut Trace,
 }
 
@@ -185,13 +174,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
         f: impl FnOnce(&mut Self, &[NodeId]) -> R,
     ) -> R {
         let mut buf = std::mem::take(self.scratch);
-        if self.per_receiver_delivery {
-            self.world.neighbors_into_legacy(id, &mut buf);
-        } else {
-            let mut raw = std::mem::take(self.raw_scratch);
-            self.world.neighbors_into(id, &mut buf, &mut raw);
-            *self.raw_scratch = raw;
-        }
+        self.world.neighbors_into(id, &mut buf, self.raw_scratch);
         let r = f(self, &buf);
         buf.clear();
         *self.scratch = buf;
@@ -428,10 +411,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// The frame is queued **once** as an [`EventKind::DeliverMany`]
     /// sharing one payload across all receivers; the receiver list comes
     /// from a pooled buffer, so a steady-state broadcast performs no
-    /// allocation at all. With [`SimConfig::per_receiver_delivery`] set,
-    /// the legacy path (one `Deliver` event and one payload clone per
-    /// receiver) runs instead — same RNG draws, same dispatch order,
-    /// strictly more work — as the `perf` scenario's comparison arm.
+    /// allocation at all.
     pub fn broadcast(&mut self, from: NodeId, class: &'static str, bytes: usize, msg: M) -> usize {
         if !self.world.alive(from) {
             self.stats.drops_dead += 1;
@@ -446,14 +426,8 @@ impl<'a, M: Clone> Ctx<'a, M> {
         let arrival = self.occupy_radio(from, bytes);
         self.stats.count_tx(from, class, bytes);
         let mut receivers = self.recv_pool.pop().unwrap_or_default();
-        if self.per_receiver_delivery {
-            // Legacy arm: the per-query allocation the old engine paid.
-            self.world.neighbors_into_legacy(from, &mut receivers);
-        } else {
-            let mut raw = std::mem::take(self.raw_scratch);
-            self.world.neighbors_into(from, &mut receivers, &mut raw);
-            *self.raw_scratch = raw;
-        }
+        self.world
+            .neighbors_into(from, &mut receivers, self.raw_scratch);
         // Partition gating before the loss draws: receivers across the
         // cut vanish without consuming RNG, so runs without partitions
         // (the entire committed baseline trajectory) draw identically.
@@ -464,7 +438,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
             self.stats.drops_partitioned += (before - receivers.len()) as u64;
         }
         // Loss is decided per receiver at send time, in ascending id
-        // order — the exact draw order of the per-receiver path.
+        // order.
         receivers.retain(|_| {
             if self.rng.chance(self.radio.loss_prob) {
                 self.stats.drops_loss += 1;
@@ -474,40 +448,15 @@ impl<'a, M: Clone> Ctx<'a, M> {
             }
         });
         let n = receivers.len();
-        let replay = self.replay_delay_of(from);
-        if self.per_receiver_delivery {
-            self.stats.frames_cloned += n as u64;
-            for &to in receivers.iter() {
-                self.queue.push(
-                    arrival,
-                    EventKind::Deliver {
-                        to,
-                        from,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            if let Some(delay) = replay {
+        if n > 0 {
+            if let Some(delay) = self.replay_delay_of(from) {
                 self.stats.byzantine_replayed += n as u64;
-                self.stats.frames_cloned += n as u64;
-                for &to in receivers.iter() {
-                    self.queue.push(
-                        arrival + delay,
-                        EventKind::Deliver {
-                            to,
-                            from,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
-            }
-        } else if n > 0 {
-            if let Some(delay) = replay {
-                self.stats.byzantine_replayed += n as u64;
+                let mut copy = self.recv_pool.pop().unwrap_or_default();
+                copy.extend_from_slice(&receivers);
                 self.queue.push(
                     arrival + delay,
                     EventKind::DeliverMany {
-                        to: receivers.clone(),
+                        to: copy,
                         from,
                         msg: msg.clone(),
                     },
@@ -754,28 +703,6 @@ impl<M: Clone> Simulator<M> {
         }
     }
 
-    /// Back-compat shim: schedules a fail-stop fault at `node`. New
-    /// code should build a [`FaultPlan`] and use [`Simulator::inject`] /
-    /// [`Simulator::inject_plan`].
-    #[deprecated(note = "build a FaultPlan and use inject/inject_plan")]
-    pub fn schedule_fail(&mut self, node: NodeId, at: SimTime) {
-        self.inject(FaultEvent {
-            at,
-            kind: FaultKind::Fail(node),
-        });
-    }
-
-    /// Back-compat shim: schedules a recovery of `node`. New code
-    /// should build a [`FaultPlan`] and use [`Simulator::inject`] /
-    /// [`Simulator::inject_plan`].
-    #[deprecated(note = "build a FaultPlan and use inject/inject_plan")]
-    pub fn schedule_recover(&mut self, node: NodeId, at: SimTime) {
-        self.inject(FaultEvent {
-            at,
-            kind: FaultKind::Recover(node),
-        });
-    }
-
     /// Runs the simulation until `until` (inclusive), dispatching events to
     /// `proto`. May be called repeatedly with increasing horizons; node
     /// start-up happens on the first call.
@@ -796,7 +723,6 @@ impl<M: Clone> Simulator<M> {
                     scratch: &mut self.scratch,
                     raw_scratch: &mut self.raw_scratch,
                     recv_pool: &mut self.recv_pool,
-                    per_receiver_delivery: self.cfg.per_receiver_delivery,
                     trace: &mut self.trace,
                 }
             };

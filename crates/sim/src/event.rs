@@ -28,8 +28,7 @@ pub enum EventKind<M> {
     /// `hvdb_core::FrameBytes` — that clone is a refcount bump, so a
     /// 30-neighbour broadcast costs one allocation total instead of 30
     /// deep copies in the queue). Receivers are dispatched in list order,
-    /// which the sender builds in ascending id order — the same total
-    /// order the per-receiver events produced.
+    /// which the sender builds in ascending id order.
     DeliverMany {
         /// Receiving nodes, ascending id order, loss-filtered at send.
         to: Vec<NodeId>,

@@ -32,10 +32,7 @@ pub struct Stationary;
 impl Mobility for Stationary {
     fn init(&mut self, world: &mut World, rng: &mut SimRng) {
         let area = world.area();
-        for id in world.ids().collect::<Vec<_>>() {
-            let p = rng.point_in(&area);
-            world.set_motion(id, p, Vec2::ZERO);
-        }
+        world.place_all(|_| (rng.point_in(&area), Vec2::ZERO));
     }
 
     fn step(&mut self, _dt: f64, _world: &mut World, _rng: &mut SimRng) {}
@@ -80,18 +77,17 @@ impl Mobility for RandomWaypoint {
     fn init(&mut self, world: &mut World, rng: &mut SimRng) {
         let area = world.area();
         self.state.clear();
-        for id in world.ids().collect::<Vec<_>>() {
+        world.place_all(|_| {
             let pos = rng.point_in(&area);
             let target = rng.point_in(&area);
             let speed = rng.range_f64(self.speed_min, self.speed_max);
-            let vel = pos.vector_to(target).normalized().scaled(speed);
-            world.set_motion(id, pos, vel);
             self.state.push(WaypointState {
                 target,
                 speed,
                 pause_left: 0.0,
             });
-        }
+            (pos, pos.vector_to(target).normalized().scaled(speed))
+        });
     }
 
     fn step(&mut self, dt: f64, world: &mut World, rng: &mut SimRng) {
@@ -159,16 +155,12 @@ impl ReferencePointGroup {
         idx / self.group_size
     }
 
-    fn place_members(&self, world: &mut World, rng: &mut SimRng) {
-        let area = world.area();
-        for id in world.ids().collect::<Vec<_>>() {
-            let g = self.group_of(id.idx());
-            let (rp, target, speed) = self.refs[g];
-            let offset = rng.velocity(0.0, self.member_radius);
-            let pos = area.clamp(rp + offset);
-            let vel = rp.vector_to(target).normalized().scaled(speed);
-            world.set_motion(id, pos, vel);
-        }
+    /// Node `id`'s position and velocity around its group's reference
+    /// point (one offset draw).
+    fn member_motion(&self, id: NodeId, rng: &mut SimRng) -> (Point, Vec2) {
+        let (rp, target, speed) = self.refs[self.group_of(id.idx())];
+        let offset = rng.velocity(0.0, self.member_radius);
+        (rp + offset, rp.vector_to(target).normalized().scaled(speed))
     }
 }
 
@@ -184,7 +176,7 @@ impl Mobility for ReferencePointGroup {
                 (pos, target, speed)
             })
             .collect();
-        self.place_members(world, rng);
+        world.place_all(|id| self.member_motion(id, rng));
     }
 
     fn step(&mut self, dt: f64, world: &mut World, rng: &mut SimRng) {
@@ -203,7 +195,10 @@ impl Mobility for ReferencePointGroup {
                 *r = (pos.advanced(vel, dt), target, speed);
             }
         }
-        self.place_members(world, rng);
+        for id in world.ids().collect::<Vec<_>>() {
+            let (pos, vel) = self.member_motion(id, rng);
+            world.set_motion(id, pos, vel);
+        }
     }
 }
 

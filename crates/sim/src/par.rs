@@ -24,6 +24,12 @@
 //!   summed. Thread lanes only decide *which OS thread* drains a shard,
 //!   never the commit order, so `threads = N` is byte-identical to
 //!   `threads = 1` by construction.
+//! * **Broadcast fan-out.** A broadcast's receiver list comes from the
+//!   sending shard's pool. When a window routes it, every receiver is
+//!   copied into its own shard's window buffer; each receiving shard gets
+//!   one task over its range of that buffer, in ascending id order, and
+//!   the list goes back to the sender's pool. Steady-state routing
+//!   allocates nothing.
 //! * **Per-node RNG.** Every node draws from its own SplitMix64 stream
 //!   ([`hvdb_traffic::Rng64`]) derived from the master seed — the pattern
 //!   the traffic plane already uses per flow — so event outcomes never
@@ -59,6 +65,7 @@ use crate::world::World;
 use hvdb_geo::{Aabb, Point, Vec2};
 use hvdb_traffic::{flow_seed, Rng64, FLOW_NONE};
 use rustc_hash::FxHashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Salt mixed into the master seed for per-node streams, so node streams
@@ -202,7 +209,6 @@ pub trait ParProtocol: Sync {
 struct Counters {
     events_processed: u64,
     frames_shared: u64,
-    frames_cloned: u64,
     drops_out_of_range: u64,
     drops_loss: u64,
     drops_dead: u64,
@@ -222,7 +228,6 @@ impl Counters {
     fn fold_into(&mut self, stats: &mut Stats) {
         stats.events_processed += self.events_processed;
         stats.frames_shared += self.frames_shared;
-        stats.frames_cloned += self.frames_cloned;
         stats.drops_out_of_range += self.drops_out_of_range;
         stats.drops_loss += self.drops_loss;
         stats.drops_dead += self.drops_dead;
@@ -281,11 +286,12 @@ enum Task<M> {
         msg: M,
     },
     /// The slice of a shared-payload broadcast whose receivers live in
-    /// this shard (ascending id order preserved from the sender).
+    /// this shard: a range of the shard's `window_receivers`, in the
+    /// sender's ascending id order.
     DeliverSlice {
         at: SimTime,
         from: NodeId,
-        receivers: Vec<NodeId>,
+        receivers: Range<u32>,
         msg: M,
     },
     Timer {
@@ -331,7 +337,13 @@ struct Shard<N, M> {
     rare_ops: Vec<StatOp>,
     scratch: Vec<NodeId>,
     raw_scratch: Vec<u32>,
+    /// Receiver lists for broadcasts sent from this shard; `route` hands
+    /// each list back here once it has copied the receivers out.
     recv_pool: Vec<Vec<NodeId>>,
+    /// This window's broadcast receivers living in this shard, appended
+    /// by `route` and read through each `DeliverSlice`'s range; cleared
+    /// after the drain.
+    window_receivers: Vec<NodeId>,
     /// Active trace-category mask, mirrored from the engine's [`Trace`]
     /// at the start of every `run` call (0 = tracing off).
     trace_mask: u32,
@@ -355,6 +367,7 @@ impl<N, M> Shard<N, M> {
             scratch: Vec::new(),
             raw_scratch: Vec::new(),
             recv_pool: Vec::new(),
+            window_receivers: Vec::new(),
             trace_mask: 0,
             trace_buf: Vec::new(),
         }
@@ -411,7 +424,6 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
         at: SimTime,
         world: &World,
         radio: &RadioConfig,
-        per_receiver: bool,
         f: impl FnOnce(NodeId, &mut N, &mut ParCtx<'_, M>) -> R,
     ) -> R {
         let ParSlot {
@@ -425,7 +437,6 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
             current: *id,
             world,
             radio,
-            per_receiver,
             busy_until,
             rng,
             outbox: &mut self.outbox,
@@ -446,26 +457,20 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
         task: Task<M>,
         world: &World,
         radio: &RadioConfig,
-        per_receiver: bool,
         map: &[(u32, u32)],
     ) {
         match task {
             Task::Start { node } => {
                 let i = map[node.idx()].1 as usize;
-                self.with_slot(
-                    i,
-                    SimTime::ZERO,
-                    world,
-                    radio,
-                    per_receiver,
-                    |id, n, ctx| proto.on_start(id, n, ctx),
-                );
+                self.with_slot(i, SimTime::ZERO, world, radio, |id, n, ctx| {
+                    proto.on_start(id, n, ctx)
+                });
             }
             Task::Deliver { at, to, from, msg } => {
                 self.counters.events_processed += 1;
                 if world.alive(to) {
                     let i = map[to.idx()].1 as usize;
-                    self.with_slot(i, at, world, radio, per_receiver, |id, n, ctx| {
+                    self.with_slot(i, at, world, radio, |id, n, ctx| {
                         proto.on_message(id, n, from, msg, ctx)
                     });
                 } else {
@@ -475,14 +480,15 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
             Task::DeliverSlice {
                 at,
                 from,
-                mut receivers,
+                receivers,
                 msg,
             } => {
                 // Mirror of the serial `DeliverMany` dispatch: clone for
                 // all but the last receiver, which takes the payload.
                 let mut payload = Some(msg);
-                let last = receivers.len().saturating_sub(1);
-                for (i, &node) in receivers.iter().enumerate() {
+                let last = receivers.end - 1;
+                for i in receivers {
+                    let node = self.window_receivers[i as usize];
                     self.counters.events_processed += 1;
                     if !world.alive(node) {
                         self.counters.drops_dead += 1;
@@ -498,18 +504,16 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
                             .clone()
                     };
                     let si = map[node.idx()].1 as usize;
-                    self.with_slot(si, at, world, radio, per_receiver, |id, n, ctx| {
+                    self.with_slot(si, at, world, radio, |id, n, ctx| {
                         proto.on_message(id, n, from, m, ctx)
                     });
                 }
-                receivers.clear();
-                self.recv_pool.push(receivers);
             }
             Task::Timer { at, node, tag } => {
                 self.counters.events_processed += 1;
                 if world.alive(node) {
                     let i = map[node.idx()].1 as usize;
-                    self.with_slot(i, at, world, radio, per_receiver, |id, n, ctx| {
+                    self.with_slot(i, at, world, radio, |id, n, ctx| {
                         proto.on_timer(id, n, tag, ctx)
                     });
                 }
@@ -522,15 +526,15 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
         proto: &P,
         world: &World,
         radio: &RadioConfig,
-        per_receiver: bool,
         map: &[(u32, u32)],
     ) {
         let mut tasks = std::mem::take(&mut self.tasks);
         for task in tasks.drain(..) {
-            self.run_task(proto, task, world, radio, per_receiver, map);
+            self.run_task(proto, task, world, radio, map);
         }
-        // Hand the (now empty) buffer back for the next window.
+        // Hand the (now empty) buffers back for the next window.
         self.tasks = tasks;
+        self.window_receivers.clear();
         // Pre-fold this window's output while still on the parallel
         // lane, so the serial splice only stitches digests together.
         self.prefold(map);
@@ -547,7 +551,6 @@ pub struct ParCtx<'a, M> {
     current: NodeId,
     world: &'a World,
     radio: &'a RadioConfig,
-    per_receiver: bool,
     busy_until: &'a mut SimTime,
     rng: &'a mut Rng64,
     outbox: &'a mut Vec<Scheduled<M>>,
@@ -637,11 +640,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         f: impl FnOnce(&mut Self, &[NodeId]) -> R,
     ) -> R {
         let mut buf = std::mem::take(self.scratch);
-        if self.per_receiver {
-            self.world.neighbors_into_legacy(id, &mut buf);
-        } else {
-            self.world.neighbors_into(id, &mut buf, self.raw_scratch);
-        }
+        self.world.neighbors_into(id, &mut buf, self.raw_scratch);
         let r = f(self, &buf);
         buf.clear();
         *self.scratch = buf;
@@ -870,9 +869,8 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     }
 
     /// Broadcast transmission from the dispatched node; semantics of
-    /// [`crate::Ctx::broadcast`] (shared-payload `DeliverMany`, or the
-    /// legacy per-receiver path under
-    /// [`SimConfig::per_receiver_delivery`]).
+    /// [`crate::Ctx::broadcast`] (one shared-payload `DeliverMany`, its
+    /// receiver list popped from the shard's pool).
     pub fn broadcast(&mut self, from: NodeId, class: &'static str, bytes: usize, msg: M) -> usize {
         debug_assert_eq!(
             from, self.current,
@@ -895,12 +893,8 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             bytes,
         });
         let mut receivers = self.recv_pool.pop().unwrap_or_default();
-        if self.per_receiver {
-            self.world.neighbors_into_legacy(from, &mut receivers);
-        } else {
-            self.world
-                .neighbors_into(from, &mut receivers, self.raw_scratch);
-        }
+        self.world
+            .neighbors_into(from, &mut receivers, self.raw_scratch);
         // Partition gating before the loss draws (mirror of the serial
         // engine): cross-island receivers vanish without consuming RNG.
         if self.world.partitioned() {
@@ -921,42 +915,15 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             }
         });
         let n = receivers.len();
-        let replay = self.replay_delay();
-        if self.per_receiver {
-            self.counters.frames_cloned += n as u64;
-            for i in 0..n {
-                let to = receivers[i];
-                self.emit(
-                    arrival,
-                    EventKind::Deliver {
-                        to,
-                        from,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            if let Some(delay) = replay {
+        if n > 0 {
+            if let Some(delay) = self.replay_delay() {
                 self.counters.byzantine_replayed += n as u64;
-                self.counters.frames_cloned += n as u64;
-                for i in 0..n {
-                    let to = receivers[i];
-                    self.emit(
-                        arrival + delay,
-                        EventKind::Deliver {
-                            to,
-                            from,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
-            }
-        } else if n > 0 {
-            if let Some(delay) = replay {
-                self.counters.byzantine_replayed += n as u64;
+                let mut copy = self.recv_pool.pop().unwrap_or_default();
+                copy.extend_from_slice(&receivers);
                 self.emit(
                     arrival + delay,
                     EventKind::DeliverMany {
-                        to: receivers.clone(),
+                        to: copy,
                         from,
                         msg: msg.clone(),
                     },
@@ -1118,8 +1085,10 @@ pub struct ParSimulator<N, M> {
     /// Node index -> (shard index, slot index within shard). Fixed at
     /// first run; migrating nodes keep their shard.
     node_map: Vec<(u32, u32)>,
-    /// Per-shard routing buffers for splitting cross-shard broadcasts.
-    route_bufs: Vec<Vec<NodeId>>,
+    /// `(shard, start)` of every shard the broadcast being routed
+    /// reaches, where `start` is its first receiver's index in that
+    /// shard's `window_receivers` (reused across broadcasts).
+    route_spans: Vec<(u32, u32)>,
     wall_secs: f64,
     sim_secs: f64,
     /// Deterministic structured protocol trace (off by default).
@@ -1182,7 +1151,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             num_shards: shards,
             shards: Vec::new(),
             node_map: Vec::new(),
-            route_bufs: Vec::new(),
+            route_spans: Vec::new(),
             wall_secs: 0.0,
             sim_secs: 0.0,
             trace: Trace::default(),
@@ -1307,28 +1276,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
-    /// Back-compat shim: schedules a fail-stop fault at `node`. New
-    /// code should build a [`FaultPlan`] and use
-    /// [`ParSimulator::inject`] / [`ParSimulator::inject_plan`].
-    #[deprecated(note = "build a FaultPlan and use inject/inject_plan")]
-    pub fn schedule_fail(&mut self, node: NodeId, at: SimTime) {
-        self.inject(FaultEvent {
-            at,
-            kind: FaultKind::Fail(node),
-        });
-    }
-
-    /// Back-compat shim: schedules a recovery of `node`. New code
-    /// should build a [`FaultPlan`] and use [`ParSimulator::inject`] /
-    /// [`ParSimulator::inject_plan`].
-    #[deprecated(note = "build a FaultPlan and use inject/inject_plan")]
-    pub fn schedule_recover(&mut self, node: NodeId, at: SimTime) {
-        self.inject(FaultEvent {
-            at,
-            kind: FaultKind::Recover(node),
-        });
-    }
-
     /// Partitions nodes into shards by spatial cell: distinct cell keys
     /// are sorted and round-robined over the shard count, so spatially
     /// coherent nodes share a shard and the assignment is a pure function
@@ -1357,7 +1304,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 node: proto.make_node(id, &self.world),
             });
         }
-        self.route_bufs = vec![Vec::new(); k];
     }
 
     /// Routes one popped window event to its target shard's task list.
@@ -1370,34 +1316,44 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                     .tasks
                     .push(Task::Deliver { at, to, from, msg });
             }
-            EventKind::DeliverMany { to, from, msg } => {
-                let first = self.node_map[to[0].idx()].0;
-                if to.iter().all(|n| self.node_map[n.idx()].0 == first) {
-                    // Fast path: every receiver lives in one shard — move
-                    // the list wholesale, no copies.
-                    self.shards[first as usize].tasks.push(Task::DeliverSlice {
+            EventKind::DeliverMany { mut to, from, msg } => {
+                // Copy each receiver into its shard's window buffer, in
+                // list (= ascending id) order, noting where each touched
+                // shard's run starts.
+                let spans = &mut self.route_spans;
+                for &n in &to {
+                    let s = self.node_map[n.idx()].0;
+                    let buf = &mut self.shards[s as usize].window_receivers;
+                    if !spans.iter().any(|&(t, _)| t == s) {
+                        spans.push((s, buf.len() as u32));
+                    }
+                    buf.push(n);
+                }
+                // One task per touched shard: clones of the payload for
+                // all but the last, which takes it.
+                let mut payload = Some(msg);
+                let last = spans.len() - 1;
+                for (i, (s, start)) in spans.drain(..).enumerate() {
+                    let shard = &mut self.shards[s as usize];
+                    let msg = if i == last {
+                        payload.take().expect("payload taken before last shard")
+                    } else {
+                        payload
+                            .as_ref()
+                            .expect("payload taken before last shard")
+                            .clone()
+                    };
+                    shard.tasks.push(Task::DeliverSlice {
                         at,
                         from,
-                        receivers: to,
+                        receivers: start..shard.window_receivers.len() as u32,
                         msg,
                     });
-                } else {
-                    for &n in &to {
-                        let s = self.node_map[n.idx()].0 as usize;
-                        self.route_bufs[s].push(n);
-                    }
-                    for s in 0..self.shards.len() {
-                        if !self.route_bufs[s].is_empty() {
-                            let receivers = std::mem::take(&mut self.route_bufs[s]);
-                            self.shards[s].tasks.push(Task::DeliverSlice {
-                                at,
-                                from,
-                                receivers,
-                                msg: msg.clone(),
-                            });
-                        }
-                    }
                 }
+                // The list goes back to the pool it was popped from.
+                to.clear();
+                let sender = self.node_map[from.idx()].0 as usize;
+                self.shards[sender].recv_pool.push(to);
             }
             EventKind::Timer { node, tag } => {
                 let s = self.node_map[node.idx()].0 as usize;
@@ -1416,14 +1372,13 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     fn drain_shards<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P) {
         let world = &self.world;
         let radio = &self.cfg.radio;
-        let per_receiver = self.cfg.per_receiver_delivery;
         let map = self.node_map.as_slice();
         let lanes = self.threads.min(self.shards.len()).max(1);
         let origin = self.profile_origin.unwrap_or_else(Instant::now);
         if lanes <= 1 {
             let t0 = Instant::now();
             for shard in &mut self.shards {
-                shard.drain(proto, world, radio, per_receiver, map);
+                shard.drain(proto, world, radio, map);
             }
             let lane_times = [(t0.saturating_duration_since(origin), t0.elapsed())];
             self.fold_lane_times(&lane_times);
@@ -1444,7 +1399,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                     Box::new(move || {
                         let t0 = Instant::now();
                         for shard in group {
-                            shard.drain(proto, world, radio, per_receiver, map);
+                            shard.drain(proto, world, radio, map);
                         }
                         *slot = (t0.saturating_duration_since(origin), t0.elapsed());
                     }) as Box<dyn FnOnce() + Send + '_>
@@ -1588,7 +1543,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                             self.now,
                             &self.world,
                             &self.cfg.radio,
-                            self.cfg.per_receiver_delivery,
                             |id, n, ctx| proto.on_fail(id, n, ctx),
                         );
                         self.commit();
@@ -1603,7 +1557,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                             self.now,
                             &self.world,
                             &self.cfg.radio,
-                            self.cfg.per_receiver_delivery,
                             |id, n, ctx| proto.on_recover(id, n, ctx),
                         );
                         self.commit();
@@ -1646,7 +1599,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                                 self.now,
                                 &self.world,
                                 &self.cfg.radio,
-                                self.cfg.per_receiver_delivery,
                                 |id, n, ctx| proto.on_fail(id, n, ctx),
                             );
                         }
@@ -1785,7 +1737,6 @@ mod tests {
             mobility_tick: SimDuration::ZERO,
             enhanced_fraction: 1.0,
             seed,
-            per_receiver_delivery: false,
             compact_delivery: false,
         }
     }

@@ -117,18 +117,12 @@ pub struct Stats {
     pub soft_expired: u64,
     /// Protocol callbacks dispatched by the event loop: every `Deliver`,
     /// each receiver of a `DeliverMany`, every timer/fail/recover, and
-    /// every mobility tick. The workload-normalised denominator of the
-    /// `perf` scenario's events/s throughput metric — both delivery modes
-    /// dispatch the identical callback sequence, so events/s ratios are
-    /// pure wall-clock speedups.
+    /// every mobility tick. The workload-normalised denominator of every
+    /// events/s throughput metric.
     pub events_processed: u64,
-    /// Per-receiver payload clones performed by the legacy broadcast
-    /// fan-out ([`crate::SimConfig::per_receiver_delivery`]): the copies
-    /// the shared frame plane exists to avoid. 0 in shared mode.
-    pub frames_cloned: u64,
     /// Deliveries served from a shared broadcast payload
-    /// ([`crate::EventKind::DeliverMany`]): receivers that got the frame
-    /// by reference count instead of a deep copy. 0 in legacy mode.
+    /// ([`crate::EventKind::DeliverMany`]): alive receivers that got the
+    /// frame by reference count instead of a copy.
     pub frames_shared: u64,
     /// End-to-end delivery latency over all data deliveries,
     /// microseconds, in fixed log-scale buckets.

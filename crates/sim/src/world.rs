@@ -256,10 +256,24 @@ impl World {
         self.index.update(id.0, old, clamped);
     }
 
-    /// Rebuilds the spatial index from current positions. Since
-    /// [`World::set_motion`] maintains the index incrementally this is
-    /// never *required*; it remains as an idempotent full resync for bulk
-    /// scenario setup code written against the old rebuild contract.
+    /// Sets every node's position (clamped to the area) and velocity from
+    /// `motion`, called once per node in ascending id order, then
+    /// rebuilds the spatial index in one pass. Mobility models place
+    /// their initial population this way: moving nodes one at a time out
+    /// of the shared starting cell costs a linear bucket scan per node.
+    pub fn place_all(&mut self, mut motion: impl FnMut(NodeId) -> (Point, Vec2)) {
+        for i in 0..self.pos.len() {
+            let (pos, vel) = motion(NodeId(i as u32));
+            self.pos[i] = self.area.clamp(pos);
+            self.vel[i] = vel;
+        }
+        self.rebuild_index();
+    }
+
+    /// Rebuilds the spatial index from current positions in one pass
+    /// ([`World::place_all`] ends with it). Since [`World::set_motion`]
+    /// maintains the index incrementally, callers never *need* it; it
+    /// remains as an idempotent full resync for bulk scenario setup.
     pub fn rebuild_index(&mut self) {
         let pos = &self.pos;
         self.index
@@ -343,28 +357,6 @@ impl World {
         let mut out = Vec::new();
         self.neighbors_into(id, &mut out, &mut Vec::new());
         out
-    }
-
-    /// The pre-zero-copy neighbour query, preserved verbatim for the
-    /// `perf` scenario's legacy arm: allocates (and sorts) a fresh
-    /// candidate buffer on every call, exactly as every broadcast and
-    /// geo-forwarding decision used to. Results are identical to
-    /// [`World::neighbors_into`].
-    pub fn neighbors_into_legacy(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        if !self.alive[id.idx()] {
-            return;
-        }
-        let mut raw = Vec::new();
-        self.index
-            .query_range_into(self.pos[id.idx()], self.radio_range, &mut raw);
-        raw.sort_unstable();
-        for other in raw {
-            let oid = NodeId(other);
-            if oid != id && self.alive[oid.idx()] {
-                out.push(oid);
-            }
-        }
     }
 
     /// Collects all alive nodes within `radius` of a point into `out`

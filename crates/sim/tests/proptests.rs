@@ -3,9 +3,16 @@
 use hvdb_geo::{Aabb, Point, Vec2};
 use hvdb_sim::{
     gini, jain_fairness, max_mean_ratio, EventKind, EventQueue, Mobility, NodeId, RadioConfig,
-    RandomWaypoint, SimDuration, SimRng, SimTime, World,
+    RandomWaypoint, ReferencePointGroup, SimDuration, SimRng, SimTime, Stationary, World,
 };
 use proptest::prelude::*;
+
+/// `id`'s unit-disk neighbours computed by brute force over every node.
+fn brute_force_neighbors(w: &World, id: NodeId, range: f64) -> Vec<NodeId> {
+    w.ids()
+        .filter(|&j| j != id && w.position(id).distance_sq(w.position(j)) <= range * range)
+        .collect()
+}
 
 proptest! {
     /// The event queue is a stable priority queue: pops are sorted by time,
@@ -61,13 +68,17 @@ proptest! {
         prop_assert!(gini(&load).abs() < 1e-9);
     }
 
-    /// World neighbourhoods agree with brute-force unit-disk computation.
+    /// World neighbourhoods agree with brute-force unit-disk computation,
+    /// also right after a mobility model placed the population (no
+    /// explicit index rebuild).
     #[test]
     fn world_neighbors_match_brute_force(
         pts in proptest::collection::vec((0.0..1000.0f64, 0.0..1000.0f64), 2..50),
         range in 50.0..400.0f64,
+        seed in 0u64..10_000,
     ) {
-        let mut w = World::new(Aabb::from_size(1000.0, 1000.0), pts.len(), range);
+        let area = Aabb::from_size(1000.0, 1000.0);
+        let mut w = World::new(area, pts.len(), range);
         for (i, (x, y)) in pts.iter().enumerate() {
             w.set_motion(NodeId(i as u32), Point::new(*x, *y), Vec2::ZERO);
         }
@@ -85,6 +96,18 @@ proptest! {
                 .map(|j| NodeId(j as u32))
                 .collect();
             prop_assert_eq!(got, want);
+        }
+        let models: [Box<dyn Mobility>; 3] = [
+            Box::new(Stationary),
+            Box::new(RandomWaypoint::new(1.0, 5.0, 0.0)),
+            Box::new(ReferencePointGroup::new(5, 1.0, 5.0, 60.0)),
+        ];
+        for mut model in models {
+            let mut placed = World::new(area, pts.len(), range);
+            model.init(&mut placed, &mut SimRng::new(seed));
+            for id in placed.ids() {
+                prop_assert_eq!(placed.neighbors(id), brute_force_neighbors(&placed, id, range));
+            }
         }
     }
 

@@ -34,7 +34,6 @@ fn main() {
         // One in four nodes is vehicle-class (CH-capable).
         enhanced_fraction: 0.25,
         seed: 1944,
-        per_receiver_delivery: false,
         compact_delivery: false,
     };
     // Squads of 10 moving together at convoy speeds.

@@ -29,7 +29,6 @@ fn main() {
         mobility_tick: SimDuration::from_secs(1),
         enhanced_fraction: 0.5,
         seed: 911,
-        per_receiver_delivery: false,
         compact_delivery: false,
     };
     let mobility = RandomWaypoint::new(0.5, 3.0, 15.0); // searching on foot

@@ -30,7 +30,6 @@ fn main() {
         mobility_tick: SimDuration::from_secs(1),
         enhanced_fraction: 0.6, // 60% of nodes have CH-class hardware
         seed: 2005,
-        per_receiver_delivery: false,
         compact_delivery: false,
     };
     // Gentle pedestrian mobility.

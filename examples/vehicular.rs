@@ -44,7 +44,6 @@ fn sim_config(seed: u64) -> (Aabb, SimConfig) {
         mobility_tick: SimDuration::from_secs(1),
         enhanced_fraction: 0.4,
         seed,
-        per_receiver_delivery: false,
         compact_delivery: false,
     };
     (area, cfg)

@@ -41,7 +41,6 @@ fn snapshot_and_distributed_clustering_agree() {
         mobility_tick: SimDuration::ZERO,
         enhanced_fraction: 1.0,
         seed: 3,
-        per_receiver_delivery: false,
         compact_delivery: false,
     };
     let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg, Box::new(Stationary));

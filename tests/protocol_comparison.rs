@@ -25,7 +25,6 @@ fn sim_cfg(seed: u64) -> SimConfig {
         mobility_tick: SimDuration::ZERO,
         enhanced_fraction: 1.0,
         seed,
-        per_receiver_delivery: false,
         compact_delivery: false,
     }
 }
@@ -151,7 +150,6 @@ fn dsm_membership_overhead_grows_faster_than_hvdb() {
             mobility_tick: SimDuration::ZERO,
             enhanced_fraction: 1.0,
             seed: 2,
-            per_receiver_delivery: false,
             compact_delivery: false,
         };
         let mut sim = Simulator::new(cfg, Box::new(Stationary));

@@ -79,7 +79,6 @@ fn protocol_delivers_through_ch_failures() {
         mobility_tick: SimDuration::ZERO,
         enhanced_fraction: 1.0,
         seed: 9,
-        per_receiver_delivery: false,
         compact_delivery: false,
     };
     let mut sim = Simulator::new(sim_cfg, Box::new(Stationary));

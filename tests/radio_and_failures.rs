@@ -20,7 +20,6 @@ fn lossy_sim(loss: f64, seed: u64) -> Simulator<hvdb::core::FrameBytes> {
         mobility_tick: SimDuration::ZERO,
         enhanced_fraction: 1.0,
         seed,
-        per_receiver_delivery: false,
         compact_delivery: false,
     };
     let mut sim = Simulator::new(cfg, Box::new(Stationary));
