@@ -1,20 +1,24 @@
-//! Golden-report determinism gate for the zero-copy frame plane.
+//! Golden-report determinism gates for both engines.
 //!
 //! The committed `tests/golden/report.json` was generated by the
-//! pre-refactor engine (per-neighbor deep-clone delivery, full spatial
-//! rebuilds). The shared-payload delivery path must reproduce it **byte
-//! for byte**: same RNG draw order, same event total order, same wire
-//! sizes, same metrics, same JSON rendering. Any divergence — a reordered
-//! delivery, a changed wire size, an extra RNG draw — fails this test
-//! before it can silently skew every committed benchmark.
+//! pre-refactor serial engine (per-neighbor deep-clone delivery, full
+//! spatial rebuilds). The shared-payload delivery path must reproduce it
+//! **byte for byte**: same RNG draw order, same event total order, same
+//! wire sizes, same metrics, same JSON rendering. Any divergence — a
+//! reordered delivery, a changed wire size, an extra RNG draw — fails this
+//! test before it can silently skew every committed benchmark.
+//!
+//! `tests/golden/par_report.json` pins the sharded parallel engine's
+//! absolute outputs the same way, on the same workload at 64 shards, and
+//! must come out identical at threads 1 and 2.
 //!
 //! Regenerate (only when a change is *supposed* to alter results) with:
 //! `UPDATE_GOLDEN=1 cargo test -p hvdb-bench --test golden_report`
 
-use hvdb_bench::runner::{run_one, Proto};
+use hvdb_bench::runner::{run_one, run_par_hvdb, Proto};
 use hvdb_bench::workload::{MobilityKind, Workload};
 use hvdb_bench::{Row, ScenarioReport};
-use hvdb_sim::SimDuration;
+use hvdb_sim::{FaultPlan, NodeId, SimDuration, SimTime};
 
 /// Small but representative fixed-seed workload: real clustering warmup,
 /// multicast traffic, a lossy mobile row (exercising the RNG loss path
@@ -37,6 +41,21 @@ fn golden_workload() -> Workload {
         seed: 42,
         ..Workload::default()
     }
+}
+
+fn render(summary: &str, rows: Vec<Row>) -> String {
+    let report = ScenarioReport {
+        scenario: "golden".into(),
+        figure: "determinism".into(),
+        summary: summary.into(),
+        smoke: false,
+        threads: 1,
+        workload: None,
+        timeline: None,
+        profile: None,
+        rows,
+    };
+    format!("{}\n", report.to_json())
 }
 
 fn golden_report() -> String {
@@ -67,33 +86,86 @@ fn golden_report() -> String {
             Row::new("golden", *label, proto.name(), m.metric_pairs())
         })
         .collect();
-    let report = ScenarioReport {
-        scenario: "golden".into(),
-        figure: "determinism".into(),
-        summary: "fixed-seed frame-plane golden report (byte-identical across refactors)".into(),
-        smoke: false,
-        threads: 1,
-        workload: None,
-        timeline: None,
-        profile: None,
+    render(
+        "fixed-seed frame-plane golden report (byte-identical across refactors)",
         rows,
-    };
-    format!("{}\n", report.to_json())
+    )
+}
+
+/// The golden workload's HVDB rows on [`run_par_hvdb`] at 64 shards and
+/// `threads` lanes: static, mobile-lossy, and static with one node failing
+/// mid-traffic and recovering (the serial barriers whose callbacks commit
+/// between windows). The rendered `threads` field stays 1 because the rows
+/// must not depend on the lane count.
+fn par_golden_report(threads: usize) -> String {
+    let fault = FaultPlan::new()
+        .fail(SimTime::from_secs(33), NodeId(12))
+        .recover(SimTime::from_secs(37), NodeId(12));
+    let cases: [(&str, MobilityKind, f64, FaultPlan); 3] = [
+        (
+            "hvdb-par-static",
+            MobilityKind::Static,
+            0.0,
+            FaultPlan::new(),
+        ),
+        (
+            "hvdb-par-mobile-lossy",
+            MobilityKind::Waypoint(1.0, 5.0),
+            0.10,
+            FaultPlan::new(),
+        ),
+        ("hvdb-par-fail-recover", MobilityKind::Static, 0.0, fault),
+    ];
+    let rows = cases
+        .into_iter()
+        .map(|(label, mobility, loss, faults)| {
+            let w = Workload {
+                mobility,
+                loss_prob: loss,
+                faults,
+                threads,
+                ..golden_workload()
+            };
+            let (m, _) = run_par_hvdb(&w.build(), 64);
+            Row::new("golden", label, Proto::Hvdb.name(), m.metric_pairs())
+        })
+        .collect();
+    render(
+        "fixed-seed parallel-engine golden report (64 shards, identical at threads 1 and 2)",
+        rows,
+    )
+}
+
+/// Compares `got` with the committed golden file `name`, or rewrites it
+/// when `UPDATE_GOLDEN` is set.
+fn check_golden(name: &str, got: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, got).expect("write golden report");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!("missing tests/golden/{name} — run with UPDATE_GOLDEN=1 to (re)generate")
+    });
+    assert_eq!(
+        got, want,
+        "fixed-seed report diverged from the committed golden {name}: the \
+         engine's event order, RNG stream or wire sizes changed"
+    );
 }
 
 #[test]
 fn fixed_seed_report_is_byte_identical_to_committed_golden() {
-    let got = golden_report();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/report.json");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("write golden report");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("missing tests/golden/report.json — run with UPDATE_GOLDEN=1 to (re)generate");
+    check_golden("report.json", &golden_report());
+}
+
+#[test]
+fn par_engine_report_is_byte_identical_to_committed_golden_at_threads_1_and_2() {
+    let one = par_golden_report(1);
+    check_golden("par_report.json", &one);
     assert_eq!(
-        got, want,
-        "fixed-seed report diverged from the committed golden: the engine's \
-         event order, RNG stream or wire sizes changed"
+        par_golden_report(2),
+        one,
+        "threads=2 diverged from threads=1"
     );
 }

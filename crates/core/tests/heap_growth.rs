@@ -7,9 +7,11 @@
 //! The run is the paper geometry with nothing changing after start-up:
 //! 200 static nodes, no data traffic, no faults. Once clustering settles,
 //! every buffer the engine recycles (broadcast receiver lists, task and
-//! outbox buffers, event runs) has reached its working size, so live heap
-//! at 2T must stay close to live heap at T. A pool that keeps what it is
-//! handed without giving it back grows linearly instead.
+//! outbox buffers, the event heap) has reached its working size, so live
+//! heap at 2T must stay close to live heap at T, and at 8T closer still
+//! to it: a pool that keeps what it is handed without giving it back grows
+//! linearly, and so does any per-window structure that is kept but never
+//! reused.
 
 use hvdb_core::{FrameBytes, HvdbConfig, HvdbCore, HvdbNode};
 use hvdb_geo::Aabb;
@@ -91,6 +93,8 @@ fn par_engine_heap_stays_flat_on_a_quiet_network() {
     let at_t = LIVE.load(Ordering::Relaxed);
     sim.run(&core, SimTime::from_secs(2 * T));
     let at_2t = LIVE.load(Ordering::Relaxed);
+    sim.run(&core, SimTime::from_secs(8 * T));
+    let at_8t = LIVE.load(Ordering::Relaxed);
 
     let mb = |b: usize| b as f64 / 1e6;
     assert!(
@@ -99,5 +103,12 @@ fn par_engine_heap_stays_flat_on_a_quiet_network() {
         mb(at_t),
         mb(at_2t),
         2 * T
+    );
+    assert!(
+        at_8t as f64 <= 1.05 * at_t as f64,
+        "live heap grew from {:.2} MB at {T} s to {:.2} MB at {} s",
+        mb(at_t),
+        mb(at_8t),
+        8 * T
     );
 }

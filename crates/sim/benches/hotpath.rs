@@ -8,16 +8,15 @@
 //!   whole-population waypoint step;
 //! * `class_counters` — per-transmission stats accounting: interned
 //!   class-id slots vs the old string-keyed hash maps;
-//! * `commit_pass` — the parallel engine's window-commit splice: shard
-//!   outboxes pre-sorted and pre-folded into per-shard digests then
-//!   spliced as runs + bulk counter applies, vs the legacy serial fold
-//!   (one heap push and one `count_tx` per event).
+//! * `commit_pass` — the parallel engine's window commit: shard `Tx` ops
+//!   pre-folded into per-shard digests, then one heap push per outbox
+//!   event + bulk counter applies, vs the legacy serial fold (one heap
+//!   push and one `count_tx` per event).
 //!
 //! Run with `cargo bench -p hvdb-sim`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hvdb_geo::Aabb;
-use hvdb_sim::event::Scheduled;
 use hvdb_sim::{
     Ctx, EventKind, EventQueue, Mobility, NodeId, Protocol, RandomWaypoint, SimConfig, SimDuration,
     SimRng, SimTime, Simulator, Stats, World,
@@ -192,11 +191,12 @@ fn bench_commit_pass(c: &mut Criterion) {
     let fixture = commit_fixture(SHARDS, PER_SHARD);
     let mut group = c.benchmark_group("commit_pass");
 
-    // The production pass: each shard's outbox is time-sorted and its Tx
-    // ops folded into a digest (first-appearance class list + dense node
-    // deltas) on the worker lanes; the serial splice then costs one
-    // `push_run` and a handful of bulk counter applies per shard.
-    group.bench_function("prefold_splice", |b| {
+    // The production pass: each shard's Tx ops are folded into a digest
+    // (first-appearance class list + dense node deltas) on the worker
+    // lanes; the serial commit then pushes the outbox onto the heap event
+    // by event, in dispatch order, and applies a handful of bulk counters
+    // per shard.
+    group.bench_function("prefold_push", |b| {
         // Shard-retained scratch, reused across windows like the real
         // `Shard` fields.
         let mut classes: Vec<(&'static str, u64, u64)> = Vec::new();
@@ -207,16 +207,6 @@ fn bench_commit_pass(c: &mut Criterion) {
             let mut stats = Stats::new(NODES);
             for (events, txs) in &fixture {
                 // Pre-fold (runs on a rayon lane in the engine).
-                let mut run: Vec<Scheduled<u64>> = queue.take_spare();
-                run.extend(events.iter().map(|&(time, tag)| Scheduled {
-                    time,
-                    seq: 0,
-                    kind: EventKind::Timer {
-                        node: NodeId((tag % NODES as u64) as u32),
-                        tag,
-                    },
-                }));
-                run.sort_by_key(|s| s.time);
                 classes.clear();
                 touched.clear();
                 for &(node, class, bytes) in txs {
@@ -237,8 +227,16 @@ fn bench_commit_pass(c: &mut Criterion) {
                     d.0 += 1;
                     d.1 += bytes;
                 }
-                // Serial splice.
-                queue.push_run(run);
+                // Serial commit.
+                for &(time, tag) in events {
+                    queue.push(
+                        time,
+                        EventKind::Timer {
+                            node: NodeId((tag % NODES as u64) as u32),
+                            tag,
+                        },
+                    );
+                }
                 for &(class, msgs, bytes) in &classes {
                     stats.count_tx_class_bulk(class, msgs, bytes);
                 }
@@ -254,7 +252,7 @@ fn bench_commit_pass(c: &mut Criterion) {
         })
     });
 
-    // The pre-splice fold: the serial barrier walks every shard's outbox
+    // The pre-digest fold: the serial barrier walks every shard's outbox
     // one event at a time — one seq stamp + heap push per event, one
     // interning `count_tx` per transmission.
     group.bench_function("legacy_serial_fold", |b| {

@@ -18,18 +18,24 @@
 //!   shard-local buffers.
 //! * **Deterministic commit.** After a window drains, buffers are folded
 //!   into the global event queue and [`Stats`] in **shard-index order**:
-//!   outbound events get their tie-breaking `seq` from that fixed
-//!   schedule, order-sensitive stat ops (class interning, origins,
-//!   deliveries) replay in the same order, and commutative counters are
-//!   summed. Thread lanes only decide *which OS thread* drains a shard,
-//!   never the commit order, so `threads = N` is byte-identical to
-//!   `threads = 1` by construction.
+//!   outbound events are pushed in that fixed schedule, so they get their
+//!   tie-breaking `seq` from it, order-sensitive stat ops (class
+//!   interning, origins, deliveries) replay in the same order, and
+//!   commutative counters are summed. Thread lanes only decide *which OS
+//!   thread* drains a shard, never the commit order, so `threads = N` is
+//!   byte-identical to `threads = 1` by construction.
+//! * **Touched shards only.** Every place that hands a shard work or
+//!   output (routing, start-up, a barrier's callback) marks it active for
+//!   the window; drain and commit visit only active shards. An untouched
+//!   shard has nothing to drain and nothing to commit, so skipping it is
+//!   invisible, and a window costs what its events cost, not what the
+//!   shard count costs.
 //! * **Broadcast fan-out.** A broadcast's receiver list comes from the
 //!   sending shard's pool. When a window routes it, every receiver is
 //!   copied into its own shard's window buffer; each receiving shard gets
 //!   one task over its range of that buffer, in ascending id order, and
-//!   the list goes back to the sender's pool. Steady-state routing
-//!   allocates nothing.
+//!   the list goes back to the sender's pool. Routing is O(receivers) and
+//!   allocates nothing in steady state.
 //! * **Per-node RNG.** Every node draws from its own SplitMix64 stream
 //!   ([`hvdb_traffic::Rng64`]) derived from the master seed — the pattern
 //!   the traffic plane already uses per flow — so event outcomes never
@@ -313,11 +319,17 @@ struct Shard<N, M> {
     /// Slots in ascending node-id order.
     slots: Vec<ParSlot<N>>,
     tasks: Vec<Task<M>>,
-    /// Outbound events, appended in dispatch order with a placeholder
-    /// `seq` of 0; [`Shard::prefold`] time-sorts them (stably, so
-    /// same-instant events keep dispatch order) and the commit splice
-    /// stamps the real consecutive sequence numbers.
-    outbox: Vec<Scheduled<M>>,
+    /// Whether this shard received work or output since the last commit
+    /// (its index is then in [`ParSimulator::active`]).
+    active: bool,
+    /// Whether `route` has opened a span in `window_receivers` for the
+    /// broadcast it is routing; cleared once that broadcast's tasks are
+    /// pushed.
+    in_span: bool,
+    /// Outbound events in dispatch order. The commit pushes them onto the
+    /// queue in this order, which gives same-instant events their
+    /// dispatch order as the tie-break.
+    outbox: Vec<(SimTime, EventKind<M>)>,
     ops: Vec<StatOp>,
     counters: Counters,
     /// Pre-fold digest of this window's `Tx` ops: per-class
@@ -357,6 +369,8 @@ impl<N, M> Shard<N, M> {
         Shard {
             slots: Vec::new(),
             tasks: Vec::new(),
+            active: false,
+            in_span: false,
             outbox: Vec::new(),
             ops: Vec::new(),
             counters: Counters::default(),
@@ -373,15 +387,23 @@ impl<N, M> Shard<N, M> {
         }
     }
 
-    /// The shard-parallel half of the commit: time-sorts the outbox
-    /// (stable — dispatch order is the tie-break the serial fold used)
-    /// and folds this window's `Tx` ops into the per-class /
-    /// per-node digest, leaving only the rare order-sensitive ops for
-    /// the serial splice. Runs on the rayon lanes at the end of
-    /// [`Shard::drain`]; idempotent when nothing new was buffered, so
-    /// the serial barrier path can rely on commit calling it again.
+    /// Marks this shard (index `s`) as holding work or output for the
+    /// current window, recording it in `active` on first touch.
+    #[inline]
+    fn mark_active(&mut self, s: usize, active: &mut Vec<u32>) {
+        if !self.active {
+            self.active = true;
+            active.push(s as u32);
+        }
+    }
+
+    /// The shard-parallel half of the commit: folds this window's `Tx`
+    /// ops into the per-class / per-node digest, leaving only the rare
+    /// order-sensitive ops for the serial commit. Runs on the rayon lanes
+    /// at the end of [`Shard::drain`]; idempotent when nothing new was
+    /// buffered, so the serial barrier path can rely on commit calling it
+    /// again.
     fn prefold(&mut self, map: &[(u32, u32)]) {
-        self.outbox.sort_by_key(|s| s.time);
         if self.tx_node_delta.len() < self.slots.len() {
             self.tx_node_delta.resize(self.slots.len(), (0, 0));
         }
@@ -536,7 +558,7 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
         self.tasks = tasks;
         self.window_receivers.clear();
         // Pre-fold this window's output while still on the parallel
-        // lane, so the serial splice only stitches digests together.
+        // lane, so the serial commit only stitches digests together.
         self.prefold(map);
     }
 }
@@ -553,7 +575,7 @@ pub struct ParCtx<'a, M> {
     radio: &'a RadioConfig,
     busy_until: &'a mut SimTime,
     rng: &'a mut Rng64,
-    outbox: &'a mut Vec<Scheduled<M>>,
+    outbox: &'a mut Vec<(SimTime, EventKind<M>)>,
     ops: &'a mut Vec<StatOp>,
     counters: &'a mut Counters,
     scratch: &'a mut Vec<NodeId>,
@@ -564,11 +586,10 @@ pub struct ParCtx<'a, M> {
 }
 
 impl<'a, M: Clone> ParCtx<'a, M> {
-    /// Appends an outbound event to the shard's window buffer. The
-    /// placeholder `seq` is stamped by the commit splice.
+    /// Appends an outbound event to the shard's window buffer.
     #[inline]
     fn emit(&mut self, time: SimTime, kind: EventKind<M>) {
-        self.outbox.push(Scheduled { time, seq: 0, kind });
+        self.outbox.push((time, kind));
     }
 
     /// Current simulation time (the dispatched event's timestamp) *as
@@ -1085,6 +1106,9 @@ pub struct ParSimulator<N, M> {
     /// Node index -> (shard index, slot index within shard). Fixed at
     /// first run; migrating nodes keep their shard.
     node_map: Vec<(u32, u32)>,
+    /// Indices of the shards marked active since the last commit, in
+    /// first-touch order; drain and commit visit only these.
+    active: Vec<u32>,
     /// `(shard, start)` of every shard the broadcast being routed
     /// reaches, where `start` is its first receiver's index in that
     /// shard's `window_receivers` (reused across broadcasts).
@@ -1151,6 +1175,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             num_shards: shards,
             shards: Vec::new(),
             node_map: Vec::new(),
+            active: Vec::new(),
             route_spans: Vec::new(),
             wall_secs: 0.0,
             sim_secs: 0.0,
@@ -1312,9 +1337,9 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         match ev.kind {
             EventKind::Deliver { to, from, msg } => {
                 let s = self.node_map[to.idx()].0 as usize;
-                self.shards[s]
-                    .tasks
-                    .push(Task::Deliver { at, to, from, msg });
+                let shard = &mut self.shards[s];
+                shard.mark_active(s, &mut self.active);
+                shard.tasks.push(Task::Deliver { at, to, from, msg });
             }
             EventKind::DeliverMany { mut to, from, msg } => {
                 // Copy each receiver into its shard's window buffer, in
@@ -1323,11 +1348,12 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 let spans = &mut self.route_spans;
                 for &n in &to {
                     let s = self.node_map[n.idx()].0;
-                    let buf = &mut self.shards[s as usize].window_receivers;
-                    if !spans.iter().any(|&(t, _)| t == s) {
-                        spans.push((s, buf.len() as u32));
+                    let shard = &mut self.shards[s as usize];
+                    if !shard.in_span {
+                        shard.in_span = true;
+                        spans.push((s, shard.window_receivers.len() as u32));
                     }
-                    buf.push(n);
+                    shard.window_receivers.push(n);
                 }
                 // One task per touched shard: clones of the payload for
                 // all but the last, which takes it.
@@ -1335,6 +1361,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 let last = spans.len() - 1;
                 for (i, (s, start)) in spans.drain(..).enumerate() {
                     let shard = &mut self.shards[s as usize];
+                    shard.in_span = false;
+                    shard.mark_active(s as usize, &mut self.active);
                     let msg = if i == last {
                         payload.take().expect("payload taken before last shard")
                     } else {
@@ -1357,7 +1385,9 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             }
             EventKind::Timer { node, tag } => {
                 let s = self.node_map[node.idx()].0 as usize;
-                self.shards[s].tasks.push(Task::Timer { at, node, tag });
+                let shard = &mut self.shards[s];
+                shard.mark_active(s, &mut self.active);
+                shard.tasks.push(Task::Timer { at, node, tag });
             }
             EventKind::Fault(_) | EventKind::MobilityTick => {
                 unreachable!("barrier events are handled serially")
@@ -1365,10 +1395,10 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
-    /// Drains all shards' task lists, in parallel across up to `threads`
-    /// contiguous shard groups (inline when `threads == 1`). Which lane
-    /// runs which shard is invisible: shards touch only shard-local state
-    /// plus the frozen world.
+    /// Drains the active shards' task lists, in parallel across up to
+    /// `threads` contiguous shard groups (inline when `threads == 1`).
+    /// Which lane runs which shard is invisible: shards touch only
+    /// shard-local state plus the frozen world.
     fn drain_shards<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P) {
         let world = &self.world;
         let radio = &self.cfg.radio;
@@ -1377,8 +1407,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         let origin = self.profile_origin.unwrap_or_else(Instant::now);
         if lanes <= 1 {
             let t0 = Instant::now();
-            for shard in &mut self.shards {
-                shard.drain(proto, world, radio, map);
+            for &s in &self.active {
+                self.shards[s as usize].drain(proto, world, radio, map);
             }
             let lane_times = [(t0.saturating_duration_since(origin), t0.elapsed())];
             self.fold_lane_times(&lane_times);
@@ -1398,7 +1428,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 .map(|(group, slot)| {
                     Box::new(move || {
                         let t0 = Instant::now();
-                        for shard in group {
+                        for shard in group.iter_mut().filter(|s| s.active) {
                             shard.drain(proto, world, radio, map);
                         }
                         *slot = (t0.saturating_duration_since(origin), t0.elapsed());
@@ -1450,29 +1480,32 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
-    /// The deterministic ordered commit, serial half: splices every
+    /// The deterministic ordered commit, serial half: folds every active
     /// shard's pre-folded window output into the global queue and
-    /// statistics in shard-index order. The heavy lifting — time-sorting
-    /// the outbox and aggregating `Tx` ops into per-class/per-node
-    /// digests — already happened shard-parallel in [`Shard::prefold`];
-    /// here each outbox becomes one `O(k)` run splice
-    /// ([`EventQueue::push_run`] stamps the consecutive `seq` numbers the
-    /// old one-by-one fold would have produced), digests apply as plain
-    /// sums (class interning on first touch, preserving replay order),
-    /// and only the rare order-sensitive ops (origins, deliveries)
-    /// replay individually. Run buffers recycle through the queue's
-    /// spare pool, so the steady-state window loop allocates nothing.
+    /// statistics in shard-index order, then clears the active set.
+    /// Aggregating `Tx` ops into per-class/per-node digests already
+    /// happened shard-parallel in [`Shard::prefold`]; here each outbox is
+    /// pushed onto the queue in dispatch order (so the queue's `seq`
+    /// breaks same-instant ties by shard index, then dispatch order),
+    /// digests apply as plain sums (class interning on first touch,
+    /// preserving replay order), and only the rare order-sensitive ops
+    /// (origins, deliveries) replay individually. Inactive shards hold
+    /// no output and are never visited.
     fn commit(&mut self) {
         let shards = &mut self.shards;
         let queue = &mut self.queue;
         let stats = &mut self.stats;
         let map = self.node_map.as_slice();
-        for shard in shards.iter_mut() {
+        self.active.sort_unstable();
+        for &s in &self.active {
+            let shard = &mut shards[s as usize];
+            shard.active = false;
             // No-op after drain_shards; covers the serial barrier path,
             // which runs callbacks without a drain.
             shard.prefold(map);
-            let run = std::mem::replace(&mut shard.outbox, queue.take_spare());
-            queue.push_run(run);
+            for (time, kind) in shard.outbox.drain(..) {
+                queue.push(time, kind);
+            }
             for &(class, msgs, bytes) in &shard.tx_classes {
                 stats.count_tx_class_bulk(class, msgs, bytes);
             }
@@ -1508,8 +1541,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             // keep each node's own emission order and the merged trace is
             // independent of shard drain interleaving.
             let mut merged = std::mem::take(&mut self.trace_scratch);
-            for shard in self.shards.iter_mut() {
-                merged.append(&mut shard.trace_buf);
+            for &s in &self.active {
+                merged.append(&mut self.shards[s as usize].trace_buf);
             }
             merged.sort_by_key(|e| (e.at, e.node.0));
             for ev in merged.drain(..) {
@@ -1517,6 +1550,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             }
             self.trace_scratch = merged;
         }
+        self.active.clear();
     }
 
     /// Processes one barrier event serially with full `&mut World`
@@ -1538,7 +1572,9 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                         self.trace.record(self.now, node, TraceKind::NodeFailed);
                         self.world.set_alive(node, false);
                         let (s, i) = self.node_map[node.idx()];
-                        self.shards[s as usize].with_slot(
+                        let shard = &mut self.shards[s as usize];
+                        shard.mark_active(s as usize, &mut self.active);
+                        shard.with_slot(
                             i as usize,
                             self.now,
                             &self.world,
@@ -1551,8 +1587,10 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                         self.trace.record(self.now, node, TraceKind::NodeRecovered);
                         self.world.set_alive(node, true);
                         let (s, i) = self.node_map[node.idx()];
-                        self.shards[s as usize].slots[i as usize].busy_until = self.now;
-                        self.shards[s as usize].with_slot(
+                        let shard = &mut self.shards[s as usize];
+                        shard.mark_active(s as usize, &mut self.active);
+                        shard.slots[i as usize].busy_until = self.now;
+                        shard.with_slot(
                             i as usize,
                             self.now,
                             &self.world,
@@ -1594,7 +1632,9 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                         for node in victims {
                             self.world.set_alive(node, false);
                             let (s, i) = self.node_map[node.idx()];
-                            self.shards[s as usize].with_slot(
+                            let shard = &mut self.shards[s as usize];
+                            shard.mark_active(s as usize, &mut self.active);
+                            shard.with_slot(
                                 i as usize,
                                 self.now,
                                 &self.world,
@@ -1665,7 +1705,9 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             }
             for id in self.world.ids() {
                 let s = self.node_map[id.idx()].0 as usize;
-                self.shards[s].tasks.push(Task::Start { node: id });
+                let shard = &mut self.shards[s];
+                shard.mark_active(s, &mut self.active);
+                shard.tasks.push(Task::Start { node: id });
             }
             let t0 = Instant::now();
             self.drain_shards(proto);
@@ -1674,6 +1716,12 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             self.commit();
             self.note_phase("commit", t1);
             self.profile.windows += 1;
+            // The boot outboxes held every node's start-up timers, which
+            // now sit in the queue; kept, their capacity would lie idle
+            // beside the heap for the whole run.
+            for shard in &mut self.shards {
+                shard.outbox = Vec::new();
+            }
         }
         let delta = self.cfg.radio.latency;
         loop {
@@ -2116,6 +2164,68 @@ mod tests {
         assert_eq!(sim.node_state(NodeId(1)).unwrap().got, 1);
         assert_eq!(sim.stats().drops_dead, 0);
         assert!(!sim.world().alive(NodeId(1)));
+    }
+
+    /// Silent except for recovery: `on_recover` sets a 3 ms timer, and the
+    /// node records every instant a timer fires.
+    struct RecoverTimer;
+
+    impl ParProtocol for RecoverTimer {
+        type Msg = u8;
+        type Node = Vec<SimTime>;
+
+        fn make_node(&self, _id: NodeId, _world: &World) -> Vec<SimTime> {
+            Vec::new()
+        }
+
+        fn on_start(&self, _id: NodeId, _node: &mut Vec<SimTime>, _ctx: &mut ParCtx<'_, u8>) {}
+
+        fn on_message(
+            &self,
+            _id: NodeId,
+            _node: &mut Vec<SimTime>,
+            _from: NodeId,
+            _msg: u8,
+            _ctx: &mut ParCtx<'_, u8>,
+        ) {
+        }
+
+        fn on_timer(
+            &self,
+            _id: NodeId,
+            fired: &mut Vec<SimTime>,
+            _tag: u64,
+            ctx: &mut ParCtx<'_, u8>,
+        ) {
+            fired.push(ctx.now());
+        }
+
+        fn on_recover(&self, id: NodeId, _node: &mut Vec<SimTime>, ctx: &mut ParCtx<'_, u8>) {
+            ctx.set_timer(id, SimDuration::from_millis(3), 0);
+        }
+    }
+
+    #[test]
+    fn barrier_callback_output_commits_with_the_barrier() {
+        // On a quiet network the recovery timer is the only event after
+        // start-up, so the barrier's own commit must push it: no later
+        // window would touch the node's shard.
+        for threads in [1, 2] {
+            let mut sim: ParSimulator<Vec<SimTime>, u8> =
+                ParSimulator::new(grid_cfg(4, 3), Box::new(Stationary), 8, threads);
+            place_grid(&mut sim, 4);
+            sim.inject_plan(
+                &FaultPlan::new()
+                    .fail(SimTime::from_secs(1), NodeId(5))
+                    .recover(SimTime::from_secs(2), NodeId(5)),
+            );
+            sim.run(&RecoverTimer, SimTime::from_secs(5));
+            assert_eq!(
+                sim.node_state(NodeId(5)).unwrap(),
+                &vec![SimTime(2_003_000)],
+                "threads={threads}"
+            );
+        }
     }
 
     /// Node 0 broadcasts once at start; everyone else just counts.
