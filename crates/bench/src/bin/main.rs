@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! hvdb-bench list [--json]
-//! hvdb-bench run <scenario>... [--smoke] [--seeds 1,2,3] [--out-dir DIR]
-//! hvdb-bench run --all [--smoke] [--out-dir DIR]
+//! hvdb-bench run <scenario>... [--smoke] [--seeds 1,2,3] [--threads N] [--out-dir DIR]
+//! hvdb-bench run --all [--smoke] [--seeds 1,2,3] [--threads N] [--out-dir DIR]
 //! hvdb-bench run ... [--trace-out PATH] [--trace-filter CATS]
 //! hvdb-bench validate <file>... [--baseline-dir DIR]
 //! hvdb-bench explain <report.json>
@@ -24,7 +24,7 @@
 //! same gates, fault counters, timeline inflections and the profiler's
 //! phase split.
 
-use hvdb_bench::scenario::{find, registry, run_scenario, RunOpts, ScenarioDef};
+use hvdb_bench::scenario::{find, paper_workload, registry, run_scenario, RunOpts, ScenarioDef};
 use hvdb_bench::{
     check_gates, check_trajectory, run_par_hvdb_traced, validate_report_str, Gate, Json,
     ScenarioReport, Workload, TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE,
@@ -170,21 +170,18 @@ fn validate(args: &[String]) -> ExitCode {
     }
 }
 
-fn scenario_name(doc: &Json) -> Option<String> {
-    let Json::Obj(fields) = doc else {
-        return None;
-    };
-    fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        ("scenario", Json::Str(s)) => Some(s.clone()),
+fn scenario_name(doc: &Json) -> Option<&str> {
+    match doc.get("scenario")? {
+        Json::Str(s) => Some(s),
         _ => None,
-    })
+    }
 }
 
 /// The gates declared by `doc`'s scenario; none for unknown scenarios,
 /// which are schema-checked only.
 fn gates_of(doc: &Json) -> &'static [Gate] {
     scenario_name(doc)
-        .and_then(|name| find(&name))
+        .and_then(find)
         .map_or(&[], |def| def.gates)
 }
 
@@ -256,16 +253,12 @@ fn explain(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Json::Obj(fields) = &doc else {
-        unreachable!("validated report is an object");
-    };
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
     let scenario = scenario_name(&doc).unwrap_or_default();
-    let smoke = matches!(get("smoke"), Some(Json::Bool(true)));
+    let smoke = matches!(doc.get("smoke"), Some(Json::Bool(true)));
     println!(
         "# {scenario}{} — {}",
         if smoke { " [smoke]" } else { "" },
-        match get("summary") {
+        match doc.get("summary") {
             Some(Json::Str(s)) => s.as_str(),
             _ => "",
         }
@@ -286,10 +279,9 @@ fn explain(args: &[String]) -> ExitCode {
     // Fault counters, totalled across rows wherever a scenario recorded
     // them as metrics.
     let mut counters: Vec<(&str, f64)> = Vec::new();
-    if let Some(Json::Arr(rows)) = get("rows") {
+    if let Some(Json::Arr(rows)) = doc.get("rows") {
         for row in rows {
-            let Json::Obj(rf) = row else { continue };
-            let Some((_, Json::Obj(metrics))) = rf.iter().find(|(k, _)| k == "metrics") else {
+            let Some(Json::Obj(metrics)) = row.get("metrics") else {
                 continue;
             };
             for (k, v) in metrics {
@@ -311,35 +303,15 @@ fn explain(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(Json::Obj(tf)) = get("timeline") {
-        let tget = |key: &str| {
-            tf.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| match v {
-                    Json::Num(n) => Some(*n),
-                    _ => None,
-                })
-        };
+    if let Some(timeline) = doc.get("timeline") {
         println!("## timeline");
-        if let (Some(interval), Some(Json::Arr(samples))) = (
-            tget("interval_secs"),
-            tf.iter().find(|(k, _)| k == "samples").map(|(_, v)| v),
-        ) {
+        if let (Some(interval), Some(Json::Arr(samples))) =
+            (timeline.num("interval_secs"), timeline.get("samples"))
+        {
             println!("  {} samples every {interval}s", samples.len());
             let series: Vec<(f64, f64)> = samples
                 .iter()
-                .filter_map(|s| {
-                    let Json::Obj(sf) = s else { return None };
-                    let num = |key: &str| {
-                        sf.iter()
-                            .find(|(k, _)| k == key)
-                            .and_then(|(_, v)| match v {
-                                Json::Num(n) => Some(*n),
-                                _ => None,
-                            })
-                    };
-                    Some((num("t_secs")?, num("heads")?))
-                })
+                .filter_map(|s| Some((s.num("t_secs")?, s.num("heads")?)))
                 .collect();
             // Inflection points: every sample where the head census moved
             // — the election/merge story of the run in a few lines.
@@ -364,30 +336,22 @@ fn explain(args: &[String]) -> ExitCode {
             "heads_target",
             "remerge_secs_probe",
         ] {
-            if let Some(v) = tget(key) {
+            if let Some(v) = timeline.num(key) {
                 println!("  {key}={v}");
             }
         }
-        if tget("remerge_secs_probe").is_some() {
+        if timeline.num("remerge_secs_probe").is_some() {
             // The schema check already re-derived it from the series.
             println!("  re-merge re-derived from the series matches the probe measurement");
         }
     }
 
-    if let Some(Json::Obj(pf)) = get("profile") {
-        let pget = |key: &str| {
-            pf.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| match v {
-                    Json::Num(n) => Some(*n),
-                    _ => None,
-                })
-        };
+    if let Some(profile) = doc.get("profile") {
         println!("## engine profile (wall-clock, non-deterministic)");
         if let (Some(drain), Some(commit), Some(barrier)) = (
-            pget("drain_secs"),
-            pget("commit_secs"),
-            pget("barrier_secs"),
+            profile.num("drain_secs"),
+            profile.num("commit_secs"),
+            profile.num("barrier_secs"),
         ) {
             let total = (drain + commit + barrier).max(1e-12);
             println!(
@@ -398,11 +362,11 @@ fn explain(args: &[String]) -> ExitCode {
             );
         }
         for key in ["windows", "barriers", "lane_imbalance", "slices_dropped"] {
-            if let Some(v) = pget(key) {
+            if let Some(v) = profile.num(key) {
                 println!("  {key}={v}");
             }
         }
-        if let Some((_, Json::Arr(lanes))) = pf.iter().find(|(k, _)| k == "lane_busy_secs") {
+        if let Some(Json::Arr(lanes)) = profile.get("lane_busy_secs") {
             println!("  lanes={}", lanes.len());
         }
     }
@@ -636,29 +600,15 @@ fn run(args: &[String]) -> ExitCode {
 /// way the scenarios do. Returns the number of trace events written.
 fn write_chrome_trace(path: &str, opts: &RunOpts, mask: u32) -> Result<usize, String> {
     let w = Workload {
-        nodes: 200,
-        side: 800.0,
-        vc_side: 8,
-        dim: 4,
-        range: 250.0,
-        groups: 2,
-        members_per_group: 10,
         packets_per_group: 8,
         threads: opts.threads,
-        ..Workload::default()
+        ..paper_workload()
     };
     let w = if opts.smoke { w.smoke() } else { w };
     let scenario = w.build();
     let (_, _, doc) = run_par_hvdb_traced(&scenario, 16, mask);
-    let events = match &doc {
-        Json::Obj(fields) => fields
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map(|(_, v)| match v {
-                Json::Arr(a) => a.len(),
-                _ => 0,
-            })
-            .unwrap_or(0),
+    let events = match doc.get("traceEvents") {
+        Some(Json::Arr(events)) => events.len(),
         _ => 0,
     };
     std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("cannot write {path}: {e}"))?;

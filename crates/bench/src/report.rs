@@ -148,6 +148,22 @@ impl fmt::Display for Json {
 }
 
 impl Json {
+    /// The value under `key`, if `self` is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The number under `key`, if `self` is an object that has one.
+    pub fn num(&self, key: &str) -> Option<f64> {
+        match self.get(key)? {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     fn write_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         match self {
             Json::Null => write!(f, "null"),

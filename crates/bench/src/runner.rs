@@ -1,15 +1,21 @@
 //! Protocol runners: execute one scenario under each protocol and collect
-//! uniform metrics. Sweeps parallelise across (scenario, seed) with rayon —
-//! each simulation stays single-threaded and deterministic.
+//! uniform metrics. Seeded scenarios fan their `(cell, seed)` runs out
+//! over rayon through `per_cell` — each simulation stays single-threaded
+//! and deterministic — and reduce each cell's seeds in seed order with
+//! `mean`, `min_of` or [`average`]. Every serial HVDB run is built by
+//! `hvdb_sim`.
 
 use crate::report::Json;
-use crate::workload::{is_refresh_class, metrics_of, RunMetrics, Scenario, Workload};
+use crate::workload::{is_refresh_class, metrics_of, RunMetrics, Scenario};
 use hvdb_baselines::{
     DsmProtocol, FloodingProtocol, ParFlood, ParFloodMsg, ParFloodNode, SharedTreeProtocol,
     SpbmProtocol,
 };
-use hvdb_core::{HvdbConfig, HvdbProtocol};
-use hvdb_sim::{EngineProfile, ParSimulator, SimDuration, Simulator, Stats, Trace, TraceConfig};
+use hvdb_core::{FrameBytes, GroupEvent, GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb_sim::{
+    EngineProfile, NodeId, ParSimulator, Protocol, SimDuration, Simulator, Stats, Trace,
+    TraceConfig,
+};
 use rayon::prelude::*;
 
 /// The protocols under comparison.
@@ -59,8 +65,8 @@ pub fn run_one(proto: Proto, scenario: &Scenario) -> RunMetrics {
 /// when the protocol exposes it (currently HVDB's internal counters).
 #[derive(Debug, Clone, Default)]
 pub struct RunDetail {
-    /// HVDB protocol counters (`None` for baselines).
-    pub hvdb_counters: Option<hvdb_core::Counters>,
+    /// HVDB protocol counters (all zero for baselines).
+    pub hvdb_counters: hvdb_core::Counters,
     /// Refresh-plane frames transmitted (refresh-originated floods
     /// including their relays; 0 for baselines) — the traffic the
     /// adaptive refresh controller suppresses in quiet phases.
@@ -162,7 +168,7 @@ fn detail_of(
     profile: Option<&EngineProfile>,
 ) -> RunDetail {
     RunDetail {
-        hvdb_counters: None,
+        hvdb_counters: hvdb_core::Counters::default(),
         refresh_frames: stats.msgs_where(is_refresh_class),
         events_processed: stats.events_processed,
         wall_secs,
@@ -189,64 +195,53 @@ fn engine_detail<M: Clone>(sim: &Simulator<M>) -> RunDetail {
 pub fn run_one_instrumented(proto: Proto, scenario: &Scenario) -> (RunMetrics, RunDetail) {
     match proto {
         Proto::Hvdb => run_hvdb(scenario),
-        Proto::Flooding => {
-            let mut sim = new_sim(scenario);
-            let mut p = FloodingProtocol::new(
-                &scenario.members,
-                scenario.traffic.clone(),
-                scenario.group_events.clone(),
-            );
-            sim.run(&mut p, scenario.until);
-            (metrics_of(sim.stats()), engine_detail(&sim))
-        }
-        Proto::SharedTree => {
-            let mut sim = new_sim(scenario);
-            let mut p = SharedTreeProtocol::new(
-                &scenario.members,
-                scenario.traffic.clone(),
-                scenario.group_events.clone(),
-            );
-            sim.run(&mut p, scenario.until);
-            (metrics_of(sim.stats()), engine_detail(&sim))
-        }
-        Proto::Dsm => {
-            let mut sim = new_sim(scenario);
-            let mut p = DsmProtocol::new(
-                &scenario.members,
-                scenario.traffic.clone(),
-                scenario.group_events.clone(),
-            );
-            sim.run(&mut p, scenario.until);
-            (metrics_of(sim.stats()), engine_detail(&sim))
-        }
-        Proto::Spbm => {
-            let mut sim = new_sim(scenario);
-            let mut p = SpbmProtocol::new(
-                &scenario.members,
-                scenario.traffic.clone(),
-                scenario.group_events.clone(),
-            );
-            sim.run(&mut p, scenario.until);
-            (metrics_of(sim.stats()), engine_detail(&sim))
-        }
+        Proto::Flooding => run_baseline(scenario, FloodingProtocol::new),
+        Proto::SharedTree => run_baseline(scenario, SharedTreeProtocol::new),
+        Proto::Dsm => run_baseline(scenario, DsmProtocol::new),
+        Proto::Spbm => run_baseline(scenario, SpbmProtocol::new),
     }
+}
+
+/// A baseline protocol's constructor over a scenario's membership,
+/// traffic and group events.
+type NewBaseline<P> = fn(&[(NodeId, GroupId)], Vec<TrafficItem>, Vec<GroupEvent>) -> P;
+
+/// Runs the baseline protocol `new` builds on the scenario's serial
+/// simulator.
+fn run_baseline<P: Protocol>(scenario: &Scenario, new: NewBaseline<P>) -> (RunMetrics, RunDetail) {
+    let mut sim = new_sim(scenario);
+    let mut p = new(
+        &scenario.members,
+        scenario.traffic.clone(),
+        scenario.group_events.clone(),
+    );
+    sim.run(&mut p, scenario.until);
+    (metrics_of(sim.stats()), engine_detail(&sim))
+}
+
+/// Builds a serial HVDB run from `scenario`: its simulator, with the
+/// scenario's fault plan injected, and the protocol over the scenario's
+/// config, membership, traffic and group events. Every serial HVDB run
+/// in the harness starts here, except `f4-routes`' hand-pinned grid.
+pub(crate) fn hvdb_sim(scenario: &Scenario) -> (Simulator<FrameBytes>, HvdbProtocol) {
+    let proto = HvdbProtocol::new(
+        scenario.hvdb.clone(),
+        &scenario.members,
+        scenario.traffic.clone(),
+        scenario.group_events.clone(),
+    );
+    (new_sim(scenario), proto)
 }
 
 /// The one canonical HVDB run recipe (every scenario that measures HVDB
 /// goes through here, so the CI-gated trajectory numbers and the
 /// registry sweeps measure the same simulation).
 fn run_hvdb(scenario: &Scenario) -> (RunMetrics, RunDetail) {
-    let mut sim = new_sim(scenario);
-    let mut p = HvdbProtocol::new(
-        scenario.hvdb.clone(),
-        &scenario.members,
-        scenario.traffic.clone(),
-        scenario.group_events.clone(),
-    );
+    let (mut sim, mut p) = hvdb_sim(scenario);
     sim.run(&mut p, scenario.until);
     let n = sim.world().len().max(1);
     let detail = RunDetail {
-        hvdb_counters: Some(p.counters()),
+        hvdb_counters: p.counters(),
         memory_per_node_bytes: (sim.world().memory_bytes() + p.memory_bytes()) as f64 / n as f64,
         ..engine_detail(&sim)
     };
@@ -344,7 +339,7 @@ fn par_hvdb_detail(sim: &ParHvdbSim) -> RunDetail {
         }
     }
     RunDetail {
-        hvdb_counters: Some(counters),
+        hvdb_counters: counters,
         memory_per_node_bytes: (sim.world().memory_bytes() + state_bytes) as f64 / n as f64,
         ..detail_of(
             sim.stats(),
@@ -575,7 +570,7 @@ pub fn chrome_trace_json(profile: &EngineProfile, trace: &Trace) -> Json {
 
 /// Builds the simulator for a run: fresh mobility instance plus the
 /// scenario's scripted fault plan.
-fn new_sim<M: Clone>(scenario: &Scenario) -> Simulator<M> {
+pub(crate) fn new_sim<M: Clone>(scenario: &Scenario) -> Simulator<M> {
     let mut sim = Simulator::new(scenario.sim.clone(), scenario.hvdb_mobility());
     sim.inject_plan(&scenario.faults);
     sim
@@ -589,23 +584,40 @@ impl Scenario {
     }
 }
 
-/// Averages metrics over `seeds` independent runs of `workload` under
-/// `proto`, in parallel.
-pub fn run_seeds(proto: Proto, workload: &Workload, seeds: &[u64]) -> RunMetrics {
-    let results: Vec<RunMetrics> = seeds
-        .par_iter()
-        .map(|seed| {
-            let w = Workload {
-                seed: *seed,
-                ..workload.clone()
-            };
-            run_one(proto, &w.build())
-        })
+/// Runs `run(cell, seed)` for every `(cell, seed)` pair as one job on the
+/// rayon pool, cell-major with seeds inner, and returns one result list
+/// per cell, in seed order. Each simulation stays single-threaded and
+/// deterministic, so the results do not depend on the pool.
+pub(crate) fn per_cell<C: Sync, T: Send>(
+    cells: &[C],
+    seeds: &[u64],
+    run: impl Fn(&C, u64) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let jobs: Vec<(&C, u64)> = cells
+        .iter()
+        .flat_map(|cell| seeds.iter().map(move |&seed| (cell, seed)))
         .collect();
-    average(&results)
+    let results: Vec<T> = jobs.par_iter().map(|&(c, seed)| run(c, seed)).collect();
+    let mut results = results.into_iter();
+    cells
+        .iter()
+        .map(|_| results.by_ref().take(seeds.len()).collect())
+        .collect()
 }
 
-/// Component-wise mean of run metrics.
+/// Mean of `f` over `runs`, summed in run order: a cell's seeds reduce in
+/// seed order, so the mean is the same bits on every run.
+pub(crate) fn mean<T>(runs: &[T], f: impl Fn(&T) -> f64) -> f64 {
+    runs.iter().map(f).sum::<f64>() / runs.len() as f64
+}
+
+/// Smallest `f` over `runs`: the worst seed of a higher-is-better metric.
+pub(crate) fn min_of<T>(runs: &[T], f: impl Fn(&T) -> f64) -> f64 {
+    runs.iter().map(f).fold(f64::INFINITY, f64::min)
+}
+
+/// Component-wise mean of run metrics. Count fields are truncated to
+/// integers, as the committed reports carry them.
 pub fn average(runs: &[RunMetrics]) -> RunMetrics {
     let n = runs.len().max(1) as f64;
     RunMetrics {
@@ -618,5 +630,22 @@ pub fn average(runs: &[RunMetrics]) -> RunMetrics {
         jain: runs.iter().map(|r| r.jain).sum::<f64>() / n,
         max_mean: runs.iter().map(|r| r.max_mean).sum::<f64>() / n,
         gini: runs.iter().map(|r| r.gini).sum::<f64>() / n,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::per_cell;
+
+    #[test]
+    fn per_cell_returns_one_list_per_cell_in_seed_order() {
+        let cells = [10u32, 20, 30, 40];
+        let seeds = [7u64, 8, 9];
+        let got = per_cell(&cells, &seeds, |&cell, seed| (cell, seed));
+        let want: Vec<Vec<(u32, u64)>> = cells
+            .iter()
+            .map(|&cell| seeds.iter().map(|&seed| (cell, seed)).collect())
+            .collect();
+        assert_eq!(got, want);
     }
 }

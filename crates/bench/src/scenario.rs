@@ -3,13 +3,16 @@
 //!
 //! Each [`ScenarioDef`] reproduces one figure or claim of the paper
 //! (c1–c4 for the §5/§2 claims, f1–f6 for the figures, a1 for the design
-//! ablations, plus the `seed` perf baseline). A scenario executes either
-//! as declarative [`SweepSpec`]s — `(workload-point × protocol × seed)`
-//! jobs fanned out over the rayon runner — or as a bespoke structural
-//! audit for the experiments that measure graph properties rather than
-//! packet traffic. Both produce the same uniform [`Row`]s and serialize
-//! to `BENCH_<scenario>.json`, so the perf trajectory accumulates one
-//! file per scenario per run.
+//! ablations), measures the reproduction itself (the `seed` baseline,
+//! `scale` and `perf`), or gates a regression (`loss`, `overhead`,
+//! `traffic`, `partition`, `byzantine`). A scenario executes either as
+//! declarative [`SweepSpec`]s over one default seed set —
+//! `(workload-point × protocol × seed)` jobs fanned out over the rayon
+//! runner — or as custom code (seeded sweeps with their own columns, and
+//! the structural audits of graph properties rather than packet traffic).
+//! Both produce the same uniform [`Row`]s and serialize to
+//! `BENCH_<scenario>.json`, so the perf trajectory accumulates one file
+//! per scenario per run.
 //!
 //! Every scenario also supports a *smoke* mode ([`RunOpts::smoke`]):
 //! shrunk inputs and ~1-second simulations that exercise the full
@@ -18,15 +21,15 @@
 
 use crate::report::{Json, Row, ScenarioReport};
 use crate::runner::{
-    average, profile_json, run_hvdb_tweaked, run_one, run_one_instrumented, run_par_flood,
-    run_par_hvdb, run_par_hvdb_timeline, sample_serial, timeline_json, Proto, RunDetail,
-    TimelineSample, TrafficProfile,
+    average, hvdb_sim, mean, min_of, new_sim, per_cell, profile_json, run_hvdb_tweaked, run_one,
+    run_one_instrumented, run_par_flood, run_par_hvdb, run_par_hvdb_timeline, sample_serial,
+    timeline_json, Proto, RunDetail,
 };
 use crate::validate::Check::{Band, Ceiling, Equal, Floor, Knee, Ratio};
 use crate::validate::Label::{AtLeast, Baseline, Except, Is};
 use crate::validate::Smoke::{Apply, Lower, Refuse, Skip};
 use crate::validate::{Gate, Rows};
-use crate::workload::{metrics_of, MobilityKind, RunMetrics, Scenario, Workload};
+use crate::workload::{metrics_of, MobilityKind, RunMetrics, Workload};
 use hvdb_core::{
     build_model, build_region_cube, routes::AdvertisedRoute, routes::QosMetrics,
     DesignationCriterion, FrameBytes, HvdbConfig, HvdbProtocol, QosRequirement, RouteTable,
@@ -40,14 +43,13 @@ use hvdb_sim::{
     FaultKind, FaultPlan, NodeId, RadioConfig, SimConfig, SimDuration, SimRng, SimTime, Simulator,
     Stationary,
 };
-use rayon::prelude::*;
 
 /// Options shared by every scenario execution.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Shrink everything to a ~1-second pipeline check.
     pub smoke: bool,
-    /// Override the seed set of declarative sweeps.
+    /// Override the seed set of every seeded scenario ([`RunOpts::seeds_or`]).
     pub seeds: Option<Vec<u64>>,
     /// Worker threads for parallel-engine arms (`--threads`, default 1).
     /// Recorded in the report; deterministic metrics do not depend on it.
@@ -64,8 +66,21 @@ impl Default for RunOpts {
     }
 }
 
+impl RunOpts {
+    /// The seeds a seeded scenario runs: an explicit `--seeds` list always
+    /// wins, whole; otherwise `default`, cut to its first seed in a smoke
+    /// run.
+    pub fn seeds_or(&self, default: &[u64]) -> Vec<u64> {
+        match &self.seeds {
+            Some(seeds) => seeds.clone(),
+            None if self.smoke => default.iter().copied().take(1).collect(),
+            None => default.to_vec(),
+        }
+    }
+}
+
 /// One declarative sweep: an axis of workload points, run under a set of
-/// protocols, averaged over seeds.
+/// protocols, averaged over the scenario's seeds.
 pub struct SweepSpec {
     /// Axis name (becomes [`Row::sweep`]).
     pub axis: &'static str,
@@ -73,41 +88,42 @@ pub struct SweepSpec {
     pub points: Vec<(String, Workload)>,
     /// Protocols to compare at every point.
     pub protos: Vec<Proto>,
-    /// Seeds averaged per `(point, protocol)`.
-    pub seeds: Vec<u64>,
 }
 
 /// How a scenario executes.
 pub enum Exec {
-    /// Declarative protocol-comparison sweeps through the rayon runner.
-    Sweeps(fn(&RunOpts) -> Vec<SweepSpec>),
-    /// Bespoke logic (structural audits, config ablations) producing rows
-    /// directly.
-    Custom(fn(&RunOpts) -> Vec<Row>),
-    /// Bespoke logic that additionally emits the scenario's declarative
-    /// workload block — the serialized [`FaultPlan`]
-    /// ([`fault_plan_json`]) — into the report, so a committed
-    /// `BENCH_<scenario>.json` records exactly which faults produced its
-    /// numbers.
-    CustomWithPlan(fn(&RunOpts) -> (Vec<Row>, Json)),
-    /// Bespoke logic returning the full observability bundle: rows plus
-    /// any of the optional report blocks (workload, deterministic
-    /// `timeline`, wall-clock `profile`).
-    Detailed(fn(&RunOpts) -> CustomOut),
+    /// Declarative protocol-comparison sweeps through the rayon runner,
+    /// each `(point, protocol)` averaged over the default seed set given
+    /// here (or `--seeds`, [`RunOpts::seeds_or`]).
+    Sweeps(fn() -> Vec<SweepSpec>, &'static [u64]),
+    /// Custom code: seeded sweeps with their own columns, structural
+    /// audits and config ablations.
+    Custom(fn(&RunOpts) -> CustomOut),
 }
 
-/// Everything a [`Exec::Detailed`] scenario hands back to
+/// Everything an [`Exec::Custom`] scenario hands back to
 /// [`run_scenario`]: the rows plus the optional report blocks.
 #[derive(Default)]
 pub struct CustomOut {
     /// The measurements.
     pub rows: Vec<Row>,
-    /// Declarative workload block (e.g. the serialized fault plan).
+    /// Declarative workload block: the serialized [`FaultPlan`]
+    /// ([`fault_plan_json`]), so a committed `BENCH_<scenario>.json`
+    /// records exactly which faults produced its numbers.
     pub workload: Option<Json>,
     /// Deterministic sim-time metrics timeline.
     pub timeline: Option<Json>,
     /// Non-deterministic wall-clock engine profile.
     pub profile: Option<Json>,
+}
+
+impl From<Vec<Row>> for CustomOut {
+    fn from(rows: Vec<Row>) -> Self {
+        CustomOut {
+            rows,
+            ..CustomOut::default()
+        }
+    }
 }
 
 /// A registered experiment.
@@ -132,7 +148,7 @@ pub fn registry() -> Vec<ScenarioDef> {
             name: "seed",
             figure: "§6 baseline",
             summary: "HVDB vs all four baselines on the paper's 200-node 800x800 scenario",
-            exec: Exec::Sweeps(sweeps_seed),
+            exec: Exec::Sweeps(sweeps_seed, &[1, 2, 3]),
             gates: &[],
         },
         ScenarioDef {
@@ -146,14 +162,14 @@ pub fn registry() -> Vec<ScenarioDef> {
             name: "scale",
             figure: "north-star",
             summary: "node-count sweep 100-20000 at constant density: delivery, latency, per-node control bytes + memory; large-N points and the engine-threads arm run HVDB on the sharded parallel engine (CI trajectory gate)",
-            exec: Exec::Detailed(custom_scale),
+            exec: Exec::Custom(custom_scale),
             gates: SCALE_GATES,
         },
         ScenarioDef {
             name: "perf",
             figure: "north-star",
             summary: "parallel-engine wall-clock throughput at 1 vs N worker threads on one flooding workload (event-count equality + events/s speedup gates)",
-            exec: Exec::Detailed(custom_perf),
+            exec: Exec::Custom(custom_perf),
             gates: PERF_GATES,
         },
         ScenarioDef {
@@ -174,14 +190,14 @@ pub fn registry() -> Vec<ScenarioDef> {
             name: "partition",
             figure: "robustness",
             summary: "network split into two islands with later heal: reachable-delivery floor during the split, head-hierarchy re-merge time after it (CI fault-plane gate)",
-            exec: Exec::Detailed(custom_partition),
+            exec: Exec::Custom(custom_partition),
             gates: PARTITION_GATES,
         },
         ScenarioDef {
             name: "byzantine",
             figure: "robustness",
             summary: "misbehaving nodes (selective forwarding, stale replay, bogus CH candidacy) at k=0-4: delivery damage per adversarial node (CI fault-plane gate)",
-            exec: Exec::CustomWithPlan(custom_byzantine),
+            exec: Exec::Custom(custom_byzantine),
             gates: BYZANTINE_GATES,
         },
         ScenarioDef {
@@ -209,7 +225,7 @@ pub fn registry() -> Vec<ScenarioDef> {
             name: "c4-scalability",
             figure: "§1/§2.2 claim 4",
             summary: "control overhead vs network size, group count and group size (HVDB/SPBM/DSM)",
-            exec: Exec::Sweeps(sweeps_c4),
+            exec: Exec::Sweeps(sweeps_c4, &[5, 6]),
             gates: &[],
         },
         ScenarioDef {
@@ -244,14 +260,14 @@ pub fn registry() -> Vec<ScenarioDef> {
             name: "f5-membership",
             figure: "Fig. 5",
             summary: "summary-based membership update overhead vs size, groups and members",
-            exec: Exec::Sweeps(sweeps_f5),
+            exec: Exec::Sweeps(sweeps_f5, &[1, 2, 3]),
             gates: &[],
         },
         ScenarioDef {
             name: "f6-routing",
             figure: "Fig. 6",
             summary: "end-to-end multicast: all protocols across size and mobility",
-            exec: Exec::Sweeps(sweeps_f6),
+            exec: Exec::Sweeps(sweeps_f6, &[11, 12, 13]),
             gates: &[],
         },
         ScenarioDef {
@@ -369,23 +385,10 @@ pub fn find(name: &str) -> Option<ScenarioDef> {
 /// Executes a scenario and packages the report.
 pub fn run_scenario(def: &ScenarioDef, opts: &RunOpts) -> ScenarioReport {
     let out = match def.exec {
-        Exec::Sweeps(build) => CustomOut {
-            rows: run_sweeps(build(opts), opts),
-            ..CustomOut::default()
-        },
-        Exec::Custom(f) => CustomOut {
-            rows: f(opts),
-            ..CustomOut::default()
-        },
-        Exec::CustomWithPlan(f) => {
-            let (rows, workload) = f(opts);
-            CustomOut {
-                rows,
-                workload: Some(workload),
-                ..CustomOut::default()
-            }
+        Exec::Sweeps(specs, seeds) => {
+            run_sweeps(&specs(), &opts.seeds_or(seeds), opts.smoke).into()
         }
-        Exec::Detailed(f) => f(opts),
+        Exec::Custom(f) => f(opts),
     };
     ScenarioReport {
         scenario: def.name.into(),
@@ -400,67 +403,28 @@ pub fn run_scenario(def: &ScenarioDef, opts: &RunOpts) -> ScenarioReport {
     }
 }
 
-/// Runs declarative sweeps: flattens every `(spec, point, proto, seed)`
-/// into one job list, fans it out over rayon (each simulation stays
-/// single-threaded and deterministic), and averages per `(point, proto)`.
-fn run_sweeps(mut specs: Vec<SweepSpec>, opts: &RunOpts) -> Vec<Row> {
-    for spec in &mut specs {
-        if let Some(seeds) = &opts.seeds {
-            spec.seeds = seeds.clone();
-        }
-        if opts.smoke {
-            spec.points.truncate(2);
-            for (_, w) in &mut spec.points {
-                *w = w.smoke();
-            }
-            // Shrink the default seed set, but never silently discard an
-            // explicit --seeds list.
-            if opts.seeds.is_none() {
-                spec.seeds.truncate(1);
-            }
-        }
-    }
-    // Flatten into jobs; remember each result group's row coordinates.
-    struct Group {
-        spec: usize,
-        point: usize,
-        proto: Proto,
-        start: usize,
-        len: usize,
-    }
-    let mut jobs: Vec<(Workload, Proto)> = Vec::new();
-    let mut groups: Vec<Group> = Vec::new();
-    for (si, spec) in specs.iter().enumerate() {
-        for (pi, (_, w)) in spec.points.iter().enumerate() {
+/// Runs declarative sweeps: every `(spec, point, proto)` is one cell of
+/// [`per_cell`]'s fan-out over `seeds`, averaged into one row. A smoke run
+/// keeps the first two points of each spec, shrunk.
+fn run_sweeps(specs: &[SweepSpec], seeds: &[u64], smoke: bool) -> Vec<Row> {
+    let mut cells = Vec::new();
+    for spec in specs {
+        let points = if smoke { 2 } else { spec.points.len() };
+        for (label, w) in spec.points.iter().take(points) {
+            let w = if smoke { w.smoke() } else { w.clone() };
             for &proto in &spec.protos {
-                groups.push(Group {
-                    spec: si,
-                    point: pi,
-                    proto,
-                    start: jobs.len(),
-                    len: spec.seeds.len(),
-                });
-                for &seed in &spec.seeds {
-                    jobs.push((Workload { seed, ..w.clone() }, proto));
-                }
+                cells.push((spec.axis, label, w.clone(), proto));
             }
         }
     }
-    let results: Vec<RunMetrics> = jobs
-        .par_iter()
-        .map(|(w, proto)| run_one(*proto, &w.build()))
-        .collect();
-    groups
+    let runs = per_cell(&cells, seeds, |(_, _, w, proto), seed| {
+        run_one(*proto, &Workload { seed, ..w.clone() }.build())
+    });
+    cells
         .iter()
-        .map(|g| {
-            let spec = &specs[g.spec];
-            let m = average(&results[g.start..g.start + g.len]);
-            Row::new(
-                spec.axis,
-                spec.points[g.point].0.clone(),
-                g.proto.name(),
-                m.metric_pairs(),
-            )
+        .zip(runs)
+        .map(|((axis, label, _, proto), runs)| {
+            Row::new(*axis, *label, proto.name(), average(&runs).metric_pairs())
         })
         .collect()
 }
@@ -470,9 +434,10 @@ fn run_sweeps(mut specs: Vec<SweepSpec>, opts: &RunOpts) -> Vec<Row> {
 // ---------------------------------------------------------------------
 
 /// The paper's §6 evaluation scenario: 200 nodes on 800x800 m, 8x8 VCs,
-/// dimension 4 — the baseline every future optimisation is measured
-/// against.
-fn paper_workload() -> Workload {
+/// dimension 4, 250 m radio range — the baseline every future
+/// optimisation is measured against, and the geometry every scenario on
+/// the paper's area starts from.
+pub fn paper_workload() -> Workload {
     Workload {
         side: 800.0,
         nodes: 200,
@@ -483,12 +448,11 @@ fn paper_workload() -> Workload {
     }
 }
 
-fn sweeps_seed(_opts: &RunOpts) -> Vec<SweepSpec> {
+fn sweeps_seed() -> Vec<SweepSpec> {
     vec![SweepSpec {
         axis: "paper-scenario",
         points: vec![("200-nodes-800x800".into(), paper_workload())],
         protos: Proto::ALL.to_vec(),
-        seeds: vec![1, 2, 3],
     }]
 }
 
@@ -502,7 +466,7 @@ fn c4_base() -> Workload {
     }
 }
 
-fn sweeps_c4(_opts: &RunOpts) -> Vec<SweepSpec> {
+fn sweeps_c4() -> Vec<SweepSpec> {
     let size_point = |nodes: usize| {
         (
             format!("nodes={nodes}"),
@@ -519,7 +483,6 @@ fn sweeps_c4(_opts: &RunOpts) -> Vec<SweepSpec> {
             axis: "network-size",
             points: vec![size_point(250), size_point(500)],
             protos: vec![Proto::Hvdb, Proto::Spbm, Proto::Dsm],
-            seeds: vec![5, 6],
         },
         // DSM's N^2 location flood makes 1000-node runs prohibitively slow
         // to *simulate* (the overhead it would generate is the point), so
@@ -528,7 +491,6 @@ fn sweeps_c4(_opts: &RunOpts) -> Vec<SweepSpec> {
             axis: "network-size-large",
             points: vec![size_point(1000)],
             protos: vec![Proto::Hvdb, Proto::Spbm],
-            seeds: vec![5, 6],
         },
         SweepSpec {
             axis: "group-count",
@@ -546,7 +508,6 @@ fn sweeps_c4(_opts: &RunOpts) -> Vec<SweepSpec> {
                 })
                 .collect(),
             protos: vec![Proto::Hvdb, Proto::Spbm, Proto::Dsm],
-            seeds: vec![5, 6],
         },
         SweepSpec {
             axis: "members-per-group",
@@ -564,7 +525,6 @@ fn sweeps_c4(_opts: &RunOpts) -> Vec<SweepSpec> {
                 })
                 .collect(),
             protos: vec![Proto::Hvdb, Proto::Spbm, Proto::Dsm],
-            seeds: vec![5, 6],
         },
     ]
 }
@@ -579,7 +539,7 @@ fn membership_workload() -> Workload {
     }
 }
 
-fn sweeps_f5(_opts: &RunOpts) -> Vec<SweepSpec> {
+fn sweeps_f5() -> Vec<SweepSpec> {
     let protos = vec![Proto::Hvdb, Proto::Spbm, Proto::Dsm];
     vec![
         SweepSpec {
@@ -598,7 +558,6 @@ fn sweeps_f5(_opts: &RunOpts) -> Vec<SweepSpec> {
                 })
                 .collect(),
             protos: protos.clone(),
-            seeds: vec![1, 2, 3],
         },
         SweepSpec {
             axis: "group-count",
@@ -615,7 +574,6 @@ fn sweeps_f5(_opts: &RunOpts) -> Vec<SweepSpec> {
                 })
                 .collect(),
             protos: protos.clone(),
-            seeds: vec![1, 2, 3],
         },
         SweepSpec {
             axis: "members-per-group",
@@ -632,18 +590,16 @@ fn sweeps_f5(_opts: &RunOpts) -> Vec<SweepSpec> {
                 })
                 .collect(),
             protos,
-            seeds: vec![1, 2, 3],
         },
     ]
 }
 
-fn sweeps_f6(_opts: &RunOpts) -> Vec<SweepSpec> {
+fn sweeps_f6() -> Vec<SweepSpec> {
     vec![
         SweepSpec {
             axis: "default",
             points: vec![("300-nodes-static".into(), Workload::default())],
             protos: Proto::ALL.to_vec(),
-            seeds: vec![11, 12, 13],
         },
         SweepSpec {
             axis: "network-size",
@@ -661,7 +617,6 @@ fn sweeps_f6(_opts: &RunOpts) -> Vec<SweepSpec> {
                 })
                 .collect(),
             protos: Proto::ALL.to_vec(),
-            seeds: vec![11, 12, 13],
         },
         SweepSpec {
             axis: "mobility",
@@ -683,7 +638,6 @@ fn sweeps_f6(_opts: &RunOpts) -> Vec<SweepSpec> {
             })
             .collect(),
             protos: vec![Proto::Hvdb, Proto::Flooding, Proto::Spbm],
-            seeds: vec![11, 12, 13],
         },
     ]
 }
@@ -697,24 +651,19 @@ fn sweeps_f6(_opts: &RunOpts) -> Vec<SweepSpec> {
 /// scenario designed to regression-test robustness rather than raw
 /// throughput. CI gates on `delivery_worst` at the 15%, 25% and 30%
 /// points (the `loss` entry's [`ScenarioDef::gates`]).
-fn custom_loss(opts: &RunOpts) -> Vec<Row> {
+fn custom_loss(opts: &RunOpts) -> CustomOut {
     // The paper's §6 geometry at a density where the backbone is fully
     // occupied; small payload bursts so the measurement tracks the
     // control plane's health, not queueing.
     let base = Workload {
-        side: 800.0,
         nodes: 120,
-        vc_side: 8,
-        dim: 4,
-        range: 250.0,
-        groups: 2,
         members_per_group: 8,
         packets_per_group: 12,
         warmup: SimDuration::from_secs(100),
         traffic_window: SimDuration::from_secs(30),
         cooldown: SimDuration::from_secs(20),
         enhanced_fraction: 1.0,
-        ..Workload::default()
+        ..paper_workload()
     };
     let losses: Vec<f64> = if opts.smoke {
         vec![0.0, 0.15]
@@ -722,58 +671,51 @@ fn custom_loss(opts: &RunOpts) -> Vec<Row> {
         vec![0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
     };
     // Seed 7 was PR 1's known-worst draw; it stays in the set on purpose.
-    let mut seeds = opts.seeds.clone().unwrap_or_else(|| vec![1, 2, 3, 7]);
-    if opts.smoke && opts.seeds.is_none() {
-        seeds.truncate(1);
-    }
-    let jobs: Vec<(f64, u64)> = losses
+    let seeds = opts.seeds_or(&[1, 2, 3, 7]);
+    let runs = per_cell(&losses, &seeds, |&loss, seed| {
+        let w = Workload {
+            loss_prob: loss,
+            seed,
+            ..base.clone()
+        };
+        let w = if opts.smoke { w.smoke() } else { w };
+        let (m, detail) = run_one_instrumented(Proto::Hvdb, &w.build());
+        (m, detail.hvdb_counters)
+    });
+    let rows: Vec<Row> = losses
         .iter()
-        .flat_map(|&loss| seeds.iter().map(move |&seed| (loss, seed)))
-        .collect();
-    let results: Vec<(RunMetrics, hvdb_core::Counters)> = jobs
-        .par_iter()
-        .map(|&(loss, seed)| {
-            let w = Workload {
-                loss_prob: loss,
-                seed,
-                ..base.clone()
-            };
-            let w = if opts.smoke { w.smoke() } else { w };
-            let (m, detail) = run_one_instrumented(Proto::Hvdb, &w.build());
-            (m, detail.hvdb_counters.unwrap_or_default())
-        })
-        .collect();
-    losses
-        .iter()
-        .enumerate()
-        .map(|(i, &loss)| {
-            let chunk = &results[i * seeds.len()..(i + 1) * seeds.len()];
-            let mean = average(&chunk.iter().map(|(m, _)| *m).collect::<Vec<_>>());
-            let worst = chunk
-                .iter()
-                .map(|(m, _)| m.delivery)
-                .fold(f64::INFINITY, f64::min);
-            let sum = |f: &dyn Fn(&hvdb_core::Counters) -> u64| -> f64 {
-                chunk.iter().map(|(_, c)| f(c)).sum::<u64>() as f64 / chunk.len() as f64
-            };
-            let mut metrics = vec![
-                ("delivery".into(), mean.delivery),
-                ("delivery_worst".into(), worst),
-                ("latency_ms".into(), mean.latency * 1e3),
-                ("control_msgs".into(), mean.control_msgs as f64),
-                ("control_bytes".into(), mean.control_bytes as f64),
-            ];
-            metrics.push(("refresh_broadcasts".into(), sum(&|c| c.refresh_broadcasts)));
-            metrics.push(("stale_suppressed".into(), sum(&|c| c.stale_suppressed)));
-            metrics.push(("soft_expired".into(), sum(&|c| c.soft_expired)));
+        .zip(&runs)
+        .map(|(loss, runs)| {
+            // `average` truncates the count means, as the committed file
+            // carries them.
+            let m = average(&runs.iter().map(|(m, _)| *m).collect::<Vec<_>>());
             Row::new(
                 "frame-loss",
                 format!("loss={loss}"),
                 Proto::Hvdb.name(),
-                metrics,
+                vec![
+                    ("delivery".into(), m.delivery),
+                    ("delivery_worst".into(), min_of(runs, |(m, _)| m.delivery)),
+                    ("latency_ms".into(), m.latency * 1e3),
+                    ("control_msgs".into(), m.control_msgs as f64),
+                    ("control_bytes".into(), m.control_bytes as f64),
+                    (
+                        "refresh_broadcasts".into(),
+                        mean(runs, |(_, c)| c.refresh_broadcasts as f64),
+                    ),
+                    (
+                        "stale_suppressed".into(),
+                        mean(runs, |(_, c)| c.stale_suppressed as f64),
+                    ),
+                    (
+                        "soft_expired".into(),
+                        mean(runs, |(_, c)| c.soft_expired as f64),
+                    ),
+                ],
             )
         })
-        .collect()
+        .collect();
+    rows.into()
 }
 
 /// Serializes a [`FaultPlan`] as the report's `workload` block: an
@@ -922,177 +864,159 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
             )
         };
     let base = Workload {
-        side: 800.0,
         nodes,
-        vc_side: 8,
-        dim: 4,
-        range: 250.0,
-        groups: 2,
-        members_per_group: 10,
         packets_per_group: packets,
         warmup,
         traffic_window: window,
         cooldown,
         enhanced_fraction: 1.0,
-        ..Workload::default()
+        ..paper_workload()
     };
     let split_at = SimTime(warmup.0 + split_off.0);
     let heal_at = SimTime(warmup.0 + heal_off.0);
-    let mut seeds = opts.seeds.clone().unwrap_or_else(|| vec![1, 2, 3]);
-    if opts.smoke && opts.seeds.is_none() {
-        seeds.truncate(1);
-    }
+    let seeds = opts.seeds_or(&[1, 2, 3]);
     let boundary = base.side / 2.0;
     let first_seed = seeds[0];
-    let runs: Vec<(PartitionRun, FaultPlan, Vec<TimelineSample>)> = seeds
-        .par_iter()
-        .map(|&seed| {
-            let w = Workload {
-                seed,
-                ..base.clone()
-            };
-            let scenario = w.build();
-            let mut sim: Simulator<FrameBytes> =
-                Simulator::new(scenario.sim.clone(), scenario.hvdb_mobility());
-            // Geographic west/east islands from the seed's actual (static)
-            // placement: the boundary falls on a VC-grid edge, so each
-            // island keeps whole virtual cells and an intact half of the
-            // backbone — only cross-boundary links go silent.
-            let west: Vec<NodeId> = (0..nodes)
-                .map(|i| NodeId(i as u32))
-                .filter(|&n| sim.world().position(n).x < boundary)
-                .collect();
-            let east: Vec<NodeId> = (0..nodes)
-                .map(|i| NodeId(i as u32))
-                .filter(|&n| sim.world().position(n).x >= boundary)
-                .collect();
-            let plan = FaultPlan::new()
-                .partition(split_at, vec![west.clone(), east])
-                .heal(heal_at);
-            sim.inject_plan(&plan);
-            let mut proto = HvdbProtocol::new(
-                scenario.hvdb.clone(),
-                &scenario.members,
-                scenario.traffic.clone(),
-                scenario.group_events.clone(),
-            );
-            // One stepped drive at the probe cadence from t=0 to the end:
-            // every phase constant is a probe multiple by construction, so
-            // the stepped horizons hit `split_at`/`heal_at` exactly and the
-            // event schedule (hence every statistic) is identical to a
-            // single continuous run. Each step doubles as a timeline sample
-            // point (recorded for the first seed) and, after the heal, as a
-            // census probe: the re-merge instant is the first probe where
-            // the head count falls back to the pre-split level (+10%
-            // tolerance — soft state may settle one or two heads off). No
-            // return within the horizon reports the full horizon, which
-            // the re-merge budget gate then fails.
-            let sample_timeline = seed == first_seed;
-            let mut samples = Vec::new();
-            let mut heads_pre = 0usize;
-            let mut heads_during = 0usize;
-            let mut remerge = None;
-            let mut t = SimTime::ZERO;
-            while t < scenario.until {
-                t = SimTime((t.0 + probe.0).min(scenario.until.0));
-                sim.run(&mut proto, t);
-                let heads = proto.cluster_heads().len();
-                if t == split_at {
-                    heads_pre = heads;
-                }
-                if t == heal_at {
-                    heads_during = heads;
-                }
-                if remerge.is_none() && t > heal_at && heads <= heads_pre + heads_pre / 10 {
-                    remerge = Some((t.0 - heal_at.0) as f64 / 1e6);
-                }
-                if sample_timeline {
-                    let mem = (sim.world().memory_bytes() + proto.memory_bytes()) as f64
-                        / nodes.max(1) as f64;
-                    samples.push(sample_serial(&sim, heads as u64, mem));
-                }
+    let runs = per_cell(&[()], &seeds, |_, seed| {
+        let w = Workload {
+            seed,
+            ..base.clone()
+        };
+        let scenario = w.build();
+        // The scenario's own plan is empty; the split plan below is
+        // injected after it.
+        let (mut sim, mut proto) = hvdb_sim(&scenario);
+        // Geographic west/east islands from the seed's actual (static)
+        // placement: the boundary falls on a VC-grid edge, so each
+        // island keeps whole virtual cells and an intact half of the
+        // backbone — only cross-boundary links go silent.
+        let west: Vec<NodeId> = (0..nodes)
+            .map(|i| NodeId(i as u32))
+            .filter(|&n| sim.world().position(n).x < boundary)
+            .collect();
+        let east: Vec<NodeId> = (0..nodes)
+            .map(|i| NodeId(i as u32))
+            .filter(|&n| sim.world().position(n).x >= boundary)
+            .collect();
+        let plan = FaultPlan::new()
+            .partition(split_at, vec![west.clone(), east])
+            .heal(heal_at);
+        sim.inject_plan(&plan);
+        // One stepped drive at the probe cadence from t=0 to the end:
+        // every phase constant is a probe multiple by construction, so
+        // the stepped horizons hit `split_at`/`heal_at` exactly and the
+        // event schedule (hence every statistic) is identical to a
+        // single continuous run. Each step doubles as a timeline sample
+        // point (recorded for the first seed) and, after the heal, as a
+        // census probe: the re-merge instant is the first probe where
+        // the head count falls back to the pre-split level (+10%
+        // tolerance — soft state may settle one or two heads off). No
+        // return within the horizon reports the full horizon, which
+        // the re-merge budget gate then fails.
+        let sample_timeline = seed == first_seed;
+        let mut samples = Vec::new();
+        let mut heads_pre = 0usize;
+        let mut heads_during = 0usize;
+        let mut remerge = None;
+        let mut t = SimTime::ZERO;
+        while t < scenario.until {
+            t = SimTime((t.0 + probe.0).min(scenario.until.0));
+            sim.run(&mut proto, t);
+            let heads = proto.cluster_heads().len();
+            if t == split_at {
+                heads_pre = heads;
             }
-            let remerge_secs = remerge.unwrap_or((scenario.until.0 - heal_at.0) as f64 / 1e6);
-            // Attribute each traffic item's deliveries to its phase.
-            // Membership is static here (no churn), so ground truth is
-            // the scripted initial membership.
-            let in_west: Vec<bool> = (0..nodes)
-                .map(|i| west.contains(&NodeId(i as u32)))
+            if t == heal_at {
+                heads_during = heads;
+            }
+            if remerge.is_none() && t > heal_at && heads <= heads_pre + heads_pre / 10 {
+                remerge = Some((t.0 - heal_at.0) as f64 / 1e6);
+            }
+            if sample_timeline {
+                let mem = (sim.world().memory_bytes() + proto.memory_bytes()) as f64
+                    / nodes.max(1) as f64;
+                samples.push(sample_serial(&sim, heads as u64, mem));
+            }
+        }
+        let remerge_secs = remerge.unwrap_or((scenario.until.0 - heal_at.0) as f64 / 1e6);
+        // Attribute each traffic item's deliveries to its phase.
+        // Membership is static here (no churn), so ground truth is
+        // the scripted initial membership.
+        let in_west: Vec<bool> = (0..nodes)
+            .map(|i| west.contains(&NodeId(i as u32)))
+            .collect();
+        let same_island = |a: NodeId, b: NodeId| in_west[a.0 as usize] == in_west[b.0 as usize];
+        let mut sums = [(0u64, 0u64); 3]; // (delivered, expected) per phase
+        let mut reach = (0u64, 0u64);
+        let mut reach_steady = (0u64, 0u64);
+        let steady_from = SimTime(split_at.0 + settle.0);
+        for (idx, item) in scenario.traffic.iter().enumerate() {
+            let delivered = sim.stats().receivers_of(idx as u64 + 1);
+            let expected: Vec<NodeId> = scenario
+                .members
+                .iter()
+                .filter(|(n, g)| *g == item.group && *n != item.src)
+                .map(|(n, _)| *n)
                 .collect();
-            let same_island = |a: NodeId, b: NodeId| in_west[a.0 as usize] == in_west[b.0 as usize];
-            let mut sums = [(0u64, 0u64); 3]; // (delivered, expected) per phase
-            let mut reach = (0u64, 0u64);
-            let mut reach_steady = (0u64, 0u64);
-            let steady_from = SimTime(split_at.0 + settle.0);
-            for (idx, item) in scenario.traffic.iter().enumerate() {
-                let delivered = sim.stats().receivers_of(idx as u64 + 1);
-                let expected: Vec<NodeId> = scenario
-                    .members
+            let phase = if item.at < split_at {
+                0
+            } else if item.at < heal_at {
+                1
+            } else {
+                2
+            };
+            let got = expected.iter().filter(|n| delivered.contains(n)).count() as u64;
+            sums[phase].0 += got;
+            sums[phase].1 += expected.len() as u64;
+            if phase == 1 {
+                let reachable: Vec<NodeId> = expected
                     .iter()
-                    .filter(|(n, g)| *g == item.group && *n != item.src)
-                    .map(|(n, _)| *n)
+                    .copied()
+                    .filter(|n| same_island(*n, item.src))
                     .collect();
-                let phase = if item.at < split_at {
-                    0
-                } else if item.at < heal_at {
-                    1
-                } else {
-                    2
-                };
-                let got = expected.iter().filter(|n| delivered.contains(n)).count() as u64;
-                sums[phase].0 += got;
-                sums[phase].1 += expected.len() as u64;
-                if phase == 1 {
-                    let reachable: Vec<NodeId> = expected
-                        .iter()
-                        .copied()
-                        .filter(|n| same_island(*n, item.src))
-                        .collect();
-                    let got = reachable.iter().filter(|n| delivered.contains(n)).count() as u64;
-                    reach.1 += reachable.len() as u64;
-                    reach.0 += got;
-                    if item.at >= steady_from {
-                        reach_steady.1 += reachable.len() as u64;
-                        reach_steady.0 += got;
-                    }
+                let got = reachable.iter().filter(|n| delivered.contains(n)).count() as u64;
+                reach.1 += reachable.len() as u64;
+                reach.0 += got;
+                if item.at >= steady_from {
+                    reach_steady.1 += reachable.len() as u64;
+                    reach_steady.0 += got;
                 }
             }
-            let ratio = |(d, e): (u64, u64)| if e == 0 { 1.0 } else { d as f64 / e as f64 };
-            let run = PartitionRun {
-                heads_pre: heads_pre as f64,
-                heads_during: heads_during as f64,
-                heads_end: proto.cluster_heads().len() as f64,
-                pre_delivery: ratio(sums[0]),
-                part_delivery: ratio(sums[1]),
-                part_reachable: ratio(reach),
-                part_reachable_steady: ratio(reach_steady),
-                healed_delivery: ratio(sums[2]),
-                drops_partitioned: sim.stats().drops_partitioned as f64,
-                remerge_secs,
-            };
-            (run, plan, samples)
-        })
-        .collect();
+        }
+        let ratio = |(d, e): (u64, u64)| if e == 0 { 1.0 } else { d as f64 / e as f64 };
+        let run = PartitionRun {
+            heads_pre: heads_pre as f64,
+            heads_during: heads_during as f64,
+            heads_end: proto.cluster_heads().len() as f64,
+            pre_delivery: ratio(sums[0]),
+            part_delivery: ratio(sums[1]),
+            part_reachable: ratio(reach),
+            part_reachable_steady: ratio(reach_steady),
+            healed_delivery: ratio(sums[2]),
+            drops_partitioned: sim.stats().drops_partitioned as f64,
+            remerge_secs,
+        };
+        (run, plan, samples)
+    })
+    .remove(0);
     // The workload block records the first seed's plan (islands are
     // placement-derived, so the exact rosters vary per seed); the
     // timeline likewise carries the first seed's sample series.
     let plan = runs[0].1.clone();
     let samples = runs[0].2.clone();
     let runs: Vec<PartitionRun> = runs.into_iter().map(|(r, _, _)| r).collect();
-    let n = runs.len().max(1) as f64;
-    let mean = |f: &dyn Fn(&PartitionRun) -> f64| runs.iter().map(f).sum::<f64>() / n;
-    let worst_min =
-        |f: &dyn Fn(&PartitionRun) -> f64| runs.iter().map(f).fold(f64::INFINITY, f64::min);
-    let worst_max =
-        |f: &dyn Fn(&PartitionRun) -> f64| runs.iter().map(f).fold(f64::NEG_INFINITY, f64::max);
+    let remerge_worst = runs
+        .iter()
+        .map(|r| r.remerge_secs)
+        .fold(f64::NEG_INFINITY, f64::max);
     let rows = vec![
         Row::new(
             "partition",
             "phase=pre",
             Proto::Hvdb.name(),
             vec![
-                ("heads".into(), mean(&|r| r.heads_pre)),
-                ("delivery".into(), mean(&|r| r.pre_delivery)),
+                ("heads".into(), mean(&runs, |r| r.heads_pre)),
+                ("delivery".into(), mean(&runs, |r| r.pre_delivery)),
             ],
         ),
         Row::new(
@@ -1100,18 +1024,24 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
             "phase=partition",
             Proto::Hvdb.name(),
             vec![
-                ("heads".into(), mean(&|r| r.heads_during)),
-                ("delivery".into(), mean(&|r| r.part_delivery)),
-                ("delivery_reachable".into(), mean(&|r| r.part_reachable)),
+                ("heads".into(), mean(&runs, |r| r.heads_during)),
+                ("delivery".into(), mean(&runs, |r| r.part_delivery)),
+                (
+                    "delivery_reachable".into(),
+                    mean(&runs, |r| r.part_reachable),
+                ),
                 (
                     "delivery_reachable_steady".into(),
-                    mean(&|r| r.part_reachable_steady),
+                    mean(&runs, |r| r.part_reachable_steady),
                 ),
                 (
                     "delivery_reachable_steady_worst".into(),
-                    worst_min(&|r| r.part_reachable_steady),
+                    min_of(&runs, |r| r.part_reachable_steady),
                 ),
-                ("drops_partitioned".into(), mean(&|r| r.drops_partitioned)),
+                (
+                    "drops_partitioned".into(),
+                    mean(&runs, |r| r.drops_partitioned),
+                ),
             ],
         ),
         Row::new(
@@ -1119,10 +1049,10 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
             "phase=healed",
             Proto::Hvdb.name(),
             vec![
-                ("heads".into(), mean(&|r| r.heads_end)),
-                ("delivery".into(), mean(&|r| r.healed_delivery)),
-                ("remerge_secs".into(), mean(&|r| r.remerge_secs)),
-                ("remerge_secs_worst".into(), worst_max(&|r| r.remerge_secs)),
+                ("heads".into(), mean(&runs, |r| r.heads_end)),
+                ("delivery".into(), mean(&runs, |r| r.healed_delivery)),
+                ("remerge_secs".into(), mean(&runs, |r| r.remerge_secs)),
+                ("remerge_secs_worst".into(), remerge_worst),
             ],
         ),
     ];
@@ -1157,21 +1087,12 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
 /// over the seed set; the headline column is `damage_per_node` — mean
 /// delivery lost per adversarial node relative to the k=0 control —
 /// gated by the `byzantine` entry's [`ScenarioDef::gates`].
-fn custom_byzantine(opts: &RunOpts) -> (Vec<Row>, Json) {
+fn custom_byzantine(opts: &RunOpts) -> CustomOut {
     let base = Workload {
-        side: 800.0,
-        nodes: 200,
-        vc_side: 8,
-        dim: 4,
-        range: 250.0,
-        groups: 2,
-        members_per_group: 10,
         packets_per_group: 30,
-        warmup: SimDuration::from_secs(120),
         traffic_window: SimDuration::from_secs(60),
-        cooldown: SimDuration::from_secs(40),
         enhanced_fraction: 1.0,
-        ..Workload::default()
+        ..paper_workload()
     };
     let base = if opts.smoke { base.smoke() } else { base };
     let onset = SimTime(base.warmup.0 / 2);
@@ -1195,95 +1116,53 @@ fn custom_byzantine(opts: &RunOpts) -> (Vec<Row>, Json) {
     } else {
         vec![0, 1, 2, 4]
     };
-    let mut seeds = opts.seeds.clone().unwrap_or_else(|| vec![1, 2, 3]);
-    if opts.smoke && opts.seeds.is_none() {
-        seeds.truncate(1);
-    }
-    let jobs: Vec<(usize, u64)> = ks
-        .iter()
-        .flat_map(|&k| seeds.iter().map(move |&seed| (k, seed)))
-        .collect();
-    let results: Vec<(RunMetrics, RunDetail)> = jobs
-        .par_iter()
-        .map(|&(k, seed)| {
-            let w = Workload {
-                seed,
-                faults: plan_for(k),
-                ..base.clone()
-            };
-            run_one_instrumented(Proto::Hvdb, &w.build())
-        })
-        .collect();
-    let per_k: Vec<(f64, f64)> = ks
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let chunk = &results[i * seeds.len()..(i + 1) * seeds.len()];
-            let mean = chunk.iter().map(|(m, _)| m.delivery).sum::<f64>() / chunk.len() as f64;
-            let worst = chunk
-                .iter()
-                .map(|(m, _)| m.delivery)
-                .fold(f64::INFINITY, f64::min);
-            (mean, worst)
-        })
-        .collect();
-    let d0 = per_k[0].0;
+    let seeds = opts.seeds_or(&[1, 2, 3]);
+    let runs = per_cell(&ks, &seeds, |&k, seed| {
+        let w = Workload {
+            seed,
+            faults: plan_for(k),
+            ..base.clone()
+        };
+        run_one_instrumented(Proto::Hvdb, &w.build())
+    });
+    let d0 = mean(&runs[0], |(m, _)| m.delivery);
     let rows = ks
         .iter()
-        .enumerate()
-        .map(|(i, &k)| {
-            let chunk = &results[i * seeds.len()..(i + 1) * seeds.len()];
-            let (mean, worst) = per_k[i];
-            let det = |f: &dyn Fn(&RunDetail) -> u64| -> f64 {
-                chunk.iter().map(|(_, d)| f(d)).sum::<u64>() as f64 / chunk.len() as f64
-            };
-            let stale = chunk
-                .iter()
-                .map(|(_, d)| d.hvdb_counters.as_ref().map_or(0, |c| c.stale_suppressed))
-                .sum::<u64>() as f64
-                / chunk.len() as f64;
-            let damage = if k == 0 { 0.0 } else { (d0 - mean) / k as f64 };
+        .zip(&runs)
+        .map(|(&k, runs)| {
+            let dk = mean(runs, |(m, _)| m.delivery);
+            let damage = if k == 0 { 0.0 } else { (d0 - dk) / k as f64 };
             Row::new(
                 "byzantine",
                 format!("byz={k}"),
                 Proto::Hvdb.name(),
                 vec![
-                    ("delivery".into(), mean),
-                    ("delivery_worst".into(), worst),
+                    ("delivery".into(), dk),
+                    ("delivery_worst".into(), min_of(runs, |(m, _)| m.delivery)),
                     ("damage_per_node".into(), damage),
-                    ("byzantine_dropped".into(), det(&|d| d.byzantine_dropped)),
-                    ("byzantine_replayed".into(), det(&|d| d.byzantine_replayed)),
-                    ("stale_suppressed".into(), stale),
+                    (
+                        "byzantine_dropped".into(),
+                        mean(runs, |(_, d)| d.byzantine_dropped as f64),
+                    ),
+                    (
+                        "byzantine_replayed".into(),
+                        mean(runs, |(_, d)| d.byzantine_replayed as f64),
+                    ),
+                    (
+                        "stale_suppressed".into(),
+                        mean(runs, |(_, d)| d.hvdb_counters.stale_suppressed as f64),
+                    ),
                 ],
             )
         })
         .collect();
-    (
+    CustomOut {
         rows,
-        fault_plan_json(&plan_for(*ks.last().expect("ks non-empty"))),
-    )
-}
-
-/// One detailed HVDB run's results: uniform metrics, protocol
-/// counters, refresh-plane frames, simulated seconds, node count.
-type DetailedRun = (RunMetrics, hvdb_core::Counters, u64, f64, usize);
-
-/// One fully instrumented HVDB run: uniform metrics, protocol counters,
-/// and the refresh-plane frame count (refresh-originated floods including
-/// their relays — the traffic the adaptive controller saves). `tweak`
-/// edits the derived config before the run (e.g. disabling the adaptive
-/// controller for the fixed-rate comparison rows); the simulation itself
-/// goes through the runner's one canonical HVDB recipe.
-fn run_hvdb_detailed(
-    scenario: &Scenario,
-    tweak: &dyn Fn(&mut HvdbConfig),
-) -> (RunMetrics, hvdb_core::Counters, u64) {
-    let (metrics, detail) = run_hvdb_tweaked(scenario, tweak);
-    (
-        metrics,
-        detail.hvdb_counters.unwrap_or_default(),
-        detail.refresh_frames,
-    )
+        workload: Some(fault_plan_json(&plan_for(
+            *ks.last().expect("ks non-empty"),
+        ))),
+        ..CustomOut::default()
+    }
 }
 
 /// VC grid side for a constant-density node sweep: the deployment area
@@ -1322,51 +1201,44 @@ type ScaleRun = (RunMetrics, RunDetail, f64, usize);
 /// Aggregates one node-count's runs into a `scale` report row. All rows
 /// — serial, parallel large-N, and engine-threads — share this column
 /// set, so the trajectory gate applies uniformly.
-fn scale_row(sweep: &str, label: String, proto: &str, chunk: &[ScaleRun]) -> Row {
-    let mean = average(&chunk.iter().map(|(m, ..)| *m).collect::<Vec<_>>());
-    let worst = chunk
-        .iter()
-        .map(|(m, ..)| m.delivery)
-        .fold(f64::INFINITY, f64::min);
-    let per_run =
-        |f: &dyn Fn(&ScaleRun) -> f64| chunk.iter().map(f).sum::<f64>() / chunk.len() as f64;
+fn scale_row(sweep: &str, label: String, proto: &str, runs: &[ScaleRun]) -> Row {
     Row::new(
         sweep,
         label,
         proto,
         vec![
-            ("delivery".into(), mean.delivery),
-            ("delivery_worst".into(), worst),
-            ("latency_ms".into(), mean.latency * 1e3),
+            ("delivery".into(), mean(runs, |(m, ..)| m.delivery)),
+            ("delivery_worst".into(), min_of(runs, |(m, ..)| m.delivery)),
+            ("latency_ms".into(), mean(runs, |(m, ..)| m.latency) * 1e3),
             (
                 "control_frames_per_s".into(),
-                per_run(&|(m, _, secs, _)| m.control_msgs as f64 / secs),
+                mean(runs, |(m, _, secs, _)| m.control_msgs as f64 / secs),
             ),
             (
                 "control_bytes_per_node".into(),
-                per_run(&|(m, _, _, n)| m.control_bytes as f64 / *n as f64),
+                mean(runs, |(m, _, _, n)| m.control_bytes as f64 / *n as f64),
             ),
             (
                 "refresh_frames_per_s".into(),
-                per_run(&|(_, d, secs, _)| d.refresh_frames as f64 / secs),
+                mean(runs, |(_, d, secs, _)| d.refresh_frames as f64 / secs),
             ),
             (
                 "refresh_suppressed".into(),
-                per_run(&|(_, d, ..)| {
-                    d.hvdb_counters.unwrap_or_default().refresh_suppressed as f64
-                }),
+                mean(runs, |(_, d, ..)| d.hvdb_counters.refresh_suppressed as f64),
             ),
             (
                 "memory_per_node_bytes".into(),
-                per_run(&|(_, d, ..)| d.memory_per_node_bytes),
+                mean(runs, |(_, d, ..)| d.memory_per_node_bytes),
             ),
             (
                 "events_per_sec".into(),
-                per_run(&|(_, d, ..)| d.events_processed as f64 / d.wall_secs.max(1e-9)),
+                mean(runs, |(_, d, ..)| {
+                    d.events_processed as f64 / d.wall_secs.max(1e-9)
+                }),
             ),
             (
                 "events_processed".into(),
-                per_run(&|(_, d, ..)| d.events_processed as f64),
+                mean(runs, |(_, d, ..)| d.events_processed as f64),
             ),
         ],
     )
@@ -1409,10 +1281,7 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
     } else {
         vec![5000, 10000, 20000, 50000, 100000]
     };
-    let mut seeds = opts.seeds.clone().unwrap_or_else(|| vec![1, 2]);
-    if opts.smoke && opts.seeds.is_none() {
-        seeds.truncate(1);
-    }
+    let seeds = opts.seeds_or(&[1, 2]);
     // vc_side is set per point by `scaled_vc_side` below.
     let base = Workload {
         dim: 4,
@@ -1447,29 +1316,21 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
     let multi = if opts.threads > 1 { opts.threads } else { 4 };
 
     // Serial trajectory points, (node count × seed) in parallel via rayon.
-    let jobs: Vec<(usize, u64)> = node_counts
-        .iter()
-        .flat_map(|&n| seeds.iter().map(move |&s| (n, s)))
-        .collect();
-    let results: Vec<ScaleRun> = jobs
-        .par_iter()
-        .map(|&(nodes, seed)| {
-            let scenario = scale_workload(nodes, seed, 1);
-            let secs = scenario.until.since(SimTime::ZERO).as_secs_f64();
-            let (m, detail) = run_hvdb_tweaked(&scenario, &|_| {});
-            (m, detail, secs, nodes)
-        })
-        .collect();
+    let runs = per_cell(&node_counts, &seeds, |&nodes, seed| {
+        let scenario = scale_workload(nodes, seed, 1);
+        let secs = scenario.until.since(SimTime::ZERO).as_secs_f64();
+        let (m, detail) = run_one_instrumented(Proto::Hvdb, &scenario);
+        (m, detail, secs, nodes)
+    });
     let mut rows: Vec<Row> = node_counts
         .iter()
-        .enumerate()
-        .map(|(i, &nodes)| {
-            let chunk = &results[i * seeds.len()..(i + 1) * seeds.len()];
+        .zip(&runs)
+        .map(|(nodes, runs)| {
             scale_row(
                 "network-size",
                 format!("nodes={nodes}"),
                 Proto::Hvdb.name(),
-                chunk,
+                runs,
             )
         })
         .collect();
@@ -1483,12 +1344,11 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
         let scenario = scale_workload(nodes, seeds[0], multi);
         let secs = scenario.until.since(SimTime::ZERO).as_secs_f64();
         let (m, detail) = run_par_hvdb(&scenario, PAR_SHARDS);
-        let chunk = [(m, detail, secs, nodes)];
         rows.push(scale_row(
             "network-size",
             format!("nodes={nodes}"),
             "hvdb-par",
-            &chunk,
+            &[(m, detail, secs, nodes)],
         ));
     }
 
@@ -1504,6 +1364,8 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
     const TIMELINE_STEPS: u64 = 16;
     let mut timeline = None;
     let mut profile = None;
+    // Sequential on purpose: these rows time the engine, and parallel seeds
+    // would time each other.
     for &threads in &[1usize, multi] {
         let runs: Vec<ScaleRun> = seeds
             .iter()
@@ -1559,10 +1421,7 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
 /// multi-thread row's first seed also contributes the report's
 /// non-deterministic `profile` block.
 fn custom_perf(opts: &RunOpts) -> CustomOut {
-    let mut seeds = opts.seeds.clone().unwrap_or_else(|| vec![1, 2]);
-    if opts.smoke && opts.seeds.is_none() {
-        seeds.truncate(1);
-    }
+    let seeds = opts.seeds_or(&[1, 2]);
     // vc_side is set by `scaled_vc_side` below.
     let full = Workload {
         dim: 4,
@@ -1593,6 +1452,8 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
     let multi = if opts.threads > 1 { opts.threads } else { 4 };
     let mut rows = Vec::new();
     let mut profile = None;
+    // Sequential on purpose, like `scale`'s engine-threads arm: parallel
+    // seeds would time each other.
     for &threads in &[1usize, multi] {
         let mut events = 0u64;
         let mut wall = 0.0f64;
@@ -1649,96 +1510,74 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
 /// (`churn=0`) is the gated point: adaptive refresh-plane frames/s must
 /// be at most half the fixed-rate baseline's ([`ScenarioDef::gates`]),
 /// converting the ROADMAP's c4 overhead delta into an enforced number.
-fn custom_overhead(opts: &RunOpts) -> Vec<Row> {
+fn custom_overhead(opts: &RunOpts) -> CustomOut {
     let base = Workload {
-        side: 800.0,
         nodes: 120,
-        vc_side: 8,
-        dim: 4,
-        range: 250.0,
         loss_prob: 0.10,
-        groups: 2,
         members_per_group: 8,
         packets_per_group: 6,
         warmup: SimDuration::from_secs(100),
         traffic_window: SimDuration::from_secs(30),
         cooldown: SimDuration::from_secs(20),
         enhanced_fraction: 1.0,
-        ..Workload::default()
+        ..paper_workload()
     };
     let churns: Vec<usize> = if opts.smoke {
         vec![0, 3]
     } else {
         vec![0, 12, 40]
     };
-    let mut seeds = opts.seeds.clone().unwrap_or_else(|| vec![1, 2, 3]);
-    if opts.smoke && opts.seeds.is_none() {
-        seeds.truncate(1);
-    }
+    let seeds = opts.seeds_or(&[1, 2, 3]);
     const VARIANTS: [(&str, bool); 2] = [("hvdb-adaptive", true), ("hvdb-fixed", false)];
-    let mut jobs: Vec<(usize, bool, u64)> = Vec::new();
-    for &churn in &churns {
-        for &(_, adaptive) in &VARIANTS {
-            for &seed in &seeds {
-                jobs.push((churn, adaptive, seed));
-            }
-        }
-    }
-    let results: Vec<DetailedRun> = jobs
-        .par_iter()
-        .map(|&(churn, adaptive, seed)| {
-            let w = Workload {
-                churn_events: churn,
-                seed,
-                ..base.clone()
-            };
-            let w = if opts.smoke { w.smoke() } else { w };
-            let scenario = w.build();
-            let secs = scenario.until.since(SimTime::ZERO).as_secs_f64();
-            let (m, c, refresh) =
-                run_hvdb_detailed(&scenario, &|cfg| cfg.adaptive_refresh = adaptive);
-            (m, c, refresh, secs, w.nodes)
-        })
+    let cells: Vec<(usize, &str, bool)> = churns
+        .iter()
+        .flat_map(|&churn| VARIANTS.map(|(proto, adaptive)| (churn, proto, adaptive)))
         .collect();
-    let mut rows = Vec::new();
-    let mut chunk_start = 0;
-    for &churn in &churns {
-        for &(proto, _) in &VARIANTS {
-            let chunk = &results[chunk_start..chunk_start + seeds.len()];
-            chunk_start += seeds.len();
-            let mean = average(&chunk.iter().map(|(m, ..)| *m).collect::<Vec<_>>());
-            let per_run = |f: &dyn Fn(&DetailedRun) -> f64| {
-                chunk.iter().map(f).sum::<f64>() / chunk.len() as f64
-            };
-            rows.push(Row::new(
+    let runs = per_cell(&cells, &seeds, |&(churn, _, adaptive), seed| {
+        let w = Workload {
+            churn_events: churn,
+            seed,
+            ..base.clone()
+        };
+        let w = if opts.smoke { w.smoke() } else { w };
+        let scenario = w.build();
+        let secs = scenario.until.since(SimTime::ZERO).as_secs_f64();
+        let (m, detail) = run_hvdb_tweaked(&scenario, &|cfg| cfg.adaptive_refresh = adaptive);
+        (m, detail, secs, w.nodes)
+    });
+    let rows: Vec<Row> = cells
+        .iter()
+        .zip(&runs)
+        .map(|(&(churn, proto, _), runs)| {
+            Row::new(
                 "churn",
                 format!("churn={churn}"),
                 proto,
                 vec![
-                    ("delivery".into(), mean.delivery),
+                    ("delivery".into(), mean(runs, |(m, ..)| m.delivery)),
                     (
                         "control_frames_per_s".into(),
-                        per_run(&|(m, _, _, secs, _)| m.control_msgs as f64 / secs),
+                        mean(runs, |(m, _, secs, _)| m.control_msgs as f64 / secs),
                     ),
                     (
                         "control_bytes_per_node".into(),
-                        per_run(&|(m, _, _, _, n)| m.control_bytes as f64 / *n as f64),
+                        mean(runs, |(m, _, _, n)| m.control_bytes as f64 / *n as f64),
                     ),
                     (
                         "refresh_frames_per_s".into(),
-                        per_run(&|(_, _, r, secs, _)| *r as f64 / secs),
+                        mean(runs, |(_, d, secs, _)| d.refresh_frames as f64 / secs),
                     ),
                     (
                         "refresh_suppressed".into(),
-                        per_run(&|(_, c, ..)| c.refresh_suppressed as f64),
+                        mean(runs, |(_, d, ..)| d.hvdb_counters.refresh_suppressed as f64),
                     ),
                     (
                         "stale_suppressed".into(),
-                        per_run(&|(_, c, ..)| c.stale_suppressed as f64),
+                        mean(runs, |(_, d, ..)| d.hvdb_counters.stale_suppressed as f64),
                     ),
                     (
                         "stamp_hints_sent".into(),
-                        per_run(&|(_, c, ..)| c.stamp_hints_sent as f64),
+                        mean(runs, |(_, d, ..)| d.hvdb_counters.stamp_hints_sent as f64),
                     ),
                     // The PR-4 residual made visible: region-cube builds
                     // served from the per-head cache vs actually
@@ -1746,17 +1585,17 @@ fn custom_overhead(opts: &RunOpts) -> Vec<Row> {
                     // designation check is a hit.
                     (
                         "cube_cache_hits".into(),
-                        per_run(&|(_, c, ..)| c.cube_cache_hits as f64),
+                        mean(runs, |(_, d, ..)| d.hvdb_counters.cube_cache_hits as f64),
                     ),
                     (
                         "cube_rebuilds".into(),
-                        per_run(&|(_, c, ..)| c.cube_rebuilds as f64),
+                        mean(runs, |(_, d, ..)| d.hvdb_counters.cube_rebuilds as f64),
                     ),
                 ],
-            ));
-        }
-    }
-    rows
+            )
+        })
+        .collect();
+    rows.into()
 }
 
 /// The `traffic` scenario: deterministic shaped load swept up the
@@ -1777,17 +1616,13 @@ fn custom_overhead(opts: &RunOpts) -> Vec<Row> {
 /// entry's [`ScenarioDef::gates`] turn into a CI gate: HVDB's knee must
 /// sit strictly above both baselines', and its pre-knee p99 must stay
 /// inside the committed band.
-fn custom_traffic(opts: &RunOpts) -> Vec<Row> {
+fn custom_traffic(opts: &RunOpts) -> CustomOut {
     use hvdb_traffic::{SourceModel, TrafficSpec};
     // The paper's §6 geometry at full backbone occupancy, zero frame
     // loss and no mobility: the sweep must expose *load* limits, not
     // control-plane robustness (the loss scenario covers that).
     let base = Workload {
-        side: 800.0,
         nodes: 120,
-        vc_side: 8,
-        dim: 4,
-        range: 250.0,
         // Many small sessions: HVDB's per-packet cost scales with the
         // member-CH count of the destination group, flooding's with N —
         // the session mix real multicast workloads have (and the paper
@@ -1795,114 +1630,100 @@ fn custom_traffic(opts: &RunOpts) -> Vec<Row> {
         groups: 12,
         members_per_group: 4,
         packets_per_group: 0, // all data comes from the traffic spec
-        payload: 512,
         warmup: SimDuration::from_secs(100),
         traffic_window: SimDuration::from_secs(20),
         cooldown: SimDuration::from_secs(15),
         enhanced_fraction: 1.0,
         queue_cap: SimDuration::from_millis(250),
         compact_delivery: true,
-        ..Workload::default()
+        ..paper_workload()
     };
     let offered: Vec<f64> = if opts.smoke {
         vec![10.0, 20.0]
     } else {
         vec![20.0, 40.0, 80.0, 160.0, 240.0, 320.0, 480.0, 640.0]
     };
-    let mut seeds = opts.seeds.clone().unwrap_or_else(|| vec![1, 2]);
-    if opts.smoke && opts.seeds.is_none() {
-        seeds.truncate(1);
-    }
+    let seeds = opts.seeds_or(&[1, 2]);
     const PROTOS: [Proto; 3] = [Proto::Hvdb, Proto::Flooding, Proto::SharedTree];
     const FLOWS_PER_GROUP: u32 = 2;
     // Derived, not hardcoded: retuning base.groups must retune the
     // per-flow rate split with it.
     let flows = base.groups as u32 * FLOWS_PER_GROUP;
-    let mut jobs: Vec<(f64, Proto, u64)> = Vec::new();
-    for &pps in &offered {
-        for &proto in &PROTOS {
-            for &seed in &seeds {
-                jobs.push((pps, proto, seed));
-            }
-        }
-    }
-    let results: Vec<(RunMetrics, TrafficProfile, f64)> = jobs
-        .par_iter()
-        .map(|&(pps, proto, seed)| {
-            let w = Workload {
-                traffic_spec: Some(TrafficSpec {
-                    flows_per_group: FLOWS_PER_GROUP,
-                    rate_pps: pps / flows as f64,
-                    payload: base.payload,
-                    model: SourceModel::Poisson,
-                    group_stagger_us: 1_000_000,
-                }),
-                seed,
-                ..base.clone()
-            };
-            let w = if opts.smoke { w.smoke() } else { w };
-            let window_secs = w.traffic_window.as_secs_f64();
-            let scenario = w.build();
-            let (m, detail) = match proto {
-                // Zero-loss heavy load: one LocalDeliver broadcast per
-                // delivery — the repeat knob exists for loss robustness
-                // and would triple HVDB's final-hop load for nothing.
-                Proto::Hvdb => run_hvdb_tweaked(&scenario, &|cfg| cfg.deliver_repeats = 1),
-                p => run_one_instrumented(p, &scenario),
-            };
-            (m, detail.traffic, window_secs)
-        })
+    let cells: Vec<(f64, Proto)> = offered
+        .iter()
+        .flat_map(|&pps| PROTOS.map(|proto| (pps, proto)))
         .collect();
-    let mut rows = Vec::new();
-    let mut chunk_start = 0;
-    for &pps in &offered {
-        for &proto in &PROTOS {
-            let chunk = &results[chunk_start..chunk_start + seeds.len()];
-            chunk_start += seeds.len();
-            let mean_m = average(&chunk.iter().map(|(m, ..)| *m).collect::<Vec<_>>());
-            let worst = chunk
-                .iter()
-                .map(|(m, ..)| m.delivery)
-                .fold(f64::INFINITY, f64::min);
-            let prof = |f: &dyn Fn(&TrafficProfile) -> f64| {
-                chunk.iter().map(|(_, p, _)| f(p)).sum::<f64>() / chunk.len() as f64
-            };
-            // Receiver-slot throughput: distinct (packet, receiver)
-            // deliveries per second — deliberately NOT in the same unit
-            // as offered_pps (a packet fans out to every group member).
-            let delivered_pps = chunk
-                .iter()
-                .map(|(_, p, secs)| p.flow_delivered as f64 / secs.max(1e-9))
-                .sum::<f64>()
-                / chunk.len() as f64;
-            rows.push(Row::new(
+    let runs = per_cell(&cells, &seeds, |&(pps, proto), seed| {
+        let w = Workload {
+            traffic_spec: Some(TrafficSpec {
+                flows_per_group: FLOWS_PER_GROUP,
+                rate_pps: pps / flows as f64,
+                payload: base.payload,
+                model: SourceModel::Poisson,
+                group_stagger_us: 1_000_000,
+            }),
+            seed,
+            ..base.clone()
+        };
+        let w = if opts.smoke { w.smoke() } else { w };
+        let window_secs = w.traffic_window.as_secs_f64();
+        let scenario = w.build();
+        let (m, detail) = match proto {
+            // Zero-loss heavy load: one LocalDeliver broadcast per
+            // delivery — the repeat knob exists for loss robustness
+            // and would triple HVDB's final-hop load for nothing.
+            Proto::Hvdb => run_hvdb_tweaked(&scenario, &|cfg| cfg.deliver_repeats = 1),
+            p => run_one_instrumented(p, &scenario),
+        };
+        (m, detail.traffic, window_secs)
+    });
+    let rows: Vec<Row> = cells
+        .iter()
+        .zip(&runs)
+        .map(|(&(pps, proto), runs)| {
+            Row::new(
                 "offered-load",
                 format!("pps={pps}"),
                 proto.name(),
                 vec![
                     ("offered_pps".into(), pps),
-                    ("delivery".into(), mean_m.delivery),
-                    ("delivery_worst".into(), worst),
-                    ("delivered_pps".into(), delivered_pps),
-                    ("p50_ms".into(), prof(&|p| p.p50_ms)),
-                    ("p99_ms".into(), prof(&|p| p.p99_ms)),
-                    ("p999_ms".into(), prof(&|p| p.p999_ms)),
-                    ("jitter_mean_ms".into(), prof(&|p| p.jitter_mean_ms)),
-                    ("jitter_p99_ms".into(), prof(&|p| p.jitter_p99_ms)),
-                    ("hops_mean".into(), prof(&|p| p.hops_mean)),
+                    ("delivery".into(), mean(runs, |(m, ..)| m.delivery)),
+                    ("delivery_worst".into(), min_of(runs, |(m, ..)| m.delivery)),
+                    // Receiver-slot throughput: distinct (packet, receiver)
+                    // deliveries per second — deliberately NOT in the same
+                    // unit as offered_pps (a packet fans out to every group
+                    // member).
+                    (
+                        "delivered_pps".into(),
+                        mean(runs, |(_, p, secs)| {
+                            p.flow_delivered as f64 / secs.max(1e-9)
+                        }),
+                    ),
+                    ("p50_ms".into(), mean(runs, |(_, p, _)| p.p50_ms)),
+                    ("p99_ms".into(), mean(runs, |(_, p, _)| p.p99_ms)),
+                    ("p999_ms".into(), mean(runs, |(_, p, _)| p.p999_ms)),
+                    (
+                        "jitter_mean_ms".into(),
+                        mean(runs, |(_, p, _)| p.jitter_mean_ms),
+                    ),
+                    (
+                        "jitter_p99_ms".into(),
+                        mean(runs, |(_, p, _)| p.jitter_p99_ms),
+                    ),
+                    ("hops_mean".into(), mean(runs, |(_, p, _)| p.hops_mean)),
                     (
                         "drops_queue_full".into(),
-                        prof(&|p| p.drops_queue_full as f64),
+                        mean(runs, |(_, p, _)| p.drops_queue_full as f64),
                     ),
                 ],
-            ));
-        }
-    }
-    rows
+            )
+        })
+        .collect();
+    rows.into()
 }
 
 /// C1: high availability via disjoint logical routes.
-fn custom_c1(opts: &RunOpts) -> Vec<Row> {
+fn custom_c1(opts: &RunOpts) -> CustomOut {
     let mut rows = Vec::new();
     // C1a — disjoint-path count between surviving pairs as the cube
     // degrades (pure structure).
@@ -2003,7 +1824,7 @@ fn custom_c1(opts: &RunOpts) -> Vec<Row> {
         };
         let w = if opts.smoke { base.smoke() } else { base };
         let (m, detail) = run_one_instrumented(Proto::Hvdb, &w.build());
-        let c = detail.hvdb_counters.unwrap_or_default();
+        let c = detail.hvdb_counters;
         let mut metrics = m.metric_pairs();
         metrics.push(("neighbors_expired".into(), c.neighbors_expired as f64));
         metrics.push(("route_failovers".into(), c.route_failovers as f64));
@@ -2014,7 +1835,7 @@ fn custom_c1(opts: &RunOpts) -> Vec<Row> {
             metrics,
         ));
     }
-    rows
+    rows.into()
 }
 
 fn mean_distance(cube: &IncompleteHypercube) -> f64 {
@@ -2031,7 +1852,7 @@ fn mean_distance(cube: &IncompleteHypercube) -> f64 {
 }
 
 /// C2: small diameter.
-fn custom_c2(opts: &RunOpts) -> Vec<Row> {
+fn custom_c2(opts: &RunOpts) -> CustomOut {
     let mut rows = Vec::new();
     let dims: Vec<u8> = if opts.smoke {
         vec![3, 4]
@@ -2120,11 +1941,11 @@ fn custom_c2(opts: &RunOpts) -> Vec<Row> {
             ));
         }
     }
-    rows
+    rows.into()
 }
 
 /// C3: load balancing vs the shared tree's core bottleneck.
-fn custom_c3(opts: &RunOpts) -> Vec<Row> {
+fn custom_c3(opts: &RunOpts) -> CustomOut {
     let base = Workload {
         packets_per_group: 40, // heavy traffic to expose hot spots
         groups: 2,
@@ -2149,13 +1970,7 @@ fn custom_c3(opts: &RunOpts) -> Vec<Row> {
         ]
     };
     // HVDB, including the CH-plane view the claim is about.
-    let mut sim = Simulator::new(scenario.sim.clone(), scenario.hvdb_mobility());
-    let mut hvdb = HvdbProtocol::new(
-        scenario.hvdb.clone(),
-        &scenario.members,
-        scenario.traffic.clone(),
-        vec![],
-    );
+    let (mut sim, mut hvdb) = hvdb_sim(&scenario);
     sim.run(&mut hvdb, scenario.until);
     let mut m = dist_metrics(&sim.stats().node_tx_bytes);
     m.push(("delivery".into(), metrics_of(sim.stats()).delivery));
@@ -2172,7 +1987,7 @@ fn custom_c3(opts: &RunOpts) -> Vec<Row> {
         dist_metrics(&head_tx),
     ));
     // Shared tree, including the core's load multiple.
-    let mut sim = Simulator::new(scenario.sim.clone(), scenario.hvdb_mobility());
+    let mut sim = new_sim(&scenario);
     let mut tree = hvdb_baselines::SharedTreeProtocol::new(
         &scenario.members,
         scenario.traffic.clone(),
@@ -2202,11 +2017,11 @@ fn custom_c3(opts: &RunOpts) -> Vec<Row> {
         "flooding",
         flood.metric_pairs(),
     ));
-    rows
+    rows.into()
 }
 
 /// F1: model construction statistics.
-fn custom_f1(opts: &RunOpts) -> Vec<Row> {
+fn custom_f1(opts: &RunOpts) -> CustomOut {
     use hvdb_cluster::{diff, form_clusters, Candidate};
     let area = Aabb::from_size(1600.0, 1600.0);
     let cfg = HvdbConfig::new(area, 8, 8, 4);
@@ -2295,11 +2110,11 @@ fn custom_f1(opts: &RunOpts) -> Vec<Row> {
             ],
         ));
     }
-    rows
+    rows.into()
 }
 
 /// F2: the Fig. 2 worked example.
-fn custom_f2(opts: &RunOpts) -> Vec<Row> {
+fn custom_f2(opts: &RunOpts) -> CustomOut {
     use hvdb_cluster::Candidate;
     let area = Aabb::from_size(800.0, 800.0);
     let cfg = HvdbConfig::fig2(area);
@@ -2361,11 +2176,11 @@ fn custom_f2(opts: &RunOpts) -> Vec<Row> {
             assert!(model.mesh_present.contains(&Hid::new(0, 0)));
         }
     }
-    rows
+    rows.into()
 }
 
 /// F3: the Fig. 3 hypercube with grid links.
-fn custom_f3(opts: &RunOpts) -> Vec<Row> {
+fn custom_f3(opts: &RunOpts) -> CustomOut {
     let cfg = HvdbConfig::fig2(Aabb::from_size(800.0, 800.0));
     let cube = build_region_cube(&cfg, Hid::new(0, 0), (0..16u32).map(Hnid));
     let mut rows = Vec::new();
@@ -2446,11 +2261,11 @@ fn custom_f3(opts: &RunOpts) -> Vec<Row> {
             ),
         ],
     ));
-    rows
+    rows.into()
 }
 
 /// F4: proactive route maintenance on a pinned-grid deployment.
-fn custom_f4(opts: &RunOpts) -> Vec<Row> {
+fn custom_f4(opts: &RunOpts) -> CustomOut {
     // One node pinned near every VC centre.
     let (grid_side, run_secs) = if opts.smoke { (4u16, 20u64) } else { (8, 60) };
     let build_sim = |seed: u64| -> (Simulator<FrameBytes>, HvdbConfig) {
@@ -2561,11 +2376,11 @@ fn custom_f4(opts: &RunOpts) -> Vec<Row> {
             ],
         ));
     }
-    rows
+    rows.into()
 }
 
 /// A1: ablations over the design choices.
-fn custom_a1(opts: &RunOpts) -> Vec<Row> {
+fn custom_a1(opts: &RunOpts) -> CustomOut {
     let base = Workload {
         seed: 4,
         ..Workload::default()
@@ -2574,13 +2389,7 @@ fn custom_a1(opts: &RunOpts) -> Vec<Row> {
     let run_with = |w: &Workload, tweak: &dyn Fn(&mut HvdbConfig)| {
         let mut scenario = w.build();
         tweak(&mut scenario.hvdb);
-        let mut sim = Simulator::new(scenario.sim.clone(), scenario.hvdb_mobility());
-        let mut proto = HvdbProtocol::new(
-            scenario.hvdb.clone(),
-            &scenario.members,
-            scenario.traffic.clone(),
-            vec![],
-        );
+        let (mut sim, mut proto) = hvdb_sim(&scenario);
         sim.run(&mut proto, scenario.until);
         // HT traffic spans both the content cycle and the refresh plane
         // (reclassified to "ht-refresh" for overhead accounting).
@@ -2661,7 +2470,7 @@ fn custom_a1(opts: &RunOpts) -> Vec<Row> {
             metrics,
         ));
     }
-    rows
+    rows.into()
 }
 
 #[cfg(test)]

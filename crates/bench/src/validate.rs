@@ -138,15 +138,15 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
             return Err(format!("unknown top-level field {k:?}"));
         }
     }
-    if let Some((_, v)) = fields.iter().find(|(k, _)| k == "workload") {
+    if let Some(v) = doc.get("workload") {
         if !matches!(v, Json::Obj(_)) {
             return Err(format!("workload: expected object, got {}", brief(v)));
         }
     }
-    if let Some((_, v)) = fields.iter().find(|(k, _)| k == "timeline") {
+    if let Some(v) = doc.get("timeline") {
         validate_timeline(v).map_err(|e| format!("timeline: {e}"))?;
     }
-    if let Some((_, v)) = fields.iter().find(|(k, _)| k == "profile") {
+    if let Some(v) = doc.get("profile") {
         validate_profile(v).map_err(|e| format!("profile: {e}"))?;
     }
     let scenario = as_str(field(fields, "scenario")?, "scenario")?;
@@ -238,7 +238,7 @@ fn validate_timeline(v: &Json) -> Result<(), String> {
             num(sf, "heads", "finite number", f64::is_finite).map_err(at)?,
         ));
     }
-    if fields.iter().any(|(k, _)| k == "remerge_secs_probe") {
+    if v.get("remerge_secs_probe").is_some() {
         check_remerge(fields, &series)?;
     }
     Ok(())

@@ -12,12 +12,18 @@
 //! absolute outputs the same way, on the same workload at 64 shards, and
 //! must come out identical at threads 1 and 2.
 //!
+//! `tests/golden/smoke_registry.json` pins every registered scenario's
+//! smoke report at two seeds (so every mean and worst-seed reduction has
+//! two inputs), with the wall-clock metrics and the `profile` block
+//! removed: a harness refactor must leave every row as it was.
+//!
 //! Regenerate (only when a change is *supposed* to alter results) with:
 //! `UPDATE_GOLDEN=1 cargo test -p hvdb-bench --test golden_report`
 
 use hvdb_bench::runner::{run_one, run_par_hvdb, Proto};
+use hvdb_bench::scenario::{registry, run_scenario, RunOpts};
 use hvdb_bench::workload::{MobilityKind, Workload};
-use hvdb_bench::{Row, ScenarioReport};
+use hvdb_bench::{Json, Row, ScenarioReport};
 use hvdb_sim::{FaultPlan, NodeId, SimDuration, SimTime};
 
 /// Small but representative fixed-seed workload: real clustering warmup,
@@ -136,6 +142,40 @@ fn par_golden_report(threads: usize) -> String {
     )
 }
 
+/// Row metrics read from the wall clock or the host, which no two runs
+/// share.
+const WALL_CLOCK_METRICS: [&str; 6] = [
+    "events_per_sec",
+    "events_per_s",
+    "sim_sec_per_wall_sec",
+    "wall_ms",
+    "lane_imbalance",
+    "hardware_threads",
+];
+
+/// Every registered scenario's smoke report at seeds 1 and 2, as one JSON
+/// array, with [`WALL_CLOCK_METRICS`] and the `profile` block removed.
+fn smoke_registry_report() -> String {
+    let opts = RunOpts {
+        smoke: true,
+        seeds: Some(vec![1, 2]),
+        threads: 1,
+    };
+    let reports = registry()
+        .iter()
+        .map(|def| {
+            let mut report = run_scenario(def, &opts);
+            report.profile = None;
+            for row in &mut report.rows {
+                row.metrics
+                    .retain(|(k, _)| !WALL_CLOCK_METRICS.contains(&k.as_str()));
+            }
+            report.to_json()
+        })
+        .collect();
+    format!("{}\n", Json::Arr(reports))
+}
+
 /// Compares `got` with the committed golden file `name`, or rewrites it
 /// when `UPDATE_GOLDEN` is set.
 fn check_golden(name: &str, got: &str) {
@@ -150,7 +190,8 @@ fn check_golden(name: &str, got: &str) {
     assert_eq!(
         got, want,
         "fixed-seed report diverged from the committed golden {name}: the \
-         engine's event order, RNG stream or wire sizes changed"
+         engine's event order, RNG stream or wire sizes changed, or a \
+         scenario's inputs or reductions did"
     );
 }
 
@@ -168,4 +209,9 @@ fn par_engine_report_is_byte_identical_to_committed_golden_at_threads_1_and_2() 
         one,
         "threads=2 diverged from threads=1"
     );
+}
+
+#[test]
+fn registry_smoke_reports_are_byte_identical_to_committed_golden() {
+    check_golden("smoke_registry.json", &smoke_registry_report());
 }
