@@ -169,7 +169,17 @@ fn matches_serial_hvdb() {
 
 #[test]
 fn thread_count_is_invisible_for_hvdb() {
-    let run = |threads: usize| format!("{:?}", run_par(23, 8, threads).stats());
+    let run = |threads: usize| {
+        let sim = run_par(23, 8, threads);
+        // Equal outputs alone would also pass an engine that drained
+        // every window inline: a lane past the caller's must have worked.
+        let lanes = &sim.profile().lane_busy_secs;
+        assert!(
+            threads == 1 || lanes.iter().skip(1).any(|s| *s > 0.0),
+            "threads={threads}: no worker lane drained a window"
+        );
+        format!("{:?}", sim.stats())
+    };
     let one = run(1);
     assert_eq!(one, run(2), "threads=2 diverged from threads=1");
     assert_eq!(one, run(4), "threads=4 diverged from threads=1");

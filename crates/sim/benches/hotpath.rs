@@ -206,7 +206,7 @@ fn bench_commit_pass(c: &mut Criterion) {
             let mut queue: EventQueue<u64> = EventQueue::new();
             let mut stats = Stats::new(NODES);
             for (events, txs) in &fixture {
-                // Pre-fold (runs on a rayon lane in the engine).
+                // Pre-fold (runs on a drain lane in the engine).
                 classes.clear();
                 touched.clear();
                 for &(node, class, bytes) in txs {

@@ -39,6 +39,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod georoute;
+mod lanes;
 pub mod mobility;
 pub mod node;
 pub mod par;

@@ -2,7 +2,7 @@
 //!
 //! [`ParSimulator`] partitions nodes into `K` shards by spatial-index cell
 //! ([`World::cell_of`]) and dispatches same-window events shard-parallel on
-//! the vendored rayon pool, while keeping every statistic a pure function
+//! persistent lane workers, while keeping every statistic a pure function
 //! of `(SimConfig, shards, protocol)` — **independent of the thread
 //! count**. The construction:
 //!
@@ -24,6 +24,13 @@
 //!   commutative counters are summed. Thread lanes only decide *which OS
 //!   thread* drains a shard, never the commit order, so `threads = N` is
 //!   byte-identical to `threads = 1` by construction.
+//! * **Lane workers.** Shards split into at most `threads` contiguous
+//!   chunks, one per lane. The thread calling [`ParSimulator::run`]
+//!   drains lane 0; every other lane is one OS thread that lives for that
+//!   call and is handed each window with an epoch bump and an `unpark`,
+//!   and the caller parks until the lanes have counted a countdown to
+//!   zero. A panic on any lane surfaces from `run`. At `threads = 1` the
+//!   caller drains every active shard itself and no thread starts.
 //! * **Touched shards only.** Every place that hands a shard work or
 //!   output (routing, start-up, a barrier's callback) marks it active for
 //!   the window; drain and commit visit only active shards. An untouched
@@ -60,6 +67,7 @@
 use crate::engine::SimConfig;
 use crate::event::{EventKind, EventQueue, Scheduled};
 use crate::fault::{ByzantineMode, FaultEvent, FaultKind, FaultPlan};
+use crate::lanes::{self, Lanes};
 use crate::mobility::Mobility;
 use crate::node::{Capability, NodeId};
 use crate::radio::RadioConfig;
@@ -72,7 +80,7 @@ use hvdb_geo::{Aabb, Point, Vec2};
 use hvdb_traffic::{flow_seed, Rng64, FLOW_NONE};
 use rustc_hash::FxHashMap;
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Salt mixed into the master seed for per-node streams, so node streams
 /// never collide with the traffic plane's per-flow streams (which use the
@@ -399,7 +407,7 @@ impl<N, M> Shard<N, M> {
 
     /// The shard-parallel half of the commit: folds this window's `Tx`
     /// ops into the per-class / per-node digest, leaving only the rare
-    /// order-sensitive ops for the serial commit. Runs on the rayon lanes
+    /// order-sensitive ops for the serial commit. Runs on the drain lanes
     /// at the end of [`Shard::drain`]; idempotent when nothing new was
     /// buffered, so the serial barrier path can rely on commit calling it
     /// again.
@@ -1130,7 +1138,10 @@ pub struct ParSimulator<N, M> {
 
 impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     /// Builds a parallel simulator over `shards` spatial shards, draining
-    /// windows on up to `threads` lanes (1 = fully inline). World setup
+    /// windows on up to `min(threads, shards)` lanes: the calling thread
+    /// plus one worker thread per further lane, started by each
+    /// [`ParSimulator::run`] call and joined before it returns (1 = fully
+    /// inline, no thread). Any positive `threads` is accepted. World setup
     /// (node scattering, capability sampling) mirrors the serial
     /// [`crate::Simulator::new`] draw-for-draw, so a given config yields
     /// the identical initial world.
@@ -1395,54 +1406,56 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
-    /// Drains the active shards' task lists, in parallel across up to
-    /// `threads` contiguous shard groups (inline when `threads == 1`).
-    /// Which lane runs which shard is invisible: shards touch only
-    /// shard-local state plus the frozen world.
-    fn drain_shards<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P) {
+    /// Drains the active shards' task lists: inline on the calling thread
+    /// without a lane team, else each lane drains the active shards of its
+    /// contiguous chunk, lane 0 on the calling thread and the others on
+    /// their workers ([`Lanes::run`]). Which lane runs which shard is
+    /// invisible: shards touch only shard-local state plus the frozen
+    /// world.
+    fn drain_shards<P: ParProtocol<Msg = M, Node = N>>(
+        &mut self,
+        proto: &P,
+        team: Option<&Lanes<'_>>,
+    ) {
         let world = &self.world;
         let radio = &self.cfg.radio;
         let map = self.node_map.as_slice();
-        let lanes = self.threads.min(self.shards.len()).max(1);
         let origin = self.profile_origin.unwrap_or_else(Instant::now);
-        if lanes <= 1 {
+        let Some(team) = team else {
             let t0 = Instant::now();
             for &s in &self.active {
                 self.shards[s as usize].drain(proto, world, radio, map);
             }
             let lane_times = [(t0.saturating_duration_since(origin), t0.elapsed())];
             self.fold_lane_times(&lane_times);
-        } else {
-            let chunk = self.shards.len().div_ceil(lanes);
-            // One (start, busy) slot per lane, written by exactly one
-            // closure each — profiling only observes the lanes, it never
-            // feeds back into shard execution.
-            let mut lane_times = vec![
-                (std::time::Duration::ZERO, std::time::Duration::ZERO);
-                self.shards.len().div_ceil(chunk)
-            ];
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-                .shards
-                .chunks_mut(chunk)
-                .zip(lane_times.iter_mut())
-                .map(|(group, slot)| {
-                    Box::new(move || {
-                        let t0 = Instant::now();
-                        for shard in group.iter_mut().filter(|s| s.active) {
-                            shard.drain(proto, world, radio, map);
-                        }
-                        *slot = (t0.saturating_duration_since(origin), t0.elapsed());
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            rayon::run_tasks(tasks);
-            self.fold_lane_times(&lane_times);
-        }
+            return;
+        };
+        let chunk = lane_chunk(self.threads, self.shards.len());
+        // One (start, busy) slot per lane, written by exactly one job
+        // each — profiling only observes the lanes, it never feeds back
+        // into shard execution.
+        let mut lane_times = vec![(Duration::ZERO, Duration::ZERO); team.count()];
+        let mut drains: Vec<_> = self
+            .shards
+            .chunks_mut(chunk)
+            .zip(lane_times.iter_mut())
+            .map(|(group, slot)| {
+                move || {
+                    let t0 = Instant::now();
+                    for shard in group.iter_mut().filter(|s| s.active) {
+                        shard.drain(proto, world, radio, map);
+                    }
+                    *slot = (t0.saturating_duration_since(origin), t0.elapsed());
+                }
+            })
+            .collect();
+        team.run(&mut drains);
+        self.fold_lane_times(&lane_times);
     }
 
     /// Folds per-lane `(start-since-origin, busy)` readings into the
     /// profile's lane aggregates (and slices when detail is on).
-    fn fold_lane_times(&mut self, lane_times: &[(std::time::Duration, std::time::Duration)]) {
+    fn fold_lane_times(&mut self, lane_times: &[(Duration, Duration)]) {
         if self.profile.lane_busy_secs.len() < lane_times.len() {
             self.profile.lane_busy_secs.resize(lane_times.len(), 0.0);
         }
@@ -1683,13 +1696,32 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     /// of causally independent events shard-parallel and committing each
     /// window deterministically. May be called repeatedly with increasing
     /// horizons; shard construction and node start-up happen on the first
-    /// call.
+    /// call. With more than one lane the call starts the lane workers and
+    /// joins them before it returns; a panic on any lane is raised again
+    /// here once every lane has stopped.
     pub fn run<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P, until: SimTime) {
         let wall_start = Instant::now();
         if self.profile_origin.is_none() {
             self.profile_origin = Some(wall_start);
         }
         let entry = self.now;
+        match lane_count(self.threads, self.num_shards) {
+            1 => self.run_windows(proto, until, None),
+            n => lanes::with_lanes(n, |team| self.run_windows(proto, until, Some(team))),
+        }
+        self.now = until.max(self.now);
+        self.sim_secs += self.now.since(entry).as_secs_f64();
+        self.wall_secs += wall_start.elapsed().as_secs_f64();
+    }
+
+    /// The body of [`ParSimulator::run`]: start-up on the first call, then
+    /// barriers and windows up to `until`, drained on `team`'s lanes.
+    fn run_windows<P: ParProtocol<Msg = M, Node = N>>(
+        &mut self,
+        proto: &P,
+        until: SimTime,
+        team: Option<&Lanes<'_>>,
+    ) {
         if !self.started {
             self.started = true;
             self.build_shards(proto);
@@ -1710,7 +1742,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 shard.tasks.push(Task::Start { node: id });
             }
             let t0 = Instant::now();
-            self.drain_shards(proto);
+            self.drain_shards(proto, team);
             self.note_phase("drain", t0);
             let t1 = Instant::now();
             self.commit();
@@ -1753,17 +1785,27 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 self.route(ev);
             }
             let t0 = Instant::now();
-            self.drain_shards(proto);
+            self.drain_shards(proto, team);
             self.note_phase("drain", t0);
             let t1 = Instant::now();
             self.commit();
             self.note_phase("commit", t1);
             self.profile.windows += 1;
         }
-        self.now = until.max(self.now);
-        self.sim_secs += self.now.since(entry).as_secs_f64();
-        self.wall_secs += wall_start.elapsed().as_secs_f64();
     }
+}
+
+/// Shards per lane when `threads` lanes drain `shards` shards: contiguous
+/// chunks of `⌈shards / min(threads, shards)⌉`.
+fn lane_chunk(threads: usize, shards: usize) -> usize {
+    shards.div_ceil(threads.clamp(1, shards))
+}
+
+/// Lanes that drain `shards` shards at `threads` threads: one per chunk of
+/// [`lane_chunk`], so never more than `min(threads, shards)`. A `run` call
+/// starts one OS thread for every lane but the first.
+fn lane_count(threads: usize, shards: usize) -> usize {
+    shards.div_ceil(lane_chunk(threads, shards))
 }
 
 #[cfg(test)]
@@ -1892,7 +1934,16 @@ mod tests {
         }
     }
 
-    fn run_gossip_grid(threads: usize, shards: usize) -> (String, u64) {
+    /// Whether a lane other than the calling thread's drained windows.
+    /// Output comparisons alone would also pass an engine that quietly
+    /// drained every window inline.
+    fn worker_lanes_drained(p: &EngineProfile) -> bool {
+        p.lane_busy_secs.iter().skip(1).any(|s| *s > 0.0)
+    }
+
+    /// The gossip grid's stats rendering and messages heard, plus whether
+    /// worker lanes drained windows.
+    fn run_gossip_grid(threads: usize, shards: usize) -> (String, u64, bool) {
         let mut sim: ParSimulator<GossipNode, GossipMsg> =
             ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), shards, threads);
         place_grid(&mut sim, 6);
@@ -1902,7 +1953,11 @@ mod tests {
             .ids()
             .map(|id| sim.node_state(id).unwrap().heard as u64)
             .sum();
-        (format!("{:?}", sim.stats()), heard)
+        (
+            format!("{:?}", sim.stats()),
+            heard,
+            worker_lanes_drained(sim.profile()),
+        )
     }
 
     #[test]
@@ -1910,10 +1965,10 @@ mod tests {
         // The tentpole proof obligation: threads=8 output is byte-identical
         // to threads=1 (same shard count), and so is every lane count in
         // between.
-        let (s1, h1) = run_gossip_grid(1, 16);
-        let (s2, h2) = run_gossip_grid(2, 16);
-        let (s4, h4) = run_gossip_grid(4, 16);
-        let (s8, h8) = run_gossip_grid(8, 16);
+        let (s1, h1, _) = run_gossip_grid(1, 16);
+        let (s2, h2, l2) = run_gossip_grid(2, 16);
+        let (s4, h4, l4) = run_gossip_grid(4, 16);
+        let (s8, h8, l8) = run_gossip_grid(8, 16);
         assert!(h1 > 0, "gossip must actually flow");
         assert_eq!(h1, h2);
         assert_eq!(h1, h4);
@@ -1921,12 +1976,91 @@ mod tests {
         assert_eq!(s1, s2, "threads=2 diverged from threads=1");
         assert_eq!(s1, s4, "threads=4 diverged from threads=1");
         assert_eq!(s1, s8, "threads=8 diverged from threads=1");
+        assert!(l2 && l4 && l8, "a worker lane never drained a window");
+    }
+
+    #[test]
+    fn lane_count_is_capped_by_threads_and_shards() {
+        // `hvdb-bench run --threads N` takes any positive `usize`, and
+        // every lane but the first is an OS thread: the cap is the shard
+        // count, checked here without starting a thread.
+        assert_eq!(lane_count(usize::MAX, 64), 64);
+        assert_eq!(lane_count(65, 64), 64);
+        assert_eq!(lane_count(1, 64), 1);
+        assert_eq!(lane_count(2, 64), 2);
+        assert_eq!(lane_count(8, 1), 1);
+        // Contiguous chunks of ⌈9 / 4⌉ = 3 shards make 3 lanes, not 4.
+        assert_eq!(lane_count(4, 9), 3);
+    }
+
+    /// Sets a 5 ms timer per node and panics in the timer of node `.0`.
+    struct PanicAt(Option<NodeId>);
+
+    impl ParProtocol for PanicAt {
+        type Msg = u8;
+        type Node = ();
+
+        fn make_node(&self, _id: NodeId, _world: &World) {}
+
+        fn on_start(&self, id: NodeId, _node: &mut (), ctx: &mut ParCtx<'_, u8>) {
+            ctx.set_timer(id, SimDuration::from_millis(5), 0);
+        }
+
+        fn on_message(
+            &self,
+            _id: NodeId,
+            _node: &mut (),
+            _from: NodeId,
+            _msg: u8,
+            _ctx: &mut ParCtx<'_, u8>,
+        ) {
+        }
+
+        fn on_timer(&self, id: NodeId, _node: &mut (), _tag: u64, _ctx: &mut ParCtx<'_, u8>) {
+            if self.0 == Some(id) {
+                panic!("injected lane panic");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_panic_reaches_the_caller() {
+        let expected = run_gossip_grid(2, 16);
+        let chunk = lane_chunk(2, 16);
+        // A victim on the worker lane (shards chunk..16), then one on the
+        // caller's own lane (shards 0..chunk): either way `run` must raise
+        // the handler's panic instead of waiting on the countdown.
+        for worker_lane in [true, false] {
+            let mut sim: ParSimulator<(), u8> =
+                ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), 16, 2);
+            place_grid(&mut sim, 6);
+            sim.run(&PanicAt(None), SimTime::ZERO);
+            let victim = sim
+                .world()
+                .ids()
+                .find(|&id| (sim.shard_of(id).unwrap() >= chunk) == worker_lane)
+                .expect("both lanes hold nodes");
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run(&PanicAt(Some(victim)), SimTime::from_millis(10));
+            }));
+            let payload = caught.expect_err("the lane's panic must surface from run");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"injected lane panic"),
+                "run raised something other than the handler's panic"
+            );
+        }
+        assert_eq!(
+            run_gossip_grid(2, 16),
+            expected,
+            "a fresh simulator after a lane panic diverged"
+        );
     }
 
     /// The full fault-plane schedule: every [`FaultKind`] fires mid-run,
     /// with the partition+heal pair straddling many lookahead windows
     /// (odd microsecond timestamps, nowhere near window boundaries).
-    fn run_faulted_gossip(threads: usize) -> (String, String) {
+    fn run_faulted_gossip(threads: usize) -> (String, String, bool) {
         let mut sim: ParSimulator<GossipNode, GossipMsg> =
             ParSimulator::new(grid_cfg(6, 13), Box::new(Stationary), 16, threads);
         sim.set_trace(TraceConfig::all());
@@ -1973,7 +2107,11 @@ mod tests {
             "replay-stale never duplicated a frame"
         );
         assert_eq!(sim.world().capability(NodeId(9)), Capability::Enhanced);
-        (format!("{:?}", sim.stats()), sim.trace().render())
+        (
+            format!("{:?}", sim.stats()),
+            sim.trace().render(),
+            worker_lanes_drained(sim.profile()),
+        )
     }
 
     #[test]
@@ -1983,10 +2121,11 @@ mod tests {
         // Byzantine modes, clock and position error, fail/recover — with
         // stats AND the rendered structured trace byte-identical at
         // threads 1, 2, 4 and 8.
-        let (s1, t1) = run_faulted_gossip(1);
-        let (s2, t2) = run_faulted_gossip(2);
-        let (s4, t4) = run_faulted_gossip(4);
-        let (s8, t8) = run_faulted_gossip(8);
+        let (s1, t1, _) = run_faulted_gossip(1);
+        let (s2, t2, l2) = run_faulted_gossip(2);
+        let (s4, t4, l4) = run_faulted_gossip(4);
+        let (s8, t8, l8) = run_faulted_gossip(8);
+        assert!(l2 && l4 && l8, "a worker lane never drained a window");
         assert_eq!(s1, s2, "threads=2 diverged under fault injection");
         assert_eq!(s1, s4, "threads=4 diverged under fault injection");
         assert_eq!(s1, s8, "threads=8 diverged under fault injection");
@@ -2007,7 +2146,7 @@ mod tests {
         place_grid(&mut traced, 6);
         traced.run(&Gossip { ttl: 3 }, SimTime::from_secs(3));
         assert!(!traced.trace().is_empty(), "traced run must record events");
-        let (untraced_stats, _) = run_gossip_grid(2, 16);
+        let (untraced_stats, _, _) = run_gossip_grid(2, 16);
         assert_eq!(
             format!("{:?}", traced.stats()),
             untraced_stats,
