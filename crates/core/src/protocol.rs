@@ -356,6 +356,10 @@ pub struct HvdbCore {
     cfg: HvdbConfig,
     traffic: Vec<TrafficItem>,
     group_events: Vec<GroupEvent>,
+    /// `traffic` and `group_events` indices grouped by owning node, so a
+    /// node's start-up reads its own items instead of the whole script.
+    traffic_by_node: ByNode,
+    events_by_node: ByNode,
     /// Expected receiver count per traffic item, precomputed from the
     /// script: the item's group after applying every group event with
     /// `at <= item.at` (in list order), minus the source itself.
@@ -365,6 +369,50 @@ pub struct HvdbCore {
     /// Scripted initial membership, group → members (seeds each node's
     /// Local-Membership).
     initial: FxHashMap<GroupId, FxHashSet<NodeId>>,
+}
+
+/// Script item indices grouped by owning node: node `v`'s items, in
+/// ascending script index, are `index[start[v]..start[v + 1]]`. Timer tags
+/// carry the index and timer order sets tie-breaks, so each slice keeps
+/// script order.
+struct ByNode {
+    start: Vec<u32>,
+    index: Vec<u32>,
+}
+
+impl ByNode {
+    /// Groups items by `owners` (item `i`'s owner is the `i`-th id) with
+    /// one counting pass: count each owner's items, prefix-sum the counts
+    /// into slice ends, then walk the script backwards, filling each
+    /// node's slice from its end.
+    fn new<I>(owners: I) -> Self
+    where
+        I: DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + Clone,
+    {
+        let total = u32::try_from(owners.len()).expect("script items past u32 indices");
+        let slots = owners.clone().map(|v| v.idx() + 1).max().unwrap_or(0);
+        let mut start = vec![0u32; slots + 1];
+        for v in owners.clone() {
+            start[v.idx()] += 1;
+        }
+        for v in 1..start.len() {
+            start[v] += start[v - 1];
+        }
+        let mut index = vec![0u32; owners.len()];
+        for (i, v) in (0..total).zip(owners).rev() {
+            start[v.idx()] -= 1;
+            index[start[v.idx()] as usize] = i;
+        }
+        ByNode { start, index }
+    }
+
+    /// `node`'s item indices, ascending (empty past the last owner).
+    fn of(&self, node: NodeId) -> &[u32] {
+        match self.start.get(node.idx()..node.idx() + 2) {
+            Some(&[lo, hi]) => &self.index[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
 }
 
 /// The full HVDB protocol for the serial engine, implementing
@@ -510,6 +558,8 @@ impl HvdbCore {
             .collect();
         HvdbCore {
             cfg,
+            traffic_by_node: ByNode::new(traffic.iter().map(|t| t.src)),
+            events_by_node: ByNode::new(group_events.iter().map(|g| g.node)),
             traffic,
             group_events,
             expected,
@@ -1939,16 +1989,14 @@ impl HvdbCore {
             self.cfg.cluster_interval + SimDuration(self.cfg.cluster_interval.0 * 7 / 10),
             TAG_REPORT,
         );
-        // Scenario scripting: traffic and group events on their nodes.
-        for (i, t) in self.traffic.iter().enumerate() {
-            if t.src == node {
-                ctx.set_timer(node, t.at.since(SimTime::ZERO), TAG_TRAFFIC_BASE + i as u64);
-            }
+        // Scenario scripting: this node's traffic and group events.
+        for &i in self.traffic_by_node.of(node) {
+            let at = self.traffic[i as usize].at.since(SimTime::ZERO);
+            ctx.set_timer(node, at, TAG_TRAFFIC_BASE + u64::from(i));
         }
-        for (i, g) in self.group_events.iter().enumerate() {
-            if g.node == node {
-                ctx.set_timer(node, g.at.since(SimTime::ZERO), TAG_GROUP_BASE + i as u64);
-            }
+        for &i in self.events_by_node.of(node) {
+            let at = self.group_events[i as usize].at.since(SimTime::ZERO);
+            ctx.set_timer(node, at, TAG_GROUP_BASE + u64::from(i));
         }
     }
 
@@ -2327,5 +2375,36 @@ impl ParProtocol for HvdbCore {
 
     fn on_recover(&self, id: NodeId, node: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         self.recover_node(id, node, ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn grouped(owners: &[u32]) -> ByNode {
+        ByNode::new(owners.iter().map(|&v| NodeId(v)))
+    }
+
+    #[test]
+    fn by_node_of_an_empty_script_is_empty() {
+        let g = grouped(&[]);
+        assert!(g.of(NodeId(0)).is_empty());
+        assert!(g.of(NodeId(u32::MAX)).is_empty());
+    }
+
+    #[test]
+    fn by_node_keeps_script_order_per_node() {
+        // Interleaved owners; nodes 0, 2 and 4 own nothing, node 6 and
+        // every id past it lie above every source.
+        let g = grouped(&[3, 1, 3, 5, 1, 1, 3]);
+        assert_eq!(g.of(NodeId(1)), [1, 4, 5]);
+        assert_eq!(g.of(NodeId(3)), [0, 2, 6]);
+        assert_eq!(g.of(NodeId(5)), [3]);
+        for empty in [0, 2, 4, 6, 7, 1_000, u32::MAX] {
+            assert!(g.of(NodeId(empty)).is_empty(), "node {empty}");
+        }
+        // A lone owner at id 0.
+        assert_eq!(grouped(&[0, 0]).of(NodeId(0)), [0, 1]);
     }
 }

@@ -1,7 +1,10 @@
 //! Micro-benchmarks for the engine's delivery hot path (vendored
 //! criterion harness — wall-clock mean/min, comparable run-to-run):
 //!
-//! * `neighbors_into` — the scratch-threaded spatial query;
+//! * `neighbors_into` — one node's neighbour list: `scratch` on a stale
+//!   world (the scratch-threaded spatial query, liveness filter and
+//!   sort), `cached` from a fresh adjacency table;
+//! * `adjacency/refresh` — one full adjacency-table build over the world;
 //! * `broadcast_round` — one full broadcast fan-out through the event
 //!   loop (send → one shared `DeliverMany` → per-receiver dispatch);
 //! * `mobility_tick` — the incremental spatial-index update under a
@@ -36,15 +39,34 @@ fn bench_world() -> World {
 }
 
 fn bench_neighbors(c: &mut Criterion) {
-    let world = bench_world();
+    let mut world = bench_world();
     let mut out = Vec::new();
     let mut raw = Vec::new();
-    c.bench_function("neighbors_into/scratch", |b| {
-        let mut i = 0u32;
+    let mut sweep = |name: &str, world: &World| {
+        c.bench_function(name, |b| {
+            let mut i = 0u32;
+            b.iter(|| {
+                i = (i + 1) % NODES as u32;
+                world.neighbors_into(NodeId(i), &mut out, &mut raw);
+                black_box(out.len())
+            })
+        });
+    };
+    sweep("neighbors_into/scratch", &world);
+    world.refresh_adjacency();
+    sweep("neighbors_into/cached", &world);
+}
+
+fn bench_adjacency_refresh(c: &mut Criterion) {
+    let mut world = bench_world();
+    c.bench_function("adjacency/refresh", |b| {
         b.iter(|| {
-            i = (i + 1) % NODES as u32;
-            world.neighbors_into(NodeId(i), &mut out, &mut raw);
-            black_box(out.len())
+            // A position write stales the table; rewriting a node where
+            // it stands changes no answer.
+            let (p, v) = (world.position(NodeId(0)), world.velocity(NodeId(0)));
+            world.set_motion(NodeId(0), p, v);
+            world.refresh_adjacency();
+            black_box(world.adjacency_fresh())
         })
     });
 }
@@ -285,6 +307,7 @@ fn bench_commit_pass(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_neighbors,
+    bench_adjacency_refresh,
     bench_broadcast_round,
     bench_mobility_tick,
     bench_class_counters,

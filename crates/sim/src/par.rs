@@ -43,6 +43,15 @@
 //!   one task over its range of that buffer, in ascending id order, and
 //!   the list goes back to the sender's pool. Routing is O(receivers) and
 //!   allocates nothing in steady state.
+//! * **Adjacency.** Before each window's drain (never in the start-up
+//!   window) the caller refreshes the world's adjacency table
+//!   ([`World::refresh_adjacency`]), so every neighbour query in the
+//!   drain decodes a precomputed run instead of querying the spatial
+//!   index. The table is rebuilt only after a position write: a static
+//!   run builds it once, a mobility tick costs one rebuild at the next
+//!   window. Liveness is read at query time, so fail, recover and
+//!   regional-outage barriers leave it fresh; partition gating stays in
+//!   [`ParCtx::broadcast`].
 //! * **Per-node RNG.** Every node draws from its own SplitMix64 stream
 //!   ([`hvdb_traffic::Rng64`]) derived from the master seed — the pattern
 //!   the traffic plane already uses per flow — so event outcomes never
@@ -1784,6 +1793,10 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 self.now = ev.time;
                 self.route(ev);
             }
+            // Serial, and a no-op unless a position moved since the last
+            // build. The start-up drain above stays on the index path, so
+            // set-up never pays for a build.
+            self.world.refresh_adjacency();
             let t0 = Instant::now();
             self.drain_shards(proto, team);
             self.note_phase("drain", t0);
@@ -2213,6 +2226,108 @@ mod tests {
         assert!(moved1, "waypoint mobility must move nodes across cells");
         assert!(moved4);
         assert_eq!(s1, s4, "mid-run cell migration broke thread invariance");
+    }
+
+    /// On every timer, checks that `with_neighbors` returns the unit disk
+    /// a brute-force scan over the handler's own view of the world finds;
+    /// the node state counts the checks.
+    struct DiskCheck;
+
+    impl DiskCheck {
+        fn arm(id: NodeId, ctx: &mut ParCtx<'_, u8>) {
+            ctx.set_timer_jittered(
+                id,
+                SimDuration::from_millis(60),
+                SimDuration::from_millis(80),
+                0,
+            );
+        }
+    }
+
+    impl ParProtocol for DiskCheck {
+        type Msg = u8;
+        type Node = u32;
+
+        fn make_node(&self, _id: NodeId, _world: &World) -> u32 {
+            0
+        }
+
+        fn on_start(&self, id: NodeId, _checks: &mut u32, ctx: &mut ParCtx<'_, u8>) {
+            Self::arm(id, ctx);
+        }
+
+        fn on_message(
+            &self,
+            _id: NodeId,
+            _checks: &mut u32,
+            _from: NodeId,
+            _msg: u8,
+            _ctx: &mut ParCtx<'_, u8>,
+        ) {
+        }
+
+        fn on_timer(&self, id: NodeId, checks: &mut u32, _tag: u64, ctx: &mut ParCtx<'_, u8>) {
+            let range_sq = ctx.radio_range() * ctx.radio_range();
+            let here = ctx.position(id);
+            let want: Vec<NodeId> = (0..ctx.node_count() as u32)
+                .map(NodeId)
+                .filter(|&j| {
+                    j != id && ctx.is_alive(j) && here.distance_sq(ctx.position(j)) <= range_sq
+                })
+                .collect();
+            let now = ctx.now();
+            ctx.with_neighbors(id, |_, got| {
+                assert_eq!(got, want, "{id:?}'s neighbours at {now:?}");
+            });
+            *checks += 1;
+            Self::arm(id, ctx);
+        }
+
+        fn on_recover(&self, id: NodeId, _checks: &mut u32, ctx: &mut ParCtx<'_, u8>) {
+            Self::arm(id, ctx);
+        }
+    }
+
+    /// Runs [`DiskCheck`] for 5 s on the 36-node grid under `mobility`
+    /// with a mobility tick each second, a fail/recover pair and a
+    /// regional outage; returns the checks made and whether the world
+    /// ended with a fresh adjacency table.
+    fn run_disk_check(mobility: Box<dyn Mobility>, threads: usize) -> (u64, bool) {
+        let mut cfg = grid_cfg(6, 17);
+        cfg.mobility_tick = SimDuration::from_secs(1);
+        let mut sim: ParSimulator<u32, u8> = ParSimulator::new(cfg, mobility, 8, threads);
+        let plan = FaultPlan::new()
+            .fail(SimTime(1_300_017), NodeId(14))
+            .fail(SimTime(1_300_017), NodeId(21))
+            .recover(SimTime(2_600_003), NodeId(14))
+            .fail_region(SimTime(3_100_041), Point::new(450.0, 450.0), 200.0);
+        sim.inject_plan(&plan);
+        sim.run(&DiskCheck, SimTime::from_secs(5));
+        let checks = sim
+            .world()
+            .ids()
+            .map(|id| *sim.node_state(id).unwrap() as u64);
+        (checks.sum(), sim.world().adjacency_fresh())
+    }
+
+    #[test]
+    fn neighbour_table_is_refreshed_before_every_drain() {
+        // Under random waypoint, every tick moves nodes between windows
+        // and the fault plan flips liveness: a table read while stale, or
+        // a liveness baked into it, shows up as a mismatch in a handler.
+        let mobile =
+            |threads| run_disk_check(Box::new(RandomWaypoint::new(20.0, 60.0, 0.2)), threads);
+        let (checks1, _) = mobile(1);
+        let (checks2, _) = mobile(2);
+        assert!(checks1 > 1_000, "only {checks1} neighbour checks ran");
+        assert_eq!(checks1, checks2, "thread count changed the checks made");
+        // A static run builds the table once after start-up and never
+        // stales it, so its drains read the table, not the index.
+        for threads in [1, 2] {
+            let (checks, fresh) = run_disk_check(Box::new(Stationary), threads);
+            assert!(checks > 1_000);
+            assert!(fresh, "a static run must end on a fresh table");
+        }
     }
 
     /// One unicast from node 0 to node 1 at start; jitter and loss

@@ -19,9 +19,19 @@ use hvdb_geo::{Aabb, Point, SpatialIndex, Vec2};
 ///
 /// The index is maintained *incrementally*: [`World::set_motion`] updates
 /// the moved node's index slot in place (same-cell fast path, relocate on
-/// cell crossings), so queries are always fresh — there is no "stale
-/// index" state to forget about, and mobility ticks never pay a full
-/// rebuild.
+/// cell crossings), so index queries are always fresh, and mobility ticks
+/// never pay a full index rebuild.
+///
+/// On top of the index sits a derived **adjacency table**: every node's
+/// in-range ids, built by [`World::refresh_adjacency`] and marked stale
+/// by every position write ([`World::set_motion`], [`World::place_all`],
+/// [`World::rebuild_index`]). While it is fresh,
+/// [`World::neighbors_into`] decodes the node's run instead of querying
+/// the index and sorting; a stale world answers from the index exactly as
+/// before, so the table changes speed, never an answer. Liveness is not
+/// part of it: [`World::set_alive`] leaves it fresh, and the decode skips
+/// dead ids. The parallel engine refreshes it between windows
+/// ([`crate::par`]); a world nobody refreshes always takes the index path.
 #[derive(Debug, Clone)]
 pub struct World {
     area: Aabb,
@@ -42,6 +52,99 @@ pub struct World {
     clock_skew: Option<Vec<i64>>,
     /// Per-node reported-minus-true GPS displacement. Lazily allocated.
     pos_err: Option<Vec<Vec2>>,
+    /// Derived in-range table; see [`World::refresh_adjacency`].
+    adj: Adjacency,
+}
+
+/// Every node's in-range ids (ascending, self excluded, alive or not) as
+/// one CSR of 16-bit id gaps: node `i`'s run is
+/// `gaps[start[i]..start[i + 1]]`, written by [`encode_run`].
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    start: Vec<u32>,
+    gaps: Vec<u16>,
+    /// Whether the runs match the current positions.
+    fresh: bool,
+}
+
+impl Adjacency {
+    /// Node `i`'s in-range ids, ascending.
+    #[inline]
+    fn run(&self, i: usize) -> Run<'_> {
+        let (lo, hi) = (self.start[i] as usize, self.start[i + 1] as usize);
+        Run::new(&self.gaps[lo..hi])
+    }
+}
+
+/// The gaps of an ascending id run, the first taken from −1, in wrapping
+/// `u32` arithmetic: every gap of a strictly ascending run is at least 1,
+/// except a first id of `u32::MAX`, whose gap of 2³² wraps to 0.
+fn run_gaps(ids: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    let mut prev = u32::MAX;
+    ids.iter().map(move |&id| {
+        let gap = id.wrapping_sub(prev);
+        prev = id;
+        gap
+    })
+}
+
+/// Whether a gap fits one code unit: 0 is the escape marker.
+#[inline]
+fn short_gap(gap: u32) -> bool {
+    (1..=u32::from(u16::MAX)).contains(&gap)
+}
+
+/// Code units [`encode_run`] writes for `ids`.
+fn encoded_len(ids: &[u32]) -> usize {
+    run_gaps(ids)
+        .map(|g| if short_gap(g) { 1 } else { 3 })
+        .sum()
+}
+
+/// Appends the strictly ascending run `ids` to `out`: each gap in
+/// `1..=65535` as one unit, any other as a 0 followed by the gap's low and
+/// high halves. Below 65 536 nodes the escape never fires.
+fn encode_run(ids: &[u32], out: &mut Vec<u16>) {
+    for gap in run_gaps(ids) {
+        if short_gap(gap) {
+            out.push(gap as u16);
+        } else {
+            out.extend([0, gap as u16, (gap >> 16) as u16]);
+        }
+    }
+}
+
+/// Decodes one [`encode_run`] run back into its ids.
+struct Run<'a> {
+    units: &'a [u16],
+    prev: u32,
+}
+
+impl<'a> Run<'a> {
+    fn new(units: &'a [u16]) -> Self {
+        Run {
+            units,
+            prev: u32::MAX,
+        }
+    }
+}
+
+impl Iterator for Run<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        let (&unit, rest) = self.units.split_first()?;
+        let gap = if unit != 0 {
+            self.units = rest;
+            u32::from(unit)
+        } else {
+            self.units = &rest[2..];
+            u32::from(rest[0]) | u32::from(rest[1]) << 16
+        };
+        self.prev = self.prev.wrapping_add(gap);
+        Some(self.prev)
+    }
 }
 
 impl World {
@@ -63,6 +166,7 @@ impl World {
             byz: None,
             clock_skew: None,
             pos_err: None,
+            adj: Adjacency::default(),
         };
         w.rebuild_index();
         w
@@ -134,7 +238,9 @@ impl World {
         self.busy_until[id.idx()] = t;
     }
 
-    /// Marks a node up or down.
+    /// Marks a node up or down. The adjacency table stays fresh: it holds
+    /// dead nodes too, and [`World::neighbors_into`] reads liveness at
+    /// query time.
     pub fn set_alive(&mut self, id: NodeId, alive: bool) {
         self.alive[id.idx()] = alive;
     }
@@ -247,13 +353,15 @@ impl World {
 
     /// Updates a node's position and velocity, clamping to the area. The
     /// spatial index is updated in place (same-cell fast path), so range
-    /// queries stay fresh without any rebuild step.
+    /// queries stay fresh without any index rebuild; the adjacency table
+    /// goes stale until the next [`World::refresh_adjacency`].
     pub fn set_motion(&mut self, id: NodeId, pos: Point, vel: Vec2) {
         let clamped = self.area.clamp(pos);
         let old = self.pos[id.idx()];
         self.pos[id.idx()] = clamped;
         self.vel[id.idx()] = vel;
         self.index.update(id.0, old, clamped);
+        self.adj.fresh = false;
     }
 
     /// Sets every node's position (clamped to the area) and velocity from
@@ -273,11 +381,66 @@ impl World {
     /// Rebuilds the spatial index from current positions in one pass
     /// ([`World::place_all`] ends with it). Since [`World::set_motion`]
     /// maintains the index incrementally, callers never *need* it; it
-    /// remains as an idempotent full resync for bulk scenario setup.
+    /// remains as an idempotent full resync for bulk scenario setup. It
+    /// marks the adjacency table stale.
     pub fn rebuild_index(&mut self) {
         let pos = &self.pos;
         self.index
             .rebuild(pos.iter().enumerate().map(|(i, p)| (i as u32, *p)));
+        self.adj.fresh = false;
+    }
+
+    /// Builds the adjacency table from current positions unless it is
+    /// already fresh. Two passes over the nodes, each with the query the
+    /// stale path makes: one counts every run's code units, the other
+    /// fills a table of exactly that size. It costs about two neighbour
+    /// queries per node, so callers refresh at serial points where many
+    /// queries follow: the parallel engine before each window's drain.
+    pub fn refresh_adjacency(&mut self) {
+        if self.adj.fresh {
+            return;
+        }
+        // The old runs go before the new ones are allocated, so a rebuild
+        // never holds two tables.
+        self.adj = Adjacency::default();
+        let n = self.pos.len();
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        let mut raw = Vec::new();
+        let mut total = 0usize;
+        for i in 0..n {
+            self.disk_into(i, &mut raw);
+            total += encoded_len(&raw);
+            start.push(u32::try_from(total).expect("adjacency table past u32 offsets"));
+        }
+        let mut gaps = Vec::with_capacity(total);
+        for i in 0..n {
+            self.disk_into(i, &mut raw);
+            encode_run(&raw, &mut gaps);
+        }
+        debug_assert_eq!(gaps.len(), total);
+        self.adj = Adjacency {
+            start,
+            gaps,
+            fresh: true,
+        };
+    }
+
+    /// Whether [`World::neighbors_into`] currently reads the adjacency
+    /// table (built since the last position write).
+    pub fn adjacency_fresh(&self) -> bool {
+        self.adj.fresh
+    }
+
+    /// Node `i`'s unit disk, alive or not: every other id within radio
+    /// range of its true position, ascending, into `raw`. The one
+    /// definition of "in range" that both the table build and the stale
+    /// query path use.
+    fn disk_into(&self, i: usize, raw: &mut Vec<u32>) {
+        self.index
+            .query_range_into(self.pos[i], self.radio_range, raw);
+        raw.retain(|&j| j as usize != i);
+        raw.sort_unstable();
     }
 
     /// The spatial-index cell a node currently occupies. Cell keys are
@@ -293,6 +456,12 @@ impl World {
     /// allocator capacity, so the figure reproduces across machines.
     /// Fault-plane arrays count only once allocated (fault-free runs
     /// report the same figure as before the fault plane existed).
+    ///
+    /// The adjacency table is left out. It is a derived cache whose size
+    /// depends on whether an engine ever refreshed it, not on the
+    /// scenario's state, and at the `scale` density (about 67 neighbours
+    /// per node) it would add about 140 B/node to a figure the committed
+    /// trajectories gate. Measured heap counts it.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let n = self.pos.len();
@@ -332,24 +501,24 @@ impl World {
     }
 
     /// Collects the alive radio neighbours of `id` (excluding itself) into
-    /// `out` (cleared first), in ascending id order for determinism.
-    /// `raw` is a reusable query scratch buffer (cleared by the index
-    /// query); threading it from the caller keeps the hot path free of
-    /// per-query allocations.
+    /// `out` (cleared first), in ascending id order for determinism; a
+    /// dead `id` gets an empty list. While the adjacency table is fresh
+    /// this decodes `id`'s run and drops dead ids; otherwise it queries
+    /// the spatial index, using `raw` as reusable scratch (threading it
+    /// from the caller keeps the hot path free of per-query allocations).
+    /// Both paths return the same list.
     pub fn neighbors_into(&self, id: NodeId, out: &mut Vec<NodeId>, raw: &mut Vec<u32>) {
         out.clear();
         if !self.alive[id.idx()] {
             return;
         }
-        self.index
-            .query_range_into(self.pos[id.idx()], self.radio_range, raw);
-        for &other in raw.iter() {
-            let oid = NodeId(other);
-            if oid != id && self.alive[oid.idx()] {
-                out.push(oid);
-            }
+        let alive = |j: &u32| self.alive[*j as usize];
+        if self.adj.fresh {
+            out.extend(self.adj.run(id.idx()).filter(alive).map(NodeId));
+        } else {
+            self.disk_into(id.idx(), raw);
+            out.extend(raw.iter().copied().filter(alive).map(NodeId));
         }
-        out.sort_unstable();
     }
 
     /// Allocating convenience wrapper over [`World::neighbors_into`].
@@ -455,6 +624,85 @@ mod tests {
         // An explicit rebuild stays idempotent.
         w.rebuild_index();
         assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn gap_codec_round_trips_through_the_escape() {
+        let runs: [&[u32]; 9] = [
+            &[],
+            &[0, 1, 2],
+            // First gaps of 65 535 (one unit) and 65 536 (escaped).
+            &[65_534],
+            &[65_535, 65_536],
+            // A gap of 65 536 mid-run, then one far past 16 bits.
+            &[0, 1, 65_537, 65_538, 4_000_000],
+            &[7, 70_000, 70_001, 200_000],
+            // Ids near `u32::MAX`: a first gap of 2³² wraps to 0 and
+            // still escapes.
+            &[u32::MAX - 2, u32::MAX - 1, u32::MAX],
+            &[u32::MAX],
+            &[0, u32::MAX],
+        ];
+        for ids in runs {
+            // Runs append: a unit already in the buffer stays in front.
+            let mut units = vec![9u16];
+            encode_run(ids, &mut units);
+            assert_eq!(units.len() - 1, encoded_len(ids), "{ids:?}");
+            let back: Vec<u32> = Run::new(&units[1..]).collect();
+            assert_eq!(back, ids, "round trip of {ids:?} via {units:?}");
+        }
+        let mut units = Vec::new();
+        encode_run(&[65_534, 131_069], &mut units);
+        assert_eq!(units, [65_535, 65_535], "gaps up to 65 535 take one unit");
+        units.clear();
+        encode_run(&[65_535, 65_536], &mut units);
+        assert_eq!(units, [0, 0, 1, 1], "a gap of 65 536 escapes");
+        units.clear();
+        encode_run(&[u32::MAX], &mut units);
+        assert_eq!(units, [0, 0, 0]);
+    }
+
+    #[test]
+    fn adjacency_table_answers_like_the_index() {
+        let mut w = line_world();
+        assert!(!w.adjacency_fresh(), "a world starts on the index path");
+        let stale: Vec<_> = w.ids().map(|id| w.neighbors(id)).collect();
+        w.refresh_adjacency();
+        assert!(w.adjacency_fresh());
+        let fresh: Vec<_> = w.ids().map(|id| w.neighbors(id)).collect();
+        assert_eq!(fresh, stale);
+        // Liveness is read at query time: the table stays fresh.
+        w.set_alive(NodeId(1), false);
+        assert!(w.adjacency_fresh());
+        assert!(w.neighbors(NodeId(0)).is_empty());
+        assert!(
+            w.neighbors(NodeId(1)).is_empty(),
+            "a dead node hears no one"
+        );
+        assert_eq!(w.neighbors(NodeId(2)), vec![NodeId(3)]);
+        w.set_alive(NodeId(1), true);
+        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1)]);
+        // Every position write marks it stale; the index answers.
+        w.set_motion(NodeId(4), Point::new(80.0, 50.0), Vec2::ZERO);
+        assert!(!w.adjacency_fresh());
+        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1), NodeId(4)]);
+        w.refresh_adjacency();
+        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1), NodeId(4)]);
+        w.rebuild_index();
+        assert!(!w.adjacency_fresh());
+        w.refresh_adjacency();
+        w.place_all(|id| (Point::new(id.0 as f64 * 200.0, 50.0), Vec2::ZERO));
+        assert!(!w.adjacency_fresh());
+        w.refresh_adjacency();
+        assert!(w.neighbors(NodeId(2)).is_empty());
+    }
+
+    #[test]
+    fn memory_bytes_leaves_the_adjacency_table_out() {
+        let mut w = line_world();
+        let before = w.memory_bytes();
+        w.refresh_adjacency();
+        assert_eq!(w.memory_bytes(), before);
     }
 
     #[test]

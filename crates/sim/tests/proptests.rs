@@ -7,10 +7,16 @@ use hvdb_sim::{
 };
 use proptest::prelude::*;
 
-/// `id`'s unit-disk neighbours computed by brute force over every node.
+/// `id`'s alive unit-disk neighbours computed by brute force over every
+/// node, ascending (none when `id` itself is dead).
 fn brute_force_neighbors(w: &World, id: NodeId, range: f64) -> Vec<NodeId> {
+    if !w.alive(id) {
+        return Vec::new();
+    }
     w.ids()
-        .filter(|&j| j != id && w.position(id).distance_sq(w.position(j)) <= range * range)
+        .filter(|&j| {
+            j != id && w.alive(j) && w.position(id).distance_sq(w.position(j)) <= range * range
+        })
         .collect()
 }
 
@@ -107,6 +113,49 @@ proptest! {
             model.init(&mut placed, &mut SimRng::new(seed));
             for id in placed.ids() {
                 prop_assert_eq!(placed.neighbors(id), brute_force_neighbors(&placed, id, range));
+            }
+        }
+    }
+
+    /// The adjacency table answers exactly like the spatial index: with
+    /// refreshes, moves without a refresh and liveness flips interleaved,
+    /// every node's `neighbors_into` equals the brute-force disk after
+    /// every step, on the fresh path and the stale one alike.
+    #[test]
+    fn adjacency_table_matches_brute_force(
+        pts in proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64), 1..60),
+        side in 50.0..2000.0f64,
+        range in 5.0..700.0f64,
+        steps in proptest::collection::vec(
+            (0u8..3, 0usize..1000, (0.0..1.0f64, 0.0..1.0f64)),
+            1..40,
+        ),
+    ) {
+        let n = pts.len();
+        let at = |(x, y): (f64, f64)| Point::new(x * side, y * side);
+        let mut w = World::new(Aabb::from_size(side, side), n, range);
+        w.place_all(|id| (at(pts[id.idx()]), Vec2::ZERO));
+        let (mut out, mut raw) = (Vec::new(), Vec::new());
+        for (op, k, p) in steps {
+            let id = NodeId((k % n) as u32);
+            let was_fresh = w.adjacency_fresh();
+            match op {
+                0 => {
+                    w.refresh_adjacency();
+                    prop_assert!(w.adjacency_fresh());
+                }
+                1 => {
+                    w.set_motion(id, at(p), Vec2::ZERO);
+                    prop_assert!(!w.adjacency_fresh(), "a move must stale the table");
+                }
+                _ => {
+                    w.set_alive(id, !w.alive(id));
+                    prop_assert_eq!(w.adjacency_fresh(), was_fresh);
+                }
+            }
+            for id in w.ids() {
+                w.neighbors_into(id, &mut out, &mut raw);
+                prop_assert_eq!(&out, &brute_force_neighbors(&w, id, range));
             }
         }
     }
