@@ -1,164 +1,88 @@
 //! Shared scenario scaffolding for baseline protocols.
 //!
-//! Every baseline runs the *same* scenario inputs as the HVDB protocol
-//! (initial group membership, scripted traffic, scripted joins/leaves), so
-//! comparative experiments differ only in the protocol under test.
+//! Every baseline reads the *same* [`Script`] as the HVDB protocol
+//! (initial group membership, scripted traffic, scripted joins/leaves,
+//! expected receivers per packet), so comparative experiments differ only
+//! in the protocol under test. Each node keeps its own [`Member`] view of
+//! the script, mutated only by that node's own scripted timers.
 
-use hvdb_core::{GroupEvent, GroupId, TrafficItem};
-use hvdb_sim::{Ctx, NodeId, SimTime};
-use rustc_hash::{FxHashMap, FxHashSet};
+use hvdb_core::{GroupId, Script};
+use hvdb_sim::{NodeId, ParCtx};
+use rustc_hash::FxHashSet;
 
-/// Timer-tag bases shared by all baselines.
-pub const TAG_TRAFFIC_BASE: u64 = 1 << 32;
-/// Group-event tag base.
-pub const TAG_GROUP_BASE: u64 = 1 << 33;
+pub use hvdb_core::{TAG_GROUP_BASE, TAG_TRAFFIC_BASE};
 
-/// Scenario state common to all baselines: per-node memberships, the
-/// ground-truth group map, and origin accounting.
-pub struct ScenarioState {
-    /// Per-node joined groups.
-    pub member_of: Vec<FxHashSet<GroupId>>,
-    /// Ground truth: group -> members.
-    pub truth: FxHashMap<GroupId, FxHashSet<NodeId>>,
-    /// Scripted traffic.
-    pub traffic: Vec<TrafficItem>,
-    /// Scripted membership changes.
-    pub group_events: Vec<GroupEvent>,
-    /// Per-node delivered data ids (dedup).
-    pub seen_data: Vec<FxHashSet<u64>>,
-    next_data_id: u64,
+/// One node's scenario state: its current groups and the data ids it has
+/// already counted as delivered.
+#[derive(Debug, Default)]
+pub struct Member {
+    /// Groups this node currently belongs to.
+    pub member_of: FxHashSet<GroupId>,
+    /// Data ids already counted as delivered here.
+    pub delivered: FxHashSet<u64>,
 }
 
-impl ScenarioState {
-    /// Builds the scenario state.
-    pub fn new(
-        initial_groups: &[(NodeId, GroupId)],
-        traffic: Vec<TrafficItem>,
-        group_events: Vec<GroupEvent>,
-    ) -> Self {
-        let mut truth: FxHashMap<GroupId, FxHashSet<NodeId>> = FxHashMap::default();
-        for (node, group) in initial_groups {
-            truth.entry(*group).or_default().insert(*node);
-        }
-        ScenarioState {
-            member_of: Vec::new(),
-            truth,
-            traffic,
-            group_events,
-            seen_data: Vec::new(),
-            next_data_id: 1,
+impl Member {
+    /// Node `id`'s state at t = 0: its scripted initial groups.
+    pub fn new(script: &Script, id: NodeId) -> Self {
+        Member {
+            member_of: script.initial_groups(id).collect(),
+            delivered: FxHashSet::default(),
         }
     }
 
-    /// Allocates per-node state and schedules scripted timers; call from
-    /// each node's `on_start`.
-    pub fn on_start<M: Clone>(&mut self, node: NodeId, ctx: &mut Ctx<'_, M>) {
-        if self.member_of.len() < ctx.node_count() {
-            for id in 0..ctx.node_count() as u32 {
-                let groups: FxHashSet<GroupId> = self
-                    .truth
-                    .iter()
-                    .filter(|(_, m)| m.contains(&NodeId(id)))
-                    .map(|(g, _)| *g)
-                    .collect();
-                self.member_of.push(groups);
-                self.seen_data.push(FxHashSet::default());
-            }
-        }
-        for (i, t) in self.traffic.iter().enumerate() {
-            if t.src == node {
-                ctx.set_timer(node, t.at.since(SimTime::ZERO), TAG_TRAFFIC_BASE + i as u64);
-            }
-        }
-        for (i, g) in self.group_events.iter().enumerate() {
-            if g.node == node {
-                ctx.set_timer(node, g.at.since(SimTime::ZERO), TAG_GROUP_BASE + i as u64);
-            }
-        }
-    }
-
-    /// Applies a scripted group event.
-    pub fn apply_group_event(&mut self, idx: usize) {
-        let ev = self.group_events[idx];
+    /// Applies scripted group event `idx`, whose timer fired at this node.
+    pub fn apply(&mut self, script: &Script, idx: usize) {
+        let ev = script.group_event(idx);
         if ev.join {
-            self.member_of[ev.node.idx()].insert(ev.group);
-            self.truth.entry(ev.group).or_default().insert(ev.node);
+            self.member_of.insert(ev.group);
         } else {
-            self.member_of[ev.node.idx()].remove(&ev.group);
-            if let Some(m) = self.truth.get_mut(&ev.group) {
-                m.remove(&ev.node);
-            }
+            self.member_of.remove(&ev.group);
         }
     }
 
-    /// Registers an origin for traffic item `idx` and returns
-    /// (data id, group, size). Expected receivers = current true members
-    /// minus the source.
-    pub fn originate<M: Clone>(
-        &mut self,
-        node: NodeId,
-        ctx: &mut Ctx<'_, M>,
-        idx: usize,
-    ) -> (u64, GroupId, usize) {
-        let item = self.traffic[idx];
-        let data_id = self.next_data_id;
-        self.next_data_id += 1;
-        let expected = self
-            .truth
-            .get(&item.group)
-            .map(|m| m.iter().filter(|n| **n != node).count() as u64)
-            .unwrap_or(0);
-        // Traffic-plane items carry a flow id; legacy scripted traffic
-        // registers as FLOW_NONE at zero cost.
-        ctx.record_origin_flow(data_id, expected, item.flow, item.seq);
-        (data_id, item.group, item.size)
+    /// Whether this node currently belongs to `group`.
+    pub fn is_member(&self, group: GroupId) -> bool {
+        self.member_of.contains(&group)
     }
 
-    /// Records delivery at `node` if it is a member and hasn't seen the
-    /// packet. Returns whether this was a fresh delivery.
+    /// This node's groups, ascending (the order they go on the wire).
+    pub fn groups(&self) -> Vec<GroupId> {
+        let mut groups: Vec<GroupId> = self.member_of.iter().copied().collect();
+        groups.sort_unstable();
+        groups
+    }
+
+    /// Records a delivery at the dispatched node `id` after `hops`
+    /// transmissions if it is a member of `group` and has not seen
+    /// `data_id`. Returns whether this was a fresh delivery.
     pub fn deliver<M: Clone>(
         &mut self,
-        node: NodeId,
-        ctx: &mut Ctx<'_, M>,
-        data_id: u64,
-        group: GroupId,
-    ) -> bool {
-        self.deliver_hops(node, ctx, data_id, group, 0)
-    }
-
-    /// [`ScenarioState::deliver`] carrying the physical hop count the
-    /// packet traversed (feeds the per-flow hop histograms).
-    pub fn deliver_hops<M: Clone>(
-        &mut self,
-        node: NodeId,
-        ctx: &mut Ctx<'_, M>,
+        id: NodeId,
+        ctx: &mut ParCtx<'_, M>,
         data_id: u64,
         group: GroupId,
         hops: u32,
     ) -> bool {
-        if self.member_of[node.idx()].contains(&group) && self.seen_data[node.idx()].insert(data_id)
-        {
-            ctx.record_delivery_hops(data_id, node, hops);
+        if self.is_member(group) && self.delivered.insert(data_id) {
+            ctx.record_delivery_hops(data_id, id, hops);
             true
         } else {
             false
         }
-    }
-
-    /// Whether `node` currently belongs to `group`.
-    pub fn is_member(&self, node: NodeId, group: GroupId) -> bool {
-        self.member_of[node.idx()].contains(&group)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hvdb_core::GroupEvent;
+    use hvdb_sim::SimTime;
 
     #[test]
     fn truth_tracks_events() {
         let g = GroupId(1);
-        let mut s = ScenarioState::new(
+        let script = Script::new(
             &[(NodeId(0), g)],
             vec![],
             vec![
@@ -176,13 +100,16 @@ mod tests {
                 },
             ],
         );
-        // Simulate allocation for 2 nodes.
-        s.member_of = vec![[g].into_iter().collect(), FxHashSet::default()];
-        s.seen_data = vec![FxHashSet::default(), FxHashSet::default()];
-        s.apply_group_event(0);
-        assert!(s.is_member(NodeId(1), g));
-        s.apply_group_event(1);
-        assert!(!s.is_member(NodeId(0), g));
-        assert_eq!(s.truth[&g].len(), 1);
+        let mut nodes = [
+            Member::new(&script, NodeId(0)),
+            Member::new(&script, NodeId(1)),
+        ];
+        assert!(nodes[0].is_member(g));
+        assert!(!nodes[1].is_member(g));
+        nodes[1].apply(&script, 0);
+        assert!(nodes[1].is_member(g));
+        nodes[0].apply(&script, 1);
+        assert!(!nodes[0].is_member(g));
+        assert_eq!(nodes.iter().filter(|n| n.is_member(g)).count(), 1);
     }
 }

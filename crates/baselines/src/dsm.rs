@@ -10,11 +10,11 @@
 //! upper bound — the *membership/location overhead*, which is what the
 //! comparative experiments measure, is faithful).
 
-use crate::common::{ScenarioState, TAG_GROUP_BASE, TAG_TRAFFIC_BASE};
-use hvdb_core::{GroupEvent, GroupId, TrafficItem};
+use crate::common::{Member, TAG_GROUP_BASE, TAG_TRAFFIC_BASE};
+use hvdb_core::{GroupEvent, GroupId, Script, TrafficItem};
 use hvdb_geo::Point;
 use hvdb_sim::georoute;
-use hvdb_sim::{Ctx, NodeId, Protocol, SimDuration};
+use hvdb_sim::{NodeId, ParCtx, ParProtocol, SimDuration, World};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 const TAG_LOCATION: u64 = 1;
@@ -64,15 +64,23 @@ impl DsmMsg {
 /// One node's replicated view of another: (seq, position, groups).
 type NodeView = (u64, Point, Vec<GroupId>);
 
-/// The DSM-style protocol.
+/// One node's DSM state, owned by its shard.
+#[derive(Debug, Default)]
+pub struct DsmNode {
+    member: Member,
+    /// Snapshot: node -> latest view.
+    snapshot: FxHashMap<NodeId, NodeView>,
+    /// Flood dedup: (origin, seq).
+    seen: FxHashSet<(NodeId, u64)>,
+    /// This node's own advertisement sequence.
+    seq: u64,
+}
+
+/// The DSM-style protocol: the scenario script shared read-only by every
+/// shard.
 pub struct DsmProtocol {
-    scenario: ScenarioState,
-    /// Per-node snapshot: node -> latest view.
-    snapshot: Vec<FxHashMap<NodeId, NodeView>>,
-    /// Per-node flood dedup: (origin, seq).
-    seen: Vec<FxHashSet<(NodeId, u64)>>,
+    script: Script,
     location_interval: SimDuration,
-    seq: Vec<u64>,
     geo_ttl: u32,
 }
 
@@ -84,43 +92,66 @@ impl DsmProtocol {
         group_events: Vec<GroupEvent>,
     ) -> Self {
         DsmProtocol {
-            scenario: ScenarioState::new(initial_groups, traffic, group_events),
-            snapshot: Vec::new(),
-            seen: Vec::new(),
+            script: Script::new(initial_groups, traffic, group_events),
             location_interval: SimDuration::from_secs(10),
-            seq: Vec::new(),
             geo_ttl: 64,
         }
     }
 
-    fn flood(&mut self, node: NodeId, ctx: &mut Ctx<'_, DsmMsg>, msg: DsmMsg) {
+    fn flood(st: &mut DsmNode, node: NodeId, ctx: &mut ParCtx<'_, DsmMsg>, msg: DsmMsg) {
         let (origin, seq) = match &msg {
             DsmMsg::Location { node, seq, .. } => (*node, *seq),
             _ => unreachable!("only location floods"),
         };
-        if !self.seen[node.idx()].insert((origin, seq)) {
+        if !st.seen.insert((origin, seq)) {
             return;
         }
         let bytes = msg.wire_size();
         ctx.broadcast(node, "dsm-location", bytes, msg);
     }
+
+    /// The first hop toward `dest`: `dest` itself when it is a radio
+    /// neighbour, else the geo next hop toward its snapshot position.
+    fn first_hop(
+        ctx: &mut ParCtx<'_, DsmMsg>,
+        node: NodeId,
+        dest: NodeId,
+        dest_pos: Point,
+        visited: &[NodeId],
+    ) -> Option<NodeId> {
+        if ctx.with_neighbors(node, |_, ns| ns.contains(&dest)) {
+            Some(dest)
+        } else {
+            georoute::next_hop(ctx, node, dest_pos, visited)
+        }
+    }
 }
 
-impl Protocol for DsmProtocol {
+impl ParProtocol for DsmProtocol {
     type Msg = DsmMsg;
+    type Node = DsmNode;
 
-    fn on_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, DsmMsg>) {
-        self.scenario.on_start(node, ctx);
-        if self.snapshot.len() < ctx.node_count() {
-            self.snapshot = vec![FxHashMap::default(); ctx.node_count()];
-            self.seen = vec![FxHashSet::default(); ctx.node_count()];
-            self.seq = vec![0; ctx.node_count()];
+    fn make_node(&self, id: NodeId, _world: &World) -> DsmNode {
+        DsmNode {
+            member: Member::new(&self.script, id),
+            ..Default::default()
         }
+    }
+
+    fn on_start(&self, node: NodeId, _st: &mut DsmNode, ctx: &mut ParCtx<'_, DsmMsg>) {
+        self.script.arm(node, ctx);
         let j = SimDuration(ctx.rng().range_u64(0, self.location_interval.0.max(1)));
         ctx.set_timer(node, j, TAG_LOCATION);
     }
 
-    fn on_message(&mut self, node: NodeId, _from: NodeId, msg: DsmMsg, ctx: &mut Ctx<'_, DsmMsg>) {
+    fn on_message(
+        &self,
+        node: NodeId,
+        st: &mut DsmNode,
+        _from: NodeId,
+        msg: DsmMsg,
+        ctx: &mut ParCtx<'_, DsmMsg>,
+    ) {
         match msg {
             DsmMsg::Location {
                 node: origin,
@@ -128,15 +159,15 @@ impl Protocol for DsmProtocol {
                 ref groups,
                 seq,
             } => {
-                let snap = &mut self.snapshot[node.idx()];
-                let fresh = snap
+                let fresh = st
+                    .snapshot
                     .get(&origin)
                     .map(|(old_seq, _, _)| seq > *old_seq)
                     .unwrap_or(true);
                 if fresh {
-                    snap.insert(origin, (seq, pos, groups.clone()));
+                    st.snapshot.insert(origin, (seq, pos, groups.clone()));
                 }
-                self.flood(node, ctx, msg);
+                Self::flood(st, node, ctx, msg);
             }
             DsmMsg::Data {
                 data_id,
@@ -148,20 +179,14 @@ impl Protocol for DsmProtocol {
                 ttl,
             } => {
                 if dest == node {
-                    self.scenario.deliver(node, ctx, data_id, group);
+                    st.member.deliver(node, ctx, data_id, group, 0);
                     return;
                 }
                 if ttl == 0 {
                     return;
                 }
                 georoute::push_visited(&mut visited, node);
-                // Direct hand-off if the member is a neighbour.
-                let hop = if ctx.with_neighbors(node, |_, ns| ns.contains(&dest)) {
-                    Some(dest)
-                } else {
-                    georoute::next_hop(ctx, node, dest_pos, &visited)
-                };
-                if let Some(nh) = hop {
+                if let Some(nh) = Self::first_hop(ctx, node, dest, dest_pos, &visited) {
                     let msg = DsmMsg::Data {
                         data_id,
                         group,
@@ -178,65 +203,49 @@ impl Protocol for DsmProtocol {
         }
     }
 
-    fn on_timer(&mut self, node: NodeId, tag: u64, ctx: &mut Ctx<'_, DsmMsg>) {
+    fn on_timer(&self, node: NodeId, st: &mut DsmNode, tag: u64, ctx: &mut ParCtx<'_, DsmMsg>) {
         if tag >= TAG_GROUP_BASE {
-            self.scenario
-                .apply_group_event((tag - TAG_GROUP_BASE) as usize);
+            st.member
+                .apply(&self.script, (tag - TAG_GROUP_BASE) as usize);
         } else if tag >= TAG_TRAFFIC_BASE {
-            let (data_id, group, size) =
-                self.scenario
-                    .originate(node, ctx, (tag - TAG_TRAFFIC_BASE) as usize);
+            let (item, data_id) = self
+                .script
+                .originate((tag - TAG_TRAFFIC_BASE) as usize, ctx);
+            let (group, size) = (item.group, item.size);
             // Compute members from the local global snapshot (DSM's local
             // tree computation) and send one geo copy per member.
-            let targets: Vec<(NodeId, Point)> = {
-                let snap = &self.snapshot[node.idx()];
-                let mut t: Vec<(NodeId, Point)> = snap
-                    .iter()
-                    .filter(|(id, (_, _, groups))| **id != node && groups.contains(&group))
-                    .map(|(id, (_, pos, _))| (*id, *pos))
-                    .collect();
-                t.sort_by_key(|(id, _)| *id);
-                t
-            };
+            let mut targets: Vec<(NodeId, Point)> = st
+                .snapshot
+                .iter()
+                .filter(|(id, (_, _, groups))| **id != node && groups.contains(&group))
+                .map(|(id, (_, pos, _))| (*id, *pos))
+                .collect();
+            targets.sort_by_key(|(id, _)| *id);
             for (dest, dest_pos) in targets {
-                let msg = DsmMsg::Data {
-                    data_id,
-                    group,
-                    size,
-                    dest,
-                    dest_pos,
-                    visited: vec![node],
-                    ttl: self.geo_ttl,
-                };
-                if dest == node {
-                    continue;
-                }
-                // First hop from the source.
-                let hop = if ctx.with_neighbors(node, |_, ns| ns.contains(&dest)) {
-                    Some(dest)
-                } else {
-                    georoute::next_hop(ctx, node, dest_pos, &[node])
-                };
-                if let Some(nh) = hop {
+                if let Some(nh) = Self::first_hop(ctx, node, dest, dest_pos, &[node]) {
+                    let msg = DsmMsg::Data {
+                        data_id,
+                        group,
+                        size,
+                        dest,
+                        dest_pos,
+                        visited: vec![node],
+                        ttl: self.geo_ttl,
+                    };
                     let bytes = msg.wire_size();
                     ctx.send_reliable(node, nh, "dsm-data", bytes, msg);
                 }
             }
         } else if tag == TAG_LOCATION {
             ctx.set_timer(node, self.location_interval, TAG_LOCATION);
-            self.seq[node.idx()] += 1;
-            let mut groups: Vec<GroupId> = self.scenario.member_of[node.idx()]
-                .iter()
-                .copied()
-                .collect();
-            groups.sort_unstable();
+            st.seq += 1;
             let msg = DsmMsg::Location {
                 node,
                 pos: ctx.position(node),
-                groups,
-                seq: self.seq[node.idx()],
+                groups: st.member.groups(),
+                seq: st.seq,
             };
-            self.flood(node, ctx, msg);
+            Self::flood(st, node, ctx, msg);
         }
     }
 }
@@ -245,9 +254,9 @@ impl Protocol for DsmProtocol {
 mod tests {
     use super::*;
     use hvdb_geo::{Aabb, Vec2};
-    use hvdb_sim::{RadioConfig, SimConfig, SimTime, Simulator, Stationary};
+    use hvdb_sim::{ParSimulator, RadioConfig, SimConfig, SimTime, Stationary};
 
-    fn grid_sim(n_side: u32, seed: u64) -> Simulator<DsmMsg> {
+    fn grid_sim(n_side: u32, seed: u64) -> ParSimulator<DsmNode, DsmMsg> {
         let spacing = 150.0;
         let side = n_side as f64 * spacing;
         let cfg = SimConfig {
@@ -262,7 +271,7 @@ mod tests {
             seed,
             compact_delivery: false,
         };
-        let mut sim = Simulator::new(cfg, Box::new(Stationary));
+        let mut sim = ParSimulator::new(cfg, Box::new(Stationary), 8, 1);
         for r in 0..n_side {
             for c in 0..n_side {
                 let id = NodeId(r * n_side + c);
@@ -278,14 +287,14 @@ mod tests {
     fn location_floods_build_global_snapshot() {
         let mut sim = grid_sim(4, 1);
         let g = GroupId(1);
-        let mut p = DsmProtocol::new(&[(NodeId(5), g)], vec![], vec![]);
-        sim.run(&mut p, SimTime::from_secs(25));
+        let p = DsmProtocol::new(&[(NodeId(5), g)], vec![], vec![]);
+        sim.run(&p, SimTime::from_secs(25));
         // Every node's snapshot should cover every other node.
-        for n in 0..16usize {
+        for (n, st) in sim.nodes() {
             assert!(
-                p.snapshot[n].len() >= 15,
+                st.snapshot.len() >= 15,
                 "node {n} snapshot has only {} entries",
-                p.snapshot[n].len()
+                st.snapshot.len()
             );
         }
         // Flood cost: each advert is retransmitted by every node once:
@@ -305,8 +314,8 @@ mod tests {
             size: 300,
             ..Default::default()
         }];
-        let mut p = DsmProtocol::new(&members, traffic, vec![]);
-        sim.run(&mut p, SimTime::from_secs(40));
+        let p = DsmProtocol::new(&members, traffic, vec![]);
+        sim.run(&p, SimTime::from_secs(40));
         assert!(
             sim.stats().delivery_ratio() >= 0.99,
             "ratio {}",
@@ -331,8 +340,8 @@ mod tests {
             size: 100,
             ..Default::default()
         }];
-        let mut p = DsmProtocol::new(&[], traffic, events);
-        sim.run(&mut p, SimTime::from_secs(55));
+        let p = DsmProtocol::new(&[], traffic, events);
+        sim.run(&p, SimTime::from_secs(55));
         assert_eq!(sim.stats().delivery_ratio(), 1.0);
     }
 }

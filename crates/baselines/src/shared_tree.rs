@@ -16,12 +16,13 @@
 //! All traffic funnels through the core and its vicinity — exactly the
 //! hot-spot structure experiment C3 quantifies against HVDB.
 
-use crate::common::{ScenarioState, TAG_GROUP_BASE, TAG_TRAFFIC_BASE};
-use hvdb_core::{GroupEvent, GroupId, TrafficItem};
+use crate::common::{Member, TAG_GROUP_BASE, TAG_TRAFFIC_BASE};
+use hvdb_core::{GroupEvent, GroupId, Script, TrafficItem};
 use hvdb_geo::Point;
 use hvdb_sim::georoute;
-use hvdb_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use hvdb_sim::{NodeId, ParCtx, ParProtocol, SimDuration, SimTime, World};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::OnceLock;
 
 const TAG_JOIN_REFRESH: u64 = 1;
 
@@ -92,16 +93,23 @@ struct Branches {
     children: FxHashMap<NodeId, SimTime>,
 }
 
-/// The shared-tree protocol.
+/// One node's shared-tree state, owned by its shard.
+#[derive(Debug, Default)]
+pub struct TreeNode {
+    member: Member,
+    /// Per-group forwarding state.
+    branches: FxHashMap<GroupId, Branches>,
+    /// Dedup of forwarded data (down phase).
+    forwarded: FxHashSet<u64>,
+}
+
+/// The shared-tree protocol: the scenario script and the tree's core,
+/// shared read-only by every shard.
 pub struct SharedTreeProtocol {
-    scenario: ScenarioState,
-    /// Per-node, per-group forwarding state.
-    branches: Vec<FxHashMap<GroupId, Branches>>,
-    /// Per-node dedup of forwarded data (down phase).
-    forwarded: Vec<FxHashSet<u64>>,
-    /// The core node (resolved at start).
-    core: Option<NodeId>,
-    core_pos: Point,
+    script: Script,
+    /// The core node and its position, resolved when the first node's
+    /// state is built.
+    core: OnceLock<(NodeId, Point)>,
     join_interval: SimDuration,
     state_ttl: SimDuration,
     geo_ttl: u32,
@@ -115,37 +123,32 @@ impl SharedTreeProtocol {
         group_events: Vec<GroupEvent>,
     ) -> Self {
         SharedTreeProtocol {
-            scenario: ScenarioState::new(initial_groups, traffic, group_events),
-            branches: Vec::new(),
-            forwarded: Vec::new(),
-            core: None,
-            core_pos: Point::ORIGIN,
+            script: Script::new(initial_groups, traffic, group_events),
+            core: OnceLock::new(),
             join_interval: SimDuration::from_secs(5),
             state_ttl: SimDuration::from_secs(15),
             geo_ttl: 64,
         }
     }
 
-    /// The elected core node.
+    /// The elected core node (`None` before the run builds node state).
     pub fn core(&self) -> Option<NodeId> {
-        self.core
+        self.core.get().map(|&(id, _)| id)
     }
 
     fn am_core(&self, node: NodeId) -> bool {
-        self.core == Some(node)
+        self.core() == Some(node)
     }
 
-    /// Records downstream state and returns whether it was new.
-    fn record_child(&mut self, node: NodeId, group: GroupId, child: NodeId, now: SimTime) {
-        self.branches[node.idx()]
-            .entry(group)
-            .or_default()
-            .children
-            .insert(child, now);
+    fn core_pos(&self) -> Point {
+        self.core
+            .get()
+            .expect("core resolved before any callback")
+            .1
     }
 
-    fn live_children(&self, node: NodeId, group: GroupId, now: SimTime) -> Vec<NodeId> {
-        let Some(b) = self.branches[node.idx()].get(&group) else {
+    fn live_children(&self, st: &TreeNode, group: GroupId, now: SimTime) -> Vec<NodeId> {
+        let Some(b) = st.branches.get(&group) else {
             return Vec::new();
         };
         let mut out: Vec<NodeId> = b
@@ -158,12 +161,12 @@ impl SharedTreeProtocol {
         out
     }
 
-    fn forward_toward_core(&mut self, node: NodeId, ctx: &mut Ctx<'_, TreeMsg>, msg: TreeMsg) {
+    fn forward_toward_core(&self, node: NodeId, ctx: &mut ParCtx<'_, TreeMsg>, msg: TreeMsg) {
         let visited = match &msg {
             TreeMsg::Join { visited, .. } | TreeMsg::DataUp { visited, .. } => visited.clone(),
             TreeMsg::DataDown { .. } => Vec::new(),
         };
-        if let Some(nh) = georoute::next_hop(ctx, node, self.core_pos, &visited) {
+        if let Some(nh) = georoute::next_hop(ctx, node, self.core_pos(), &visited) {
             let class = msg.class();
             let bytes = msg.wire_size();
             ctx.send_reliable(node, nh, class, bytes, msg);
@@ -172,20 +175,22 @@ impl SharedTreeProtocol {
 
     /// Delivers at this tree node (`hops` transmissions behind us) and
     /// forwards down every live branch.
+    #[allow(clippy::too_many_arguments)]
     fn push_down(
-        &mut self,
+        &self,
         node: NodeId,
-        ctx: &mut Ctx<'_, TreeMsg>,
+        st: &mut TreeNode,
+        ctx: &mut ParCtx<'_, TreeMsg>,
         data_id: u64,
         group: GroupId,
         size: usize,
         hops: u32,
     ) {
-        if !self.forwarded[node.idx()].insert(data_id) {
+        if !st.forwarded.insert(data_id) {
             return;
         }
-        self.scenario.deliver_hops(node, ctx, data_id, group, hops);
-        for child in self.live_children(node, group, ctx.now()) {
+        st.member.deliver(node, ctx, data_id, group, hops);
+        for child in self.live_children(st, group, ctx.now()) {
             let msg = TreeMsg::DataDown {
                 data_id,
                 group,
@@ -198,32 +203,44 @@ impl SharedTreeProtocol {
     }
 }
 
-impl Protocol for SharedTreeProtocol {
+impl ParProtocol for SharedTreeProtocol {
     type Msg = TreeMsg;
+    type Node = TreeNode;
 
-    fn on_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, TreeMsg>) {
-        self.scenario.on_start(node, ctx);
-        if self.branches.len() < ctx.node_count() {
-            self.branches = vec![FxHashMap::default(); ctx.node_count()];
-            self.forwarded = vec![FxHashSet::default(); ctx.node_count()];
-            // Deterministic core: the node nearest the area centre at t=0.
-            let center = ctx.area().center();
+    fn make_node(&self, id: NodeId, world: &World) -> TreeNode {
+        // Deterministic core: the node nearest the area centre at t=0.
+        self.core.get_or_init(|| {
+            let center = world.area().center();
             let mut best = (NodeId(0), f64::INFINITY);
-            for id in 0..ctx.node_count() as u32 {
-                let d = ctx.position(NodeId(id)).distance_sq(center);
+            for n in world.ids() {
+                let d = world.position(n).distance_sq(center);
                 if d < best.1 {
-                    best = (NodeId(id), d);
+                    best = (n, d);
                 }
             }
-            self.core = Some(best.0);
-            self.core_pos = ctx.position(best.0);
+            (best.0, world.position(best.0))
+        });
+        TreeNode {
+            member: Member::new(&self.script, id),
+            ..Default::default()
         }
+    }
+
+    fn on_start(&self, node: NodeId, _st: &mut TreeNode, ctx: &mut ParCtx<'_, TreeMsg>) {
+        self.script.arm(node, ctx);
         // Members refresh joins periodically (phase-jittered).
         let j = SimDuration(ctx.rng().range_u64(0, self.join_interval.0.max(1)));
         ctx.set_timer(node, j, TAG_JOIN_REFRESH);
     }
 
-    fn on_message(&mut self, node: NodeId, from: NodeId, msg: TreeMsg, ctx: &mut Ctx<'_, TreeMsg>) {
+    fn on_message(
+        &self,
+        node: NodeId,
+        st: &mut TreeNode,
+        from: NodeId,
+        msg: TreeMsg,
+        ctx: &mut ParCtx<'_, TreeMsg>,
+    ) {
         match msg {
             TreeMsg::Join {
                 member,
@@ -232,7 +249,11 @@ impl Protocol for SharedTreeProtocol {
                 ttl,
             } => {
                 // Record the reverse branch toward the member.
-                self.record_child(node, group, from, ctx.now());
+                st.branches
+                    .entry(group)
+                    .or_default()
+                    .children
+                    .insert(from, ctx.now());
                 if self.am_core(node) || ttl == 0 {
                     return;
                 }
@@ -257,9 +278,9 @@ impl Protocol for SharedTreeProtocol {
                 hops,
             } => {
                 let hops = hops + 1; // the send that reached us
-                self.scenario.deliver_hops(node, ctx, data_id, group, hops);
+                st.member.deliver(node, ctx, data_id, group, hops);
                 if self.am_core(node) {
-                    self.push_down(node, ctx, data_id, group, size, hops);
+                    self.push_down(node, st, ctx, data_id, group, size, hops);
                 } else if ttl > 0 {
                     georoute::push_visited(&mut visited, node);
                     self.forward_toward_core(
@@ -282,21 +303,22 @@ impl Protocol for SharedTreeProtocol {
                 size,
                 hops,
             } => {
-                self.push_down(node, ctx, data_id, group, size, hops + 1);
+                self.push_down(node, st, ctx, data_id, group, size, hops + 1);
             }
         }
     }
 
-    fn on_timer(&mut self, node: NodeId, tag: u64, ctx: &mut Ctx<'_, TreeMsg>) {
+    fn on_timer(&self, node: NodeId, st: &mut TreeNode, tag: u64, ctx: &mut ParCtx<'_, TreeMsg>) {
         if tag >= TAG_GROUP_BASE {
-            self.scenario
-                .apply_group_event((tag - TAG_GROUP_BASE) as usize);
+            st.member
+                .apply(&self.script, (tag - TAG_GROUP_BASE) as usize);
         } else if tag >= TAG_TRAFFIC_BASE {
-            let (data_id, group, size) =
-                self.scenario
-                    .originate(node, ctx, (tag - TAG_TRAFFIC_BASE) as usize);
+            let (item, data_id) = self
+                .script
+                .originate((tag - TAG_TRAFFIC_BASE) as usize, ctx);
+            let (group, size) = (item.group, item.size);
             if self.am_core(node) {
-                self.push_down(node, ctx, data_id, group, size, 0);
+                self.push_down(node, st, ctx, data_id, group, size, 0);
             } else {
                 self.forward_toward_core(
                     node,
@@ -313,16 +335,10 @@ impl Protocol for SharedTreeProtocol {
             }
         } else if tag == TAG_JOIN_REFRESH {
             ctx.set_timer(node, self.join_interval, TAG_JOIN_REFRESH);
-            let groups: Vec<GroupId> = self.scenario.member_of[node.idx()]
-                .iter()
-                .copied()
-                .collect();
-            let mut groups = groups;
-            groups.sort_unstable();
-            for group in groups {
-                if self.am_core(node) {
-                    continue;
-                }
+            if self.am_core(node) {
+                return;
+            }
+            for group in st.member.groups() {
                 self.forward_toward_core(
                     node,
                     ctx,
@@ -342,9 +358,9 @@ impl Protocol for SharedTreeProtocol {
 mod tests {
     use super::*;
     use hvdb_geo::{Aabb, Vec2};
-    use hvdb_sim::{RadioConfig, SimConfig, Simulator, Stationary};
+    use hvdb_sim::{ParSimulator, RadioConfig, SimConfig, Stationary};
 
-    fn grid_sim(n_side: u32, seed: u64) -> Simulator<TreeMsg> {
+    fn grid_sim(n_side: u32, seed: u64) -> ParSimulator<TreeNode, TreeMsg> {
         let spacing = 150.0;
         let side = n_side as f64 * spacing;
         let cfg = SimConfig {
@@ -359,7 +375,7 @@ mod tests {
             seed,
             compact_delivery: false,
         };
-        let mut sim = Simulator::new(cfg, Box::new(Stationary));
+        let mut sim = ParSimulator::new(cfg, Box::new(Stationary), 8, 1);
         for r in 0..n_side {
             for c in 0..n_side {
                 let id = NodeId(r * n_side + c);
@@ -383,8 +399,8 @@ mod tests {
             size: 256,
             ..Default::default()
         }];
-        let mut p = SharedTreeProtocol::new(&members, traffic, vec![]);
-        sim.run(&mut p, SimTime::from_secs(40));
+        let p = SharedTreeProtocol::new(&members, traffic, vec![]);
+        sim.run(&p, SimTime::from_secs(40));
         assert!(
             sim.stats().delivery_ratio() >= 0.99,
             "ratio {}",
@@ -395,8 +411,8 @@ mod tests {
     #[test]
     fn core_is_center_node() {
         let mut sim = grid_sim(5, 2);
-        let mut p = SharedTreeProtocol::new(&[], vec![], vec![]);
-        sim.run(&mut p, SimTime::from_secs(1));
+        let p = SharedTreeProtocol::new(&[], vec![], vec![]);
+        sim.run(&p, SimTime::from_secs(1));
         // 5x5 grid: node 12 sits nearest the centre.
         assert_eq!(p.core(), Some(NodeId(12)));
     }
@@ -421,8 +437,8 @@ mod tests {
                 ..Default::default()
             })
             .collect();
-        let mut p = SharedTreeProtocol::new(&members, traffic, vec![]);
-        sim.run(&mut p, SimTime::from_secs(45));
+        let p = SharedTreeProtocol::new(&members, traffic, vec![]);
+        sim.run(&p, SimTime::from_secs(45));
         let core = p.core().unwrap();
         let bytes = &sim.stats().node_tx_bytes;
         let core_bytes = bytes[core.idx()];
@@ -453,8 +469,8 @@ mod tests {
             size: 100,
             ..Default::default()
         }];
-        let mut p = SharedTreeProtocol::new(&members, traffic, events);
-        sim.run(&mut p, SimTime::from_secs(80));
+        let p = SharedTreeProtocol::new(&members, traffic, events);
+        sim.run(&p, SimTime::from_secs(80));
         // Expected receivers = 0, so ratio stays 1.0 and no delivery happens.
         assert_eq!(sim.stats().delivery_ratio(), 1.0);
         assert!(sim.stats().latencies().is_empty());

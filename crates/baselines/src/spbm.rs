@@ -21,12 +21,13 @@
 //!   each sub-square known to contain members; inside a leaf square the
 //!   packet is broadcast.
 
-use crate::common::{ScenarioState, TAG_GROUP_BASE, TAG_TRAFFIC_BASE};
-use hvdb_core::{GroupEvent, GroupId, TrafficItem};
+use crate::common::{Member, TAG_GROUP_BASE, TAG_TRAFFIC_BASE};
+use hvdb_core::{GroupEvent, GroupId, Script, TrafficItem};
 use hvdb_geo::{Aabb, Point};
 use hvdb_sim::georoute;
-use hvdb_sim::{Ctx, NodeId, Protocol, SimDuration};
+use hvdb_sim::{NodeId, ParCtx, ParProtocol, SimDuration, World};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::OnceLock;
 
 const TAG_L0: u64 = 1;
 const TAG_AGG: u64 = 2;
@@ -190,19 +191,28 @@ impl SpbmMsg {
     }
 }
 
-/// The SPBM-style protocol.
+/// One node's SPBM state, owned by its shard.
+#[derive(Debug, Default)]
+pub struct SpbmNode {
+    member: Member,
+    /// Per-square known groups (freshest flood wins per origin).
+    sq_groups: FxHashMap<Square, FxHashSet<GroupId>>,
+    /// Leaf-square member table (node -> groups).
+    leaf_members: FxHashMap<NodeId, Vec<GroupId>>,
+    /// Flood dedup.
+    seen: FxHashSet<(NodeId, u64)>,
+    /// Data dedup (data_id, square).
+    seen_data: FxHashSet<(u64, Square)>,
+    /// This node's own flood sequence.
+    seq: u64,
+}
+
+/// The SPBM-style protocol: the scenario script and the quad-tree
+/// geometry, shared read-only by every shard.
 pub struct SpbmProtocol {
-    scenario: ScenarioState,
-    quad: Option<QuadTree>,
-    /// Per-node: per-square known groups (freshest flood wins per origin).
-    sq_groups: Vec<FxHashMap<Square, FxHashSet<GroupId>>>,
-    /// Per-node: leaf-square member table (node -> groups).
-    leaf_members: Vec<FxHashMap<NodeId, Vec<GroupId>>>,
-    /// Per-node flood dedup.
-    seen: Vec<FxHashSet<(NodeId, u64)>>,
-    /// Per-node data dedup (data_id, square).
-    seen_data: Vec<FxHashSet<(u64, Square)>>,
-    seq: Vec<u64>,
+    script: Script,
+    /// Built from the world when the first node's state is.
+    quad: OnceLock<QuadTree>,
     update_interval: SimDuration,
     geo_ttl: u32,
 }
@@ -215,29 +225,31 @@ impl SpbmProtocol {
         group_events: Vec<GroupEvent>,
     ) -> Self {
         SpbmProtocol {
-            scenario: ScenarioState::new(initial_groups, traffic, group_events),
-            quad: None,
-            sq_groups: Vec::new(),
-            leaf_members: Vec::new(),
-            seen: Vec::new(),
-            seen_data: Vec::new(),
-            seq: Vec::new(),
+            script: Script::new(initial_groups, traffic, group_events),
+            quad: OnceLock::new(),
             update_interval: SimDuration::from_secs(10),
             geo_ttl: 64,
         }
     }
 
-    /// The quad-tree geometry (after start).
+    /// The quad-tree geometry (`None` before the run builds node state).
     pub fn quad(&self) -> Option<&QuadTree> {
-        self.quad.as_ref()
+        self.quad.get()
     }
 
-    /// Per-node aggregate table size (experiment instrumentation).
-    pub fn table_len(&self, node: NodeId) -> usize {
-        self.sq_groups[node.idx()].len()
+    fn tree(&self) -> &QuadTree {
+        self.quad
+            .get()
+            .expect("quad-tree built before any callback")
     }
 
-    fn scoped_reflood(&mut self, node: NodeId, ctx: &mut Ctx<'_, SpbmMsg>, msg: SpbmMsg) {
+    fn scoped_reflood(
+        &self,
+        node: NodeId,
+        st: &mut SpbmNode,
+        ctx: &mut ParCtx<'_, SpbmMsg>,
+        msg: SpbmMsg,
+    ) {
         // Re-broadcast an Agg flood if we are inside its scope square
         // (the parent of the summarised square; whole network at top).
         let (square, origin, seq) = match &msg {
@@ -249,10 +261,10 @@ impl SpbmProtocol {
             } => (*square, *origin, *seq),
             _ => unreachable!(),
         };
-        if !self.seen[node.idx()].insert((origin, seq)) {
+        if !st.seen.insert((origin, seq)) {
             return;
         }
-        let quad = self.quad.as_ref().expect("started");
+        let quad = self.tree();
         let in_scope = if square.level >= quad.levels {
             true
         } else {
@@ -269,8 +281,8 @@ impl SpbmProtocol {
     /// square centre among itself and its radio neighbours inside the
     /// square (a deterministic local approximation of SPBM's per-square
     /// coordination).
-    fn is_representative(&self, node: NodeId, ctx: &mut Ctx<'_, SpbmMsg>, sq: Square) -> bool {
-        let quad = self.quad.as_ref().expect("started");
+    fn is_representative(&self, node: NodeId, ctx: &mut ParCtx<'_, SpbmMsg>, sq: Square) -> bool {
+        let quad = self.tree();
         let center = quad.center(sq);
         let my_pos = ctx.position(node);
         if !quad.contains(sq, my_pos) {
@@ -291,46 +303,41 @@ impl SpbmProtocol {
         })
     }
 
-    fn groups_of_square(&self, node: NodeId, sq: Square) -> FxHashSet<GroupId> {
-        let quad = self.quad.as_ref().expect("started");
+    fn groups_of_square(&self, st: &SpbmNode, sq: Square) -> FxHashSet<GroupId> {
+        let mut out: FxHashSet<GroupId> = FxHashSet::default();
         if sq.level == 0 {
             // Union of leaf member table (only meaningful for own leaf).
-            let mut out: FxHashSet<GroupId> = FxHashSet::default();
-            for groups in self.leaf_members[node.idx()].values() {
+            for groups in st.leaf_members.values() {
                 out.extend(groups.iter().copied());
             }
-            out.extend(self.scenario.member_of[node.idx()].iter().copied());
+            out.extend(st.member.member_of.iter().copied());
             // If the leaf isn't ours, fall back to the flood table.
-            if let Some(known) = self.sq_groups[node.idx()].get(&sq) {
+            if let Some(known) = st.sq_groups.get(&sq) {
                 out.extend(known.iter().copied());
             }
-            let _ = quad;
-            out
         } else {
-            let mut out: FxHashSet<GroupId> = FxHashSet::default();
             // A distant square is known by its own flooded aggregate; a
             // nearby one by the finer aggregates of its children.
-            if let Some(known) = self.sq_groups[node.idx()].get(&sq) {
+            if let Some(known) = st.sq_groups.get(&sq) {
                 out.extend(known.iter().copied());
             }
-            for child in quad.children(sq) {
-                if let Some(known) = self.sq_groups[node.idx()].get(&child) {
+            for child in self.tree().children(sq) {
+                if let Some(known) = st.sq_groups.get(&child) {
                     out.extend(known.iter().copied());
                 }
             }
-            out
         }
+        out
     }
 
-    fn forward_data(&mut self, node: NodeId, ctx: &mut Ctx<'_, SpbmMsg>, msg: SpbmMsg) {
+    fn forward_data(&self, node: NodeId, ctx: &mut ParCtx<'_, SpbmMsg>, msg: SpbmMsg) {
         let (target, visited) = match &msg {
             SpbmMsg::Data {
                 target, visited, ..
             } => (*target, visited.clone()),
             _ => unreachable!(),
         };
-        let quad = self.quad.as_ref().expect("started");
-        let dest = quad.center(target);
+        let dest = self.tree().center(target);
         if let Some(nh) = georoute::next_hop(ctx, node, dest, &visited) {
             let bytes = msg.wire_size();
             ctx.send_reliable(node, nh, "spbm-data", bytes, msg);
@@ -339,19 +346,21 @@ impl SpbmProtocol {
 
     /// Handles a data copy addressed to `target` at a node inside it:
     /// split to child squares with members, or leaf-broadcast.
+    #[allow(clippy::too_many_arguments)]
     fn split_or_deliver(
-        &mut self,
+        &self,
         node: NodeId,
-        ctx: &mut Ctx<'_, SpbmMsg>,
+        st: &mut SpbmNode,
+        ctx: &mut ParCtx<'_, SpbmMsg>,
         data_id: u64,
         group: GroupId,
         size: usize,
         target: Square,
     ) {
-        if !self.seen_data[node.idx()].insert((data_id, target)) {
+        if !st.seen_data.insert((data_id, target)) {
             return;
         }
-        let quad = self.quad.as_ref().expect("started").clone();
+        let quad = self.tree();
         if target.level == 0 {
             let msg = SpbmMsg::LeafDeliver {
                 data_id,
@@ -359,17 +368,17 @@ impl SpbmProtocol {
                 size,
             };
             let bytes = msg.wire_size();
-            self.scenario.deliver(node, ctx, data_id, group);
+            st.member.deliver(node, ctx, data_id, group, 0);
             ctx.broadcast(node, "spbm-deliver", bytes, msg);
             return;
         }
         for child in quad.children(target) {
-            if !self.groups_of_square(node, child).contains(&group) {
+            if !self.groups_of_square(st, child).contains(&group) {
                 continue;
             }
             if quad.contains(child, ctx.position(node)) {
                 // Recurse locally.
-                self.split_or_deliver(node, ctx, data_id, group, size, child);
+                self.split_or_deliver(node, st, ctx, data_id, group, size, child);
             } else {
                 let msg = SpbmMsg::Data {
                     data_id,
@@ -385,20 +394,21 @@ impl SpbmProtocol {
     }
 }
 
-impl Protocol for SpbmProtocol {
+impl ParProtocol for SpbmProtocol {
     type Msg = SpbmMsg;
+    type Node = SpbmNode;
 
-    fn on_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, SpbmMsg>) {
-        self.scenario.on_start(node, ctx);
-        if self.quad.is_none() {
-            self.quad = Some(QuadTree::new(ctx.area(), ctx.radio_range()));
-            let n = ctx.node_count();
-            self.sq_groups = vec![FxHashMap::default(); n];
-            self.leaf_members = vec![FxHashMap::default(); n];
-            self.seen = vec![FxHashSet::default(); n];
-            self.seen_data = vec![FxHashSet::default(); n];
-            self.seq = vec![0; n];
+    fn make_node(&self, id: NodeId, world: &World) -> SpbmNode {
+        self.quad
+            .get_or_init(|| QuadTree::new(world.area(), world.radio_range()));
+        SpbmNode {
+            member: Member::new(&self.script, id),
+            ..Default::default()
         }
+    }
+
+    fn on_start(&self, node: NodeId, _st: &mut SpbmNode, ctx: &mut ParCtx<'_, SpbmMsg>) {
+        self.script.arm(node, ctx);
         let j = SimDuration(ctx.rng().range_u64(0, self.update_interval.0.max(1)));
         ctx.set_timer(node, j, TAG_L0);
         // Aggregation fires half a period after level-0 updates.
@@ -406,25 +416,26 @@ impl Protocol for SpbmProtocol {
     }
 
     fn on_message(
-        &mut self,
+        &self,
         node: NodeId,
+        st: &mut SpbmNode,
         _from: NodeId,
         msg: SpbmMsg,
-        ctx: &mut Ctx<'_, SpbmMsg>,
+        ctx: &mut ParCtx<'_, SpbmMsg>,
     ) {
         match msg {
             SpbmMsg::L0 {
                 node: origin,
                 groups,
             } => {
-                let quad = self.quad.as_ref().expect("started");
+                let quad = self.tree();
                 // Only neighbours in the same leaf square record the entry.
                 let my_leaf = quad.square_of(ctx.position(node), 0);
                 if quad.contains(my_leaf, ctx.position(origin)) {
                     if groups.is_empty() {
-                        self.leaf_members[node.idx()].remove(&origin);
+                        st.leaf_members.remove(&origin);
                     } else {
-                        self.leaf_members[node.idx()].insert(origin, groups);
+                        st.leaf_members.insert(origin, groups);
                     }
                 }
             }
@@ -432,8 +443,8 @@ impl Protocol for SpbmProtocol {
                 square, ref groups, ..
             } => {
                 let set: FxHashSet<GroupId> = groups.iter().copied().collect();
-                self.sq_groups[node.idx()].insert(square, set);
-                self.scoped_reflood(node, ctx, msg);
+                st.sq_groups.insert(square, set);
+                self.scoped_reflood(node, st, ctx, msg);
             }
             SpbmMsg::Data {
                 data_id,
@@ -443,9 +454,8 @@ impl Protocol for SpbmProtocol {
                 mut visited,
                 ttl,
             } => {
-                let quad = self.quad.as_ref().expect("started").clone();
-                if quad.contains(target, ctx.position(node)) {
-                    self.split_or_deliver(node, ctx, data_id, group, size, target);
+                if self.tree().contains(target, ctx.position(node)) {
+                    self.split_or_deliver(node, st, ctx, data_id, group, size, target);
                 } else if ttl > 0 {
                     georoute::push_visited(&mut visited, node);
                     self.forward_data(
@@ -463,41 +473,38 @@ impl Protocol for SpbmProtocol {
                 }
             }
             SpbmMsg::LeafDeliver { data_id, group, .. } => {
-                self.scenario.deliver(node, ctx, data_id, group);
+                st.member.deliver(node, ctx, data_id, group, 0);
             }
         }
     }
 
-    fn on_timer(&mut self, node: NodeId, tag: u64, ctx: &mut Ctx<'_, SpbmMsg>) {
+    fn on_timer(&self, node: NodeId, st: &mut SpbmNode, tag: u64, ctx: &mut ParCtx<'_, SpbmMsg>) {
         if tag >= TAG_GROUP_BASE {
-            self.scenario
-                .apply_group_event((tag - TAG_GROUP_BASE) as usize);
+            st.member
+                .apply(&self.script, (tag - TAG_GROUP_BASE) as usize);
         } else if tag >= TAG_TRAFFIC_BASE {
-            let (data_id, group, size) =
-                self.scenario
-                    .originate(node, ctx, (tag - TAG_TRAFFIC_BASE) as usize);
-            let quad = self.quad.as_ref().expect("started").clone();
+            let (item, data_id) = self
+                .script
+                .originate((tag - TAG_TRAFFIC_BASE) as usize, ctx);
             let top = Square {
-                level: quad.levels,
+                level: self.tree().levels,
                 x: 0,
                 y: 0,
             };
-            self.split_or_deliver(node, ctx, data_id, group, size, top);
+            self.split_or_deliver(node, st, ctx, data_id, item.group, item.size, top);
         } else if tag == TAG_L0 {
             ctx.set_timer(node, self.update_interval, TAG_L0);
-            let mut groups: Vec<GroupId> = self.scenario.member_of[node.idx()]
-                .iter()
-                .copied()
-                .collect();
-            groups.sort_unstable();
-            let msg = SpbmMsg::L0 { node, groups };
+            let msg = SpbmMsg::L0 {
+                node,
+                groups: st.member.groups(),
+            };
             let bytes = msg.wire_size();
             // Every node transmits, regardless of membership — the cost
             // structure the HVDB paper critiques.
             ctx.broadcast(node, "spbm-l0", bytes, msg);
         } else if tag == TAG_AGG {
             ctx.set_timer(node, self.update_interval, TAG_AGG);
-            let quad = self.quad.as_ref().expect("started").clone();
+            let quad = self.tree();
             // For each level, if we represent our square, flood its
             // aggregate within the parent scope.
             for level in 0..quad.levels {
@@ -505,21 +512,20 @@ impl Protocol for SpbmProtocol {
                 if !self.is_representative(node, ctx, sq) {
                     continue;
                 }
-                let mut groups: Vec<GroupId> =
-                    self.groups_of_square(node, sq).into_iter().collect();
+                let mut groups: Vec<GroupId> = self.groups_of_square(st, sq).into_iter().collect();
                 groups.sort_unstable();
                 if groups.is_empty() {
                     continue;
                 }
-                self.seq[node.idx()] += 1;
+                st.seq += 1;
                 let msg = SpbmMsg::Agg {
                     square: sq,
                     groups,
                     origin: node,
-                    seq: self.seq[node.idx()],
+                    seq: st.seq,
                 };
                 // Self-originated flood: mark seen and broadcast.
-                self.seen[node.idx()].insert((node, self.seq[node.idx()]));
+                st.seen.insert((node, st.seq));
                 let bytes = msg.wire_size();
                 ctx.broadcast(node, "spbm-agg", bytes, msg);
             }
@@ -531,7 +537,7 @@ impl Protocol for SpbmProtocol {
 mod tests {
     use super::*;
     use hvdb_geo::Vec2;
-    use hvdb_sim::{RadioConfig, SimConfig, SimTime, Simulator, Stationary};
+    use hvdb_sim::{ParSimulator, RadioConfig, SimConfig, SimTime, Stationary};
 
     #[test]
     fn quad_tree_geometry() {
@@ -587,7 +593,7 @@ mod tests {
         }
     }
 
-    fn grid_sim(n_side: u32, seed: u64) -> Simulator<SpbmMsg> {
+    fn grid_sim(n_side: u32, seed: u64) -> ParSimulator<SpbmNode, SpbmMsg> {
         let spacing = 150.0;
         let side = n_side as f64 * spacing;
         let cfg = SimConfig {
@@ -602,7 +608,7 @@ mod tests {
             seed,
             compact_delivery: false,
         };
-        let mut sim = Simulator::new(cfg, Box::new(Stationary));
+        let mut sim = ParSimulator::new(cfg, Box::new(Stationary), 8, 1);
         for r in 0..n_side {
             for c in 0..n_side {
                 let id = NodeId(r * n_side + c);
@@ -618,8 +624,8 @@ mod tests {
     fn every_node_participates_in_membership_update() {
         let mut sim = grid_sim(5, 1);
         let g = GroupId(1);
-        let mut p = SpbmProtocol::new(&[(NodeId(0), g)], vec![], vec![]);
-        sim.run(&mut p, SimTime::from_secs(25));
+        let p = SpbmProtocol::new(&[(NodeId(0), g)], vec![], vec![]);
+        sim.run(&p, SimTime::from_secs(25));
         // All 25 nodes broadcast L0 updates (twice in 25 s).
         assert!(sim.stats().msgs("spbm-l0") >= 25);
         // Aggregates flooded too.
@@ -630,11 +636,14 @@ mod tests {
     fn aggregates_reach_distant_nodes() {
         let mut sim = grid_sim(6, 2);
         let g = GroupId(1);
-        let mut p = SpbmProtocol::new(&[(NodeId(0), g)], vec![], vec![]);
-        sim.run(&mut p, SimTime::from_secs(40));
+        let p = SpbmProtocol::new(&[(NodeId(0), g)], vec![], vec![]);
+        sim.run(&p, SimTime::from_secs(40));
         // The far-corner node should know a top-level square with group g.
         let far = NodeId(35);
-        let knows = p.sq_groups[far.idx()]
+        let knows = sim
+            .node_state(far)
+            .unwrap()
+            .sq_groups
             .iter()
             .any(|(_, groups)| groups.contains(&g));
         assert!(knows, "far node never learned the group's region");
@@ -652,8 +661,8 @@ mod tests {
             size: 256,
             ..Default::default()
         }];
-        let mut p = SpbmProtocol::new(&members, traffic, vec![]);
-        sim.run(&mut p, SimTime::from_secs(70));
+        let p = SpbmProtocol::new(&members, traffic, vec![]);
+        sim.run(&p, SimTime::from_secs(70));
         assert!(
             sim.stats().delivery_ratio() >= 0.99,
             "ratio {}",

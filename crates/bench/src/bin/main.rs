@@ -594,7 +594,7 @@ fn run(args: &[String]) -> ExitCode {
 }
 
 /// Runs the paper geometry (200 nodes, 800x800, the `seed` scenario's
-/// HVDB recipe) on the parallel engine with the structured trace at
+/// HVDB recipe on its 64 shards) with the structured trace at
 /// `mask` and detailed profiling enabled, and writes the combined Chrome
 /// trace-event document to `path`. Smoke mode shrinks the run the same
 /// way the scenarios do. Returns the number of trace events written.
@@ -606,7 +606,7 @@ fn write_chrome_trace(path: &str, opts: &RunOpts, mask: u32) -> Result<usize, St
     };
     let w = if opts.smoke { w.smoke() } else { w };
     let scenario = w.build();
-    let (_, _, doc) = run_par_hvdb_traced(&scenario, 16, mask);
+    let (_, _, doc) = run_par_hvdb_traced(&scenario, mask);
     let events = match doc.get("traceEvents") {
         Some(Json::Arr(events)) => events.len(),
         _ => 0,

@@ -5,10 +5,10 @@
 //!
 //! * [`workload`] builds scenario inputs shared byte-for-byte across
 //!   protocols;
-//! * [`runner`] executes one `(scenario, protocol)` run, builds every
-//!   serial HVDB run (`hvdb_sim`), and fans `(cell, seed)` runs out over
-//!   rayon (`per_cell`) while each individual simulation stays
-//!   deterministic;
+//! * [`runner`] executes one `(scenario, protocol)` run through one engine
+//!   recipe (`ParSimulator` on [`runner::SHARDS`] shards), builds every
+//!   HVDB run (`hvdb_run`), and fans `(cell, seed)` runs out over rayon
+//!   (`per_cell`) while each individual simulation stays deterministic;
 //! * [`scenario`] is the registry: every experiment (c1–c4, f1–f6, a1,
 //!   seed, loss, scale, perf, overhead, traffic, partition, byzantine) as
 //!   a named entry with a smoke mode;
@@ -29,9 +29,8 @@ pub mod workload;
 pub use report::{Json, Row, ScenarioReport};
 pub use runner::{
     average, chrome_trace_json, profile_json, run_hvdb_tweaked, run_one, run_one_instrumented,
-    run_par_flood, run_par_hvdb, run_par_hvdb_timeline, run_par_hvdb_traced, sample_par_hvdb,
-    sample_serial, timeline_json, traffic_profile_of, Proto, RunDetail, TimelineSample,
-    TrafficProfile,
+    run_par_flood, run_par_hvdb_timeline, run_par_hvdb_traced, sample_par_hvdb, timeline_json,
+    traffic_profile_of, Proto, RunDetail, TimelineSample, TrafficProfile, SHARDS,
 };
 pub use scenario::{registry, run_scenario, CustomOut, RunOpts, ScenarioDef};
 pub use validate::{

@@ -1,22 +1,21 @@
 //! Protocol runners: execute one scenario under each protocol and collect
-//! uniform metrics. Seeded scenarios fan their `(cell, seed)` runs out
-//! over rayon through `per_cell` — each simulation stays single-threaded
-//! and deterministic — and reduce each cell's seeds in seed order with
-//! `mean`, `min_of` or [`average`]. Every serial HVDB run is built by
-//! `hvdb_sim`.
+//! uniform metrics. Every run — HVDB and each baseline — is built by one
+//! recipe: the scenario's [`ParSimulator`] on [`SHARDS`] shards at the
+//! scenario's thread count, with its fault plan injected. Seeded
+//! scenarios fan their `(cell, seed)` runs out over rayon through
+//! `per_cell` and reduce each cell's seeds in seed order with `mean`,
+//! `min_of` or [`average`].
 
 use crate::report::Json;
 use crate::workload::{is_refresh_class, metrics_of, RunMetrics, Scenario};
-use hvdb_baselines::{
-    DsmProtocol, FloodingProtocol, ParFlood, ParFloodMsg, ParFloodNode, SharedTreeProtocol,
-    SpbmProtocol,
-};
-use hvdb_core::{FrameBytes, GroupEvent, GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
-use hvdb_sim::{
-    EngineProfile, NodeId, ParSimulator, Protocol, SimDuration, Simulator, Stats, Trace,
-    TraceConfig,
-};
+use hvdb_baselines::{DsmProtocol, ParFlood, SharedTreeProtocol, SpbmProtocol};
+use hvdb_core::{GroupEvent, GroupId, HvdbConfig, HvdbCore, HvdbSim, TrafficItem};
+use hvdb_sim::{EngineProfile, NodeId, ParProtocol, ParSimulator, SimDuration, Trace, TraceConfig};
 use rayon::prelude::*;
+
+/// Spatial shards of every harness run: the `scale` sweep's layout. A
+/// run's outputs depend on the shard count, never on the thread count.
+pub const SHARDS: usize = 64;
 
 /// The protocols under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,14 +100,13 @@ pub struct RunDetail {
     /// Stale duplicates Byzantine replay nodes put on the air
     /// ([`hvdb_sim::Stats::byzantine_replayed`]).
     pub byzantine_replayed: u64,
-    /// Max/mean per-lane busy-time ratio from the parallel engine's
-    /// profiler (1.0 = perfectly balanced lanes; 0.0 for serial-engine
-    /// runs, which have no lanes). Wall-clock derived: report it, never
-    /// gate on it.
+    /// Max/mean per-lane busy-time ratio from the engine's profiler (1.0
+    /// = perfectly balanced lanes, or a single lane). Wall-clock derived:
+    /// report it, never gate on it.
     pub lane_imbalance: f64,
-    /// The parallel engine's wall-clock phase profile (`None` for
-    /// serial-engine runs). Non-deterministic; serialized via
-    /// [`profile_json`] into the report's excluded `profile` block.
+    /// The engine's wall-clock phase profile. Non-deterministic;
+    /// serialized via [`profile_json`] into the report's excluded
+    /// `profile` block.
     pub engine_profile: Option<EngineProfile>,
 }
 
@@ -158,34 +156,25 @@ pub fn traffic_profile_of(stats: &hvdb_sim::Stats) -> TrafficProfile {
     }
 }
 
-/// Collects the engine-side instrumentation common to every protocol and
-/// both engines; `profile` is the parallel engine's (`None` for serial
-/// runs). Protocol counters and the state footprint start empty.
-fn detail_of(
-    stats: &Stats,
-    wall_secs: f64,
-    sim_secs: f64,
-    profile: Option<&EngineProfile>,
-) -> RunDetail {
+/// Collects the engine-side instrumentation common to every protocol.
+/// Protocol counters and the state footprint start empty.
+fn detail_of<N: Send, M: Clone + Send>(sim: &ParSimulator<N, M>) -> RunDetail {
+    let stats = sim.stats();
+    let profile = sim.profile();
     RunDetail {
         hvdb_counters: hvdb_core::Counters::default(),
         refresh_frames: stats.msgs_where(is_refresh_class),
         events_processed: stats.events_processed,
-        wall_secs,
-        sim_secs,
+        wall_secs: sim.wall_secs(),
+        sim_secs: sim.sim_secs(),
         traffic: traffic_profile_of(stats),
         memory_per_node_bytes: 0.0,
         drops_partitioned: stats.drops_partitioned,
         byzantine_dropped: stats.byzantine_dropped,
         byzantine_replayed: stats.byzantine_replayed,
-        lane_imbalance: profile.map_or(0.0, EngineProfile::lane_imbalance),
-        engine_profile: profile.cloned(),
+        lane_imbalance: profile.lane_imbalance(),
+        engine_profile: Some(profile.clone()),
     }
-}
-
-/// [`detail_of`] for a finished serial simulation.
-fn engine_detail<M: Clone>(sim: &Simulator<M>) -> RunDetail {
-    detail_of(sim.stats(), sim.wall_secs(), sim.sim_secs(), None)
 }
 
 /// Runs one scenario under one protocol, returning metrics plus
@@ -195,10 +184,10 @@ fn engine_detail<M: Clone>(sim: &Simulator<M>) -> RunDetail {
 pub fn run_one_instrumented(proto: Proto, scenario: &Scenario) -> (RunMetrics, RunDetail) {
     match proto {
         Proto::Hvdb => run_hvdb(scenario),
-        Proto::Flooding => run_baseline(scenario, FloodingProtocol::new),
-        Proto::SharedTree => run_baseline(scenario, SharedTreeProtocol::new),
-        Proto::Dsm => run_baseline(scenario, DsmProtocol::new),
-        Proto::Spbm => run_baseline(scenario, SpbmProtocol::new),
+        Proto::Flooding => run_baseline(scenario, SHARDS, ParFlood::new),
+        Proto::SharedTree => run_baseline(scenario, SHARDS, SharedTreeProtocol::new),
+        Proto::Dsm => run_baseline(scenario, SHARDS, DsmProtocol::new),
+        Proto::Spbm => run_baseline(scenario, SHARDS, SpbmProtocol::new),
     }
 }
 
@@ -206,46 +195,47 @@ pub fn run_one_instrumented(proto: Proto, scenario: &Scenario) -> (RunMetrics, R
 /// traffic and group events.
 type NewBaseline<P> = fn(&[(NodeId, GroupId)], Vec<TrafficItem>, Vec<GroupEvent>) -> P;
 
-/// Runs the baseline protocol `new` builds on the scenario's serial
-/// simulator.
-fn run_baseline<P: Protocol>(scenario: &Scenario, new: NewBaseline<P>) -> (RunMetrics, RunDetail) {
-    let mut sim = new_sim(scenario);
-    let mut p = new(
+/// Runs the baseline protocol `new` builds on the scenario's engine at
+/// `shards` shards.
+fn run_baseline<P: ParProtocol>(
+    scenario: &Scenario,
+    shards: usize,
+    new: NewBaseline<P>,
+) -> (RunMetrics, RunDetail)
+where
+    P::Node: Send,
+{
+    let mut sim: ParSimulator<P::Node, P::Msg> = new_sim(scenario, shards);
+    let p = new(
         &scenario.members,
         scenario.traffic.clone(),
         scenario.group_events.clone(),
     );
-    sim.run(&mut p, scenario.until);
-    (metrics_of(sim.stats()), engine_detail(&sim))
+    sim.run(&p, scenario.until);
+    (metrics_of(sim.stats()), detail_of(&sim))
 }
 
-/// Builds a serial HVDB run from `scenario`: its simulator, with the
-/// scenario's fault plan injected, and the protocol over the scenario's
-/// config, membership, traffic and group events. Every serial HVDB run
-/// in the harness starts here, except `f4-routes`' hand-pinned grid.
-pub(crate) fn hvdb_sim(scenario: &Scenario) -> (Simulator<FrameBytes>, HvdbProtocol) {
-    let proto = HvdbProtocol::new(
+/// Builds an HVDB run from `scenario`: its engine, with the scenario's
+/// fault plan injected, and the protocol over the scenario's config,
+/// membership, traffic and group events. Every HVDB run in the harness
+/// starts here, except `f4-routes`' hand-pinned grid.
+pub(crate) fn hvdb_run(scenario: &Scenario) -> (HvdbSim, HvdbCore) {
+    let core = HvdbCore::new(
         scenario.hvdb.clone(),
         &scenario.members,
         scenario.traffic.clone(),
         scenario.group_events.clone(),
     );
-    (new_sim(scenario), proto)
+    (new_sim(scenario, SHARDS), core)
 }
 
 /// The one canonical HVDB run recipe (every scenario that measures HVDB
 /// goes through here, so the CI-gated trajectory numbers and the
 /// registry sweeps measure the same simulation).
 fn run_hvdb(scenario: &Scenario) -> (RunMetrics, RunDetail) {
-    let (mut sim, mut p) = hvdb_sim(scenario);
-    sim.run(&mut p, scenario.until);
-    let n = sim.world().len().max(1);
-    let detail = RunDetail {
-        hvdb_counters: p.counters(),
-        memory_per_node_bytes: (sim.world().memory_bytes() + p.memory_bytes()) as f64 / n as f64,
-        ..engine_detail(&sim)
-    };
-    (metrics_of(sim.stats()), detail)
+    let (mut sim, core) = hvdb_run(scenario);
+    sim.run(&core, scenario.until);
+    (metrics_of(sim.stats()), hvdb_detail(&sim))
 }
 
 /// Runs HVDB with `tweak` applied to the scenario's derived config first
@@ -260,94 +250,29 @@ pub fn run_hvdb_tweaked(
     run_hvdb(&scenario)
 }
 
-/// Runs the scenario's traffic script under flooding on the **sharded
-/// parallel engine** ([`ParSimulator`] + [`ParFlood`]) with `shards`
-/// shards and the scenario's [`Scenario::threads`] worker threads. The
-/// `perf` scenario's `engine-threads` arm: deterministic metrics are
-/// byte-identical at every thread count (the engine's contract), so only
-/// wall-clock moves with `threads`. The scenario's fault plan is
-/// injected exactly as [`run_one_instrumented`] does.
+/// Runs the scenario's traffic script under flooding ([`ParFlood`]) with
+/// `shards` shards and the scenario's [`Scenario::threads`] worker
+/// threads: the `perf` scenario's `engine-threads` arm, which keeps its
+/// own shard count. Deterministic metrics are byte-identical at every
+/// thread count (the engine's contract), so only wall-clock moves with
+/// `threads`.
 pub fn run_par_flood(scenario: &Scenario, shards: usize) -> (RunMetrics, RunDetail) {
-    let mut sim: ParSimulator<ParFloodNode, ParFloodMsg> = ParSimulator::new(
-        scenario.sim.clone(),
-        scenario.hvdb_mobility(),
-        shards,
-        scenario.threads,
-    );
-    sim.inject_plan(&scenario.faults);
-    let p = ParFlood::new(
-        &scenario.members,
-        scenario.traffic.clone(),
-        scenario.group_events.clone(),
-    );
-    sim.run(&p, scenario.until);
-    let detail = detail_of(
-        sim.stats(),
-        sim.wall_secs(),
-        sim.sim_secs(),
-        Some(sim.profile()),
-    );
-    (metrics_of(sim.stats()), detail)
+    run_baseline(scenario, shards, ParFlood::new)
 }
 
-/// Runs **HVDB itself** on the sharded parallel engine: the same
-/// [`HvdbCore`](hvdb_core::HvdbCore) recipe the serial runner wraps,
-/// driven as a [`hvdb_sim::ParProtocol`] with `shards` shards and the
-/// scenario's [`Scenario::threads`] worker threads. Metrics are
-/// byte-identical at every thread count (the engine's determinism
-/// contract, exercised by `crates/core/tests/par_protocol.rs`), so
-/// thread count moves only wall-clock. This is the recipe behind the
-/// `scale` scenario's large-N rows and its `engine-threads` sweep.
-pub fn run_par_hvdb(scenario: &Scenario, shards: usize) -> (RunMetrics, RunDetail) {
-    let mut sim = par_hvdb_sim(scenario, shards);
-    let core = par_hvdb_core(scenario);
-    sim.run(&core, scenario.until);
-    (metrics_of(sim.stats()), par_hvdb_detail(&sim))
-}
-
-/// The parallel-HVDB simulator type every par-engine runner drives.
-pub type ParHvdbSim = ParSimulator<hvdb_core::HvdbNode, hvdb_core::FrameBytes>;
-
-fn par_hvdb_sim(scenario: &Scenario, shards: usize) -> ParHvdbSim {
-    let mut sim: ParHvdbSim = ParSimulator::new(
-        scenario.sim.clone(),
-        scenario.hvdb_mobility(),
-        shards,
-        scenario.threads,
-    );
-    sim.inject_plan(&scenario.faults);
-    sim
-}
-
-fn par_hvdb_core(scenario: &Scenario) -> hvdb_core::HvdbCore {
-    hvdb_core::HvdbCore::new(
-        scenario.hvdb.clone(),
-        &scenario.members,
-        scenario.traffic.clone(),
-        scenario.group_events.clone(),
-    )
-}
-
-fn par_hvdb_detail(sim: &ParHvdbSim) -> RunDetail {
-    let n = sim.world().len().max(1);
-    let mut counters = hvdb_core::Counters::default();
-    let mut state_bytes = 0usize;
-    for id in sim.world().ids().collect::<Vec<_>>() {
-        if let Some(node) = sim.node_state(id) {
-            counters += node.counters();
-            state_bytes += node.memory_bytes();
-        }
-    }
+/// [`detail_of`] plus HVDB's protocol counters and state footprint.
+fn hvdb_detail(sim: &HvdbSim) -> RunDetail {
     RunDetail {
-        hvdb_counters: counters,
-        memory_per_node_bytes: (sim.world().memory_bytes() + state_bytes) as f64 / n as f64,
-        ..detail_of(
-            sim.stats(),
-            sim.wall_secs(),
-            sim.sim_secs(),
-            Some(sim.profile()),
-        )
+        hvdb_counters: hvdb_core::total_counters(sim),
+        memory_per_node_bytes: memory_per_node(sim),
+        ..detail_of(sim)
     }
+}
+
+/// Content bytes of world + protocol state per node.
+fn memory_per_node(sim: &HvdbSim) -> f64 {
+    let state: usize = sim.nodes().map(|(_, n)| n.memory_bytes()).sum();
+    (sim.world().memory_bytes() + state) as f64 / sim.world().len().max(1) as f64
 }
 
 /// One sim-time metrics snapshot of a running simulation: the timeline
@@ -375,64 +300,30 @@ pub struct TimelineSample {
     pub memory_per_node_bytes: f64,
 }
 
-/// Builds a snapshot from a serial simulation mid-run. `heads` and
-/// `memory_per_node_bytes` depend on the protocol's state shape, so the
-/// caller supplies them (e.g. `proto.cluster_heads().len()`).
-pub fn sample_serial<M: Clone>(
-    sim: &Simulator<M>,
-    heads: u64,
-    memory_per_node_bytes: f64,
-) -> TimelineSample {
+/// Builds a snapshot from an HVDB simulation mid-run.
+pub fn sample_par_hvdb(sim: &HvdbSim) -> TimelineSample {
     let m = metrics_of(sim.stats());
     TimelineSample {
         t_secs: sim.now().0 as f64 / 1e6,
-        heads,
+        heads: hvdb_core::cluster_heads(sim).len() as u64,
         delivery: m.delivery,
         control_frames: m.control_msgs,
         refresh_frames: sim.stats().msgs_where(is_refresh_class),
         drops_queue_full: sim.stats().drops_queue_full,
         events_processed: sim.stats().events_processed,
-        memory_per_node_bytes,
+        memory_per_node_bytes: memory_per_node(sim),
     }
 }
 
-/// Builds a snapshot from a parallel HVDB simulation mid-run.
-pub fn sample_par_hvdb(sim: &ParHvdbSim) -> TimelineSample {
-    let n = sim.world().len().max(1);
-    let mut heads = 0u64;
-    let mut state_bytes = 0usize;
-    for id in sim.world().ids().collect::<Vec<_>>() {
-        if let Some(node) = sim.node_state(id) {
-            if node.is_head() {
-                heads += 1;
-            }
-            state_bytes += node.memory_bytes();
-        }
-    }
-    let m = metrics_of(sim.stats());
-    TimelineSample {
-        t_secs: sim.now().0 as f64 / 1e6,
-        heads,
-        delivery: m.delivery,
-        control_frames: m.control_msgs,
-        refresh_frames: sim.stats().msgs_where(is_refresh_class),
-        drops_queue_full: sim.stats().drops_queue_full,
-        events_processed: sim.stats().events_processed,
-        memory_per_node_bytes: (sim.world().memory_bytes() + state_bytes) as f64 / n as f64,
-    }
-}
-
-/// Runs HVDB on the parallel engine exactly as [`run_par_hvdb`], but
-/// stepped at `interval` so a [`TimelineSample`] is taken at each step.
-/// Stepping a deterministic engine at fixed horizons does not change its
-/// event schedule, so metrics are byte-identical to the unstepped run.
+/// Runs HVDB exactly as [`run_one_instrumented`], but stepped at
+/// `interval` so a [`TimelineSample`] is taken at each step. Stepping a
+/// deterministic engine at fixed horizons does not change its event
+/// schedule, so metrics are byte-identical to the unstepped run.
 pub fn run_par_hvdb_timeline(
     scenario: &Scenario,
-    shards: usize,
     interval: SimDuration,
 ) -> (RunMetrics, RunDetail, Vec<TimelineSample>) {
-    let mut sim = par_hvdb_sim(scenario, shards);
-    let core = par_hvdb_core(scenario);
+    let (mut sim, core) = hvdb_run(scenario);
     let mut samples = Vec::new();
     let mut t = hvdb_sim::SimTime::ZERO;
     while t < scenario.until {
@@ -440,24 +331,19 @@ pub fn run_par_hvdb_timeline(
         sim.run(&core, t);
         samples.push(sample_par_hvdb(&sim));
     }
-    (metrics_of(sim.stats()), par_hvdb_detail(&sim), samples)
+    (metrics_of(sim.stats()), hvdb_detail(&sim), samples)
 }
 
-/// Runs HVDB on the parallel engine with the structured trace enabled at
-/// `mask` and detailed profiling on, returning the usual outputs plus the
-/// Chrome trace-event document ([`chrome_trace_json`]) for `--trace-out`.
-pub fn run_par_hvdb_traced(
-    scenario: &Scenario,
-    shards: usize,
-    mask: u32,
-) -> (RunMetrics, RunDetail, Json) {
-    let mut sim = par_hvdb_sim(scenario, shards);
+/// Runs HVDB with the structured trace enabled at `mask` and detailed
+/// profiling on, returning the usual outputs plus the Chrome trace-event
+/// document ([`chrome_trace_json`]) for `--trace-out`.
+pub fn run_par_hvdb_traced(scenario: &Scenario, mask: u32) -> (RunMetrics, RunDetail, Json) {
+    let (mut sim, core) = hvdb_run(scenario);
     sim.set_trace(TraceConfig::with_mask(mask));
     sim.set_profile_detail(true);
-    let core = par_hvdb_core(scenario);
     sim.run(&core, scenario.until);
     let doc = chrome_trace_json(sim.profile(), sim.trace());
-    (metrics_of(sim.stats()), par_hvdb_detail(&sim), doc)
+    (metrics_of(sim.stats()), hvdb_detail(&sim), doc)
 }
 
 /// Serializes a timeline as the report's `timeline` block: the sampling
@@ -568,10 +454,19 @@ pub fn chrome_trace_json(profile: &EngineProfile, trace: &Trace) -> Json {
     Json::Obj(vec![("traceEvents".into(), Json::Arr(events))])
 }
 
-/// Builds the simulator for a run: fresh mobility instance plus the
-/// scenario's scripted fault plan.
-pub(crate) fn new_sim<M: Clone>(scenario: &Scenario) -> Simulator<M> {
-    let mut sim = Simulator::new(scenario.sim.clone(), scenario.hvdb_mobility());
+/// Builds the engine for a run on `shards` shards at the scenario's
+/// thread count: fresh mobility instance plus the scenario's scripted
+/// fault plan.
+pub(crate) fn new_sim<N: Send, M: Clone + Send>(
+    scenario: &Scenario,
+    shards: usize,
+) -> ParSimulator<N, M> {
+    let mut sim = ParSimulator::new(
+        scenario.sim.clone(),
+        scenario.hvdb_mobility(),
+        shards,
+        scenario.threads,
+    );
     sim.inject_plan(&scenario.faults);
     sim
 }

@@ -21,9 +21,9 @@
 
 use crate::report::{Json, Row, ScenarioReport};
 use crate::runner::{
-    average, hvdb_sim, mean, min_of, new_sim, per_cell, profile_json, run_hvdb_tweaked, run_one,
-    run_one_instrumented, run_par_flood, run_par_hvdb, run_par_hvdb_timeline, sample_serial,
-    timeline_json, Proto, RunDetail,
+    average, hvdb_run, mean, min_of, new_sim, per_cell, profile_json, run_hvdb_tweaked, run_one,
+    run_one_instrumented, run_par_flood, run_par_hvdb_timeline, sample_par_hvdb, timeline_json,
+    Proto, RunDetail, SHARDS,
 };
 use crate::validate::Check::{Band, Ceiling, Equal, Floor, Knee, Ratio};
 use crate::validate::Label::{AtLeast, Baseline, Except, Is};
@@ -31,17 +31,17 @@ use crate::validate::Smoke::{Apply, Lower, Refuse, Skip};
 use crate::validate::{Gate, Rows};
 use crate::workload::{metrics_of, MobilityKind, RunMetrics, Workload};
 use hvdb_core::{
-    build_model, build_region_cube, routes::AdvertisedRoute, routes::QosMetrics,
-    DesignationCriterion, FrameBytes, HvdbConfig, HvdbProtocol, QosRequirement, RouteTable,
-    SessionManager,
+    build_model, build_region_cube, cluster_heads, routes::AdvertisedRoute, routes::QosMetrics,
+    total_counters, DesignationCriterion, HvdbConfig, HvdbCore, HvdbNode, HvdbSim, QosRequirement,
+    RouteTable, Script, SessionManager,
 };
 use hvdb_geo::{Aabb, Hid, Hnid, Point, Vec2};
 use hvdb_hypercube::routing::{diameter, local_routes};
 use hvdb_hypercube::{label, pair_connectivity, IncompleteHypercube};
 use hvdb_sim::{
     gini, jain_fairness, max_mean_ratio, sim_sec_per_wall_sec, ByzantineMode, FaultEvent,
-    FaultKind, FaultPlan, NodeId, RadioConfig, SimConfig, SimDuration, SimRng, SimTime, Simulator,
-    Stationary,
+    FaultKind, FaultPlan, NodeId, ParSimulator, RadioConfig, SimConfig, SimDuration, SimRng,
+    SimTime, Stationary,
 };
 
 /// Options shared by every scenario execution.
@@ -885,7 +885,7 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
         let scenario = w.build();
         // The scenario's own plan is empty; the split plan below is
         // injected after it.
-        let (mut sim, mut proto) = hvdb_sim(&scenario);
+        let (mut sim, core) = hvdb_run(&scenario);
         // Geographic west/east islands from the seed's actual (static)
         // placement: the boundary falls on a VC-grid edge, so each
         // island keeps whole virtual cells and an intact half of the
@@ -921,8 +921,8 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
         let mut t = SimTime::ZERO;
         while t < scenario.until {
             t = SimTime((t.0 + probe.0).min(scenario.until.0));
-            sim.run(&mut proto, t);
-            let heads = proto.cluster_heads().len();
+            sim.run(&core, t);
+            let heads = cluster_heads(&sim).len();
             if t == split_at {
                 heads_pre = heads;
             }
@@ -933,9 +933,7 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
                 remerge = Some((t.0 - heal_at.0) as f64 / 1e6);
             }
             if sample_timeline {
-                let mem = (sim.world().memory_bytes() + proto.memory_bytes()) as f64
-                    / nodes.max(1) as f64;
-                samples.push(sample_serial(&sim, heads as u64, mem));
+                samples.push(sample_par_hvdb(&sim));
             }
         }
         let remerge_secs = remerge.unwrap_or((scenario.until.0 - heal_at.0) as f64 / 1e6);
@@ -951,7 +949,7 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
         let mut reach_steady = (0u64, 0u64);
         let steady_from = SimTime(split_at.0 + settle.0);
         for (idx, item) in scenario.traffic.iter().enumerate() {
-            let delivered = sim.stats().receivers_of(idx as u64 + 1);
+            let delivered = sim.stats().receivers_of(Script::data_id(idx));
             let expected: Vec<NodeId> = scenario
                 .members
                 .iter()
@@ -987,7 +985,7 @@ fn custom_partition(opts: &RunOpts) -> CustomOut {
         let run = PartitionRun {
             heads_pre: heads_pre as f64,
             heads_during: heads_during as f64,
-            heads_end: proto.cluster_heads().len() as f64,
+            heads_end: cluster_heads(&sim).len() as f64,
             pre_delivery: ratio(sums[0]),
             part_delivery: ratio(sums[1]),
             part_reachable: ratio(reach),
@@ -1199,7 +1197,7 @@ fn scaled_vc_side(nodes: usize) -> u16 {
 type ScaleRun = (RunMetrics, RunDetail, f64, usize);
 
 /// Aggregates one node-count's runs into a `scale` report row. All rows
-/// — serial, parallel large-N, and engine-threads — share this column
+/// — small-N, large-N, and engine-threads — share this column
 /// set, so the trajectory gate applies uniformly.
 fn scale_row(sweep: &str, label: String, proto: &str, runs: &[ScaleRun]) -> Row {
     Row::new(
@@ -1253,12 +1251,14 @@ fn scale_row(sweep: &str, label: String, proto: &str, runs: &[ScaleRun]) -> Row 
 ///
 /// Three sub-sweeps:
 ///
-/// * `network-size` (proto `hvdb`) — 100–2000 nodes on the serial
-///   engine, the committed trajectory since PR 3;
+/// * `network-size` (proto `hvdb`) — 100–2000 nodes, two seeds each on
+///   one thread, the sweep's small-N trajectory;
 /// * `network-size` (proto `hvdb-par`) — the large-N campaign points
-///   (5000–100000 nodes) on the sharded parallel engine via
-///   [`run_par_hvdb`]; delivery at every point from 20k up is gated at
-///   >= 0.99 ([`ScenarioDef::gates`]);
+///   (5000–100000 nodes), one seed each on `multi` threads; delivery at
+///   every point from 20k up is gated at >= 0.99
+///   ([`ScenarioDef::gates`]);
+///
+/// Every point runs the one HVDB recipe ([`run_one_instrumented`]).
 /// * `engine-threads` (proto `hvdb-par`) — HVDB itself at 1 vs N worker
 ///   threads on the same workload: `events_processed` must be exactly
 ///   equal (the determinism contract on the real protocol, not just the
@@ -1315,7 +1315,8 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
     };
     let multi = if opts.threads > 1 { opts.threads } else { 4 };
 
-    // Serial trajectory points, (node count × seed) in parallel via rayon.
+    // Small-N trajectory points, one thread each, (node count × seed) in
+    // parallel via rayon.
     let runs = per_cell(&node_counts, &seeds, |&nodes, seed| {
         let scenario = scale_workload(nodes, seed, 1);
         let secs = scenario.until.since(SimTime::ZERO).as_secs_f64();
@@ -1335,15 +1336,13 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
         })
         .collect();
 
-    // Large-N campaign points on the sharded parallel engine: one seed
-    // each (a 20k-node HVDB run is the wall-clock budget of the whole
-    // serial sweep), run serially — each run already uses `multi`
-    // worker threads.
-    const PAR_SHARDS: usize = 64;
+    // Large-N campaign points: one seed each (a 20k-node HVDB run is the
+    // wall-clock budget of the whole small-N sweep), run one after
+    // another — each run already uses `multi` worker threads.
     for &nodes in &par_counts {
         let scenario = scale_workload(nodes, seeds[0], multi);
         let secs = scenario.until.since(SimTime::ZERO).as_secs_f64();
-        let (m, detail) = run_par_hvdb(&scenario, PAR_SHARDS);
+        let (m, detail) = run_one_instrumented(Proto::Hvdb, &scenario);
         rows.push(scale_row(
             "network-size",
             format!("nodes={nodes}"),
@@ -1373,7 +1372,7 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
                 let scenario = scale_workload(et_nodes, seed, threads);
                 let secs = scenario.until.since(SimTime::ZERO).as_secs_f64();
                 let interval = SimDuration((scenario.until.0 / TIMELINE_STEPS).max(1));
-                let (m, detail, samples) = run_par_hvdb_timeline(&scenario, PAR_SHARDS, interval);
+                let (m, detail, samples) = run_par_hvdb_timeline(&scenario, interval);
                 if threads == multi && seed == seeds[0] {
                     timeline = Some(timeline_json(
                         interval.as_secs_f64(),
@@ -1403,8 +1402,9 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
     }
 }
 
-/// The `perf` scenario: wall-clock throughput of the sharded parallel
-/// engine ([`hvdb_sim::ParSimulator`] running [`hvdb_baselines::ParFlood`])
+/// The `perf` scenario: wall-clock throughput of the engine
+/// ([`hvdb_sim::ParSimulator`] running [`hvdb_baselines::ParFlood`] on
+/// its own 16 shards)
 /// on one flooding workload at 1 and `--threads` (default 4) worker
 /// threads, as events/s and simulated-seconds per wall-second. The gates
 /// ([`ScenarioDef::gates`]) require identical `events_processed` at every
@@ -1970,12 +1970,12 @@ fn custom_c3(opts: &RunOpts) -> CustomOut {
         ]
     };
     // HVDB, including the CH-plane view the claim is about.
-    let (mut sim, mut hvdb) = hvdb_sim(&scenario);
-    sim.run(&mut hvdb, scenario.until);
+    let (mut sim, hvdb) = hvdb_run(&scenario);
+    sim.run(&hvdb, scenario.until);
     let mut m = dist_metrics(&sim.stats().node_tx_bytes);
     m.push(("delivery".into(), metrics_of(sim.stats()).delivery));
     rows.push(Row::new("tx-bytes-distribution", "all-nodes", "hvdb", m));
-    let heads = hvdb.cluster_heads();
+    let heads = cluster_heads(&sim);
     let head_tx: Vec<u64> = heads
         .iter()
         .map(|h| sim.stats().node_tx_bytes[h.idx()])
@@ -1987,13 +1987,13 @@ fn custom_c3(opts: &RunOpts) -> CustomOut {
         dist_metrics(&head_tx),
     ));
     // Shared tree, including the core's load multiple.
-    let mut sim = new_sim(&scenario);
-    let mut tree = hvdb_baselines::SharedTreeProtocol::new(
+    let mut sim = new_sim(&scenario, SHARDS);
+    let tree = hvdb_baselines::SharedTreeProtocol::new(
         &scenario.members,
         scenario.traffic.clone(),
         vec![],
     );
-    sim.run(&mut tree, scenario.until);
+    sim.run(&tree, scenario.until);
     let mut m = dist_metrics(&sim.stats().node_tx_bytes);
     m.push(("delivery".into(), metrics_of(sim.stats()).delivery));
     if let Some(core) = tree.core() {
@@ -2268,7 +2268,7 @@ fn custom_f3(opts: &RunOpts) -> CustomOut {
 fn custom_f4(opts: &RunOpts) -> CustomOut {
     // One node pinned near every VC centre.
     let (grid_side, run_secs) = if opts.smoke { (4u16, 20u64) } else { (8, 60) };
-    let build_sim = |seed: u64| -> (Simulator<FrameBytes>, HvdbConfig) {
+    let build_sim = |seed: u64| -> (HvdbSim, HvdbConfig) {
         let area = Aabb::from_size(200.0 * grid_side as f64, 200.0 * grid_side as f64);
         let cfg = HvdbConfig::new(area, grid_side, grid_side, 4);
         let n = (grid_side * grid_side) as usize;
@@ -2284,7 +2284,7 @@ fn custom_f4(opts: &RunOpts) -> CustomOut {
             seed,
             compact_delivery: false,
         };
-        let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg, Box::new(Stationary));
+        let mut sim: HvdbSim = ParSimulator::new(sim_cfg, Box::new(Stationary), SHARDS, 1);
         let ids: Vec<_> = cfg.grid.iter_ids().collect();
         for (i, vc) in ids.iter().enumerate() {
             let c = cfg.grid.vcc(*vc);
@@ -2307,12 +2307,12 @@ fn custom_f4(opts: &RunOpts) -> CustomOut {
     for k in ks {
         let (mut sim, mut cfg) = build_sim(10 + k as u64);
         cfg.k = k;
-        let mut proto = HvdbProtocol::new(cfg, &[], vec![], vec![]);
-        sim.run(&mut proto, SimTime::from_secs(run_secs));
-        let heads = proto.cluster_heads();
+        let core = HvdbCore::new(cfg, &[], vec![], vec![]);
+        sim.run(&core, SimTime::from_secs(run_secs));
+        let heads = cluster_heads(&sim);
         let dests: usize = heads
             .iter()
-            .filter_map(|h| proto.route_table(*h))
+            .filter_map(|h| sim.node_state(*h).and_then(HvdbNode::route_table))
             .map(|t| t.destination_count())
             .sum();
         let msgs = sim.stats().msgs("beacon");
@@ -2342,18 +2342,18 @@ fn custom_f4(opts: &RunOpts) -> CustomOut {
     };
     for failures in failure_counts {
         let (mut sim, cfg) = build_sim(99);
-        let mut proto = HvdbProtocol::new(cfg, &[], vec![], vec![]);
+        let core = HvdbCore::new(cfg, &[], vec![], vec![]);
         // Let the backbone converge, then fail CHs, then let it recover.
         let mut plan = FaultPlan::new();
         for f in 0..failures {
             plan = plan.fail(SimTime::from_secs(run_secs), NodeId((f * 4) as u32));
         }
         sim.inject_plan(&plan);
-        sim.run(&mut proto, SimTime::from_secs(2 * run_secs));
-        let heads = proto.cluster_heads();
+        sim.run(&core, SimTime::from_secs(2 * run_secs));
+        let heads = cluster_heads(&sim);
         let dests: usize = heads
             .iter()
-            .filter_map(|h| proto.route_table(*h))
+            .filter_map(|h| sim.node_state(*h).and_then(HvdbNode::route_table))
             .map(|t| t.destination_count())
             .sum();
         rows.push(Row::new(
@@ -2363,11 +2363,11 @@ fn custom_f4(opts: &RunOpts) -> CustomOut {
             vec![
                 (
                     "neighbors_expired".into(),
-                    proto.counters().neighbors_expired as f64,
+                    total_counters(&sim).neighbors_expired as f64,
                 ),
                 (
                     "route_failovers".into(),
-                    proto.counters().route_failovers as f64,
+                    total_counters(&sim).route_failovers as f64,
                 ),
                 (
                     "avg_destinations".into(),
@@ -2389,12 +2389,12 @@ fn custom_a1(opts: &RunOpts) -> CustomOut {
     let run_with = |w: &Workload, tweak: &dyn Fn(&mut HvdbConfig)| {
         let mut scenario = w.build();
         tweak(&mut scenario.hvdb);
-        let (mut sim, mut proto) = hvdb_sim(&scenario);
-        sim.run(&mut proto, scenario.until);
+        let (mut sim, core) = hvdb_run(&scenario);
+        sim.run(&core, scenario.until);
         // HT traffic spans both the content cycle and the refresh plane
         // (reclassified to "ht-refresh" for overhead accounting).
         let ht_bytes = sim.stats().bytes("ht-bcast") + sim.stats().bytes("ht-refresh");
-        (metrics_of(sim.stats()), proto.counters(), ht_bytes)
+        (metrics_of(sim.stats()), total_counters(&sim), ht_bytes)
     };
     let mut rows = Vec::new();
     // A1a — horizon k: route-table reach vs beacon cost.

@@ -88,10 +88,9 @@ pub struct Workload {
     pub compact_delivery: bool,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for runs that use the sharded parallel engine
-    /// ([`hvdb_sim::ParSimulator`]); serial runs ignore it. Any value
-    /// produces byte-identical results — the engine's determinism
-    /// contract — so this is purely a wall-clock knob.
+    /// Worker threads of the run's engine ([`hvdb_sim::ParSimulator`]).
+    /// Any value produces byte-identical results — the engine's
+    /// determinism contract — so this is purely a wall-clock knob.
     pub threads: usize,
     /// Fail-stop faults injected during the run: this many distinct nodes
     /// (drawn deterministically from the seed) go down at [`Workload::fail_at`].
@@ -164,7 +163,7 @@ pub struct Scenario {
     pub until: SimTime,
     /// The mobility regime (each run builds its own model instance).
     pub mobility_kind: MobilityKind,
-    /// Worker threads for parallel-engine runs (from [`Workload::threads`]).
+    /// Worker threads of the run's engine (from [`Workload::threads`]).
     pub threads: usize,
 }
 

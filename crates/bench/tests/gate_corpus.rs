@@ -402,7 +402,11 @@ const CASES: &[Case] = &[
     case(
         "scale-campaign-missing",
         "scale",
-        &[Remove("network-size/nodes=20000/hvdb-par")],
+        &[
+            Remove("network-size/nodes=20000/hvdb-par"),
+            Remove("network-size/nodes=50000/hvdb-par"),
+            Remove("network-size/nodes=100000/hvdb-par"),
+        ],
         &["network-size/"],
     ),
     case("scale-smoke", "scale", &[Smoke], &[]),

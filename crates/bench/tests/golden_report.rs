@@ -1,16 +1,13 @@
-//! Golden-report determinism gates for both engines.
+//! Golden-report determinism gates.
 //!
-//! The committed `tests/golden/report.json` was generated by the
-//! pre-refactor serial engine (per-neighbor deep-clone delivery, full
-//! spatial rebuilds). The shared-payload delivery path must reproduce it
-//! **byte for byte**: same RNG draw order, same event total order, same
-//! wire sizes, same metrics, same JSON rendering. Any divergence — a
-//! reordered delivery, a changed wire size, an extra RNG draw — fails this
-//! test before it can silently skew every committed benchmark.
-//!
-//! `tests/golden/par_report.json` pins the sharded parallel engine's
-//! absolute outputs the same way, on the same workload at 64 shards, and
-//! must come out identical at threads 1 and 2.
+//! `tests/golden/par_report.json` pins the engine's absolute outputs on a
+//! small fixed-seed workload at 64 shards — HVDB static, mobile-lossy and
+//! fail/recover, plus every baseline — **byte for byte**: same RNG draw
+//! order, same event total order, same wire sizes, same metrics, same
+//! JSON rendering. It must come out identical at threads 1 and 2. Any
+//! divergence — a reordered delivery, a changed wire size, an extra RNG
+//! draw — fails this test before it can silently skew every committed
+//! benchmark.
 //!
 //! `tests/golden/smoke_registry.json` pins every registered scenario's
 //! smoke report at two seeds (so every mean and worst-seed reduction has
@@ -20,7 +17,7 @@
 //! Regenerate (only when a change is *supposed* to alter results) with:
 //! `UPDATE_GOLDEN=1 cargo test -p hvdb-bench --test golden_report`
 
-use hvdb_bench::runner::{run_one, run_par_hvdb, Proto};
+use hvdb_bench::runner::{run_one, Proto};
 use hvdb_bench::scenario::{registry, run_scenario, RunOpts};
 use hvdb_bench::workload::{MobilityKind, Workload};
 use hvdb_bench::{Json, Row, ScenarioReport};
@@ -28,8 +25,8 @@ use hvdb_sim::{FaultPlan, NodeId, SimDuration, SimTime};
 
 /// Small but representative fixed-seed workload: real clustering warmup,
 /// multicast traffic, a lossy mobile row (exercising the RNG loss path
-/// and the mobility-tick index updates) and a baseline-protocol row
-/// (exercising the generic engine path with a non-frame message type).
+/// and the mobility-tick index updates) and baseline-protocol rows
+/// (exercising the engine with non-frame message types).
 fn golden_workload() -> Workload {
     Workload {
         side: 800.0,
@@ -64,45 +61,12 @@ fn render(summary: &str, rows: Vec<Row>) -> String {
     format!("{}\n", report.to_json())
 }
 
-fn golden_report() -> String {
-    let cases: [(&str, Proto, MobilityKind, f64); 3] = [
-        ("hvdb-static", Proto::Hvdb, MobilityKind::Static, 0.0),
-        (
-            "hvdb-mobile-lossy",
-            Proto::Hvdb,
-            MobilityKind::Waypoint(1.0, 5.0),
-            0.10,
-        ),
-        (
-            "flooding-static",
-            Proto::Flooding,
-            MobilityKind::Static,
-            0.0,
-        ),
-    ];
-    let rows = cases
-        .iter()
-        .map(|(label, proto, mobility, loss)| {
-            let w = Workload {
-                mobility: *mobility,
-                loss_prob: *loss,
-                ..golden_workload()
-            };
-            let m = run_one(*proto, &w.build());
-            Row::new("golden", *label, proto.name(), m.metric_pairs())
-        })
-        .collect();
-    render(
-        "fixed-seed frame-plane golden report (byte-identical across refactors)",
-        rows,
-    )
-}
-
-/// The golden workload's HVDB rows on [`run_par_hvdb`] at 64 shards and
-/// `threads` lanes: static, mobile-lossy, and static with one node failing
+/// The golden workload on [`run_one`] (64 shards) at `threads` lanes:
+/// HVDB static, mobile-lossy, and static with one node failing
 /// mid-traffic and recovering (the serial barriers whose callbacks commit
-/// between windows). The rendered `threads` field stays 1 because the rows
-/// must not depend on the lane count.
+/// between windows), then every baseline on the static workload. The
+/// rendered `threads` field stays 1 because the rows must not depend on
+/// the lane count.
 fn par_golden_report(threads: usize) -> String {
     let fault = FaultPlan::new()
         .fail(SimTime::from_secs(33), NodeId(12))
@@ -122,20 +86,27 @@ fn par_golden_report(threads: usize) -> String {
         ),
         ("hvdb-par-fail-recover", MobilityKind::Static, 0.0, fault),
     ];
-    let rows = cases
-        .into_iter()
-        .map(|(label, mobility, loss, faults)| {
-            let w = Workload {
-                mobility,
-                loss_prob: loss,
-                faults,
-                threads,
-                ..golden_workload()
-            };
-            let (m, _) = run_par_hvdb(&w.build(), 64);
-            Row::new("golden", label, Proto::Hvdb.name(), m.metric_pairs())
-        })
-        .collect();
+    let hvdb = cases.into_iter().map(|(label, mobility, loss, faults)| {
+        let w = Workload {
+            mobility,
+            loss_prob: loss,
+            faults,
+            threads,
+            ..golden_workload()
+        };
+        let m = run_one(Proto::Hvdb, &w.build());
+        Row::new("golden", label, Proto::Hvdb.name(), m.metric_pairs())
+    });
+    let baselines = Proto::ALL[1..].iter().map(|&proto| {
+        let w = Workload {
+            threads,
+            ..golden_workload()
+        };
+        let m = run_one(proto, &w.build());
+        let label = format!("{}-static", proto.name());
+        Row::new("golden", label, proto.name(), m.metric_pairs())
+    });
+    let rows = hvdb.chain(baselines).collect();
     render(
         "fixed-seed parallel-engine golden report (64 shards, identical at threads 1 and 2)",
         rows,
@@ -193,11 +164,6 @@ fn check_golden(name: &str, got: &str) {
          engine's event order, RNG stream or wire sizes changed, or a \
          scenario's inputs or reductions did"
     );
-}
-
-#[test]
-fn fixed_seed_report_is_byte_identical_to_committed_golden() {
-    check_golden("report.json", &golden_report());
 }
 
 #[test]

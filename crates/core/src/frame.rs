@@ -27,12 +27,11 @@
 //!   share it.
 
 use crate::packet::HvdbMsg;
-use hvdb_sim::{NodeId, ProtoCtx};
+use hvdb_sim::{NodeId, ParCtx};
 use std::sync::Arc;
 
 /// An immutable, reference-shared wire payload: the message type the
-/// simulator actually delivers (`Protocol::Msg` of
-/// [`crate::HvdbProtocol`]).
+/// engine actually delivers (`ParProtocol::Msg` of [`crate::HvdbCore`]).
 #[derive(Debug, Clone)]
 pub struct FrameBytes {
     inner: Arc<FrameInner>,
@@ -105,23 +104,21 @@ impl FrameBytes {
     }
 }
 
-/// Frame-aware sending sugar over any engine context: every method reads
+/// Frame-aware sending sugar over the engine context: every method reads
 /// the interned class and wire size off the sealed frame, so call sites
-/// cannot drift out of sync with the payload they transmit. Blanket-
-/// implemented for every [`ProtoCtx`] carrying [`FrameBytes`] (both the
-/// serial `Ctx` and the parallel `ParCtx`).
+/// cannot drift out of sync with the payload they transmit.
 pub trait FrameCtx {
-    /// Unicast a sealed frame ([`ProtoCtx::send`] semantics).
+    /// Unicast a sealed frame ([`ParCtx::send`] semantics).
     fn send_frame(&mut self, from: NodeId, to: NodeId, frame: FrameBytes) -> bool;
-    /// Unicast a sealed frame with MAC retries ([`ProtoCtx::send_reliable`]
+    /// Unicast a sealed frame with MAC retries ([`ParCtx::send_reliable`]
     /// semantics).
     fn send_frame_reliable(&mut self, from: NodeId, to: NodeId, frame: FrameBytes) -> bool;
-    /// Broadcast a sealed frame ([`ProtoCtx::broadcast`] semantics); the
+    /// Broadcast a sealed frame ([`ParCtx::broadcast`] semantics); the
     /// payload is shared, not copied, across receivers.
     fn broadcast_frame(&mut self, from: NodeId, frame: FrameBytes) -> usize;
 }
 
-impl<C: ProtoCtx<Msg = FrameBytes>> FrameCtx for C {
+impl FrameCtx for ParCtx<'_, FrameBytes> {
     fn send_frame(&mut self, from: NodeId, to: NodeId, frame: FrameBytes) -> bool {
         self.send(from, to, frame.class(), frame.wire_size(), frame)
     }

@@ -20,9 +20,10 @@
 //!   origin clocks, stale suppression, K-miss expiry) backing the
 //!   control plane's loss robustness;
 //! * [`packet`] — over-the-air message formats and wire sizes;
-//! * [`protocol`] — the full distributed protocol
-//!   ([`protocol::HvdbProtocol`]) over the `hvdb-sim` event engine,
-//!   implementing logical location-based multicast routing (Fig. 6).
+//! * [`protocol`] — the full distributed protocol ([`HvdbCore`] over
+//!   per-node [`HvdbNode`] state) on the `hvdb-sim` engine, implementing
+//!   logical location-based multicast routing (Fig. 6), plus the scenario
+//!   [`Script`] every protocol, HVDB and baselines alike, reads.
 
 #![warn(missing_docs)]
 
@@ -44,7 +45,10 @@ pub use model::{
     HvdbConfig, HvdbModel, TrafficItem,
 };
 pub use packet::{ChMsg, GeoPacket, GeoTarget, HvdbMsg};
-pub use protocol::{Counters, HvdbCore, HvdbNode, HvdbProtocol};
+pub use protocol::{
+    cluster_heads, total_counters, Counters, HvdbCore, HvdbNode, HvdbSim, Script, TAG_GROUP_BASE,
+    TAG_TRAFFIC_BASE,
+};
 pub use qos::{QosSession, RepairOutcome, SessionManager};
 pub use routes::{AdvertisedRoute, QosMetrics, QosRequirement, RouteEntry, RouteTable};
 pub use softstate::refresh::RefreshController;

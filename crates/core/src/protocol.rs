@@ -1,6 +1,6 @@
 //! The distributed HVDB protocol (paper §4 end-to-end).
 //!
-//! One [`HvdbProtocol`] instance drives every node of the simulated MANET
+//! One [`HvdbCore`] recipe drives every node of the simulated MANET
 //! through the paper's three algorithms:
 //!
 //! 1. **Clustering rounds** (technique of \[23\], §3): every `cluster_interval`
@@ -57,8 +57,7 @@ use hvdb_geo::{Hid, Hnid, LogicalAddress, VcId};
 use hvdb_hypercube::{multicast_tree, IncompleteHypercube, MulticastTree};
 use hvdb_sim::georoute;
 use hvdb_sim::{
-    Capability, Ctx, NodeId, ParCtx, ParProtocol, ProtoCtx, Protocol, SimDuration, SimTime,
-    TraceKind, World,
+    Capability, NodeId, ParCtx, ParProtocol, ParSimulator, SimDuration, SimTime, TraceKind, World,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -76,8 +75,6 @@ const TAG_MNT: u64 = 5;
 const TAG_HT: u64 = 6;
 const TAG_REFRESH: u64 = 7;
 const TAG_KIND_MASK: u64 = 0b111;
-const TAG_TRAFFIC_BASE: u64 = 1 << 32;
-const TAG_GROUP_BASE: u64 = 1 << 33;
 
 /// Protocol-level counters (beyond the simulator's byte/message stats).
 #[derive(Debug, Clone, Copy, Default)]
@@ -257,9 +254,8 @@ struct PendingHandover {
     hts: Vec<crate::summary::HtSummary>,
 }
 
-/// Per-node protocol state. On the serial engine these live inside
-/// [`HvdbProtocol`]; on the sharded parallel engine each value is owned
-/// by its node's shard (the [`hvdb_sim::ParProtocol::Node`] type).
+/// Per-node protocol state, owned by its node's shard (the
+/// [`hvdb_sim::ParProtocol::Node`] type).
 pub struct HvdbNode {
     lm: LocalMembership,
     my_vc: VcId,
@@ -295,6 +291,27 @@ impl HvdbNode {
     /// This node's slice of the protocol counters.
     pub fn counters(&self) -> &Counters {
         &self.counters
+    }
+
+    /// Whether this node's Local-Membership holds `group`.
+    pub fn is_member(&self, group: GroupId) -> bool {
+        self.lm.contains(group)
+    }
+
+    /// This head's route table (`None` for a member).
+    pub fn route_table(&self) -> Option<&RouteTable> {
+        match &self.role {
+            Role::Head(h) => Some(&h.table),
+            Role::Member => None,
+        }
+    }
+
+    /// This head's membership database (`None` for a member).
+    pub fn membership_db(&self) -> Option<&MembershipDb> {
+        match &self.role {
+            Role::Head(h) => Some(&h.db),
+            Role::Member => None,
+        }
     }
 
     /// Deterministic estimate of this node's protocol-state bytes: the
@@ -346,29 +363,162 @@ fn satisfies_target(st: &HvdbNode, target: GeoTarget) -> bool {
     }
 }
 
-/// The shared, read-only HVDB recipe: configuration plus the scenario
-/// script and per-item expected receiver counts precomputed from it.
-/// Every handler takes `&self` and an explicit [`HvdbNode`], so one
-/// instance drives every node on either engine: the struct is `Sync` and
-/// never mutated after construction — exactly the contract the sharded
-/// parallel engine's [`hvdb_sim::ParProtocol`] requires.
-pub struct HvdbCore {
-    cfg: HvdbConfig,
+/// Timer-tag base of scripted traffic: item `i` fires tag
+/// `TAG_TRAFFIC_BASE + i`. Protocol timers stay below it.
+pub const TAG_TRAFFIC_BASE: u64 = 1 << 32;
+/// Timer-tag base of scripted group events: event `i` fires tag
+/// `TAG_GROUP_BASE + i`.
+pub const TAG_GROUP_BASE: u64 = 1 << 33;
+
+/// The scenario script every protocol reads — HVDB and each baseline
+/// alike, so comparative runs differ only in the protocol: the initial
+/// membership, the traffic items and the group events, each grouped by
+/// owning node, plus every traffic item's expected receiver count.
+/// Built once and read-only afterwards, so shards never reach into
+/// shared mutable state. Data ids are item index + 1.
+pub struct Script {
+    initial: Vec<(NodeId, GroupId)>,
     traffic: Vec<TrafficItem>,
     group_events: Vec<GroupEvent>,
-    /// `traffic` and `group_events` indices grouped by owning node, so a
-    /// node's start-up reads its own items instead of the whole script.
+    /// `initial`, `traffic` and `group_events` indices grouped by owning
+    /// node, so a node's start-up reads its own items instead of the
+    /// whole script.
+    initial_by_node: ByNode,
     traffic_by_node: ByNode,
     events_by_node: ByNode,
-    /// Expected receiver count per traffic item, precomputed from the
-    /// script: the item's group after applying every group event with
-    /// `at <= item.at` (in list order), minus the source itself.
-    /// Scripted rather than tracked in a run-time truth map — shards
-    /// must not reach into shared mutable state.
+    /// Expected receiver count per traffic item: see
+    /// [`Script::expected`].
     expected: Vec<u64>,
-    /// Scripted initial membership, group → members (seeds each node's
-    /// Local-Membership).
-    initial: FxHashMap<GroupId, FxHashSet<NodeId>>,
+}
+
+impl Script {
+    /// Builds the script: `initial` seeds group membership; `traffic`
+    /// and `group_events` script the run.
+    pub fn new(
+        initial: &[(NodeId, GroupId)],
+        traffic: Vec<TrafficItem>,
+        group_events: Vec<GroupEvent>,
+    ) -> Self {
+        Script {
+            initial_by_node: ByNode::new(initial.iter().map(|&(node, _)| node)),
+            traffic_by_node: ByNode::new(traffic.iter().map(|t| t.src)),
+            events_by_node: ByNode::new(group_events.iter().map(|g| g.node)),
+            expected: expected_receivers(initial, &traffic, &group_events),
+            initial: initial.to_vec(),
+            traffic,
+            group_events,
+        }
+    }
+
+    /// The data id of traffic item `idx`: its index + 1, whatever order
+    /// the items fire in.
+    pub fn data_id(idx: usize) -> u64 {
+        idx as u64 + 1
+    }
+
+    /// Scripted group event `idx`.
+    pub fn group_event(&self, idx: usize) -> &GroupEvent {
+        &self.group_events[idx]
+    }
+
+    /// Expected receivers of traffic item `idx`: its group's members
+    /// after applying every group event with `at <= item.at` — for each
+    /// (node, group), the applicable event latest in list order wins —
+    /// minus the source itself.
+    pub fn expected(&self, idx: usize) -> u64 {
+        self.expected[idx]
+    }
+
+    /// The groups `node` belongs to at t = 0, in script order.
+    pub fn initial_groups(&self, node: NodeId) -> impl Iterator<Item = GroupId> + '_ {
+        self.initial_by_node
+            .of(node)
+            .iter()
+            .map(|&i| self.initial[i as usize].1)
+    }
+
+    /// Arms the dispatched node's scripted timers: its traffic items,
+    /// then its group events, each in script order.
+    pub fn arm<M: Clone>(&self, node: NodeId, ctx: &mut ParCtx<'_, M>) {
+        for &i in self.traffic_by_node.of(node) {
+            let at = self.traffic[i as usize].at.since(SimTime::ZERO);
+            ctx.set_timer(node, at, TAG_TRAFFIC_BASE + u64::from(i));
+        }
+        for &i in self.events_by_node.of(node) {
+            let at = self.group_events[i as usize].at.since(SimTime::ZERO);
+            ctx.set_timer(node, at, TAG_GROUP_BASE + u64::from(i));
+        }
+    }
+
+    /// Registers traffic item `idx`'s origin (flow-tagged, with its
+    /// expected receivers) at the dispatched node; returns the item and
+    /// its data id.
+    pub fn originate<M: Clone>(&self, idx: usize, ctx: &mut ParCtx<'_, M>) -> (TrafficItem, u64) {
+        let item = self.traffic[idx];
+        let data_id = Self::data_id(idx);
+        ctx.record_origin_flow(data_id, self.expected[idx], item.flow, item.seq);
+        (item, data_id)
+    }
+}
+
+/// [`Script::expected`] for every item in one sweep over items and events
+/// sorted by time: each item first applies the events at or before its
+/// instant, keeping per (node, group) the latest one in list order, and
+/// reads its group's member count from a running tally.
+fn expected_receivers(
+    initial: &[(NodeId, GroupId)],
+    traffic: &[TrafficItem],
+    group_events: &[GroupEvent],
+) -> Vec<u64> {
+    let initial: FxHashSet<(NodeId, GroupId)> = initial.iter().copied().collect();
+    let mut members: FxHashMap<GroupId, u64> = FxHashMap::default();
+    for &(_, group) in &initial {
+        *members.entry(group).or_default() += 1;
+    }
+    // (node, group) -> (list index, join) of the winning applied event.
+    let mut latest: FxHashMap<(NodeId, GroupId), (usize, bool)> = FxHashMap::default();
+    let is_member = |latest: &FxHashMap<(NodeId, GroupId), (usize, bool)>, key| {
+        latest
+            .get(&key)
+            .map_or(initial.contains(&key), |&(_, join)| join)
+    };
+    let mut events: Vec<usize> = (0..group_events.len()).collect();
+    events.sort_by_key(|&j| group_events[j].at);
+    let mut items: Vec<usize> = (0..traffic.len()).collect();
+    items.sort_by_key(|&i| traffic[i].at);
+    let mut events = events.into_iter().peekable();
+    let mut expected = vec![0; traffic.len()];
+    for i in items {
+        let item = &traffic[i];
+        while let Some(j) = events.next_if(|&j| group_events[j].at <= item.at) {
+            let ev = &group_events[j];
+            let key = (ev.node, ev.group);
+            if latest.get(&key).is_some_and(|&(k, _)| k > j) {
+                continue;
+            }
+            let was = is_member(&latest, key);
+            latest.insert(key, (j, ev.join));
+            let count = members.entry(ev.group).or_default();
+            match (was, ev.join) {
+                (false, true) => *count += 1,
+                (true, false) => *count -= 1,
+                _ => {}
+            }
+        }
+        let count = members.get(&item.group).copied().unwrap_or(0);
+        expected[i] = count - u64::from(is_member(&latest, (item.src, item.group)));
+    }
+    expected
+}
+
+/// The shared, read-only HVDB recipe: configuration plus the scenario
+/// [`Script`]. Every handler takes `&self` and an explicit [`HvdbNode`],
+/// so one instance drives every node: the struct is `Sync` and never
+/// mutated after construction — exactly the contract the engine's
+/// [`hvdb_sim::ParProtocol`] requires.
+pub struct HvdbCore {
+    cfg: HvdbConfig,
+    script: Script,
 }
 
 /// Script item indices grouped by owning node: node `v`'s items, in
@@ -415,155 +565,40 @@ impl ByNode {
     }
 }
 
-/// The full HVDB protocol for the serial engine, implementing
-/// [`hvdb_sim::Protocol`]: an [`HvdbCore`] recipe plus the owned node
-/// states. The parallel engine runs the core directly (its shards own
-/// the [`HvdbNode`]s).
-pub struct HvdbProtocol {
-    core: HvdbCore,
-    nodes: Vec<HvdbNode>,
+/// The engine every HVDB run drives.
+pub type HvdbSim = ParSimulator<HvdbNode, FrameBytes>;
+
+/// The ids of `sim`'s current cluster heads, ascending (empty before the
+/// first `run` call builds node state).
+pub fn cluster_heads(sim: &HvdbSim) -> Vec<NodeId> {
+    sim.nodes()
+        .filter(|(_, n)| n.is_head())
+        .map(|(id, _)| id)
+        .collect()
 }
 
-impl HvdbProtocol {
-    /// Creates the protocol over `cfg`. `initial_groups` seeds group
-    /// membership; `traffic` and `group_events` script the scenario.
-    pub fn new(
-        cfg: HvdbConfig,
-        initial_groups: &[(NodeId, GroupId)],
-        traffic: Vec<TrafficItem>,
-        group_events: Vec<GroupEvent>,
-    ) -> Self {
-        HvdbProtocol {
-            core: HvdbCore::new(cfg, initial_groups, traffic, group_events),
-            nodes: Vec::new(),
-        }
+/// Protocol counters summed over every node of `sim`.
+pub fn total_counters(sim: &HvdbSim) -> Counters {
+    let mut total = Counters::default();
+    for (_, n) in sim.nodes() {
+        total += n.counters();
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &HvdbConfig {
-        self.core.config()
-    }
-
-    /// The shared engine-agnostic recipe.
-    pub fn core(&self) -> &HvdbCore {
-        &self.core
-    }
-
-    /// Whether `node` is currently a cluster head.
-    pub fn is_head(&self, node: NodeId) -> bool {
-        let n = &self.nodes[node.idx()];
-        n.is_head()
-    }
-
-    /// The node ids of all current cluster heads, ascending.
-    pub fn cluster_heads(&self) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|id| self.is_head(*id))
-            .collect()
-    }
-
-    /// The current members of `group`, ascending — read from each node's
-    /// Local-Membership (before the first callback allocates node state,
-    /// from the scripted initial membership).
-    pub fn group_members(&self, group: GroupId) -> Vec<NodeId> {
-        if self.nodes.is_empty() {
-            let mut out: Vec<NodeId> = self
-                .core
-                .initial
-                .get(&group)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            out.sort_unstable();
-            return out;
-        }
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|id| self.nodes[id.idx()].lm.contains(group))
-            .collect()
-    }
-
-    /// Read access to a head's route table (experiment instrumentation).
-    pub fn route_table(&self, node: NodeId) -> Option<&RouteTable> {
-        let n = &self.nodes[node.idx()];
-        match &n.role {
-            Role::Head(h) => Some(&h.table),
-            Role::Member => None,
-        }
-    }
-
-    /// Read access to a head's membership database.
-    pub fn membership_db(&self, node: NodeId) -> Option<&MembershipDb> {
-        let n = &self.nodes[node.idx()];
-        match &n.role {
-            Role::Head(h) => Some(&h.db),
-            Role::Member => None,
-        }
-    }
-
-    /// Aggregate session failover/break counts over all heads.
-    pub fn session_totals(&self) -> (u64, u64) {
-        self.nodes
-            .iter()
-            .filter_map(|n| match &n.role {
-                Role::Head(h) => Some((h.sessions.failovers, h.sessions.breaks)),
-                Role::Member => None,
-            })
-            .fold((0, 0), |(a, b), (x, y)| (a + x, b + y))
-    }
-
-    /// Aggregate protocol counters, summed over all nodes.
-    pub fn counters(&self) -> Counters {
-        let mut total = Counters::default();
-        for n in &self.nodes {
-            total += n.counters();
-        }
-        total
-    }
-
-    /// Deterministic content-byte estimate of all protocol state, summed
-    /// over every node (see [`HvdbNode::memory_bytes`]).
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.memory_bytes()).sum()
-    }
+    total
 }
 
 impl HvdbCore {
-    /// Builds the shared recipe over `cfg` (see [`HvdbProtocol::new`]).
+    /// Builds the shared recipe over `cfg`: `initial_groups` seeds group
+    /// membership; `traffic` and `group_events` script the scenario
+    /// ([`Script::new`]).
     pub fn new(
         cfg: HvdbConfig,
         initial_groups: &[(NodeId, GroupId)],
         traffic: Vec<TrafficItem>,
         group_events: Vec<GroupEvent>,
     ) -> Self {
-        let mut initial: FxHashMap<GroupId, FxHashSet<NodeId>> = FxHashMap::default();
-        for (node, group) in initial_groups {
-            initial.entry(*group).or_default().insert(*node);
-        }
-        let expected = traffic
-            .iter()
-            .map(|item| {
-                let mut members = initial.get(&item.group).cloned().unwrap_or_default();
-                for ev in &group_events {
-                    if ev.group == item.group && ev.at <= item.at {
-                        if ev.join {
-                            members.insert(ev.node);
-                        } else {
-                            members.remove(&ev.node);
-                        }
-                    }
-                }
-                members.iter().filter(|n| **n != item.src).count() as u64
-            })
-            .collect();
         HvdbCore {
             cfg,
-            traffic_by_node: ByNode::new(traffic.iter().map(|t| t.src)),
-            events_by_node: ByNode::new(group_events.iter().map(|g| g.node)),
-            traffic,
-            group_events,
-            expected,
-            initial,
+            script: Script::new(initial_groups, traffic, group_events),
         }
     }
 
@@ -575,10 +610,8 @@ impl HvdbCore {
     /// Fresh per-node state for `id` starting at `pos`.
     fn new_node(&self, id: NodeId, pos: hvdb_geo::Point) -> HvdbNode {
         let mut lm = LocalMembership::default();
-        for (g, members) in &self.initial {
-            if members.contains(&id) {
-                lm.join(*g);
-            }
+        for g in self.script.initial_groups(id) {
+            lm.join(g);
         }
         HvdbNode {
             lm,
@@ -620,10 +653,10 @@ impl HvdbCore {
     }
 
     /// Launches a geo packet from `from` toward its target.
-    fn geo_send<C: ProtoCtx<Msg = FrameBytes>>(
+    fn geo_send(
         &self,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         from: NodeId,
         pkt: GeoPacket,
     ) {
@@ -638,10 +671,10 @@ impl HvdbCore {
     }
 
     /// Wraps and sends a CH message toward a target.
-    fn geo_dispatch<C: ProtoCtx<Msg = FrameBytes>>(
+    fn geo_dispatch(
         &self,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         from: NodeId,
         target: GeoTarget,
         inner: ChMsg,
@@ -660,9 +693,9 @@ impl HvdbCore {
     /// probably cannot reach (VCC farther than ~85% of the radio range):
     /// these get a supplementary geo-unicast so long hypercube links
     /// (labels two grid cells apart) stay alive.
-    fn far_neighbors<C: ProtoCtx<Msg = FrameBytes>>(
+    fn far_neighbors(
         &self,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         node: NodeId,
         vcs: Vec<VcId>,
     ) -> Vec<VcId> {
@@ -679,10 +712,10 @@ impl HvdbCore {
     // ------------------------------------------------------------------
     // Clustering rounds.
 
-    fn my_score<C: ProtoCtx<Msg = FrameBytes>>(
+    fn my_score(
         &self,
         st: &HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         node: NodeId,
     ) -> Option<CandScore> {
         if ctx.capability(node) != Capability::Enhanced {
@@ -711,11 +744,11 @@ impl HvdbCore {
         })
     }
 
-    fn on_candidacy_timer<C: ProtoCtx<Msg = FrameBytes>>(
+    fn on_candidacy_timer(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
     ) {
         let pos = ctx.position(node);
         let vc = self.cfg.grid.vc_of(pos);
@@ -792,11 +825,11 @@ impl HvdbCore {
 
     /// Steps down as head of `vc`, shipping the backbone state to `rival`
     /// so the surviving head does not start from an empty view.
-    fn resign_to<C: ProtoCtx<Msg = FrameBytes>>(
+    fn resign_to(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         vc: VcId,
         rival: NodeId,
     ) {
@@ -834,12 +867,7 @@ impl HvdbCore {
         }
     }
 
-    fn on_decide_timer<C: ProtoCtx<Msg = FrameBytes>>(
-        &self,
-        node: NodeId,
-        st: &mut HvdbNode,
-        ctx: &mut C,
-    ) {
+    fn on_decide_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let Some(best) = st.best_cand else {
             return;
         };
@@ -910,12 +938,7 @@ impl HvdbCore {
         st.heard_head_bid = false;
     }
 
-    fn on_report_timer<C: ProtoCtx<Msg = FrameBytes>>(
-        &self,
-        node: NodeId,
-        st: &mut HvdbNode,
-        ctx: &mut C,
-    ) {
+    fn on_report_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_REPORT);
         ctx.set_timer(node, self.cfg.local_report_interval, tag);
         if st.lm.groups.is_empty() {
@@ -941,12 +964,7 @@ impl HvdbCore {
     // ------------------------------------------------------------------
     // Route maintenance (Fig. 4).
 
-    fn on_beacon_timer<C: ProtoCtx<Msg = FrameBytes>>(
-        &self,
-        node: NodeId,
-        st: &mut HvdbNode,
-        ctx: &mut C,
-    ) {
+    fn on_beacon_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_BEACON);
         ctx.set_timer(node, self.cfg.beacon_interval, tag);
         let now = ctx.now();
@@ -1007,11 +1025,11 @@ impl HvdbCore {
         }
     }
 
-    fn on_beacon<C: ProtoCtx<Msg = FrameBytes>>(
+    fn on_beacon(
         &self,
         _node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         from: LogicalAddress,
         sent_at: SimTime,
         advertised: &[crate::routes::AdvertisedRoute],
@@ -1048,12 +1066,7 @@ impl HvdbCore {
     // ------------------------------------------------------------------
     // Membership (Fig. 5) — generation-stamped soft state.
 
-    fn on_mnt_timer<C: ProtoCtx<Msg = FrameBytes>>(
-        &self,
-        node: NodeId,
-        st: &mut HvdbNode,
-        ctx: &mut C,
-    ) {
+    fn on_mnt_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_MNT);
         ctx.set_timer(node, self.cfg.mnt_interval, tag);
         if !st.is_head() {
@@ -1113,10 +1126,10 @@ impl HvdbCore {
     /// expiry. Like beacons ([`Self::far_neighbors`]), the origin backs
     /// the flood with reliable geo-unicasts to the same-region logical
     /// neighbours its broadcast probably misses.
-    fn mnt_far_supplement<C: ProtoCtx<Msg = FrameBytes>>(
+    fn mnt_far_supplement(
         &self,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         node: NodeId,
         my_vc: VcId,
         hid: Hid,
@@ -1131,11 +1144,11 @@ impl HvdbCore {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_mnt_share<C: ProtoCtx<Msg = FrameBytes>>(
+    fn on_mnt_share(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         origin: Hnid,
         hid: Hid,
         holder: u32,
@@ -1237,12 +1250,7 @@ impl HvdbCore {
         ctx.broadcast_frame(node, frame);
     }
 
-    fn on_ht_timer<C: ProtoCtx<Msg = FrameBytes>>(
-        &self,
-        node: NodeId,
-        st: &mut HvdbNode,
-        ctx: &mut C,
-    ) {
+    fn on_ht_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_HT);
         ctx.set_timer(node, self.cfg.ht_interval, tag);
         self.broadcast_ht_if_designated(node, st, ctx, false);
@@ -1253,11 +1261,11 @@ impl HvdbCore {
     /// generation. Shared by the slow designation cycle (`refresh =
     /// false`) and the fast refresh timer (`refresh = true`, accounted to
     /// the `ht-refresh` class). Returns whether a broadcast went out.
-    fn broadcast_ht_if_designated<C: ProtoCtx<Msg = FrameBytes>>(
+    fn broadcast_ht_if_designated(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         refresh: bool,
     ) -> bool {
         let criterion = self.cfg.designation;
@@ -1287,11 +1295,11 @@ impl HvdbCore {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_ht_broadcast<C: ProtoCtx<Msg = FrameBytes>>(
+    fn on_ht_broadcast(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         origin: Hid,
         holder: u32,
         gen: u64,
@@ -1390,12 +1398,7 @@ impl HvdbCore {
     /// stays one fast period. Withheld refreshes are counted
     /// (`refresh_suppressed`), fired ones feed the refresh-rate
     /// histogram.
-    fn on_refresh_timer<C: ProtoCtx<Msg = FrameBytes>>(
-        &self,
-        node: NodeId,
-        st: &mut HvdbNode,
-        ctx: &mut C,
-    ) {
+    fn on_refresh_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_REFRESH);
         ctx.set_timer_jittered(
             node,
@@ -1528,20 +1531,16 @@ impl HvdbCore {
     // ------------------------------------------------------------------
     // Multicast data path (Fig. 6).
 
-    fn on_traffic_timer<C: ProtoCtx<Msg = FrameBytes>>(
+    fn on_traffic_timer(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         idx: usize,
     ) {
-        let item = self.traffic[idx];
-        // Deterministic data ids (the traffic item's index) and expected
-        // receiver counts precomputed from the script at construction:
-        // the send path touches no shared mutable state, so the same
-        // recipe drives both engines.
-        let data_id = idx as u64 + 1;
-        ctx.record_origin_flow(data_id, self.expected[idx], item.flow, item.seq);
+        // Data ids and expected receiver counts come from the script:
+        // the send path touches no shared mutable state.
+        let (item, data_id) = self.script.originate(idx, ctx);
         if st.is_head() {
             self.start_multicast_at_ch(node, st, ctx, data_id, item.group, item.size, 0);
         } else if let Some(ch) = self.current_ch(st, ctx.now()) {
@@ -1559,11 +1558,11 @@ impl HvdbCore {
     /// Fig. 6 steps 2–3: the source CH computes the mesh-tier tree and
     /// launches the branches, then enters its own hypercube.
     #[allow(clippy::too_many_arguments)]
-    fn start_multicast_at_ch<C: ProtoCtx<Msg = FrameBytes>>(
+    fn start_multicast_at_ch(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         data_id: u64,
         group: GroupId,
         size: usize,
@@ -1600,11 +1599,11 @@ impl HvdbCore {
 
     /// Fig. 6 step 4: a packet enters hypercube `this` at this CH.
     #[allow(clippy::too_many_arguments)]
-    fn enter_region<C: ProtoCtx<Msg = FrameBytes>>(
+    fn enter_region(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         data_id: u64,
         group: GroupId,
         size: usize,
@@ -1684,11 +1683,11 @@ impl HvdbCore {
     /// Fig. 6 steps 5–6 at a tree node: deliver locally, forward to
     /// children over logical routes.
     #[allow(clippy::too_many_arguments)]
-    fn process_hc_tree_node<C: ProtoCtx<Msg = FrameBytes>>(
+    fn process_hc_tree_node(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         data_id: u64,
         group: GroupId,
         size: usize,
@@ -1722,10 +1721,10 @@ impl HvdbCore {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn forward_hc_leg<C: ProtoCtx<Msg = FrameBytes>>(
+    fn forward_hc_leg(
         &self,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         node: NodeId,
         data_id: u64,
         group: GroupId,
@@ -1765,11 +1764,11 @@ impl HvdbCore {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_hc_data<C: ProtoCtx<Msg = FrameBytes>>(
+    fn on_hc_data(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         data_id: u64,
         group: GroupId,
         size: usize,
@@ -1799,11 +1798,11 @@ impl HvdbCore {
 
     /// Fig. 6 step 6: CH local broadcast + own delivery.
     #[allow(clippy::too_many_arguments)]
-    fn deliver_locally<C: ProtoCtx<Msg = FrameBytes>>(
+    fn deliver_locally(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         data_id: u64,
         group: GroupId,
         size: usize,
@@ -1838,7 +1837,7 @@ impl HvdbCore {
     }
 
     fn on_group_event(&self, node: NodeId, st: &mut HvdbNode, idx: usize) {
-        let ev = self.group_events[idx];
+        let ev = *self.script.group_event(idx);
         debug_assert_eq!(ev.node, node, "group-event timer fired at the wrong node");
         if ev.join {
             st.lm.join(ev.group);
@@ -1847,11 +1846,11 @@ impl HvdbCore {
         }
     }
 
-    fn on_geo<C: ProtoCtx<Msg = FrameBytes>>(
+    fn on_geo(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
         mut pkt: GeoPacket,
     ) {
         if satisfies_target(st, pkt.target) {
@@ -1959,14 +1958,22 @@ impl HvdbCore {
         }
         self.geo_send(st, ctx, node, pkt);
     }
+}
 
-    // ------------------------------------------------------------------
-    // Dispatch shared by both engines.
+impl ParProtocol for HvdbCore {
+    type Msg = FrameBytes;
+    type Node = HvdbNode;
+
+    fn make_node(&self, id: NodeId, world: &World) -> HvdbNode {
+        self.new_node(id, world.position(id))
+    }
 
     /// Arms one node's phase-jittered periodic timers plus its scripted
-    /// traffic and group-event timers (t = 0 on either engine).
-    fn start_node<C: ProtoCtx<Msg = FrameBytes>>(&self, node: NodeId, ctx: &mut C) {
-        let jitter = |ctx: &mut C, max: u64| SimDuration(ctx.rand_u64(0, max.max(1)));
+    /// traffic and group-event timers (t = 0).
+    fn on_start(&self, node: NodeId, _st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
+        let jitter = |ctx: &mut ParCtx<'_, FrameBytes>, max: u64| {
+            SimDuration(ctx.rng().range_u64(0, max.max(1)))
+        };
         let j = jitter(ctx, self.cfg.cluster_interval.0 / 4);
         ctx.set_timer(node, j, TAG_CANDIDACY);
         let j = jitter(ctx, self.cfg.beacon_interval.0);
@@ -1990,24 +1997,17 @@ impl HvdbCore {
             TAG_REPORT,
         );
         // Scenario scripting: this node's traffic and group events.
-        for &i in self.traffic_by_node.of(node) {
-            let at = self.traffic[i as usize].at.since(SimTime::ZERO);
-            ctx.set_timer(node, at, TAG_TRAFFIC_BASE + u64::from(i));
-        }
-        for &i in self.events_by_node.of(node) {
-            let at = self.group_events[i as usize].at.since(SimTime::ZERO);
-            ctx.set_timer(node, at, TAG_GROUP_BASE + u64::from(i));
-        }
+        self.script.arm(node, ctx);
     }
 
-    /// Message dispatch for the node owning `st` (both engines).
-    fn dispatch_message<C: ProtoCtx<Msg = FrameBytes>>(
+    /// Message dispatch for the node owning `st`.
+    fn on_message(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
         from: NodeId,
         msg: FrameBytes,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
     ) {
         // Receivers read the shared payload in place; only the arms that
         // *store or forward* owned state take the payload out (unicast
@@ -2218,13 +2218,13 @@ impl HvdbCore {
         }
     }
 
-    /// Timer dispatch for the node owning `st` (both engines).
-    fn dispatch_timer<C: ProtoCtx<Msg = FrameBytes>>(
+    /// Timer dispatch for the node owning `st`.
+    fn on_timer(
         &self,
         node: NodeId,
         st: &mut HvdbNode,
         tag: u64,
-        ctx: &mut C,
+        ctx: &mut ParCtx<'_, FrameBytes>,
     ) {
         match tag {
             t if t >= TAG_GROUP_BASE => {
@@ -2256,18 +2256,13 @@ impl HvdbCore {
     /// Fault injection: a failed CH simply goes silent; neighbours detect
     /// it by beacon timeout (the availability experiment measures exactly
     /// this).
-    fn fail_node(st: &mut HvdbNode) {
+    fn on_fail(&self, _node: NodeId, st: &mut HvdbNode, _ctx: &mut ParCtx<'_, FrameBytes>) {
         st.role = Role::Member;
         st.ch.clear();
     }
 
     /// Fault injection: the node came back up with cleared volatile view.
-    fn recover_node<C: ProtoCtx<Msg = FrameBytes>>(
-        &self,
-        node: NodeId,
-        st: &mut HvdbNode,
-        ctx: &mut C,
-    ) {
+    fn on_recover(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         st.ch.clear();
         st.best_cand = None;
         // Restart every periodic chain under a fresh timer epoch: chains
@@ -2275,7 +2270,7 @@ impl HvdbCore {
         // survived a short outage carry the old epoch and die at their
         // next firing — no duplicated cadence either way.
         st.timer_epoch += 1;
-        let j = SimDuration(ctx.rand_u64(0, self.cfg.cluster_interval.0 / 4 + 1));
+        let j = SimDuration(ctx.rng().range_u64(0, self.cfg.cluster_interval.0 / 4 + 1));
         let tag = ptag(st, TAG_CANDIDACY);
         ctx.set_timer(node, j, tag);
         let tag = ptag(st, TAG_BEACON);
@@ -2293,88 +2288,6 @@ impl HvdbCore {
             self.cfg.refresh_jitter,
             tag,
         );
-    }
-}
-
-impl Protocol for HvdbProtocol {
-    type Msg = FrameBytes;
-
-    fn on_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, FrameBytes>) {
-        if self.nodes.len() < ctx.node_count() {
-            // First callback: allocate per-node state.
-            for id in 0..ctx.node_count() as u32 {
-                let pos = ctx.position(NodeId(id));
-                self.nodes.push(self.core.new_node(NodeId(id), pos));
-            }
-        }
-        self.core.start_node(node, ctx);
-    }
-
-    fn on_message(
-        &mut self,
-        node: NodeId,
-        from: NodeId,
-        msg: FrameBytes,
-        ctx: &mut Ctx<'_, FrameBytes>,
-    ) {
-        let HvdbProtocol { core, nodes } = self;
-        core.dispatch_message(node, &mut nodes[node.idx()], from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, node: NodeId, tag: u64, ctx: &mut Ctx<'_, FrameBytes>) {
-        let HvdbProtocol { core, nodes } = self;
-        core.dispatch_timer(node, &mut nodes[node.idx()], tag, ctx);
-    }
-
-    fn on_fail(&mut self, node: NodeId, _ctx: &mut Ctx<'_, FrameBytes>) {
-        HvdbCore::fail_node(&mut self.nodes[node.idx()]);
-    }
-
-    fn on_recover(&mut self, node: NodeId, ctx: &mut Ctx<'_, FrameBytes>) {
-        let HvdbProtocol { core, nodes } = self;
-        core.recover_node(node, &mut nodes[node.idx()], ctx);
-    }
-}
-
-impl ParProtocol for HvdbCore {
-    type Msg = FrameBytes;
-    type Node = HvdbNode;
-
-    fn make_node(&self, id: NodeId, world: &World) -> HvdbNode {
-        self.new_node(id, world.position(id))
-    }
-
-    fn on_start(&self, id: NodeId, _node: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
-        self.start_node(id, ctx);
-    }
-
-    fn on_message(
-        &self,
-        id: NodeId,
-        node: &mut HvdbNode,
-        from: NodeId,
-        msg: FrameBytes,
-        ctx: &mut ParCtx<'_, FrameBytes>,
-    ) {
-        self.dispatch_message(id, node, from, msg, ctx);
-    }
-
-    fn on_timer(
-        &self,
-        id: NodeId,
-        node: &mut HvdbNode,
-        tag: u64,
-        ctx: &mut ParCtx<'_, FrameBytes>,
-    ) {
-        self.dispatch_timer(id, node, tag, ctx);
-    }
-
-    fn on_fail(&self, _id: NodeId, node: &mut HvdbNode, _ctx: &mut ParCtx<'_, FrameBytes>) {
-        Self::fail_node(node);
-    }
-
-    fn on_recover(&self, id: NodeId, node: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
-        self.recover_node(id, node, ctx);
     }
 }
 
@@ -2406,5 +2319,96 @@ mod tests {
         }
         // A lone owner at id 0.
         assert_eq!(grouped(&[0, 0]).of(NodeId(0)), [0, 1]);
+    }
+
+    /// The reference definition of [`Script::expected`]: per item, replay
+    /// every applicable group event over the item's initial group, in
+    /// list order. Quadratic in the script length.
+    fn expected_by_replay(
+        initial: &[(NodeId, GroupId)],
+        traffic: &[TrafficItem],
+        group_events: &[GroupEvent],
+    ) -> Vec<u64> {
+        traffic
+            .iter()
+            .map(|item| {
+                let mut members: FxHashSet<NodeId> = initial
+                    .iter()
+                    .filter(|(_, g)| *g == item.group)
+                    .map(|(n, _)| *n)
+                    .collect();
+                for ev in group_events {
+                    if ev.group == item.group && ev.at <= item.at {
+                        if ev.join {
+                            members.insert(ev.node);
+                        } else {
+                            members.remove(&ev.node);
+                        }
+                    }
+                }
+                members.iter().filter(|n| **n != item.src).count() as u64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn expected_receivers_match_the_replay_on_random_scripts() {
+        // Few nodes, groups and instants, so (node, group) pairs repeat,
+        // events arrive out of time order, joins and leaves of one pair
+        // share an instant, and items tie with events at `item.at`.
+        let mut rng = hvdb_traffic::Rng64::new(23);
+        let mut draw = |n: u64| rng.range_u64(0, n);
+        for _ in 0..300 {
+            let initial: Vec<(NodeId, GroupId)> = (0..draw(8))
+                .map(|_| (NodeId(draw(6) as u32), GroupId(draw(3) as u32)))
+                .collect();
+            let group_events: Vec<GroupEvent> = (0..draw(24))
+                .map(|_| GroupEvent {
+                    at: SimTime::from_secs(draw(10)),
+                    node: NodeId(draw(6) as u32),
+                    group: GroupId(draw(3) as u32),
+                    join: draw(2) == 0,
+                })
+                .collect();
+            let traffic: Vec<TrafficItem> = (0..draw(16))
+                .map(|_| TrafficItem {
+                    at: SimTime::from_secs(draw(10)),
+                    src: NodeId(draw(6) as u32),
+                    group: GroupId(draw(3) as u32),
+                    ..Default::default()
+                })
+                .collect();
+            let want = expected_by_replay(&initial, &traffic, &group_events);
+            let script = Script::new(&initial, traffic, group_events);
+            let got: Vec<u64> = (0..want.len()).map(|i| script.expected(i)).collect();
+            assert_eq!(got, want, "initial {initial:?}");
+        }
+    }
+
+    #[test]
+    fn the_latest_event_in_list_order_wins_a_pair() {
+        // Node 2 joins at 5 s but the list's later entry, a leave at 3 s,
+        // wins for every item at or after 5 s; before 5 s only the leave
+        // applies.
+        let g = GroupId(3);
+        let ev = |secs, join| GroupEvent {
+            at: SimTime::from_secs(secs),
+            node: NodeId(2),
+            group: g,
+            join,
+        };
+        let item = |secs| TrafficItem {
+            at: SimTime::from_secs(secs),
+            src: NodeId(0),
+            group: g,
+            ..Default::default()
+        };
+        let script = Script::new(
+            &[(NodeId(0), g), (NodeId(1), g), (NodeId(2), g)],
+            vec![item(1), item(4), item(5), item(9)],
+            vec![ev(5, true), ev(3, false)],
+        );
+        let got: Vec<u64> = (0..4).map(|i| script.expected(i)).collect();
+        assert_eq!(got, vec![2, 1, 1, 1]);
     }
 }

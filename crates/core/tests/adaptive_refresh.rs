@@ -4,17 +4,20 @@
 //! baseline on byte-identical inputs, without costing convergence or
 //! delivery — and churn must snap the rate back.
 
-use hvdb_core::{FrameBytes, GroupEvent, GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb_core::{
+    cluster_heads, total_counters, Counters, GroupEvent, GroupId, HvdbConfig, HvdbCore, HvdbSim,
+    TrafficItem,
+};
 use hvdb_geo::{Aabb, Point, Vec2};
 use hvdb_sim::{
-    NodeId, RadioConfig, SimConfig, SimDuration, SimTime, Simulator, Stationary, Stats,
+    NodeId, ParSimulator, RadioConfig, SimConfig, SimDuration, SimTime, Stationary, Stats,
 };
 
 /// The paper's Fig. 2 layout, one stationary CH-capable node pinned near
 /// every VC centre — a backbone that converges quickly and then goes
 /// fully quiet, the adaptive controller's best case and the fixed rate's
 /// worst.
-fn fig2_sim(seed: u64) -> (Simulator<FrameBytes>, HvdbConfig) {
+fn fig2_sim(seed: u64) -> (HvdbSim, HvdbConfig) {
     let area = Aabb::from_size(800.0, 800.0);
     let cfg = HvdbConfig::fig2(area);
     let sim_cfg = SimConfig {
@@ -29,7 +32,7 @@ fn fig2_sim(seed: u64) -> (Simulator<FrameBytes>, HvdbConfig) {
         seed,
         compact_delivery: false,
     };
-    let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg, Box::new(Stationary));
+    let mut sim: HvdbSim = ParSimulator::new(sim_cfg, Box::new(Stationary), 8, 1);
     let grid = cfg.grid.clone();
     for (i, vc) in grid.iter_ids().enumerate() {
         let c = grid.vcc(vc);
@@ -44,21 +47,30 @@ fn refresh_frames(stats: &Stats) -> u64 {
     stats.msgs("ch-refresh") + stats.msgs("mnt-refresh") + stats.msgs("ht-refresh")
 }
 
+/// A finished run's cluster-head count and summed protocol counters.
+struct Outcome {
+    heads: usize,
+    counters: Counters,
+}
+
 /// Runs the protocol for `secs` simulated seconds with the adaptive
-/// controller on or off, returning the finished protocol and stats.
+/// controller on or off, returning the outcome and stats.
 fn run_variant(
     adaptive: bool,
     secs: u64,
     members: &[(NodeId, GroupId)],
     traffic: Vec<TrafficItem>,
     events: Vec<GroupEvent>,
-) -> (HvdbProtocol, Stats) {
+) -> (Outcome, Stats) {
     let (mut sim, mut cfg) = fig2_sim(42);
     cfg.adaptive_refresh = adaptive;
-    let mut proto = HvdbProtocol::new(cfg, members, traffic, events);
-    sim.run(&mut proto, SimTime::from_secs(secs));
-    let stats = sim.stats().clone();
-    (proto, stats)
+    let core = HvdbCore::new(cfg, members, traffic, events);
+    sim.run(&core, SimTime::from_secs(secs));
+    let outcome = Outcome {
+        heads: cluster_heads(&sim).len(),
+        counters: total_counters(&sim),
+    };
+    (outcome, sim.stats().clone())
 }
 
 #[test]
@@ -81,8 +93,8 @@ fn quiet_phase_refresh_traffic_drops_at_least_2x() {
     let (fixed_proto, fixed_stats) = run_variant(false, 120, &members, traffic.clone(), vec![]);
     let (adaptive_proto, adaptive_stats) = run_variant(true, 120, &members, traffic, vec![]);
     // Both variants converge to the same backbone.
-    assert_eq!(fixed_proto.cluster_heads().len(), 64);
-    assert_eq!(adaptive_proto.cluster_heads().len(), 64);
+    assert_eq!(fixed_proto.heads, 64);
+    assert_eq!(adaptive_proto.heads, 64);
     // Both deliver the late packet to all three remote members.
     assert_eq!(fixed_stats.delivery_ratio(), 1.0);
     assert_eq!(adaptive_stats.delivery_ratio(), 1.0);
@@ -98,8 +110,8 @@ fn quiet_phase_refresh_traffic_drops_at_least_2x() {
     // The saving is visible in the controller's own books, not just the
     // radio's: refreshes were suppressed, and the rate histogram shows
     // time spent at backed-off intervals.
-    assert_eq!(fixed_proto.counters().refresh_suppressed, 0);
-    assert!(adaptive_proto.counters().refresh_suppressed > 0);
+    assert_eq!(fixed_proto.counters.refresh_suppressed, 0);
+    assert!(adaptive_proto.counters.refresh_suppressed > 0);
     assert!(fixed_stats.refresh_rate_hist.keys().all(|t| *t == 1));
     assert!(
         adaptive_stats.refresh_rate_hist.keys().any(|t| *t > 1),
@@ -107,8 +119,7 @@ fn quiet_phase_refresh_traffic_drops_at_least_2x() {
         adaptive_stats.refresh_rate_hist
     );
     assert_eq!(
-        adaptive_stats.soft_refresh_suppressed,
-        adaptive_proto.counters().refresh_suppressed,
+        adaptive_stats.soft_refresh_suppressed, adaptive_proto.counters.refresh_suppressed,
         "sim and protocol suppression counters must agree"
     );
     // The region-cube cache earns its keep exactly here: once the
@@ -116,8 +127,8 @@ fn quiet_phase_refresh_traffic_drops_at_least_2x() {
     // or suppressed) must reuse the cached cube instead of rebuilding it
     // from the MNT label set — hits dominate rebuilds in a quiet phase.
     for proto in [&fixed_proto, &adaptive_proto] {
-        let hits = proto.counters().cube_cache_hits;
-        let rebuilds = proto.counters().cube_rebuilds;
+        let hits = proto.counters.cube_cache_hits;
+        let rebuilds = proto.counters.cube_rebuilds;
         assert!(
             hits > rebuilds,
             "quiet phase must be cache-hit dominated: {hits} hits vs {rebuilds} rebuilds"
@@ -150,8 +161,8 @@ fn membership_churn_snaps_the_rate_back() {
         "churned run must refresh more ({churned} vs {quiet})"
     );
     assert!(
-        churn_proto.counters().refresh_suppressed > 0,
+        churn_proto.counters.refresh_suppressed > 0,
         "even the churned run has quiet stretches to back off in"
     );
-    assert!(quiet_proto.counters().refresh_suppressed > churn_proto.counters().refresh_suppressed);
+    assert!(quiet_proto.counters.refresh_suppressed > churn_proto.counters.refresh_suppressed);
 }

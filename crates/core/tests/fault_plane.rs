@@ -1,5 +1,5 @@
 //! The fault plane exercised through the *real* HVDB protocol: network
-//! partitions with heal, on both engines.
+//! partitions with heal.
 //!
 //! The engine-level semantics (barrier ordering, RNG isolation, every
 //! fault kind's thread invariance on a synthetic protocol) live in the
@@ -11,11 +11,10 @@
 //! integration-test scale, plus its exact thread invariance on the
 //! sharded engine with the split straddling lookahead windows.
 
-use hvdb_core::{FrameBytes, GroupId, HvdbConfig, HvdbCore, HvdbNode, HvdbProtocol, TrafficItem};
+use hvdb_core::{cluster_heads, GroupId, HvdbConfig, HvdbCore, HvdbSim, TrafficItem};
 use hvdb_geo::{Aabb, Point, Vec2};
 use hvdb_sim::{
-    FaultPlan, NodeId, ParSimulator, RadioConfig, SimConfig, SimDuration, SimTime, Simulator,
-    Stationary,
+    FaultPlan, NodeId, ParSimulator, RadioConfig, SimConfig, SimDuration, SimTime, Stationary,
 };
 
 const NODES: usize = 74; // 64 VC-centre nodes + 10 extras.
@@ -80,18 +79,18 @@ fn pre_census(heads: &[NodeId]) -> Vec<NodeId> {
 fn split_islands_reelect_and_remerge_after_heal() {
     let area = Aabb::from_size(800.0, 800.0);
     let cfg = HvdbConfig::fig2(area);
-    let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg(area, 5), Box::new(Stationary));
+    let mut sim: HvdbSim = ParSimulator::new(sim_cfg(area, 5), Box::new(Stationary), 8, 1);
     place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
     sim.world_mut().rebuild_index();
-    let mut proto = HvdbProtocol::new(cfg, &[], vec![], vec![]);
+    let core = HvdbCore::new(cfg, &[], vec![], vec![]);
     sim.inject_plan(
         &FaultPlan::new()
             .partition(SimTime::from_secs(40), islands())
             .heal(SimTime::from_secs(80)),
     );
     // Converged pre-split census: the 64 centre nodes.
-    sim.run(&mut proto, SimTime::from_secs(40));
-    let pre = pre_census(&proto.cluster_heads());
+    sim.run(&core, SimTime::from_secs(40));
+    let pre = pre_census(&cluster_heads(&sim));
     assert_eq!(
         pre.len(),
         64,
@@ -99,8 +98,8 @@ fn split_islands_reelect_and_remerge_after_heal() {
     );
     // During the split, the east island re-elects heads for the cells
     // whose centre node is marooned west: the global census inflates.
-    sim.run(&mut proto, SimTime::from_secs(80));
-    let during = proto.cluster_heads();
+    sim.run(&core, SimTime::from_secs(80));
+    let during = cluster_heads(&sim);
     assert!(
         during.len() > 64,
         "no island re-election happened during the split (census {})",
@@ -112,8 +111,8 @@ fn split_islands_reelect_and_remerge_after_heal() {
     let mut t = SimTime::from_secs(80);
     while t < SimTime::from_secs(140) {
         t += SimDuration::from_secs(5);
-        sim.run(&mut proto, t);
-        if pre_census(&proto.cluster_heads()) == pre {
+        sim.run(&core, t);
+        if pre_census(&cluster_heads(&sim)) == pre {
             remerged_at = Some(t);
             break;
         }
@@ -150,7 +149,7 @@ fn partition_heal_is_thread_invariant_on_hvdb() {
                 ..Default::default()
             })
             .collect();
-        let mut sim: ParSimulator<HvdbNode, FrameBytes> =
+        let mut sim: HvdbSim =
             ParSimulator::new(sim_cfg(area, 29), Box::new(Stationary), 8, threads);
         place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
         sim.world_mut().rebuild_index();

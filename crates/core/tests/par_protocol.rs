@@ -1,15 +1,13 @@
-//! HVDB on the sharded parallel engine.
+//! HVDB on the sharded engine.
 //!
-//! [`HvdbCore`] implements [`hvdb_sim::ParProtocol`], so the same
-//! protocol recipe drives both the serial [`hvdb_sim::Simulator`] and the
+//! [`HvdbCore`] implements [`hvdb_sim::ParProtocol`] and runs on the
 //! conservative lookahead-window [`ParSimulator`]. These tests pin down
-//! the two contracts that port rests on:
+//! the two contracts every result rests on:
 //!
-//! * **Serial parity (aggregate).** The two engines draw from different
-//!   RNG structures (one global stream vs. per-node streams), so event
-//!   interleavings differ in detail; what must agree are the outcomes a
-//!   paper figure would report — every packet delivered in a static dense
-//!   scenario, the same cluster-head census, the same origin counts.
+//! * **The script's outcome (absolute).** On a static dense scenario
+//!   every scripted packet is originated and delivered, and the
+//!   VC-centre nodes win their elections; every scripted fault leaves
+//!   exactly one `FAULT` trace line at its instant.
 //! * **Thread invariance (exact).** For a fixed shard count, the stats
 //!   block — every counter, every delivery record — must be *byte
 //!   identical* across worker thread counts. Threads are an execution
@@ -20,11 +18,13 @@
 //! lookahead window, and shared-payload (`DeliverMany`) frames crossing
 //! shard boundaries while mobility migrates nodes between cells mid-run.
 
-use hvdb_core::{FrameBytes, GroupId, HvdbConfig, HvdbCore, HvdbNode, HvdbProtocol, TrafficItem};
+use hvdb_core::{
+    cluster_heads, total_counters, GroupId, HvdbConfig, HvdbCore, HvdbSim, TrafficItem,
+};
 use hvdb_geo::{Aabb, Point, Vec2};
 use hvdb_sim::{
     trace, ByzantineMode, FaultPlan, NodeId, ParSimulator, RadioConfig, RandomWaypoint, SimConfig,
-    SimDuration, SimTime, Simulator, Stationary, TraceConfig,
+    SimDuration, SimTime, Stationary, TraceConfig,
 };
 
 const NODES: usize = 74; // 64 VC-centre nodes + 10 extras.
@@ -45,7 +45,7 @@ fn sim_cfg(area: Aabb, seed: u64, mobility_tick: SimDuration) -> SimConfig {
 }
 
 /// Pins the first 64 nodes near their VC centres (deterministic election
-/// winners) and scatters the extras inside cells, exactly like the serial
+/// winners) and scatters the extras inside cells, exactly like the
 /// integration tests do.
 fn place_fig2(cfg: &HvdbConfig, mut set: impl FnMut(NodeId, Point)) {
     let grid = &cfg.grid;
@@ -93,84 +93,60 @@ fn scripted() -> (HvdbConfig, Vec<(NodeId, GroupId)>, Vec<TrafficItem>) {
     (cfg, members, traffic)
 }
 
-fn run_serial(seed: u64) -> (Simulator<FrameBytes>, HvdbProtocol) {
-    let (cfg, members, traffic) = scripted();
-    let mut sim: Simulator<FrameBytes> = Simulator::new(
+/// The Fig. 2 engine at `seed` with the layout placed and `plan` injected.
+fn fig2_sim(cfg: &HvdbConfig, seed: u64, threads: usize, plan: &FaultPlan) -> HvdbSim {
+    let mut sim: HvdbSim = ParSimulator::new(
         sim_cfg(cfg.grid.area(), seed, SimDuration::ZERO),
         Box::new(Stationary),
-    );
-    place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
-    sim.world_mut().rebuild_index();
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
-    sim.run(&mut proto, SimTime::from_secs(50));
-    (sim, proto)
-}
-
-fn run_par(seed: u64, shards: usize, threads: usize) -> ParSimulator<HvdbNode, FrameBytes> {
-    let (cfg, members, traffic) = scripted();
-    let mut sim: ParSimulator<HvdbNode, FrameBytes> = ParSimulator::new(
-        sim_cfg(cfg.grid.area(), seed, SimDuration::ZERO),
-        Box::new(Stationary),
-        shards,
+        8,
         threads,
     );
-    place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
+    place_fig2(cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
     sim.world_mut().rebuild_index();
+    sim.inject_plan(plan);
+    sim
+}
+
+fn run_par(seed: u64, threads: usize) -> HvdbSim {
+    let (cfg, members, traffic) = scripted();
+    let mut sim = fig2_sim(&cfg, seed, threads, &FaultPlan::new());
     let core = HvdbCore::new(cfg, &members, traffic, vec![]);
     sim.run(&core, SimTime::from_secs(50));
     sim
 }
 
-fn par_heads(sim: &ParSimulator<HvdbNode, FrameBytes>) -> Vec<NodeId> {
-    (0..NODES as u32)
-        .map(NodeId)
-        .filter(|id| sim.node_state(*id).is_some_and(|n| n.is_head()))
-        .collect()
-}
-
 #[test]
-fn matches_serial_hvdb() {
-    let (serial, proto) = run_serial(11);
-    let par = run_par(11, 8, 4);
+fn scripted_traffic_is_fully_delivered_by_centre_heads() {
+    let (_, _, traffic) = scripted();
+    let sim = run_par(11, 4);
 
-    // Same figure-level outcome: everything delivered, on both engines.
-    assert_eq!(serial.stats().delivery_ratio(), 1.0, "serial lost packets");
-    assert_eq!(par.stats().delivery_ratio(), 1.0, "parallel lost packets");
+    // Every scripted packet was originated and reached every member.
     assert_eq!(
-        serial.stats().origin_count(),
-        par.stats().origin_count(),
-        "the two engines scripted different traffic"
+        sim.stats().origin_count(),
+        traffic.len(),
+        "the run originated a different packet count than scripted"
     );
+    assert_eq!(sim.stats().delivery_ratio(), 1.0, "packets were lost");
 
-    // Same cluster-head census: the VC-centre nodes win their elections
-    // under either engine's RNG.
-    let serial_heads = proto.cluster_heads();
-    let heads = par_heads(&par);
-    assert_eq!(serial_heads.len(), 64);
-    assert_eq!(heads.len(), 64, "parallel clustering census diverged");
+    // The VC-centre nodes win their elections: 64 heads, one per VC.
+    let heads = cluster_heads(&sim);
+    assert_eq!(heads.len(), 64, "clustering census diverged");
     for i in 0..64u32 {
         assert!(
             heads.contains(&NodeId(i)),
-            "centre node {i} should head its VC on the parallel engine"
+            "centre node {i} should head its VC"
         );
     }
 
-    // Both engines actually exercised the multicast machinery (trees
-    // built at source CHs), not just the flood fallback.
-    let par_counters = (0..NODES as u32)
-        .filter_map(|i| par.node_state(NodeId(i)))
-        .fold(hvdb_core::Counters::default(), |mut acc, n| {
-            acc += n.counters();
-            acc
-        });
-    assert!(proto.counters().trees_built > 0, "serial built no trees");
-    assert!(par_counters.trees_built > 0, "parallel built no trees");
+    // The multicast machinery actually ran (trees built at source CHs),
+    // not just the flood fallback.
+    assert!(total_counters(&sim).trees_built > 0, "no trees built");
 }
 
 #[test]
 fn thread_count_is_invisible_for_hvdb() {
     let run = |threads: usize| {
-        let sim = run_par(23, 8, threads);
+        let sim = run_par(23, threads);
         // Equal outputs alone would also pass an engine that drained
         // every window inline: a lane past the caller's must have worked.
         let lanes = &sim.profile().lane_busy_secs;
@@ -202,25 +178,16 @@ fn head_handover_with_member_fail_in_one_window() {
             size: 128,
             ..Default::default()
         });
-        let mut sim: ParSimulator<HvdbNode, FrameBytes> = ParSimulator::new(
-            sim_cfg(cfg.grid.area(), 37, SimDuration::ZERO),
-            Box::new(Stationary),
-            8,
-            threads,
-        );
-        place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
-        sim.world_mut().rebuild_index();
         // Node 9 heads VC (1,1) and is also a g1 member; node 70 is a g1
         // member in another shard. Both fail inside one lookahead window
         // (sub-millisecond apart; the window is the radio latency).
-        sim.inject_plan(
-            &FaultPlan::new()
-                .fail(SimTime::from_secs(38), NodeId(9))
-                .fail(
-                    SimTime::from_secs(38) + SimDuration::from_micros(100),
-                    NodeId(70),
-                ),
-        );
+        let plan = FaultPlan::new()
+            .fail(SimTime::from_secs(38), NodeId(9))
+            .fail(
+                SimTime::from_secs(38) + SimDuration::from_micros(100),
+                NodeId(70),
+            );
+        let mut sim = fig2_sim(&cfg, 37, threads, &plan);
         let core = HvdbCore::new(cfg, &members, traffic, vec![]);
         sim.run(&core, SimTime::from_secs(55));
         assert!(
@@ -228,7 +195,7 @@ fn head_handover_with_member_fail_in_one_window() {
             "failed node must have been stripped of its headship"
         );
         // The VC re-elected some surviving head.
-        let heads = par_heads(&sim);
+        let heads = cluster_heads(&sim);
         assert!(
             heads.len() >= 60,
             "re-election stalled: only {} heads survive",
@@ -270,53 +237,29 @@ fn every_kind_plan() -> FaultPlan {
         .recover(SimTime::from_secs(44), NodeId(9))
 }
 
-/// The `FAULT` trace category is recorded by the engines themselves from
-/// the scripted plan — no RNG — so on the paper geometry the serial and
-/// parallel engines must render **byte-identical** fault traces, at every
-/// thread count. (Protocol-emitted categories use engine-specific RNG
-/// stream layouts and are only thread-invariant, not cross-engine
-/// comparable; see `hvdb_sim::trace`.)
+/// The `FAULT` trace category is recorded by the engine itself from the
+/// scripted plan — no RNG — so on the paper geometry every plan event
+/// renders exactly one trace line, at its instant, and the rendering is
+/// byte-identical at every thread count.
 #[test]
-fn fault_trace_is_byte_identical_across_engines() {
+fn fault_trace_has_one_line_per_plan_event() {
     let plan = every_kind_plan();
-
-    let serial = {
+    let run = |threads: usize| {
         let (cfg, members, traffic) = scripted();
-        let mut sim: Simulator<FrameBytes> = Simulator::new(
-            sim_cfg(cfg.grid.area(), 11, SimDuration::ZERO),
-            Box::new(Stationary),
-        );
-        place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
-        sim.world_mut().rebuild_index();
+        let mut sim = fig2_sim(&cfg, 11, threads, &plan);
         sim.set_trace(TraceConfig::with_mask(trace::FAULT));
-        sim.inject_plan(&plan);
-        let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
-        sim.run(&mut proto, SimTime::from_secs(50));
-        assert_eq!(
-            sim.trace().len(),
-            plan.events().len(),
-            "each scripted fault must record exactly one trace event"
-        );
-        sim.trace().render()
-    };
-
-    let par = |threads: usize| {
-        let (cfg, members, traffic) = scripted();
-        let mut sim: ParSimulator<HvdbNode, FrameBytes> = ParSimulator::new(
-            sim_cfg(cfg.grid.area(), 11, SimDuration::ZERO),
-            Box::new(Stationary),
-            8,
-            threads,
-        );
-        place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
-        sim.world_mut().rebuild_index();
-        sim.set_trace(TraceConfig::with_mask(trace::FAULT));
-        sim.inject_plan(&plan);
         let core = HvdbCore::new(cfg, &members, traffic, vec![]);
         sim.run(&core, SimTime::from_secs(50));
-        sim.trace().render()
+        let instants: Vec<SimTime> = sim.trace().events().map(|e| e.at).collect();
+        (instants, sim.trace().render())
     };
-
+    let (instants, one) = run(4);
+    let scripted: Vec<SimTime> = plan.events().iter().map(|e| e.at).collect();
+    assert_eq!(
+        instants, scripted,
+        "each scripted fault must record exactly one trace event, at its instant"
+    );
+    assert_eq!(one.lines().count(), plan.events().len());
     for needle in [
         "NodeFailed",
         "NodeRecovered",
@@ -328,14 +271,12 @@ fn fault_trace_is_byte_identical_across_engines() {
         "RegionFailed",
     ] {
         assert!(
-            serial.contains(needle),
-            "serial fault trace is missing {needle}:\n{serial}"
+            one.contains(needle),
+            "fault trace is missing {needle}:\n{one}"
         );
     }
-    let par4 = par(4);
-    assert_eq!(serial, par4, "serial and parallel fault traces diverged");
-    assert_eq!(par4, par(1), "parallel fault trace depends on thread count");
-    assert_eq!(par4, par(2), "parallel fault trace depends on thread count");
+    assert_eq!(one, run(1).1, "fault trace depends on thread count");
+    assert_eq!(one, run(2).1, "fault trace depends on thread count");
 }
 
 /// Full-category trace on the full HVDB protocol: the shard-buffer merge
@@ -345,14 +286,7 @@ fn fault_trace_is_byte_identical_across_engines() {
 fn hvdb_trace_is_byte_identical_across_thread_counts() {
     let run = |threads: usize| {
         let (cfg, members, traffic) = scripted();
-        let mut sim: ParSimulator<HvdbNode, FrameBytes> = ParSimulator::new(
-            sim_cfg(cfg.grid.area(), 23, SimDuration::ZERO),
-            Box::new(Stationary),
-            8,
-            threads,
-        );
-        place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
-        sim.world_mut().rebuild_index();
+        let mut sim = fig2_sim(&cfg, 23, threads, &FaultPlan::new());
         sim.set_trace(TraceConfig::all());
         let core = HvdbCore::new(cfg, &members, traffic, vec![]);
         sim.run(&core, SimTime::from_secs(50));
@@ -376,7 +310,7 @@ fn hvdb_trace_is_byte_identical_across_thread_counts() {
 fn cross_shard_delivery_under_cell_migration() {
     let run = |threads: usize| {
         let (cfg, members, traffic) = scripted();
-        let mut sim: ParSimulator<HvdbNode, FrameBytes> = ParSimulator::new(
+        let mut sim: HvdbSim = ParSimulator::new(
             sim_cfg(cfg.grid.area(), 51, SimDuration::from_secs(1)),
             Box::new(RandomWaypoint::new(1.0, 5.0, 1.0)),
             8,

@@ -2,16 +2,19 @@
 //! discrete-event simulator: clustering convergence, route maintenance,
 //! membership propagation, and the full Fig. 6 multicast path.
 
-use hvdb_core::{FrameBytes, GroupEvent, GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb_core::{
+    cluster_heads, total_counters, GroupEvent, GroupId, HvdbConfig, HvdbCore, HvdbNode, HvdbSim,
+    TrafficItem,
+};
 use hvdb_geo::{Aabb, Point, Vec2};
 use hvdb_sim::{
-    FaultEvent, FaultKind, NodeId, RadioConfig, SimConfig, SimDuration, SimTime, Simulator,
+    FaultEvent, FaultKind, NodeId, ParSimulator, RadioConfig, SimConfig, SimDuration, SimTime,
     Stationary,
 };
 
 /// A dense, stationary scenario over the paper's Fig. 2 layout: one node
 /// near every VC centre (plus extras), everyone CH-capable.
-fn fig2_sim(num_extra: usize, seed: u64) -> (Simulator<FrameBytes>, HvdbConfig) {
+fn fig2_sim(num_extra: usize, seed: u64) -> (HvdbSim, HvdbConfig) {
     let area = Aabb::from_size(800.0, 800.0);
     let cfg = HvdbConfig::fig2(area);
     let n = 64 + num_extra;
@@ -27,7 +30,7 @@ fn fig2_sim(num_extra: usize, seed: u64) -> (Simulator<FrameBytes>, HvdbConfig) 
         seed,
         compact_delivery: false,
     };
-    let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg, Box::new(Stationary));
+    let mut sim: HvdbSim = ParSimulator::new(sim_cfg, Box::new(Stationary), 8, 1);
     // Pin the first 64 nodes near the VC centres (small offsets so the
     // election distance criterion is exercised), extras scattered around
     // cell interiors.
@@ -52,14 +55,14 @@ fn fig2_sim(num_extra: usize, seed: u64) -> (Simulator<FrameBytes>, HvdbConfig) 
 #[test]
 fn clustering_converges_to_one_head_per_vc() {
     let (mut sim, cfg) = fig2_sim(30, 7);
-    let mut proto = HvdbProtocol::new(cfg, &[], vec![], vec![]);
-    sim.run(&mut proto, SimTime::from_secs(12));
-    let heads = proto.cluster_heads();
+    let core = HvdbCore::new(cfg, &[], vec![], vec![]);
+    sim.run(&core, SimTime::from_secs(12));
+    let heads = cluster_heads(&sim);
     assert_eq!(heads.len(), 64, "every VC must elect exactly one head");
     // The node pinned at each VC centre wins its VC (closest, stationary).
     for i in 0..64u32 {
         assert!(
-            proto.is_head(NodeId(i)),
+            sim.node_state(NodeId(i)).is_some_and(HvdbNode::is_head),
             "centre node {i} should head its VC"
         );
     }
@@ -69,13 +72,13 @@ fn clustering_converges_to_one_head_per_vc() {
 fn route_tables_fill_to_horizon() {
     let (mut sim, cfg) = fig2_sim(0, 8);
     let k = cfg.k;
-    let mut proto = HvdbProtocol::new(cfg, &[], vec![], vec![]);
-    sim.run(&mut proto, SimTime::from_secs(30));
+    let core = HvdbCore::new(cfg, &[], vec![], vec![]);
+    sim.run(&core, SimTime::from_secs(30));
     // Check a head in the middle of region (0,0): with k = 4 and a full
     // 4-cube + grid links, every other label (15) is within 4 hops.
     let mut checked = 0;
-    for id in proto.cluster_heads() {
-        let table = proto.route_table(id).unwrap();
+    for id in cluster_heads(&sim) {
+        let table = sim.node_state(id).and_then(HvdbNode::route_table).unwrap();
         assert!(table.k() == k);
         if table.destination_count() > 0 {
             checked += 1;
@@ -89,7 +92,10 @@ fn route_tables_fill_to_horizon() {
         "most heads should have routes, got {checked}"
     );
     // A specific interior head should know essentially the whole cube.
-    let table = proto.route_table(NodeId(9)).unwrap(); // VC (1,1), region (0,0)
+    let table = sim
+        .node_state(NodeId(9))
+        .and_then(HvdbNode::route_table)
+        .unwrap(); // VC (1,1), region (0,0)
     assert!(
         table.destination_count() >= 12,
         "interior head knows {} of 15 labels",
@@ -104,13 +110,16 @@ fn membership_propagates_to_mt_summaries() {
     // (VC (7,7), region (1,1)); node 0 is in region (0,0).
     let g = GroupId(5);
     let members = [(NodeId(63), g), (NodeId(70), g)];
-    let mut proto = HvdbProtocol::new(cfg, &members, vec![], vec![]);
-    sim.run(&mut proto, SimTime::from_secs(120));
+    let core = HvdbCore::new(cfg, &members, vec![], vec![]);
+    sim.run(&core, SimTime::from_secs(120));
     // After two HT rounds every head's MT-Summary lists the member regions.
     let mut heads_knowing = 0;
     let mut total_heads = 0;
-    for id in proto.cluster_heads() {
-        let db = proto.membership_db(id).unwrap();
+    for id in cluster_heads(&sim) {
+        let db = sim
+            .node_state(id)
+            .and_then(HvdbNode::membership_db)
+            .unwrap();
         total_heads += 1;
         if !db.mt.hypercubes_with(g).is_empty() {
             heads_knowing += 1;
@@ -149,13 +158,13 @@ fn multicast_delivers_across_regions() {
             ..Default::default()
         },
     ];
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
-    sim.run(&mut proto, SimTime::from_secs(170));
+    let core = HvdbCore::new(cfg, &members, traffic, vec![]);
+    sim.run(&core, SimTime::from_secs(170));
     let ratio = sim.stats().delivery_ratio();
     assert!(
         ratio >= 0.75,
         "delivery ratio {ratio} too low; counters: {:?}",
-        proto.counters()
+        total_counters(&sim)
     );
     // Data had to traverse the mesh tier.
     assert!(sim.stats().msgs("mesh-data") > 0, "no mesh-tier traffic");
@@ -175,13 +184,13 @@ fn multicast_within_single_region_uses_hypercube_tier() {
         size: 256,
         ..Default::default()
     }];
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
-    sim.run(&mut proto, SimTime::from_secs(130));
+    let core = HvdbCore::new(cfg, &members, traffic, vec![]);
+    sim.run(&core, SimTime::from_secs(130));
     assert!(
         sim.stats().delivery_ratio() >= 0.99,
         "ratio {} counters {:?}",
         sim.stats().delivery_ratio(),
-        proto.counters()
+        total_counters(&sim)
     );
     assert!(sim.stats().msgs("hc-data") > 0, "no hypercube-tier traffic");
 }
@@ -205,14 +214,19 @@ fn dynamic_join_becomes_visible_to_routing() {
         size: 512,
         ..Default::default()
     }];
-    let mut proto = HvdbProtocol::new(cfg, &[], traffic, events);
-    sim.run(&mut proto, SimTime::from_secs(180));
-    assert_eq!(proto.group_members(g), vec![NodeId(36)]);
+    let core = HvdbCore::new(cfg, &[], traffic, events);
+    sim.run(&core, SimTime::from_secs(180));
+    let members: Vec<NodeId> = sim
+        .nodes()
+        .filter(|(_, n)| n.is_member(g))
+        .map(|(id, _)| id)
+        .collect();
+    assert_eq!(members, vec![NodeId(36)]);
     assert!(
         sim.stats().delivery_ratio() >= 0.99,
         "ratio {} counters {:?}",
         sim.stats().delivery_ratio(),
-        proto.counters()
+        total_counters(&sim)
     );
 }
 
@@ -229,13 +243,13 @@ fn deterministic_replay() {
             size: 400,
             ..Default::default()
         }];
-        let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
-        sim.run(&mut proto, SimTime::from_secs(150));
+        let core = HvdbCore::new(cfg, &members, traffic, vec![]);
+        sim.run(&core, SimTime::from_secs(150));
         (
             sim.stats().delivery_ratio(),
             sim.stats().msgs_where(|_| true),
             sim.stats().bytes_where(|_| true),
-            proto.cluster_heads(),
+            cluster_heads(&sim),
         )
     };
     assert_eq!(run(42), run(42));
@@ -253,20 +267,23 @@ fn ch_failure_is_detected_and_routed_around() {
         size: 300,
         ..Default::default()
     }];
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
+    let core = HvdbCore::new(cfg, &members, traffic, vec![]);
     // Kill the CH of VC (1,1) (node 9) after the backbone forms: routes
     // through label 0011 must fail over.
     sim.inject(FaultEvent {
         at: SimTime::from_secs(60),
         kind: FaultKind::Fail(NodeId(9)),
     });
-    sim.run(&mut proto, SimTime::from_secs(180));
-    assert!(proto.counters().neighbors_expired > 0, "failure undetected");
+    sim.run(&core, SimTime::from_secs(180));
+    assert!(
+        total_counters(&sim).neighbors_expired > 0,
+        "failure undetected"
+    );
     assert!(
         sim.stats().delivery_ratio() >= 0.99,
         "ratio {} counters {:?}",
         sim.stats().delivery_ratio(),
-        proto.counters()
+        total_counters(&sim)
     );
 }
 
@@ -286,12 +303,12 @@ fn tree_caching_avoids_recomputation() {
             ..Default::default()
         })
         .collect();
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
-    sim.run(&mut proto, SimTime::from_secs(170));
+    let core = HvdbCore::new(cfg, &members, traffic, vec![]);
+    sim.run(&core, SimTime::from_secs(170));
     assert!(
-        proto.counters().tree_cache_hits > 0,
+        total_counters(&sim).tree_cache_hits > 0,
         "no cache hits: {:?}",
-        proto.counters()
+        total_counters(&sim)
     );
     assert!(sim.stats().delivery_ratio() > 0.8);
 }

@@ -21,12 +21,15 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hvdb_geo::Aabb;
 use hvdb_sim::{
-    Ctx, EventKind, EventQueue, Mobility, NodeId, Protocol, RandomWaypoint, SimConfig, SimDuration,
-    SimRng, SimTime, Simulator, Stats, World,
+    EventKind, EventQueue, Mobility, NodeId, ParCtx, ParProtocol, ParSimulator, RandomWaypoint,
+    SimConfig, SimDuration, SimRng, SimTime, Stats, World,
 };
 use rustc_hash::FxHashMap;
 
 const NODES: usize = 600;
+
+/// Shards of the `broadcast_round` engine, as the `scale` sweep uses.
+const SHARDS: usize = 64;
 
 /// A 600-node world at the `scale` scenario's density.
 fn bench_world() -> World {
@@ -76,22 +79,32 @@ fn bench_adjacency_refresh(c: &mut Criterion) {
 /// one realistic broadcast round per `run` call.
 struct Gossip;
 
-impl Protocol for Gossip {
+impl ParProtocol for Gossip {
     type Msg = u32;
+    type Node = ();
 
-    fn on_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, u32>) {
-        if node == NodeId(0) {
-            ctx.broadcast(node, "gossip", 64, 2);
+    fn make_node(&self, _id: NodeId, _world: &World) {}
+
+    fn on_start(&self, id: NodeId, _node: &mut (), ctx: &mut ParCtx<'_, u32>) {
+        if id == NodeId(0) {
+            ctx.broadcast(id, "gossip", 64, 2);
         }
     }
 
-    fn on_message(&mut self, node: NodeId, _from: NodeId, msg: u32, ctx: &mut Ctx<'_, u32>) {
+    fn on_message(
+        &self,
+        id: NodeId,
+        _node: &mut (),
+        _from: NodeId,
+        msg: u32,
+        ctx: &mut ParCtx<'_, u32>,
+    ) {
         if msg > 0 {
-            ctx.broadcast(node, "gossip", 64, msg - 1);
+            ctx.broadcast(id, "gossip", 64, msg - 1);
         }
     }
 
-    fn on_timer(&mut self, _n: NodeId, _t: u64, _c: &mut Ctx<'_, u32>) {}
+    fn on_timer(&self, _id: NodeId, _node: &mut (), _tag: u64, _ctx: &mut ParCtx<'_, u32>) {}
 }
 
 fn bench_broadcast_round(c: &mut Criterion) {
@@ -106,10 +119,13 @@ fn bench_broadcast_round(c: &mut Criterion) {
                 mobility_tick: SimDuration::ZERO,
                 ..SimConfig::default()
             };
-            let mut sim: Simulator<u32> =
-                Simulator::new(cfg, Box::new(RandomWaypoint::new(1.0, 5.0, 10.0)));
-            let mut p = Gossip;
-            sim.run(&mut p, SimTime::from_secs(5));
+            let mut sim: ParSimulator<(), u32> = ParSimulator::new(
+                cfg,
+                Box::new(RandomWaypoint::new(1.0, 5.0, 10.0)),
+                SHARDS,
+                1,
+            );
+            sim.run(&Gossip, SimTime::from_secs(5));
             black_box(sim.stats().events_processed)
         })
     });
@@ -208,7 +224,6 @@ fn commit_fixture(shards: usize, per_shard: usize) -> Vec<ShardFixture> {
 }
 
 fn bench_commit_pass(c: &mut Criterion) {
-    const SHARDS: usize = 64;
     const PER_SHARD: usize = 128;
     let fixture = commit_fixture(SHARDS, PER_SHARD);
     let mut group = c.benchmark_group("commit_pass");

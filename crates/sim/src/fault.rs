@@ -8,17 +8,16 @@
 //! dropping frames they agreed to forward), and clocks and GPS readings
 //! drift. This module expresses all of them as one typed, declarative,
 //! seed-deterministic schedule — a [`FaultPlan`] of [`FaultEvent`]s —
-//! that both engines ([`crate::Simulator::inject_plan`] and
-//! [`crate::ParSimulator::inject_plan`]) execute as serial barrier
-//! events.
+//! that the engine ([`crate::ParSimulator::inject_plan`]) executes as
+//! serial barrier events.
 //!
 //! The design rule, borrowed from production fault-injection harnesses:
 //! **faults live in the radio/world layer, never in protocol code**.
 //! Partitions gate frame delivery inside the engine send paths,
 //! Byzantine modes intercept the misbehaving node's own transmissions,
 //! and clock/position error skews only what the protocol *observes*
-//! ([`crate::Ctx::now`] / [`crate::Ctx::position`]) — the protocol under
-//! test runs unmodified, and the parallel engine's thread count stays
+//! ([`crate::ParCtx::now`] / [`crate::ParCtx::position`]) — the protocol
+//! under test runs unmodified, and the engine's thread count stays
 //! invisible because every fault application is a barrier between
 //! lookahead windows.
 //!
@@ -114,15 +113,15 @@ impl ByzantineMode {
 }
 
 /// One fault, applied atomically at its scheduled instant. Every kind
-/// runs as a serial barrier in both engines: the world mutates between
+/// runs as a serial barrier in the engine: the world mutates between
 /// lookahead windows, so thread count cannot influence outcomes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Fail-stop: the node goes down (frames to/from it drop, timers
-    /// skip, [`crate::Protocol::on_fail`] fires).
+    /// skip, [`crate::ParProtocol::on_fail`] fires).
     Fail(NodeId),
     /// The node comes back up with an idle radio
-    /// ([`crate::Protocol::on_recover`] fires).
+    /// ([`crate::ParProtocol::on_recover`] fires).
     Recover(NodeId),
     /// The network splits into islands: frames may only be delivered
     /// between nodes of the same island (the radio model drops the
@@ -152,7 +151,7 @@ pub enum FaultKind {
     },
     /// The node's clock reads `skew_us` microseconds off true
     /// simulation time from now on (clamped at zero): every
-    /// [`crate::Ctx::now`] observation the protocol makes at this node
+    /// [`crate::ParCtx::now`] observation the protocol makes at this node
     /// is skewed, while engine-internal scheduling stays exact.
     ClockSkew {
         /// The node whose clock drifts.
@@ -161,7 +160,7 @@ pub enum FaultKind {
         skew_us: i64,
     },
     /// The node's GPS reads `error` off its true position from now on:
-    /// every [`crate::Ctx::position`] observation of this node is
+    /// every [`crate::ParCtx::position`] observation of this node is
     /// displaced, while true positions keep driving radio reachability
     /// and the spatial index.
     PositionError {
@@ -181,10 +180,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A declarative schedule of faults, built once and injected into
-/// either engine via `inject_plan`. Construction is pure data — no RNG,
-/// no engine handle — so the same plan replays bit-identically on the
-/// serial and parallel engines and serializes into benchmark reports.
+/// A declarative schedule of faults, built once and injected into the
+/// engine via `inject_plan`. Construction is pure data — no RNG, no
+/// engine handle — so the same plan replays bit-identically at every
+/// thread count and serializes into benchmark reports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,

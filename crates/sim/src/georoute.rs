@@ -16,20 +16,24 @@
 //!
 //! Both helpers are deterministic (ties break toward lower node id).
 
-use crate::ctx::ProtoCtx;
 use crate::node::NodeId;
+use crate::par::ParCtx;
 use hvdb_geo::Point;
 
 /// The neighbour of `from` strictly closer to `dest` than `from` itself,
 /// breaking ties toward lower node id. `None` at a local minimum.
-pub fn greedy_next_hop<C: ProtoCtx>(ctx: &mut C, from: NodeId, dest: Point) -> Option<NodeId> {
+pub fn greedy_next_hop<M: Clone>(
+    ctx: &mut ParCtx<'_, M>,
+    from: NodeId,
+    dest: Point,
+) -> Option<NodeId> {
     greedy_next_hop_avoiding(ctx, from, dest, &[])
 }
 
 /// Greedy next hop that additionally skips `visited` relays — prevents
 /// two-node ping-pong when a packet oscillates around a local minimum.
-pub fn greedy_next_hop_avoiding<C: ProtoCtx>(
-    ctx: &mut C,
+pub fn greedy_next_hop_avoiding<M: Clone>(
+    ctx: &mut ParCtx<'_, M>,
     from: NodeId,
     dest: Point,
     visited: &[NodeId],
@@ -49,8 +53,8 @@ pub fn greedy_next_hop_avoiding<C: ProtoCtx>(
 
 /// Recovery mode: the neighbour closest to `dest` that is not in `visited`
 /// (progress not required). `None` if every neighbour was already visited.
-pub fn recovery_next_hop<C: ProtoCtx>(
-    ctx: &mut C,
+pub fn recovery_next_hop<M: Clone>(
+    ctx: &mut ParCtx<'_, M>,
     from: NodeId,
     dest: Point,
     visited: &[NodeId],
@@ -68,8 +72,8 @@ pub fn recovery_next_hop<C: ProtoCtx>(
 
 /// One forwarding decision: greedy if possible, else recovery. Returns the
 /// chosen next hop, or `None` if the packet is stuck.
-pub fn next_hop<C: ProtoCtx>(
-    ctx: &mut C,
+pub fn next_hop<M: Clone>(
+    ctx: &mut ParCtx<'_, M>,
     from: NodeId,
     dest: Point,
     visited: &[NodeId],
@@ -95,46 +99,45 @@ pub fn push_visited(visited: &mut Vec<NodeId>, hop: NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Ctx, Protocol, SimConfig, Simulator};
+    use crate::engine::SimConfig;
     use crate::mobility::Stationary;
+    use crate::par::{ParProtocol, ParSimulator};
     use crate::time::{SimDuration, SimTime};
+    use crate::world::World;
     use hvdb_geo::Vec2;
 
-    /// Harness protocol: runs a closure once at t=0 from node 0's context.
-    struct Probe<F: FnMut(&mut Ctx<'_, u8>)> {
-        f: F,
+    /// Harness protocol: runs `f` once at t=0 from node 0's context.
+    struct Probe {
+        f: fn(&mut ParCtx<'_, u8>),
     }
-    impl<F: FnMut(&mut Ctx<'_, u8>)> Protocol for Probe<F> {
+
+    impl ParProtocol for Probe {
         type Msg = u8;
-        fn on_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, u8>) {
-            if node == NodeId(0) {
+        type Node = ();
+        fn make_node(&self, _: NodeId, _: &World) {}
+        fn on_start(&self, id: NodeId, _: &mut (), ctx: &mut ParCtx<'_, u8>) {
+            if id == NodeId(0) {
                 (self.f)(ctx);
             }
         }
-        fn on_message(&mut self, _: NodeId, _: NodeId, _: u8, _: &mut Ctx<'_, u8>) {}
-        fn on_timer(&mut self, _: NodeId, _: u64, _: &mut Ctx<'_, u8>) {}
+        fn on_message(&self, _: NodeId, _: &mut (), _: NodeId, _: u8, _: &mut ParCtx<'_, u8>) {}
+        fn on_timer(&self, _: NodeId, _: &mut (), _: u64, _: &mut ParCtx<'_, u8>) {}
     }
 
-    fn with_line_world(f: impl FnMut(&mut Ctx<'_, u8>)) {
+    fn with_line_world(f: fn(&mut ParCtx<'_, u8>)) {
         let cfg = SimConfig {
             num_nodes: 5,
             mobility_tick: SimDuration::ZERO,
             ..Default::default()
         };
-        let mut sim: Simulator<u8> = Simulator::new(cfg, Box::new(Stationary));
+        let mut sim: ParSimulator<(), u8> = ParSimulator::new(cfg, Box::new(Stationary), 2, 1);
         // Line: 0 at x=0 .. 4 at x=800, spacing 200 (range 250).
         for i in 0..5u32 {
             let p = Point::new(i as f64 * 200.0, 500.0);
-            // Direct world access for test setup.
-            sim_world_set(&mut sim, NodeId(i), p);
+            sim.world_mut().set_motion(NodeId(i), p, Vec2::ZERO);
         }
-        let mut probe = Probe { f };
-        sim.run(&mut probe, SimTime::from_secs(1));
-    }
-
-    fn sim_world_set(sim: &mut Simulator<u8>, id: NodeId, p: Point) {
-        sim.world_mut().set_motion(id, p, Vec2::ZERO);
         sim.world_mut().rebuild_index();
+        sim.run(&Probe { f }, SimTime::from_secs(1));
     }
 
     #[test]

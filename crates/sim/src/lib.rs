@@ -19,22 +19,20 @@
 //!   ([`Trace`]): typed, category-filtered, ring-bounded event records,
 //!   byte-identical at every thread count;
 //! * [`georoute`] — greedy location-based forwarding (GPSR-style);
-//! * [`engine`] — the [`Protocol`] trait and [`Simulator`] event loop;
-//! * [`par`] — the sharded parallel engine ([`ParProtocol`] /
-//!   [`ParSimulator`]): same determinism contract, multi-threaded window
-//!   dispatch.
+//! * [`engine`] — the scenario parameters ([`SimConfig`]);
+//! * [`par`] — the engine: the [`ParProtocol`] trait and the sharded
+//!   [`ParSimulator`] event loop with multi-threaded window dispatch.
 //!
-//! Every run is a pure function of `(SimConfig, protocol)`: events are
-//! totally ordered, iteration is index-ordered, and all randomness flows
-//! from the config seed. Coarse parallelism still belongs outside the
-//! simulator (sweeps over seeds/parameters in `hvdb-bench`); *within* one
-//! run, [`ParSimulator`] shards the node population and commits each
+//! Every run is a pure function of `(SimConfig, shards, protocol)`: events
+//! are totally ordered, iteration is index-ordered, and all randomness
+//! flows from the config seed. Coarse parallelism still belongs outside
+//! the simulator (sweeps over seeds/parameters in `hvdb-bench`); *within*
+//! one run, [`ParSimulator`] shards the node population and commits each
 //! lookahead window in a fixed order, so its output is byte-identical at
 //! every thread count.
 
 #![warn(missing_docs)]
 
-pub mod ctx;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -50,8 +48,7 @@ pub mod time;
 pub mod trace;
 pub mod world;
 
-pub use ctx::ProtoCtx;
-pub use engine::{Ctx, Protocol, SimConfig, Simulator};
+pub use engine::SimConfig;
 pub use event::{EventKind, EventQueue};
 pub use fault::{ByzantineMode, FaultEvent, FaultKind, FaultPlan};
 pub use mobility::{Mobility, RandomWaypoint, ReferencePointGroup, Stationary};

@@ -59,19 +59,19 @@
 //! * **Serial barriers.** `Fault`/`MobilityTick` events mutate the
 //!   shared world, so each runs alone between windows with `&mut World`;
 //!   window collection stops at the first barrier in `(time, seq)` order,
-//!   which preserves exact serial semantics for simultaneous
-//!   fault/deliver events. Every kind of the fault plane
+//!   so simultaneous fault/deliver events keep their exact `(time, seq)`
+//!   order. Every kind of the fault plane
 //!   ([`crate::FaultPlan`]) — partitions, heals, regional outages,
 //!   Byzantine onsets, clock/position error — applies atomically this
 //!   way, which is what keeps the thread count invisible under fault
 //!   injection.
 //!
-//! Contract differences from the serial [`crate::Simulator`], both
-//! deterministic and documented: timers with delays shorter than the
-//! radio latency are dispatched at window granularity (they may run after
-//! temporally-later same-window events), and a node that migrates to
-//! another cell keeps its original shard (mild load drift, never an
-//! ordering change).
+//! Two consequences of the windowing are part of the engine's contract,
+//! both deterministic: a timer with a delay shorter than the radio
+//! latency is dispatched at window granularity (it may run after
+//! temporally-later same-window events; see [`ParCtx::set_timer`]), and a
+//! node that migrates to another cell keeps its original shard (mild load
+//! drift, never an ordering change).
 
 use crate::engine::SimConfig;
 use crate::event::{EventKind, EventQueue, Scheduled};
@@ -178,14 +178,13 @@ impl EngineProfile {
     }
 }
 
-/// A protocol runnable on the sharded parallel engine.
+/// A protocol runnable on the engine.
 ///
-/// Unlike the serial [`crate::Protocol`] — one `&mut self` over the whole
-/// network — a `ParProtocol` is a shared read-only recipe (`&self`, hence
-/// the `Sync` bound) over per-node state values ([`ParProtocol::Node`])
-/// that the engine owns inside shards. Callbacks receive the dispatched
-/// node's id, its mutable state, and a [`ParCtx`] restricted to actions
-/// originating at that node.
+/// A `ParProtocol` is a shared read-only recipe (`&self`, hence the `Sync`
+/// bound) over per-node state values ([`ParProtocol::Node`]) that the
+/// engine owns inside shards. Callbacks receive the dispatched node's id,
+/// its mutable state, and a [`ParCtx`] restricted to actions originating
+/// at that node.
 pub trait ParProtocol: Sync {
     /// The over-the-air message type.
     type Msg: Clone + Send;
@@ -522,8 +521,10 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
                 receivers,
                 msg,
             } => {
-                // Mirror of the serial `DeliverMany` dispatch: clone for
-                // all but the last receiver, which takes the payload.
+                // One shared payload, dispatched to each receiver in list
+                // (= ascending id) order: all but the last receiver get a
+                // clone (a refcount bump for shared frame types), the last
+                // takes the payload itself.
                 let mut payload = Some(msg);
                 let last = receivers.end - 1;
                 for i in receivers {
@@ -685,13 +686,14 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         r
     }
 
-    /// Sets a timer for the dispatched node firing after `delay`.
+    /// Sets a timer for the dispatched node firing after `delay` with
+    /// discriminator `tag`.
     ///
-    /// Window-granularity contract: a delay shorter than the radio
-    /// latency lands inside the current lookahead window and is
+    /// Timers shorter than the radio latency fire at window granularity:
+    /// such a delay lands inside the current lookahead window and is
     /// dispatched *after* the window commits — deterministically, but
-    /// possibly after temporally-later same-window events. Delays of at
-    /// least one latency behave exactly like the serial engine.
+    /// possibly after temporally-later same-window events. A delay of at
+    /// least one latency fires exactly at `now + delay`.
     pub fn set_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) {
         debug_assert_eq!(
             node, self.current,
@@ -701,7 +703,9 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     }
 
     /// [`ParCtx::set_timer`] plus a uniform random extra delay in
-    /// `[0, jitter)` drawn from the node's stream.
+    /// `[0, jitter)` drawn from the node's stream. Soft-state refresh
+    /// timers use this so periodic re-advertisements desynchronise across
+    /// nodes instead of colliding every period.
     pub fn set_timer_jittered(
         &mut self,
         node: NodeId,
@@ -713,8 +717,10 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         self.set_timer(node, base + extra, tag);
     }
 
-    /// The dispatched node's transmit backlog (queued airtime between now
-    /// and its radio going idle).
+    /// The dispatched node's transmit backlog: queued airtime between now
+    /// and its radio going idle. The traffic plane's pacing signal —
+    /// sources (and the queue cap) read it to decide whether another
+    /// frame still fits.
     pub fn tx_backlog(&self, node: NodeId) -> SimDuration {
         debug_assert_eq!(
             node, self.current,
@@ -727,8 +733,10 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         }
     }
 
-    /// Mirror of the serial engine's Byzantine sender intercept: honest
-    /// nodes draw no RNG here, so fault-free runs are unchanged.
+    /// Byzantine sender intercept: whether the dispatched node silently
+    /// discards the frame it is about to transmit (selective-forwarding
+    /// and bogus-candidacy modes). Honest nodes draw no RNG here, so
+    /// fault-free runs are unchanged.
     fn byzantine_drops(&mut self) -> bool {
         if let Some(mode) = self.world.byzantine(self.current) {
             let p = mode.drop_prob();
@@ -770,8 +778,13 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         end + self.radio.latency + jitter
     }
 
-    /// Unicast transmission from the dispatched node; semantics of
-    /// [`crate::Ctx::send`] with loss/jitter drawn from the node's stream.
+    /// Unicast transmission: the dispatched node `from` sends `msg`
+    /// (`bytes` bytes on air, class-labelled for overhead accounting) to
+    /// `to`, with loss and jitter drawn from the node's stream. Returns
+    /// `false` if the destination is out of range, across a partition or
+    /// lost, or either endpoint is down — the frame still occupies the
+    /// sender's radio when the sender is up (transmissions are attempted
+    /// blind; the unit disk decides reception).
     pub fn send(
         &mut self,
         from: NodeId,
@@ -835,8 +848,13 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         true
     }
 
-    /// Unicast with MAC-level retransmissions; semantics of
-    /// [`crate::Ctx::send_reliable`].
+    /// Unicast with MAC-level retransmissions: like [`ParCtx::send`], but
+    /// a frame lost to the radio loss process is re-attempted up to
+    /// [`RadioConfig::mac_retries`] more times, mirroring the IEEE 802.11
+    /// unicast ACK/retry loop. Every attempt occupies the sender's radio
+    /// and is counted in the statistics, so retries surface as overhead
+    /// and added latency. Out-of-range, partitioned and dead-endpoint
+    /// failures are not retried.
     pub fn send_reliable(
         &mut self,
         from: NodeId,
@@ -906,9 +924,12 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         false
     }
 
-    /// Broadcast transmission from the dispatched node; semantics of
-    /// [`crate::Ctx::broadcast`] (one shared-payload `DeliverMany`, its
-    /// receiver list popped from the shard's pool).
+    /// Broadcast transmission: one frame, received by every alive node in
+    /// range (subject to partitions and independent loss); returns the
+    /// number of receivers scheduled. This is the MANET broadcast
+    /// advantage the paper notes (§1). The frame is queued once as a
+    /// shared-payload `DeliverMany` whose receiver list comes from the
+    /// shard's pool, so a steady-state broadcast allocates nothing.
     pub fn broadcast(&mut self, from: NodeId, class: &'static str, bytes: usize, msg: M) -> usize {
         debug_assert_eq!(
             from, self.current,
@@ -933,8 +954,8 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         let mut receivers = self.recv_pool.pop().unwrap_or_default();
         self.world
             .neighbors_into(from, &mut receivers, self.raw_scratch);
-        // Partition gating before the loss draws (mirror of the serial
-        // engine): cross-island receivers vanish without consuming RNG.
+        // Partition gating before the loss draws: cross-island receivers
+        // vanish without consuming RNG.
         if self.world.partitioned() {
             let before = receivers.len();
             let world = self.world;
@@ -942,8 +963,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             self.counters.drops_partitioned += (before - receivers.len()) as u64;
         }
         // Loss per receiver in ascending id order, from the sender's
-        // stream (the serial engine draws the same way from its global
-        // stream).
+        // stream.
         receivers.retain(|_| {
             if self.rng.chance(self.radio.loss_prob) {
                 self.counters.drops_loss += 1;
@@ -984,8 +1004,8 @@ impl<'a, M: Clone> ParCtx<'a, M> {
 
     /// Registers an originated data packet for delivery-ratio accounting.
     pub fn record_origin(&mut self, data_id: u64, expected: u64) {
-        // No trace: matches the serial engine, where only flow-tagged
-        // origins emit [`TraceKind::FlowOrigin`].
+        // No trace: only flow-tagged origins emit
+        // [`TraceKind::FlowOrigin`].
         self.ops.push(StatOp::OriginFlow {
             data_id,
             at: self.now,
@@ -1010,8 +1030,8 @@ impl<'a, M: Clone> ParCtx<'a, M> {
 
     /// Records a data-packet delivery at `node`.
     pub fn record_delivery(&mut self, data_id: u64, node: NodeId) {
-        // No trace: matches the serial engine, where only hop-counted
-        // deliveries emit [`TraceKind::Delivered`].
+        // No trace: only hop-counted deliveries emit
+        // [`TraceKind::Delivered`].
         self.ops.push(StatOp::DeliveryHops {
             data_id,
             node,
@@ -1102,7 +1122,7 @@ fn is_barrier<M>(kind: &EventKind<M>) -> bool {
     matches!(kind, EventKind::Fault(_) | EventKind::MobilityTick)
 }
 
-/// The sharded parallel discrete-event simulator. See the [module
+/// The sharded deterministic discrete-event simulator. See the [module
 /// docs](self) for the determinism construction. `N` is the protocol's
 /// per-node state, `M` its message type.
 pub struct ParSimulator<N, M> {
@@ -1110,9 +1130,9 @@ pub struct ParSimulator<N, M> {
     world: World,
     queue: EventQueue<M>,
     stats: Stats,
-    /// Serial-phase RNG: mirrors the serial engine's construction draws
-    /// (mobility init, capability sampling) and forks mobility-tick
-    /// streams. Never touched during the parallel phase.
+    /// Serial-phase RNG: draws the world's construction (mobility init,
+    /// capability sampling) and forks mobility-tick streams. Never
+    /// touched during the parallel phase.
     ctrl_rng: SimRng,
     mobility: Box<dyn Mobility>,
     now: SimTime,
@@ -1151,9 +1171,10 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     /// plus one worker thread per further lane, started by each
     /// [`ParSimulator::run`] call and joined before it returns (1 = fully
     /// inline, no thread). Any positive `threads` is accepted. World setup
-    /// (node scattering, capability sampling) mirrors the serial
-    /// [`crate::Simulator::new`] draw-for-draw, so a given config yields
-    /// the identical initial world.
+    /// scatters nodes with the mobility model and assigns the
+    /// `enhanced_fraction` of nodes the CH-capable hardware class, both
+    /// drawn from the seed, so a given config yields the identical initial
+    /// world at every shard and thread count.
     ///
     /// # Panics
     /// Panics if `shards == 0`, or if `cfg.radio.latency` is zero — the
@@ -1239,8 +1260,11 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         self.wall_secs
     }
 
-    /// Simulated seconds covered by [`ParSimulator::run`] calls so far
-    /// (resume-safe, like [`crate::Simulator::sim_secs`]).
+    /// Simulated seconds covered by [`ParSimulator::run`] calls so far —
+    /// the numerator that pairs with [`ParSimulator::wall_secs`] in
+    /// [`crate::stats::sim_sec_per_wall_sec`]. Accumulated from the clock
+    /// at each `run` entry, so resumed runs count every simulated second
+    /// exactly once.
     pub fn sim_secs(&self) -> f64 {
         self.sim_secs
     }
@@ -1293,6 +1317,16 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         } else {
             None
         }
+    }
+
+    /// Every node's id and protocol state, in ascending id order (empty
+    /// before the first `run` call).
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> + '_ {
+        let n = if self.started { self.node_map.len() } else { 0 };
+        (0..n as u32).map(|i| {
+            let (s, j) = self.node_map[i as usize];
+            (NodeId(i), &self.shards[s as usize].slots[j as usize].node)
+        })
     }
 
     /// Read access to node `id`'s protocol state, or `None` before the
@@ -1581,14 +1615,13 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         self.now = ev.time;
         match ev.kind {
             EventKind::Fault(kind) => {
-                // One fault event = one processed event (the serial
-                // engine counts identically), however many nodes it
-                // touches.
+                // One fault event = one processed event, however many
+                // nodes it touches — keeps the events/s denominator
+                // comparable across fault plans.
                 self.stats.events_processed += 1;
-                // Trace records below mirror the serial engine arm for
-                // arm — same instant, same attributed node, same payload
-                // — so a FAULT-masked trace is byte-comparable across
-                // engines (fault schedules are scripted and RNG-free).
+                // The engine records every injection in the trace itself,
+                // before any callback it triggers: scripted and RNG-free,
+                // so the FAULT category is one line per plan event.
                 match kind {
                     FaultKind::Fail(node) => {
                         self.trace.record(self.now, node, TraceKind::NodeFailed);
@@ -1637,9 +1670,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                         self.world.heal_partition();
                     }
                     FaultKind::FailRegion { center, radius } => {
-                        // Victims fail together in ascending id order,
-                        // exactly as the serial engine iterates; one
-                        // commit seals all their callbacks' output.
+                        // Victims fail together in ascending id order;
+                        // one commit seals all their callbacks' output.
                         let mut victims = Vec::new();
                         let mut raw = Vec::new();
                         self.world
@@ -2564,9 +2596,16 @@ mod tests {
 
     #[test]
     fn resumed_runs_accumulate_sim_secs_once() {
+        // sim_secs accumulates the *advance* of each run() call, not the
+        // absolute horizon: run(10) + run(20) is 20 simulated seconds,
+        // not 30.
         let mut sim = exact_pair_sim(1);
         sim.run(&OneShot, SimTime::from_secs(10));
+        assert!((sim.sim_secs() - 10.0).abs() < 1e-9, "{}", sim.sim_secs());
         sim.run(&OneShot, SimTime::from_secs(20));
+        assert!((sim.sim_secs() - 20.0).abs() < 1e-9, "{}", sim.sim_secs());
+        // Re-running at an earlier horizon advances nothing.
+        sim.run(&OneShot, SimTime::from_secs(5));
         assert!((sim.sim_secs() - 20.0).abs() < 1e-9, "{}", sim.sim_secs());
     }
 

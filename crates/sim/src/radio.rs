@@ -31,7 +31,7 @@ pub struct RadioConfig {
     /// Independent frame-loss probability per receiver.
     pub loss_prob: f64,
     /// MAC-level retransmissions for *unicast* frames sent through
-    /// [`crate::engine::Ctx::send_reliable`]: up to `mac_retries` extra
+    /// [`crate::ParCtx::send_reliable`]: up to `mac_retries` extra
     /// attempts after a lost frame, mirroring the IEEE 802.11 ACK/retry
     /// loop (broadcast frames have no MAC recovery, as in the real MAC).
     /// Every attempt occupies the radio and is counted as overhead.

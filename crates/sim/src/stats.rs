@@ -385,7 +385,7 @@ impl Stats {
 
 /// Simulated seconds advanced per wall-clock second: the engine's own
 /// throughput, the `perf` scenario's headline metric. Wall time lives on
-/// [`crate::Simulator::wall_secs`] (not in [`Stats`], which must stay a
+/// [`crate::ParSimulator::wall_secs`] (not in [`Stats`], which must stay a
 /// deterministic pure function of the run); this helper just guards the
 /// division. Returns 0.0 when no wall time was measured.
 pub fn sim_sec_per_wall_sec(sim_secs: f64, wall_secs: f64) -> f64 {

@@ -4,24 +4,16 @@
 //! [`TraceEvent`] records — election rounds, head handovers, soft-state
 //! expiry/suppression, fault injections, flow milestones — each carrying
 //! the *true* (unskewed) sim-time and the node it happened at. Protocols
-//! emit through [`crate::ProtoCtx::trace`]; the engines own the buffer:
+//! emit through [`crate::ParCtx::trace`]; the engine owns the buffer:
+//! [`crate::ParSimulator`] collects events into shard-local buffers and
+//! merges them at each window commit in `(time, node)` order — shard
+//! structure does not depend on the worker-thread count, so the merged
+//! trace is **byte-identical at every thread count**, the same
+//! determinism contract the stats obey.
 //!
-//! * the serial [`crate::Simulator`] appends directly in dispatch order
-//!   (which is event-queue order, i.e. time order);
-//! * the sharded [`crate::ParSimulator`] collects events into
-//!   shard-local buffers and merges them at each window commit in
-//!   `(time, node)` order — shard structure does not depend on the
-//!   worker-thread count, so the merged trace is **byte-identical at
-//!   every thread count**, the same determinism contract the stats obey.
-//!
-//! Cross-engine caveat: the two engines draw protocol randomness from
-//! different stream layouts (documented in [`crate::ctx`]), so
-//! *protocol-emitted* categories (`ELECTION`, `SOFT_STATE`, `FLOW`)
-//! cannot be compared byte-for-byte between the serial and parallel
-//! engines. The `FAULT` category is recorded by the engines themselves
-//! from the scripted [`crate::FaultPlan`] — RNG-free — and therefore
-//! *is* byte-comparable across engines (covered by the cross-engine
-//! trace-parity test in `crates/core/tests/par_protocol.rs`).
+//! The `FAULT` category is recorded by the engine itself from the
+//! scripted [`crate::FaultPlan`] — RNG-free — one line per plan event at
+//! its instant (checked in `crates/core/tests/par_protocol.rs`).
 //!
 //! Tracing is off by default and zero-cost when off: every emission
 //! point is a single bitmask test against [`Trace::mask`] (or the

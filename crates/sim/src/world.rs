@@ -40,7 +40,6 @@ pub struct World {
     vel: Vec<Vec2>,
     capability: Vec<Capability>,
     alive: Vec<bool>,
-    busy_until: Vec<SimTime>,
     index: SpatialIndex,
     /// Partition islands (`None` = fully connected). Allocated lazily on
     /// the first [`World::apply_partition`], so fault-free runs pay no
@@ -160,7 +159,6 @@ impl World {
             vel: vec![Vec2::ZERO; n],
             capability: vec![Capability::Regular; n],
             alive: vec![true; n],
-            busy_until: vec![SimTime::ZERO; n],
             index: SpatialIndex::new(radio_range.max(1.0)),
             island: None,
             byz: None,
@@ -223,19 +221,6 @@ impl World {
     #[inline]
     pub fn capability(&self, id: NodeId) -> Capability {
         self.capability[id.idx()]
-    }
-
-    /// The instant `id`'s radio finishes its queued transmissions
-    /// (per-node bandwidth serialisation).
-    #[inline]
-    pub fn busy_until(&self, id: NodeId) -> SimTime {
-        self.busy_until[id.idx()]
-    }
-
-    /// Sets `id`'s radio-backlog horizon.
-    #[inline]
-    pub fn set_busy_until(&mut self, id: NodeId, t: SimTime) {
-        self.busy_until[id.idx()] = t;
     }
 
     /// Marks a node up or down. The adjacency table stays fresh: it holds
@@ -481,11 +466,7 @@ impl World {
                 .pos_err
                 .as_ref()
                 .map_or(0, |v| v.len() * size_of::<Vec2>());
-        n * (size_of::<Point>()
-            + size_of::<Vec2>()
-            + size_of::<Capability>()
-            + size_of::<bool>()
-            + size_of::<SimTime>())
+        n * (size_of::<Point>() + size_of::<Vec2>() + size_of::<Capability>() + size_of::<bool>())
             + fault
             + self.index.memory_bytes()
     }
@@ -729,15 +710,6 @@ mod tests {
         assert_eq!(w.capability(NodeId(3)), Capability::Regular);
         w.set_capability(NodeId(3), Capability::Enhanced);
         assert_eq!(w.capability(NodeId(3)), Capability::Enhanced);
-    }
-
-    #[test]
-    fn busy_until_round_trips() {
-        let mut w = line_world();
-        assert_eq!(w.busy_until(NodeId(2)), SimTime::ZERO);
-        w.set_busy_until(NodeId(2), SimTime::from_secs(3));
-        assert_eq!(w.busy_until(NodeId(2)), SimTime::from_secs(3));
-        assert_eq!(w.busy_until(NodeId(1)), SimTime::ZERO);
     }
 
     #[test]

@@ -1,60 +1,69 @@
 //! End-to-end determinism regression: the crate's core invariant is that
-//! a run is a pure function of `(SimConfig, protocol, seed)` — two runs
+//! a run is a pure function of `(SimConfig, shards, protocol)` — two runs
 //! with identical inputs must produce **bit-identical** statistics, node
 //! positions and protocol-visible history. Every experiment, cached
 //! baseline and perf comparison in this workspace rests on this.
 
 use hvdb_sim::{
-    Ctx, Mobility, NodeId, Protocol, RandomWaypoint, SimConfig, SimDuration, SimTime, Simulator,
-    Stats,
+    Mobility, NodeId, ParCtx, ParProtocol, ParSimulator, RandomWaypoint, SimConfig, SimDuration,
+    SimTime, Stats, World,
 };
 
 /// A busy little protocol exercising every engine facility: broadcast
 /// gossip, reliable unicast, timers, RNG draws, neighbour queries and
-/// delivery accounting.
-#[derive(Default)]
-struct Chatter {
-    /// (node, tag) timer history — protocol-visible event order.
-    history: Vec<(u32, u64)>,
-}
+/// delivery accounting. Each node keeps its own timer-tag history — the
+/// protocol-visible event order.
+struct Chatter;
 
-impl Protocol for Chatter {
+impl ParProtocol for Chatter {
     type Msg = u64;
+    type Node = Vec<u64>;
 
-    fn on_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, u64>) {
-        ctx.set_timer(node, SimDuration::from_millis(500 + node.0 as u64 * 7), 1);
-        if node.0 == 0 {
+    fn make_node(&self, _id: NodeId, _world: &World) -> Vec<u64> {
+        Vec::new()
+    }
+
+    fn on_start(&self, id: NodeId, _history: &mut Vec<u64>, ctx: &mut ParCtx<'_, u64>) {
+        ctx.set_timer(id, SimDuration::from_millis(500 + id.0 as u64 * 7), 1);
+        if id.0 == 0 {
             ctx.record_origin(99, 3);
         }
     }
 
-    fn on_message(&mut self, node: NodeId, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+    fn on_message(
+        &self,
+        id: NodeId,
+        _history: &mut Vec<u64>,
+        from: NodeId,
+        msg: u64,
+        ctx: &mut ParCtx<'_, u64>,
+    ) {
         if msg < 3 {
             // Re-broadcast with decremented hop budget.
-            ctx.broadcast(node, "gossip", 64, msg + 1);
-        } else if msg == 3 && node.0 % 7 == 0 {
-            ctx.record_delivery(99, node);
-            ctx.send_reliable(node, from, "ack", 32, 100);
+            ctx.broadcast(id, "gossip", 64, msg + 1);
+        } else if msg == 3 && id.0 % 7 == 0 {
+            ctx.record_delivery(99, id);
+            ctx.send_reliable(id, from, "ack", 32, 100);
         }
     }
 
-    fn on_timer(&mut self, node: NodeId, tag: u64, ctx: &mut Ctx<'_, u64>) {
-        self.history.push((node.0, tag));
+    fn on_timer(&self, id: NodeId, history: &mut Vec<u64>, tag: u64, ctx: &mut ParCtx<'_, u64>) {
+        history.push(tag);
         // Mix in RNG use and neighbour queries (scratch-buffer path).
-        let n = ctx.with_neighbors(node, |ctx, neighbors| {
+        let n = ctx.with_neighbors(id, |ctx, neighbors| {
             let _ = ctx.rng().unit();
             neighbors.len()
         });
         if n > 0 && tag < 4 {
-            ctx.broadcast(node, "gossip", 64, 0);
-            ctx.set_timer(node, SimDuration::from_millis(900), tag + 1);
+            ctx.broadcast(id, "gossip", 64, 0);
+            ctx.set_timer(id, SimDuration::from_millis(900), tag + 1);
         }
     }
 }
 
-/// Everything a run exposes: stats, protocol event history, final node
-/// positions.
-type RunOutput = (Stats, Vec<(u32, u64)>, Vec<(f64, f64)>);
+/// Everything a run exposes: stats, every node's timer history, final
+/// node positions.
+type RunOutput = (Stats, Vec<Vec<u64>>, Vec<(f64, f64)>);
 
 fn run(seed: u64) -> RunOutput {
     let cfg = SimConfig {
@@ -63,16 +72,20 @@ fn run(seed: u64) -> RunOutput {
         ..SimConfig::default()
     };
     let mobility: Box<dyn Mobility> = Box::new(RandomWaypoint::new(1.0, 8.0, 4.0));
-    let mut sim = Simulator::new(cfg, mobility);
-    let mut proto = Chatter::default();
-    sim.run(&mut proto, SimTime::from_secs(30));
+    let mut sim = ParSimulator::new(cfg, mobility, 8, 1);
+    sim.run(&Chatter, SimTime::from_secs(30));
+    let history = sim
+        .world()
+        .ids()
+        .map(|id| sim.node_state(id).unwrap().clone())
+        .collect();
     let positions = (0..40u32)
         .map(|i| {
             let p = sim.world().position(NodeId(i));
             (p.x, p.y)
         })
         .collect();
-    (sim.stats().clone(), proto.history, positions)
+    (sim.stats().clone(), history, positions)
 }
 
 #[test]

@@ -12,10 +12,13 @@
 //! cargo run --release --example battlefield
 //! ```
 
-use hvdb::core::{GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb::core::{
+    cluster_heads, total_counters, GroupId, HvdbConfig, HvdbCore, HvdbSim, TrafficItem,
+};
 use hvdb::geo::Aabb;
 use hvdb::sim::{
-    FaultPlan, NodeId, RadioConfig, ReferencePointGroup, SimConfig, SimDuration, SimTime, Simulator,
+    FaultPlan, NodeId, ParSimulator, RadioConfig, ReferencePointGroup, SimConfig, SimDuration,
+    SimTime,
 };
 
 fn main() {
@@ -38,7 +41,7 @@ fn main() {
     };
     // Squads of 10 moving together at convoy speeds.
     let mobility = ReferencePointGroup::new(10, 2.0, 8.0, 120.0);
-    let mut sim = Simulator::new(sim_cfg, Box::new(mobility));
+    let mut sim: HvdbSim = ParSimulator::new(sim_cfg, Box::new(mobility), 64, 1);
 
     let orders = GroupId(1); // HQ -> everyone in the company group
     let recon = GroupId(2); // recon squad reports
@@ -77,19 +80,19 @@ fn main() {
         });
     }
 
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
+    let core = HvdbCore::new(cfg, &members, traffic, vec![]);
     // A platoon is destroyed at t = 200 s: 10 nodes fail simultaneously.
     let mut plan = FaultPlan::new();
     for i in 100..110u32 {
         plan = plan.fail(SimTime::from_secs(200), NodeId(i));
     }
     sim.inject_plan(&plan);
-    sim.run(&mut proto, SimTime::from_secs(260));
+    sim.run(&core, SimTime::from_secs(260));
 
     let stats = sim.stats();
     println!("== battlefield scenario ==");
     println!("nodes {num_nodes}, vehicle-class 25%, squads of 10, 10 failed at t=200s");
-    println!("cluster heads        : {}", proto.cluster_heads().len());
+    println!("cluster heads        : {}", cluster_heads(&sim).len());
     println!("delivery ratio       : {:.3}", stats.delivery_ratio());
     if let Some(lat) = stats.mean_latency() {
         println!("mean latency         : {:.1} ms", lat * 1e3);
@@ -98,10 +101,10 @@ fn main() {
         "p95 latency          : {:.1} ms",
         stats.latency_quantile(0.95).unwrap_or(0.0) * 1e3
     );
+    let counters = total_counters(&sim);
     println!(
         "failovers after loss : {} (neighbors expired {})",
-        proto.counters().route_failovers,
-        proto.counters().neighbors_expired
+        counters.route_failovers, counters.neighbors_expired
     );
-    println!("counters             : {:?}", proto.counters());
+    println!("counters             : {counters:?}");
 }

@@ -11,9 +11,13 @@
 //! cargo run --release --example disaster_relief
 //! ```
 
-use hvdb::core::{GroupEvent, GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb::core::{
+    cluster_heads, total_counters, GroupEvent, GroupId, HvdbConfig, HvdbCore, HvdbSim, TrafficItem,
+};
 use hvdb::geo::Aabb;
-use hvdb::sim::{NodeId, RadioConfig, RandomWaypoint, SimConfig, SimDuration, SimTime, Simulator};
+use hvdb::sim::{
+    NodeId, ParSimulator, RadioConfig, RandomWaypoint, SimConfig, SimDuration, SimTime,
+};
 
 fn main() {
     let area = Aabb::from_size(1600.0, 1600.0);
@@ -32,7 +36,7 @@ fn main() {
         compact_delivery: false,
     };
     let mobility = RandomWaypoint::new(0.5, 3.0, 15.0); // searching on foot
-    let mut sim = Simulator::new(sim_cfg, Box::new(mobility));
+    let mut sim: HvdbSim = ParSimulator::new(sim_cfg, Box::new(mobility), 64, 1);
 
     let medical = GroupId(10);
     let search = GroupId(20);
@@ -76,17 +80,18 @@ fn main() {
         });
     }
 
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, events);
-    sim.run(&mut proto, SimTime::from_secs(230));
+    let core = HvdbCore::new(cfg, &members, traffic, events);
+    sim.run(&core, SimTime::from_secs(230));
 
     let stats = sim.stats();
     println!("== disaster relief scenario ==");
+    let team = |g| sim.nodes().filter(|(_, n)| n.is_member(g)).count();
     println!(
         "medical team grew to {} members, search shrank to {}",
-        proto.group_members(medical).len(),
-        proto.group_members(search).len()
+        team(medical),
+        team(search)
     );
-    println!("cluster heads   : {}", proto.cluster_heads().len());
+    println!("cluster heads   : {}", cluster_heads(&sim).len());
     println!("delivery ratio  : {:.3}", stats.delivery_ratio());
     if let Some(lat) = stats.mean_latency() {
         println!("mean latency    : {:.1} ms", lat * 1e3);
@@ -97,5 +102,5 @@ fn main() {
         stats.bytes("ht-bcast"),
         stats.bytes("join-report"),
     );
-    println!("counters        : {:?}", proto.counters());
+    println!("counters        : {:?}", total_counters(&sim));
 }

@@ -6,9 +6,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hvdb::core::{GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb::core::{
+    cluster_heads, total_counters, GroupId, HvdbConfig, HvdbCore, HvdbSim, TrafficItem,
+};
 use hvdb::geo::Aabb;
-use hvdb::sim::{NodeId, RadioConfig, RandomWaypoint, SimConfig, SimDuration, SimTime, Simulator};
+use hvdb::sim::{
+    NodeId, ParSimulator, RadioConfig, RandomWaypoint, SimConfig, SimDuration, SimTime,
+};
 
 fn main() {
     let area = Aabb::from_size(800.0, 800.0);
@@ -34,7 +38,9 @@ fn main() {
     };
     // Gentle pedestrian mobility.
     let mobility = RandomWaypoint::new(0.5, 2.0, 20.0);
-    let mut sim = Simulator::new(sim_cfg, Box::new(mobility));
+    // 64 spatial shards drained on one thread; more threads change only
+    // wall-clock time, never a result.
+    let mut sim: HvdbSim = ParSimulator::new(sim_cfg, Box::new(mobility), 64, 1);
 
     // One multicast group with members scattered across the area.
     let group = GroupId(1);
@@ -54,11 +60,11 @@ fn main() {
         })
         .collect();
 
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
-    sim.run(&mut proto, SimTime::from_secs(200));
+    let core = HvdbCore::new(cfg, &members, traffic, vec![]);
+    sim.run(&core, SimTime::from_secs(200));
 
     let stats = sim.stats();
-    println!("cluster heads elected : {}", proto.cluster_heads().len());
+    println!("cluster heads elected : {}", cluster_heads(&sim).len());
     println!("delivery ratio        : {:.3}", stats.delivery_ratio());
     if let Some(lat) = stats.mean_latency() {
         println!("mean latency          : {:.1} ms", lat * 1e3);
@@ -74,5 +80,5 @@ fn main() {
         stats.msgs("hc-data"),
         stats.msgs("local-deliver"),
     );
-    println!("protocol counters     : {:?}", proto.counters());
+    println!("protocol counters     : {:?}", total_counters(&sim));
 }

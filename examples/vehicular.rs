@@ -10,10 +10,15 @@
 //! cargo run --release --example vehicular
 //! ```
 
-use hvdb::baselines::FloodingProtocol;
-use hvdb::core::{GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb::baselines::ParFlood;
+use hvdb::core::{GroupId, HvdbConfig, HvdbCore, TrafficItem};
 use hvdb::geo::Aabb;
-use hvdb::sim::{NodeId, RadioConfig, RandomWaypoint, SimConfig, SimDuration, SimTime, Simulator};
+use hvdb::sim::{
+    NodeId, ParSimulator, RadioConfig, RandomWaypoint, SimConfig, SimDuration, SimTime,
+};
+
+/// Spatial shards of both runs (one thread drains them all).
+const SHARDS: usize = 64;
 
 fn scenario() -> (Vec<(NodeId, GroupId)>, Vec<TrafficItem>) {
     let hazard = GroupId(1);
@@ -55,12 +60,14 @@ fn main() {
     // --- HVDB ---
     let (area, sim_cfg) = sim_config(77);
     let hvdb_cfg = HvdbConfig::new(area, 16, 16, 4);
-    let mut sim = Simulator::new(
+    let mut sim = ParSimulator::new(
         sim_cfg,
         Box::new(RandomWaypoint::new(8.0, 20.0, 5.0)), // 30-70 km/h
+        SHARDS,
+        1,
     );
-    let mut proto = HvdbProtocol::new(hvdb_cfg, &members, traffic.clone(), vec![]);
-    sim.run(&mut proto, SimTime::from_secs(260));
+    let core = HvdbCore::new(hvdb_cfg, &members, traffic.clone(), vec![]);
+    sim.run(&core, SimTime::from_secs(260));
     let h_ratio = sim.stats().delivery_ratio();
     let h_msgs = sim.stats().msgs_where(|_| true);
     let h_bytes = sim.stats().bytes_where(|_| true);
@@ -68,9 +75,14 @@ fn main() {
 
     // --- Flooding on the identical scenario ---
     let (_, sim_cfg) = sim_config(77);
-    let mut sim = Simulator::new(sim_cfg, Box::new(RandomWaypoint::new(8.0, 20.0, 5.0)));
-    let mut flood = FloodingProtocol::new(&members, traffic, vec![]);
-    sim.run(&mut flood, SimTime::from_secs(260));
+    let mut sim = ParSimulator::new(
+        sim_cfg,
+        Box::new(RandomWaypoint::new(8.0, 20.0, 5.0)),
+        SHARDS,
+        1,
+    );
+    let flood = ParFlood::new(&members, traffic, vec![]);
+    sim.run(&flood, SimTime::from_secs(260));
     let f_ratio = sim.stats().delivery_ratio();
     let f_msgs = sim.stats().msgs_where(|_| true);
     let f_bytes = sim.stats().bytes_where(|_| true);

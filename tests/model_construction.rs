@@ -3,9 +3,9 @@
 //! state (core + sim).
 
 use hvdb::cluster::Candidate;
-use hvdb::core::{build_model, FrameBytes, HvdbConfig, HvdbProtocol};
+use hvdb::core::{build_model, cluster_heads, HvdbConfig, HvdbCore, HvdbNode, HvdbSim};
 use hvdb::geo::{Aabb, Vec2};
-use hvdb::sim::{NodeId, RadioConfig, SimConfig, SimDuration, SimTime, Simulator, Stationary};
+use hvdb::sim::{NodeId, ParSimulator, RadioConfig, SimConfig, SimDuration, SimTime, Stationary};
 
 /// One node pinned at every VC centre over the Fig. 2 layout.
 fn centre_candidates(cfg: &HvdbConfig) -> Vec<Candidate> {
@@ -43,23 +43,23 @@ fn snapshot_and_distributed_clustering_agree() {
         seed: 3,
         compact_delivery: false,
     };
-    let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg, Box::new(Stationary));
+    let mut sim: HvdbSim = ParSimulator::new(sim_cfg, Box::new(Stationary), 64, 1);
     for (i, c) in candidates.iter().enumerate() {
         sim.world_mut()
             .set_motion(NodeId(i as u32), c.pos, Vec2::ZERO);
     }
     sim.world_mut().rebuild_index();
-    let mut proto = HvdbProtocol::new(cfg.clone(), &[], vec![], vec![]);
-    sim.run(&mut proto, SimTime::from_secs(15));
+    let core = HvdbCore::new(cfg.clone(), &[], vec![], vec![]);
+    sim.run(&core, SimTime::from_secs(15));
 
     // Every VC's snapshot-elected head is the distributed winner too.
     for (vc, head) in &model.clustering.head_of_vc {
         assert!(
-            proto.is_head(NodeId(*head)),
+            sim.node_state(NodeId(*head)).is_some_and(HvdbNode::is_head),
             "snapshot head {head} of {vc} not elected by protocol"
         );
     }
-    assert_eq!(proto.cluster_heads().len(), 64);
+    assert_eq!(cluster_heads(&sim).len(), 64);
 }
 
 #[test]

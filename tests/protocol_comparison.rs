@@ -2,12 +2,12 @@
 //! and the comparative shape of the paper's claims holds on a small static
 //! instance.
 
-use hvdb::baselines::{DsmProtocol, FloodingProtocol, SharedTreeProtocol, SpbmProtocol};
-use hvdb::core::{GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb::baselines::{DsmProtocol, ParFlood, SharedTreeProtocol, SpbmProtocol};
+use hvdb::core::{GroupId, HvdbConfig, HvdbCore, TrafficItem};
 use hvdb::geo::{Aabb, Point, Vec2};
 use hvdb::sim::{
-    max_mean_ratio, NodeId, RadioConfig, SimConfig, SimDuration, SimTime, Simulator, Stationary,
-    Stats,
+    max_mean_ratio, NodeId, ParProtocol, ParSimulator, RadioConfig, SimConfig, SimDuration,
+    SimTime, Stationary, Stats,
 };
 
 const N_SIDE: u32 = 6;
@@ -29,15 +29,23 @@ fn sim_cfg(seed: u64) -> SimConfig {
     }
 }
 
-fn place<M: Clone>(sim: &mut Simulator<M>) {
-    for r in 0..N_SIDE {
-        for c in 0..N_SIDE {
-            let id = NodeId(r * N_SIDE + c);
+/// Runs `proto` on an `n_side`² grid, 150 m apart, until `until` and
+/// returns the run's statistics.
+fn run_on_grid<P: ParProtocol>(cfg: SimConfig, n_side: u32, proto: &P, until: SimTime) -> Stats
+where
+    P::Node: Send,
+{
+    let mut sim = ParSimulator::new(cfg, Box::new(Stationary), 64, 1);
+    for r in 0..n_side {
+        for c in 0..n_side {
+            let id = NodeId(r * n_side + c);
             let p = Point::new(c as f64 * SPACING + 20.0, r as f64 * SPACING + 20.0);
             sim.world_mut().set_motion(id, p, Vec2::ZERO);
         }
     }
     sim.world_mut().rebuild_index();
+    sim.run(proto, until);
+    sim.stats().clone()
 }
 
 fn scenario() -> (Vec<(NodeId, GroupId)>, Vec<TrafficItem>) {
@@ -63,43 +71,28 @@ fn scenario() -> (Vec<(NodeId, GroupId)>, Vec<TrafficItem>) {
 fn run_protocol(which: &str) -> Stats {
     let (members, traffic) = scenario();
     let until = SimTime::from_secs(170);
+    let cfg = sim_cfg(1);
     match which {
         "hvdb" => {
-            let mut sim = Simulator::new(sim_cfg(1), Box::new(Stationary));
-            place(&mut sim);
-            let area = sim.world().area();
-            let mut p =
-                HvdbProtocol::new(HvdbConfig::new(area, 6, 6, 4), &members, traffic, vec![]);
-            sim.run(&mut p, until);
-            sim.stats().clone()
+            let hvdb = HvdbConfig::new(cfg.area, 6, 6, 4);
+            let p = HvdbCore::new(hvdb, &members, traffic, vec![]);
+            run_on_grid(cfg, N_SIDE, &p, until)
         }
         "flooding" => {
-            let mut sim = Simulator::new(sim_cfg(1), Box::new(Stationary));
-            place(&mut sim);
-            let mut p = FloodingProtocol::new(&members, traffic, vec![]);
-            sim.run(&mut p, until);
-            sim.stats().clone()
+            let p = ParFlood::new(&members, traffic, vec![]);
+            run_on_grid(cfg, N_SIDE, &p, until)
         }
         "tree" => {
-            let mut sim = Simulator::new(sim_cfg(1), Box::new(Stationary));
-            place(&mut sim);
-            let mut p = SharedTreeProtocol::new(&members, traffic, vec![]);
-            sim.run(&mut p, until);
-            sim.stats().clone()
+            let p = SharedTreeProtocol::new(&members, traffic, vec![]);
+            run_on_grid(cfg, N_SIDE, &p, until)
         }
         "dsm" => {
-            let mut sim = Simulator::new(sim_cfg(1), Box::new(Stationary));
-            place(&mut sim);
-            let mut p = DsmProtocol::new(&members, traffic, vec![]);
-            sim.run(&mut p, until);
-            sim.stats().clone()
+            let p = DsmProtocol::new(&members, traffic, vec![]);
+            run_on_grid(cfg, N_SIDE, &p, until)
         }
         "spbm" => {
-            let mut sim = Simulator::new(sim_cfg(1), Box::new(Stationary));
-            place(&mut sim);
-            let mut p = SpbmProtocol::new(&members, traffic, vec![]);
-            sim.run(&mut p, until);
-            sim.stats().clone()
+            let p = SpbmProtocol::new(&members, traffic, vec![]);
+            run_on_grid(cfg, N_SIDE, &p, until)
         }
         _ => unreachable!(),
     }
@@ -137,52 +130,32 @@ fn dsm_membership_overhead_grows_faster_than_hvdb() {
     // bounded by the (fixed-size) CH plane. On a small instance HVDB's
     // fixed cost can exceed DSM's — the paper's claim is about *scaling*,
     // so we compare growth factors between two network sizes.
-    fn grid_sim<M: Clone>(n_side: u32) -> Simulator<M> {
-        let spacing = 150.0;
-        let side = n_side as f64 * spacing;
-        let cfg = SimConfig {
+    fn grid_cfg(n_side: u32) -> SimConfig {
+        let side = n_side as f64 * SPACING;
+        SimConfig {
             area: Aabb::from_size(side, side),
             num_nodes: (n_side * n_side) as usize,
-            radio: RadioConfig {
-                range: 280.0,
-                ..Default::default()
-            },
-            mobility_tick: SimDuration::ZERO,
-            enhanced_fraction: 1.0,
             seed: 2,
-            compact_delivery: false,
-        };
-        let mut sim = Simulator::new(cfg, Box::new(Stationary));
-        for r in 0..n_side {
-            for c in 0..n_side {
-                let id = NodeId(r * n_side + c);
-                let p = Point::new(c as f64 * spacing + 20.0, r as f64 * spacing + 20.0);
-                sim.world_mut().set_motion(id, p, Vec2::ZERO);
-            }
+            ..sim_cfg(2)
         }
-        sim.world_mut().rebuild_index();
-        sim
     }
     let until = SimTime::from_secs(100);
     let run_at = |n_side: u32, which: &str| -> u64 {
+        let cfg = grid_cfg(n_side);
         match which {
             "dsm" => {
-                let mut sim = grid_sim(n_side);
-                let mut p = DsmProtocol::new(&[], vec![], vec![]);
-                sim.run(&mut p, until);
-                sim.stats().bytes("dsm-location")
+                let p = DsmProtocol::new(&[], vec![], vec![]);
+                run_on_grid(cfg, n_side, &p, until).bytes("dsm-location")
             }
             _ => {
-                let mut sim = grid_sim(n_side);
-                let area = sim.world().area();
-                let mut p = HvdbProtocol::new(
-                    HvdbConfig::new(area, n_side as u16, n_side as u16, 4),
+                let side = n_side as u16;
+                let p = HvdbCore::new(
+                    HvdbConfig::new(cfg.area, side, side, 4),
                     &[],
                     vec![],
                     vec![],
                 );
-                sim.run(&mut p, until);
-                sim.stats().bytes_where(|c| {
+                run_on_grid(cfg, n_side, &p, until).bytes_where(|c| {
                     matches!(
                         c,
                         "beacon"

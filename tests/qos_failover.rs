@@ -4,12 +4,13 @@
 
 use hvdb::core::routes::{AdvertisedRoute, QosMetrics};
 use hvdb::core::{
-    GroupId, HvdbConfig, HvdbProtocol, QosRequirement, RouteTable, SessionManager, TrafficItem,
+    cluster_heads, total_counters, GroupId, HvdbConfig, HvdbCore, HvdbSim, QosRequirement,
+    RouteTable, SessionManager, TrafficItem,
 };
 use hvdb::geo::{Aabb, Hnid, Point, Vec2};
 use hvdb::hypercube::{disjoint_paths_complete, pair_connectivity, IncompleteHypercube};
 use hvdb::sim::{
-    FaultPlan, NodeId, RadioConfig, SimConfig, SimDuration, SimTime, Simulator, Stationary,
+    FaultPlan, NodeId, ParSimulator, RadioConfig, SimConfig, SimDuration, SimTime, Stationary,
 };
 
 #[test]
@@ -81,7 +82,7 @@ fn protocol_delivers_through_ch_failures() {
         seed: 9,
         compact_delivery: false,
     };
-    let mut sim = Simulator::new(sim_cfg, Box::new(Stationary));
+    let mut sim: HvdbSim = ParSimulator::new(sim_cfg, Box::new(Stationary), 64, 1);
     let grid = cfg.grid.clone();
     let ids: Vec<_> = grid.iter_ids().collect();
     // Two nodes per VC: primary at centre, spare offset.
@@ -106,22 +107,22 @@ fn protocol_delivers_through_ch_failures() {
             ..Default::default()
         })
         .collect();
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
+    let core = HvdbCore::new(cfg, &members, traffic, vec![]);
     // Kill 16 of the 64 centre nodes (the elected CHs) at t = 120 s.
     let mut plan = FaultPlan::new();
     for i in (0..64u32).step_by(4) {
         plan = plan.fail(SimTime::from_secs(120), NodeId(i));
     }
     sim.inject_plan(&plan);
-    sim.run(&mut proto, SimTime::from_secs(190));
+    sim.run(&core, SimTime::from_secs(190));
     assert!(
         sim.stats().delivery_ratio() >= 0.9,
         "delivery {} after backbone failures; counters {:?}",
         sim.stats().delivery_ratio(),
-        proto.counters()
+        total_counters(&sim)
     );
     // The spares took over the headless VCs.
-    let heads = proto.cluster_heads();
+    let heads = cluster_heads(&sim);
     assert!(
         heads.len() >= 60,
         "only {} heads after recovery",

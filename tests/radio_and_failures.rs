@@ -1,13 +1,13 @@
 //! Cross-crate integration: radio impairments and fault injection flow
 //! through to protocol-visible behaviour.
 
-use hvdb::core::{GroupId, HvdbConfig, HvdbProtocol, TrafficItem};
+use hvdb::core::{GroupId, HvdbConfig, HvdbCore, HvdbNode, HvdbSim, TrafficItem};
 use hvdb::geo::{Aabb, Point, Vec2};
 use hvdb::sim::{
-    FaultPlan, NodeId, RadioConfig, SimConfig, SimDuration, SimTime, Simulator, Stationary,
+    FaultPlan, NodeId, ParSimulator, RadioConfig, SimConfig, SimDuration, SimTime, Stationary,
 };
 
-fn lossy_sim(loss: f64, seed: u64) -> Simulator<hvdb::core::FrameBytes> {
+fn lossy_sim(loss: f64, seed: u64) -> HvdbSim {
     let area = Aabb::from_size(800.0, 800.0);
     let cfg = SimConfig {
         area,
@@ -22,7 +22,7 @@ fn lossy_sim(loss: f64, seed: u64) -> Simulator<hvdb::core::FrameBytes> {
         seed,
         compact_delivery: false,
     };
-    let mut sim = Simulator::new(cfg, Box::new(Stationary));
+    let mut sim = ParSimulator::new(cfg, Box::new(Stationary), 64, 1);
     // 64 nodes at VC centres + 16 extras.
     let grid = hvdb::geo::VcGrid::with_dimensions(area, 8, 8);
     for (i, vc) in grid.iter_ids().enumerate() {
@@ -62,8 +62,8 @@ fn total_loss_delivers_nothing() {
     let mut sim = lossy_sim(1.0, 1);
     let (members, traffic) = scenario();
     let cfg = HvdbConfig::fig2(Aabb::from_size(800.0, 800.0));
-    let mut proto = HvdbProtocol::new(cfg, &members, traffic, vec![]);
-    sim.run(&mut proto, SimTime::from_secs(170));
+    let core = HvdbCore::new(cfg, &members, traffic, vec![]);
+    sim.run(&core, SimTime::from_secs(170));
     assert_eq!(sim.stats().delivery_ratio(), 0.0);
     assert!(sim.stats().drops_loss > 0);
     // Nothing was ever elected either: candidacies never arrive, so each
@@ -78,8 +78,8 @@ fn moderate_loss_degrades_but_does_not_kill_delivery() {
     let run = |loss: f64, seed: u64| {
         let mut sim = lossy_sim(loss, seed);
         let cfg = HvdbConfig::fig2(Aabb::from_size(800.0, 800.0));
-        let mut proto = HvdbProtocol::new(cfg, &members.clone(), traffic.clone(), vec![]);
-        sim.run(&mut proto, SimTime::from_secs(170));
+        let core = HvdbCore::new(cfg, &members.clone(), traffic.clone(), vec![]);
+        sim.run(&core, SimTime::from_secs(170));
         sim.stats().delivery_ratio()
     };
     let clean = run(0.0, 7);
@@ -101,7 +101,7 @@ fn moderate_loss_degrades_but_does_not_kill_delivery() {
 fn recovered_nodes_rejoin_the_backbone() {
     let mut sim = lossy_sim(0.0, 3);
     let cfg = HvdbConfig::fig2(Aabb::from_size(800.0, 800.0));
-    let mut proto = HvdbProtocol::new(cfg, &[], vec![], vec![]);
+    let core = HvdbCore::new(cfg, &[], vec![], vec![]);
     // Take down 8 centre nodes, bring them back, and check they head VCs
     // again (the spares near those VCs are farther from the VCCs).
     let mut plan = FaultPlan::new();
@@ -111,10 +111,10 @@ fn recovered_nodes_rejoin_the_backbone() {
             .recover(SimTime::from_secs(60), NodeId(i * 8));
     }
     sim.inject_plan(&plan);
-    sim.run(&mut proto, SimTime::from_secs(100));
+    sim.run(&core, SimTime::from_secs(100));
     for i in 0..8u32 {
         assert!(
-            proto.is_head(NodeId(i * 8)),
+            sim.node_state(NodeId(i * 8)).is_some_and(HvdbNode::is_head),
             "recovered node {} did not reclaim its VC",
             i * 8
         );
