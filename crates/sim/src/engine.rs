@@ -434,6 +434,22 @@ mod tests {
     }
 
     #[test]
+    fn resumed_run_does_not_double_count_sim_time() {
+        // sim_secs must accumulate the *advance* of each run() call, not
+        // the absolute horizon: run(10) + run(20) is 20 simulated seconds,
+        // not 30. (Regression: the wall-clock-rate helper used to be fed
+        // `until` directly by callers, double-counting resumed runs.)
+        let mut sim = ping_pair(100.0);
+        sim.run(&PingPong, SimTime::from_secs(10));
+        assert!((sim.sim_secs() - 10.0).abs() < 1e-9, "{}", sim.sim_secs());
+        sim.run(&PingPong, SimTime::from_secs(20));
+        assert!((sim.sim_secs() - 20.0).abs() < 1e-9, "{}", sim.sim_secs());
+        // Re-running at an earlier horizon advances nothing.
+        sim.run(&PingPong, SimTime::from_secs(5));
+        assert!((sim.sim_secs() - 20.0).abs() < 1e-9, "{}", sim.sim_secs());
+    }
+
+    #[test]
     fn partition_blocks_unicast_until_heal() {
         let mut sim = ping_pair(100.0);
         // Cut 0 from 1 for the first 4 s. The initial ping leaves during
