@@ -52,11 +52,11 @@ pub use engine::SimConfig;
 pub use event::{EventKind, EventQueue};
 pub use fault::{ByzantineMode, FaultEvent, FaultKind, FaultPlan};
 pub use mobility::{Mobility, RandomWaypoint, ReferencePointGroup, Stationary};
-pub use node::{Capability, NodeId, NodeState};
+pub use node::{Capability, NodeId};
 pub use par::{EngineProfile, ParCtx, ParProtocol, ParSimulator, PhaseSlice};
 pub use radio::RadioConfig;
 pub use rng::SimRng;
-pub use stats::{gini, jain_fairness, max_mean_ratio, sim_sec_per_wall_sec, ClassId, Stats};
+pub use stats::{gini, jain_fairness, max_mean_ratio, sim_sec_per_wall_sec, Stats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceConfig, TraceEvent, TraceKind};
 pub use world::World;

@@ -1,7 +1,6 @@
-//! Simulated mobile nodes.
+//! Node identity and hardware class. Per-node simulation state lives in
+//! [`crate::World`] (position, liveness) and in the engine's shards.
 
-use crate::time::SimTime;
-use hvdb_geo::{Point, Vec2};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a mobile node. Dense (0..n), usable as a vector index.
@@ -38,35 +37,6 @@ pub enum Capability {
     Enhanced,
 }
 
-/// Mutable per-node simulation state.
-#[derive(Debug, Clone)]
-pub struct NodeState {
-    /// Current position.
-    pub pos: Point,
-    /// Current velocity.
-    pub vel: Vec2,
-    /// Hardware class.
-    pub capability: Capability,
-    /// Whether the node is up (fault injection toggles this).
-    pub alive: bool,
-    /// The instant the node's radio finishes its queued transmissions;
-    /// models per-node bandwidth serialisation.
-    pub busy_until: SimTime,
-}
-
-impl NodeState {
-    /// A fresh, alive, stationary node at `pos`.
-    pub fn new(pos: Point, capability: Capability) -> Self {
-        NodeState {
-            pos,
-            vel: Vec2::ZERO,
-            capability,
-            alive: true,
-            busy_until: SimTime::ZERO,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,14 +45,5 @@ mod tests {
     fn node_id_is_dense_index() {
         assert_eq!(NodeId(7).idx(), 7);
         assert_eq!(NodeId(7).to_string(), "n7");
-    }
-
-    #[test]
-    fn fresh_node_defaults() {
-        let n = NodeState::new(Point::new(1.0, 2.0), Capability::Enhanced);
-        assert!(n.alive);
-        assert_eq!(n.vel, Vec2::ZERO);
-        assert_eq!(n.busy_until, SimTime::ZERO);
-        assert_eq!(n.capability, Capability::Enhanced);
     }
 }

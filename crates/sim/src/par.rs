@@ -16,14 +16,18 @@
 //!   nodes' protocol state, radio busy-until and RNG stream, and only
 //!   *reads* the frozen [`World`]. Sends and stat records append to
 //!   shard-local buffers.
-//! * **Deterministic commit.** After a window drains, buffers are folded
-//!   into the global event queue and [`Stats`] in **shard-index order**:
-//!   outbound events are pushed in that fixed schedule, so they get their
-//!   tie-breaking `seq` from it, order-sensitive stat ops (class
-//!   interning, origins, deliveries) replay in the same order, and
-//!   commutative counters are summed. Thread lanes only decide *which OS
-//!   thread* drains a shard, never the commit order, so `threads = N` is
-//!   byte-identical to `threads = 1` by construction.
+//! * **Deterministic commit.** After a window drains, each touched
+//!   shard's buffers are committed in **shard-index order**: outbound
+//!   events are pushed onto the global event queue in that fixed
+//!   schedule, so they get their tie-breaking `seq` from it, and origin
+//!   and delivery records replay into [`Stats`] in the same order
+//!   (per-flow accounting depends on it). Counters — transmissions per
+//!   class and per node, drops, dispatched events, soft-state counts —
+//!   stay in the shard for the whole `run` call and are folded into
+//!   [`Stats`] once, when `run` returns: plain sums, with classes merged
+//!   by name, so no order shows in them. Thread lanes only decide *which
+//!   OS thread* drains a shard, never the commit order, so `threads = N`
+//!   is byte-identical to `threads = 1` by construction.
 //! * **Lane workers.** Shards split into at most `threads` contiguous
 //!   chunks, one per lane. The thread calling [`ParSimulator::run`]
 //!   drains lane 0; every other lane is one OS thread that lives for that
@@ -81,7 +85,7 @@ use crate::mobility::Mobility;
 use crate::node::{Capability, NodeId};
 use crate::radio::RadioConfig;
 use crate::rng::SimRng;
-use crate::stats::Stats;
+use crate::stats::{ShardCounters, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{self, Trace, TraceConfig, TraceEvent, TraceKind};
 use crate::world::World;
@@ -224,62 +228,12 @@ pub trait ParProtocol: Sync {
     fn on_recover(&self, _id: NodeId, _node: &mut Self::Node, _ctx: &mut ParCtx<'_, Self::Msg>) {}
 }
 
-/// Commutative statistics deltas: plain sums (and one histogram folded by
-/// addition), safe to fold in any order (we still fold them in shard
-/// order, but nothing depends on it).
-#[derive(Debug, Clone, Default)]
-struct Counters {
-    events_processed: u64,
-    frames_shared: u64,
-    drops_out_of_range: u64,
-    drops_loss: u64,
-    drops_dead: u64,
-    drops_retry_exhausted: u64,
-    drops_queue_full: u64,
-    drops_partitioned: u64,
-    byzantine_dropped: u64,
-    byzantine_replayed: u64,
-    soft_refresh_msgs: u64,
-    soft_refresh_suppressed: u64,
-    soft_stale_suppressed: u64,
-    soft_expired: u64,
-    refresh_rate: Vec<(u32, u64)>,
-}
-
-impl Counters {
-    fn fold_into(&mut self, stats: &mut Stats) {
-        stats.events_processed += self.events_processed;
-        stats.frames_shared += self.frames_shared;
-        stats.drops_out_of_range += self.drops_out_of_range;
-        stats.drops_loss += self.drops_loss;
-        stats.drops_dead += self.drops_dead;
-        stats.drops_retry_exhausted += self.drops_retry_exhausted;
-        stats.drops_queue_full += self.drops_queue_full;
-        stats.drops_partitioned += self.drops_partitioned;
-        stats.byzantine_dropped += self.byzantine_dropped;
-        stats.byzantine_replayed += self.byzantine_replayed;
-        stats.soft_refresh_msgs += self.soft_refresh_msgs;
-        stats.soft_refresh_suppressed += self.soft_refresh_suppressed;
-        stats.soft_stale_suppressed += self.soft_stale_suppressed;
-        stats.soft_expired += self.soft_expired;
-        for &(ticks, n) in &self.refresh_rate {
-            *stats.refresh_rate_hist.entry(ticks).or_insert(0) += n;
-        }
-        *self = Counters::default();
-    }
-}
-
-/// Order-sensitive statistics operations, recorded shard-locally during
-/// the parallel phase and replayed against the global [`Stats`] in
-/// shard-index order at commit (class-slot interning order, origin
-/// registration and flow accounting all depend on replay order).
+/// Order-sensitive statistics records, buffered shard-locally during the
+/// parallel phase and replayed against the global [`Stats`] in
+/// shard-index order at each window's commit (origin registration and
+/// flow accounting depend on replay order).
 #[derive(Debug, Clone)]
 enum StatOp {
-    Tx {
-        node: NodeId,
-        class: &'static str,
-        bytes: usize,
-    },
     OriginFlow {
         data_id: u64,
         at: SimTime,
@@ -346,23 +300,10 @@ struct Shard<N, M> {
     /// queue in this order, which gives same-instant events their
     /// dispatch order as the tie-break.
     outbox: Vec<(SimTime, EventKind<M>)>,
+    /// This window's origin and delivery records, in dispatch order.
     ops: Vec<StatOp>,
-    counters: Counters,
-    /// Pre-fold digest of this window's `Tx` ops: per-class
-    /// `(class, msgs, bytes)` totals in first-appearance order — applied
-    /// at commit via [`Stats::count_tx_class_bulk`], which preserves the
-    /// interning order a one-by-one replay would produce.
-    tx_classes: Vec<(&'static str, u64, u64)>,
-    /// Per-slot `(msgs, bytes)` transmission deltas (dense, indexed by
-    /// slot; commutative sums).
-    tx_node_delta: Vec<(u64, u64)>,
-    /// Slots with a non-zero delta this window, first-touch order.
-    tx_touched: Vec<u32>,
-    /// Order-sensitive ops (origins, deliveries) kept for serial replay;
-    /// their state (origins/flows/latency) is disjoint from the `Tx`
-    /// digest's (class slots/node counters), so folding `Tx` out of line
-    /// is invisible.
-    rare_ops: Vec<StatOp>,
+    /// This `run` call's counters, folded into [`Stats`] when it returns.
+    counters: ShardCounters,
     scratch: Vec<NodeId>,
     raw_scratch: Vec<u32>,
     /// Receiver lists for broadcasts sent from this shard; `route` hands
@@ -389,11 +330,7 @@ impl<N, M> Shard<N, M> {
             in_span: false,
             outbox: Vec::new(),
             ops: Vec::new(),
-            counters: Counters::default(),
-            tx_classes: Vec::new(),
-            tx_node_delta: Vec::new(),
-            tx_touched: Vec::new(),
-            rare_ops: Vec::new(),
+            counters: ShardCounters::default(),
             scratch: Vec::new(),
             raw_scratch: Vec::new(),
             recv_pool: Vec::new(),
@@ -410,46 +347,6 @@ impl<N, M> Shard<N, M> {
         if !self.active {
             self.active = true;
             active.push(s as u32);
-        }
-    }
-
-    /// The shard-parallel half of the commit: folds this window's `Tx`
-    /// ops into the per-class / per-node digest, leaving only the rare
-    /// order-sensitive ops for the serial commit. Runs on the drain lanes
-    /// at the end of [`Shard::drain`]; idempotent when nothing new was
-    /// buffered, so the serial barrier path can rely on commit calling it
-    /// again.
-    fn prefold(&mut self, map: &[(u32, u32)]) {
-        if self.tx_node_delta.len() < self.slots.len() {
-            self.tx_node_delta.resize(self.slots.len(), (0, 0));
-        }
-        for op in self.ops.drain(..) {
-            match op {
-                StatOp::Tx { node, class, bytes } => {
-                    // Identity key (address, length), matching
-                    // `Stats::class_id`; a handful of classes exist, so
-                    // a linear scan beats hashing.
-                    match self
-                        .tx_classes
-                        .iter_mut()
-                        .find(|(c, _, _)| c.as_ptr() == class.as_ptr() && c.len() == class.len())
-                    {
-                        Some((_, m, b)) => {
-                            *m += 1;
-                            *b += bytes as u64;
-                        }
-                        None => self.tx_classes.push((class, 1, bytes as u64)),
-                    }
-                    let slot = map[node.idx()].1 as usize;
-                    let d = &mut self.tx_node_delta[slot];
-                    if d.0 == 0 {
-                        self.tx_touched.push(slot as u32);
-                    }
-                    d.0 += 1;
-                    d.1 += bytes as u64;
-                }
-                other => self.rare_ops.push(other),
-            }
         }
     }
 }
@@ -477,6 +374,7 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
             radio,
             busy_until,
             rng,
+            slot: idx,
             outbox: &mut self.outbox,
             ops: &mut self.ops,
             counters: &mut self.counters,
@@ -575,9 +473,6 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
         // Hand the (now empty) buffers back for the next window.
         self.tasks = tasks;
         self.window_receivers.clear();
-        // Pre-fold this window's output while still on the parallel
-        // lane, so the serial commit only stitches digests together.
-        self.prefold(map);
     }
 }
 
@@ -593,9 +488,11 @@ pub struct ParCtx<'a, M> {
     radio: &'a RadioConfig,
     busy_until: &'a mut SimTime,
     rng: &'a mut Rng64,
+    /// The dispatched node's slot in its shard.
+    slot: usize,
     outbox: &'a mut Vec<(SimTime, EventKind<M>)>,
     ops: &'a mut Vec<StatOp>,
-    counters: &'a mut Counters,
+    counters: &'a mut ShardCounters,
     scratch: &'a mut Vec<NodeId>,
     raw_scratch: &'a mut Vec<u32>,
     recv_pool: &'a mut Vec<Vec<NodeId>>,
@@ -808,11 +705,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             return false;
         }
         let arrival = self.occupy_radio(bytes);
-        self.ops.push(StatOp::Tx {
-            node: from,
-            class,
-            bytes,
-        });
+        self.counters.add_tx(self.slot, class, bytes);
         if !self.world.alive(to) {
             self.counters.drops_dead += 1;
             return false;
@@ -880,11 +773,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         let attempts = 1 + self.radio.mac_retries;
         for _ in 0..attempts {
             let arrival = self.occupy_radio(bytes);
-            self.ops.push(StatOp::Tx {
-                node: from,
-                class,
-                bytes,
-            });
+            self.counters.add_tx(self.slot, class, bytes);
             if !self.world.alive(to) {
                 self.counters.drops_dead += 1;
                 return false;
@@ -946,11 +835,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             return 0;
         }
         let arrival = self.occupy_radio(bytes);
-        self.ops.push(StatOp::Tx {
-            node: from,
-            class,
-            bytes,
-        });
+        self.counters.add_tx(self.slot, class, bytes);
         let mut receivers = self.recv_pool.pop().unwrap_or_default();
         self.world
             .neighbors_into(from, &mut receivers, self.raw_scratch);
@@ -1075,7 +960,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     /// Records the adaptive refresh controller's current interval (in
     /// base-tick multiples) for the refresh-rate histogram.
     pub fn record_refresh_rate(&mut self, interval_ticks: u32) {
-        self.counters.refresh_rate.push((interval_ticks, 1));
+        self.counters.add_refresh_rate(interval_ticks);
     }
 
     /// Counts `n` soft-state entries dropped by timeout expiry.
@@ -1249,7 +1134,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         &mut self.world
     }
 
-    /// The collected statistics — a pure function of
+    /// The collected statistics, complete after each
+    /// [`ParSimulator::run`] call — a pure function of
     /// `(config, shards, protocol)`, independent of `threads`.
     pub fn stats(&self) -> &Stats {
         &self.stats
@@ -1302,11 +1188,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     /// The configured execution lane count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
-        self.num_shards
     }
 
     /// The shard node `id` was assigned to, or `None` before the first
@@ -1382,6 +1263,9 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 rng: Rng64::new(flow_seed(self.cfg.seed ^ NODE_STREAM_SALT, id.0)),
                 node: proto.make_node(id, &self.world),
             });
+        }
+        for shard in &mut self.shards {
+            shard.counters = ShardCounters::new(shard.slots.len());
         }
     }
 
@@ -1536,44 +1420,26 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
-    /// The deterministic ordered commit, serial half: folds every active
-    /// shard's pre-folded window output into the global queue and
-    /// statistics in shard-index order, then clears the active set.
-    /// Aggregating `Tx` ops into per-class/per-node digests already
-    /// happened shard-parallel in [`Shard::prefold`]; here each outbox is
-    /// pushed onto the queue in dispatch order (so the queue's `seq`
-    /// breaks same-instant ties by shard index, then dispatch order),
-    /// digests apply as plain sums (class interning on first touch,
-    /// preserving replay order), and only the rare order-sensitive ops
-    /// (origins, deliveries) replay individually. Inactive shards hold
+    /// The deterministic ordered commit: in shard-index order, pushes
+    /// every active shard's outbox onto the queue in dispatch order (so
+    /// the queue's `seq` breaks same-instant ties by shard index, then
+    /// dispatch order) and replays its origin and delivery records, then
+    /// merges the trace and clears the active set. Counters stay in the
+    /// shards until [`ParSimulator::run`] returns. Inactive shards hold
     /// no output and are never visited.
     fn commit(&mut self) {
         let shards = &mut self.shards;
         let queue = &mut self.queue;
         let stats = &mut self.stats;
-        let map = self.node_map.as_slice();
         self.active.sort_unstable();
         for &s in &self.active {
             let shard = &mut shards[s as usize];
             shard.active = false;
-            // No-op after drain_shards; covers the serial barrier path,
-            // which runs callbacks without a drain.
-            shard.prefold(map);
             for (time, kind) in shard.outbox.drain(..) {
                 queue.push(time, kind);
             }
-            for &(class, msgs, bytes) in &shard.tx_classes {
-                stats.count_tx_class_bulk(class, msgs, bytes);
-            }
-            shard.tx_classes.clear();
-            for &slot in &shard.tx_touched {
-                let (msgs, bytes) = std::mem::take(&mut shard.tx_node_delta[slot as usize]);
-                stats.count_tx_node_bulk(shard.slots[slot as usize].id, msgs, bytes);
-            }
-            shard.tx_touched.clear();
-            for op in shard.rare_ops.drain(..) {
+            for op in shard.ops.drain(..) {
                 match op {
-                    StatOp::Tx { .. } => unreachable!("Tx ops are pre-folded"),
                     StatOp::OriginFlow {
                         data_id,
                         at,
@@ -1589,7 +1455,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                     } => stats.record_delivery_hops(data_id, node, at, hops),
                 }
             }
-            shard.counters.fold_into(stats);
         }
         if self.trace.mask() != 0 {
             // Merge shard trace buffers deterministically: stable sort by
@@ -1737,9 +1602,10 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     /// of causally independent events shard-parallel and committing each
     /// window deterministically. May be called repeatedly with increasing
     /// horizons; shard construction and node start-up happen on the first
-    /// call. With more than one lane the call starts the lane workers and
-    /// joins them before it returns; a panic on any lane is raised again
-    /// here once every lane has stopped.
+    /// call. Before it returns, every shard's counters are folded into
+    /// [`ParSimulator::stats`]. With more than one lane the call starts the
+    /// lane workers and joins them before it returns; a panic on any lane
+    /// is raised again here once every lane has stopped.
     pub fn run<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P, until: SimTime) {
         let wall_start = Instant::now();
         if self.profile_origin.is_none() {
@@ -1749,6 +1615,10 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         match lane_count(self.threads, self.num_shards) {
             1 => self.run_windows(proto, until, None),
             n => lanes::with_lanes(n, |team| self.run_windows(proto, until, Some(team))),
+        }
+        for shard in &mut self.shards {
+            self.stats
+                .fold(&mut shard.counters, shard.slots.iter().map(|slot| slot.id));
         }
         self.now = until.max(self.now);
         self.sim_secs += self.now.since(entry).as_secs_f64();
@@ -1858,6 +1728,7 @@ mod tests {
     use super::*;
     use crate::mobility::{RandomWaypoint, Stationary};
     use rustc_hash::FxHashSet;
+    use std::collections::BTreeMap;
 
     fn grid_cfg(n_side: u32, seed: u64) -> SimConfig {
         let spacing = 150.0;
@@ -2592,6 +2463,245 @@ mod tests {
             format!("{:?}", sim.stats())
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// What a [`Ledger`] node did, by its own count.
+    #[derive(Default)]
+    struct LedgerNode {
+        /// Per class `(msgs, bytes)` that the engine counts: frames sent
+        /// while the sender was up (a down sender's frames drop
+        /// uncounted).
+        tx: BTreeMap<&'static str, (u64, u64)>,
+        /// Refreshes sent, stale suppressed, refreshes suppressed and
+        /// entries expired, as recorded.
+        soft: [u64; 4],
+        rates: Vec<u32>,
+        /// `(data id, sent at, expected receivers, flow)` per origin.
+        origins: Vec<(u64, SimTime, u64, u32)>,
+        /// Data ids this node recorded a delivery for, once each.
+        delivered: Vec<u64>,
+        seq: u32,
+    }
+
+    impl LedgerNode {
+        fn tally_tx(&mut self, up: bool, class: &'static str, bytes: u64) {
+            if up {
+                let c = self.tx.entry(class).or_default();
+                c.0 += 1;
+                c.1 += bytes;
+            }
+        }
+    }
+
+    /// Transmits on all three send paths and makes every `record_*` call
+    /// at start-up, on each timer and in its fail and recover callbacks;
+    /// each node tallies in its own state what it did. A message carries
+    /// a data id, 0 for none.
+    struct Ledger;
+
+    impl Ledger {
+        fn act(id: NodeId, node: &mut LedgerNode, ctx: &mut ParCtx<'_, u64>) {
+            node.seq += 1;
+            let data_id = (u64::from(id.0) << 32) | u64::from(node.seq);
+            let flow = if node.seq % 2 == 0 {
+                ctx.record_origin(data_id, 2);
+                FLOW_NONE
+            } else {
+                ctx.record_origin_flow(data_id, 2, id.0 % 3, node.seq);
+                id.0 % 3
+            };
+            node.origins.push((data_id, ctx.now(), 2, flow));
+            let up = ctx.is_alive(id);
+            ctx.broadcast(id, "ledger-bcast", 64, data_id);
+            node.tally_tx(up, "ledger-bcast", 64);
+            // The right-hand neighbour, out of range at a row's end.
+            let to = NodeId((id.0 + 1) % ctx.node_count() as u32);
+            ctx.send(id, to, "ledger-uni", 40, 0);
+            node.tally_tx(up, "ledger-uni", 40);
+            ctx.send_reliable(id, to, "ledger-rel", 48, 0);
+            node.tally_tx(up, "ledger-rel", 48);
+            ctx.record_refresh_tx();
+            let ticks = 1 + ctx.rng().range_u64(0, 4) as u32;
+            ctx.record_refresh_rate(ticks);
+            node.rates.push(ticks);
+            let suppressed = ctx.rng().range_u64(0, 3);
+            ctx.record_refresh_suppressed(suppressed);
+            let expired = ctx.rng().range_u64(0, 3);
+            ctx.record_soft_expired(expired);
+            for (sum, n) in node.soft.iter_mut().zip([1, 0, suppressed, expired]) {
+                *sum += n;
+            }
+        }
+
+        fn arm(id: NodeId, ctx: &mut ParCtx<'_, u64>) {
+            ctx.set_timer_jittered(
+                id,
+                SimDuration::from_millis(150),
+                SimDuration::from_millis(100),
+                0,
+            );
+        }
+    }
+
+    impl ParProtocol for Ledger {
+        type Msg = u64;
+        type Node = LedgerNode;
+
+        fn make_node(&self, _id: NodeId, _world: &World) -> LedgerNode {
+            LedgerNode::default()
+        }
+
+        fn on_start(&self, id: NodeId, node: &mut LedgerNode, ctx: &mut ParCtx<'_, u64>) {
+            Self::act(id, node, ctx);
+            Self::arm(id, ctx);
+        }
+
+        fn on_message(
+            &self,
+            id: NodeId,
+            node: &mut LedgerNode,
+            _from: NodeId,
+            data_id: u64,
+            ctx: &mut ParCtx<'_, u64>,
+        ) {
+            if data_id == 0 || node.delivered.contains(&data_id) {
+                ctx.record_stale_suppressed();
+                node.soft[1] += 1;
+            } else {
+                if data_id % 2 == 0 {
+                    ctx.record_delivery(data_id, id);
+                } else {
+                    ctx.record_delivery_hops(data_id, id, 1);
+                }
+                node.delivered.push(data_id);
+            }
+        }
+
+        fn on_timer(
+            &self,
+            id: NodeId,
+            node: &mut LedgerNode,
+            _tag: u64,
+            ctx: &mut ParCtx<'_, u64>,
+        ) {
+            Self::act(id, node, ctx);
+            Self::arm(id, ctx);
+        }
+
+        fn on_fail(&self, id: NodeId, node: &mut LedgerNode, ctx: &mut ParCtx<'_, u64>) {
+            Self::act(id, node, ctx);
+        }
+
+        fn on_recover(&self, id: NodeId, node: &mut LedgerNode, ctx: &mut ParCtx<'_, u64>) {
+            Self::act(id, node, ctx);
+            Self::arm(id, ctx);
+        }
+    }
+
+    /// Holds `sim`'s statistics to the sum of its nodes' own tallies.
+    fn assert_stats_match_ledgers(sim: &ParSimulator<LedgerNode, u64>, at: &str) {
+        let stats = sim.stats();
+        let n = sim.world().len();
+        let mut classes: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        let (mut node_msgs, mut node_bytes) = (vec![0; n], vec![0; n]);
+        let mut soft = [0u64; 4];
+        let mut rates: FxHashMap<u32, u64> = FxHashMap::default();
+        let mut origins = Vec::new();
+        let mut delivered: FxHashMap<u64, usize> = FxHashMap::default();
+        for (id, node) in sim.nodes() {
+            for (&class, &(m, b)) in &node.tx {
+                let c = classes.entry(class).or_default();
+                c.0 += m;
+                c.1 += b;
+                node_msgs[id.idx()] += m;
+                node_bytes[id.idx()] += b;
+            }
+            for (sum, n) in soft.iter_mut().zip(node.soft) {
+                *sum += n;
+            }
+            for &ticks in &node.rates {
+                *rates.entry(ticks).or_default() += 1;
+            }
+            origins.extend_from_slice(&node.origins);
+            for &data_id in &node.delivered {
+                *delivered.entry(data_id).or_default() += 1;
+            }
+        }
+        for (class, &(m, b)) in &classes {
+            assert_eq!(
+                (stats.msgs(class), stats.bytes(class)),
+                (m, b),
+                "{class} {at}"
+            );
+        }
+        let frames: u64 = classes.values().map(|c| c.0).sum();
+        assert_eq!(stats.msgs_where(|_| true), frames, "frames {at}");
+        assert_eq!(stats.node_tx_msgs, node_msgs, "per-node frames {at}");
+        assert_eq!(stats.node_tx_bytes, node_bytes, "per-node bytes {at}");
+        let got = [
+            stats.soft_refresh_msgs,
+            stats.soft_stale_suppressed,
+            stats.soft_refresh_suppressed,
+            stats.soft_expired,
+        ];
+        assert_eq!(got, soft, "soft-state counters {at}");
+        assert_eq!(stats.refresh_rate_hist, rates, "refresh rates {at}");
+        origins.sort_unstable_by_key(|o| o.0);
+        let rows: Vec<_> = origins
+            .iter()
+            .map(|&(data_id, sent, expected, _)| {
+                let got = delivered.get(&data_id).copied().unwrap_or(0);
+                (data_id, sent, expected, got)
+            })
+            .collect();
+        assert_eq!(stats.origin_rows(), rows, "origins {at}");
+        let deliveries = delivered.values().sum::<usize>() as u64;
+        assert_eq!(stats.latency_hist().count(), deliveries, "deliveries {at}");
+        for flow in 0..3 {
+            let sent = origins.iter().filter(|o| o.3 == flow).count() as u64;
+            let got = stats.flows().get(flow).map_or(0, |f| f.sent);
+            assert_eq!(got, sent, "flow {flow} {at}");
+        }
+    }
+
+    #[test]
+    fn stats_equal_the_protocols_own_tally_after_every_run() {
+        // Counters stay in the shards during a run and are folded into
+        // `Stats` when `run` returns: each call must fold everything it
+        // counted, boot window and barrier callbacks included, exactly
+        // once.
+        let mut rendered = Vec::new();
+        for threads in [1, 2] {
+            let mut cfg = grid_cfg(6, 19);
+            cfg.radio.loss_prob = 0.1;
+            // One attempt per reliable send, so every counted frame is
+            // one the protocol sees itself make.
+            cfg.radio.mac_retries = 0;
+            let mut sim: ParSimulator<LedgerNode, u64> =
+                ParSimulator::new(cfg, Box::new(Stationary), 8, threads);
+            place_grid(&mut sim, 6);
+            sim.inject_plan(
+                &FaultPlan::new()
+                    .fail(SimTime(1_300_017), NodeId(14))
+                    .recover(SimTime(2_600_003), NodeId(14)),
+            );
+            for until_ms in [0, 1_000, 2_000, 3_000, 4_000] {
+                sim.run(&Ledger, SimTime::from_millis(until_ms));
+                assert_stats_match_ledgers(&sim, &format!("at {until_ms} ms, threads={threads}"));
+            }
+            let stats = sim.stats();
+            assert!(stats.msgs("ledger-rel") > 0 && stats.latency_hist().count() > 0);
+            assert!(
+                stats.drops_dead > 0,
+                "the failed node's own frames were not dropped"
+            );
+            assert!(stats.refresh_rate_hist.len() > 1);
+            rendered.push(format!("{stats:?}"));
+        }
+        assert_eq!(
+            rendered[0], rendered[1],
+            "threads=2 diverged from threads=1"
+        );
     }
 
     #[test]

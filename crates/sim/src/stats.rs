@@ -2,10 +2,9 @@
 //!
 //! Every quantity the experiments report is collected here:
 //!
-//! * per-class message/byte counters (control overhead, experiment F5/C4),
-//!   backed by **interned class ids** — the hot path indexes a dense slot
-//!   vector; the only hashing left per transmission is a two-word
-//!   `(pointer, length)` key, never the class string's bytes,
+//! * per-class message/byte counters (control overhead, experiment F5/C4)
+//!   in one table keyed and ordered by class name, so labels with equal
+//!   text share a row,
 //! * per-node transmission counters (load balancing, experiment C3),
 //! * delivery accounting for data packets (delivery ratio and latency,
 //!   experiments F6/C1), with latency held in a fixed-bucket log-scale
@@ -17,6 +16,12 @@
 //!   drops the per-origin receiver lists entirely, so heavy traffic runs
 //!   cost O(flows + packets) counters instead of O(deliveries) records.
 //!
+//! During a run the engine keeps every counter where the handlers run,
+//! in one `ShardCounters` per shard (defined here, beside the fields it
+//! feeds), and [`crate::ParSimulator::run`] folds each shard's counts
+//! into [`Stats`] once, when it returns. A transmission costs one class
+//! lookup in a short list and one slot add on the lane that made it.
+//!
 //! Fairness indices (Jain, max/mean, Gini) are free functions over plain
 //! slices so the harness can compute them for arbitrary node subsets (e.g.
 //! cluster heads only).
@@ -25,18 +30,7 @@ use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 use hvdb_traffic::{FlowSet, LogHist, FLOW_NONE};
 use rustc_hash::FxHashMap;
-
-/// A pre-resolved per-class counter slot index (see [`Stats::class_id`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassId(u32);
-
-/// One interned class's counters.
-#[derive(Debug, Clone, PartialEq)]
-struct ClassSlot {
-    name: &'static str,
-    msgs: u64,
-    bytes: u64,
-}
+use std::collections::BTreeMap;
 
 /// One originated data packet's bookkeeping. In compact mode the
 /// per-receiver list stays empty and dedup is delegated to the protocol
@@ -59,15 +53,8 @@ struct Origin {
 /// Simulation-wide measurement state.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stats {
-    /// Interned per-class counters, in first-use order (deterministic for
-    /// a deterministic run).
-    class_slots: Vec<ClassSlot>,
-    /// `(pointer, length)` of the `&'static str` label → slot index. The
-    /// same literal always has the same address, so a relayed frame's
-    /// class resolves without hashing the string content; distinct
-    /// literals with equal text get separate slots and are merged by the
-    /// name-keyed accessors.
-    class_index: FxHashMap<(usize, usize), u32>,
+    /// Per-class `(msgs, bytes)` transmitted, keyed by class name.
+    classes: BTreeMap<&'static str, (u64, u64)>,
     /// Per-node transmitted message count (senders and forwarders).
     pub node_tx_msgs: Vec<u64>,
     /// Per-node transmitted bytes.
@@ -154,64 +141,6 @@ impl Stats {
     /// before the run starts.
     pub fn set_compact_delivery(&mut self, compact: bool) {
         self.compact_delivery = compact;
-    }
-
-    /// Resolves (interning on first use) the dense counter slot for a
-    /// class label. The key is the label's `(address, length)`, so
-    /// resolution never hashes the string content. Instrumentation that
-    /// counts one class many times can resolve once and use
-    /// [`Stats::count_tx_id`] directly; the engine's send paths go
-    /// through [`Stats::count_tx`], whose per-transmission cost is this
-    /// two-word lookup.
-    pub fn class_id(&mut self, class: &'static str) -> ClassId {
-        let key = (class.as_ptr() as usize, class.len());
-        if let Some(&i) = self.class_index.get(&key) {
-            return ClassId(i);
-        }
-        let i = self.class_slots.len() as u32;
-        self.class_slots.push(ClassSlot {
-            name: class,
-            msgs: 0,
-            bytes: 0,
-        });
-        self.class_index.insert(key, i);
-        ClassId(i)
-    }
-
-    /// Records one transmission by `node` of `bytes` bytes in `class`.
-    pub fn count_tx(&mut self, node: NodeId, class: &'static str, bytes: usize) {
-        let id = self.class_id(class);
-        self.count_tx_id(node, id, bytes);
-    }
-
-    /// [`Stats::count_tx`] with a pre-resolved class id: a direct slot
-    /// index, no hashing at all.
-    pub fn count_tx_id(&mut self, node: NodeId, id: ClassId, bytes: usize) {
-        let slot = &mut self.class_slots[id.0 as usize];
-        slot.msgs += 1;
-        slot.bytes += bytes as u64;
-        self.node_tx_msgs[node.idx()] += 1;
-        self.node_tx_bytes[node.idx()] += bytes as u64;
-    }
-
-    /// Applies a pre-aggregated per-class transmission delta: `msgs`
-    /// transmissions totalling `bytes` in `class`, interning the class on
-    /// first use exactly like an equivalent [`Stats::count_tx`] sequence
-    /// would (so digest application preserves the class-slot order of a
-    /// one-by-one replay). The parallel engine's commit uses this with
-    /// each active shard's digest, shards in shard-index order.
-    pub fn count_tx_class_bulk(&mut self, class: &'static str, msgs: u64, bytes: u64) {
-        let id = self.class_id(class);
-        let slot = &mut self.class_slots[id.0 as usize];
-        slot.msgs += msgs;
-        slot.bytes += bytes;
-    }
-
-    /// Applies a pre-aggregated per-node transmission delta (the per-node
-    /// half of what [`Stats::count_tx`] records). Commutative plain sums.
-    pub fn count_tx_node_bulk(&mut self, node: NodeId, msgs: u64, bytes: u64) {
-        self.node_tx_msgs[node.idx()] += msgs;
-        self.node_tx_bytes[node.idx()] += bytes;
     }
 
     /// Registers an originated data packet `id` expecting delivery to
@@ -356,30 +285,165 @@ impl Stats {
 
     /// Total bytes across message classes matching `pred`.
     pub fn bytes_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        self.class_slots
+        self.classes
             .iter()
-            .filter(|s| pred(s.name))
-            .map(|s| s.bytes)
+            .filter(|(name, _)| pred(name))
+            .map(|(_, c)| c.1)
             .sum()
     }
 
     /// Total messages across classes matching `pred`.
     pub fn msgs_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        self.class_slots
+        self.classes
             .iter()
-            .filter(|s| pred(s.name))
-            .map(|s| s.msgs)
+            .filter(|(name, _)| pred(name))
+            .map(|(_, c)| c.0)
             .sum()
     }
 
     /// Message count for one class.
     pub fn msgs(&self, class: &str) -> u64 {
-        self.msgs_where(|c| c == class)
+        self.classes.get(class).map_or(0, |c| c.0)
     }
 
     /// Byte count for one class.
     pub fn bytes(&self, class: &str) -> u64 {
-        self.bytes_where(|c| c == class)
+        self.classes.get(class).map_or(0, |c| c.1)
+    }
+
+    /// Adds one shard's counts into these statistics and zeroes them, so
+    /// a later fold adds only what was counted after this one. `slots`
+    /// names the shard's nodes in slot order. Every counter is a plain
+    /// sum and classes merge by name, so the order shards fold in is
+    /// invisible.
+    pub(crate) fn fold(
+        &mut self,
+        shard: &mut ShardCounters,
+        slots: impl IntoIterator<Item = NodeId>,
+    ) {
+        let ShardCounters {
+            classes,
+            node_tx,
+            events_processed,
+            frames_shared,
+            drops_out_of_range,
+            drops_loss,
+            drops_dead,
+            drops_retry_exhausted,
+            drops_queue_full,
+            drops_partitioned,
+            byzantine_dropped,
+            byzantine_replayed,
+            soft_refresh_msgs,
+            soft_refresh_suppressed,
+            soft_stale_suppressed,
+            soft_expired,
+            refresh_rate,
+        } = shard;
+        for (class, msgs, bytes) in classes.drain(..) {
+            let c = self.classes.entry(class).or_default();
+            c.0 += msgs;
+            c.1 += bytes;
+        }
+        for (id, (msgs, bytes)) in slots.into_iter().zip(node_tx.iter_mut()) {
+            self.node_tx_msgs[id.idx()] += std::mem::take(msgs);
+            self.node_tx_bytes[id.idx()] += std::mem::take(bytes);
+        }
+        for (sum, part) in [
+            (&mut self.events_processed, events_processed),
+            (&mut self.frames_shared, frames_shared),
+            (&mut self.drops_out_of_range, drops_out_of_range),
+            (&mut self.drops_loss, drops_loss),
+            (&mut self.drops_dead, drops_dead),
+            (&mut self.drops_retry_exhausted, drops_retry_exhausted),
+            (&mut self.drops_queue_full, drops_queue_full),
+            (&mut self.drops_partitioned, drops_partitioned),
+            (&mut self.byzantine_dropped, byzantine_dropped),
+            (&mut self.byzantine_replayed, byzantine_replayed),
+            (&mut self.soft_refresh_msgs, soft_refresh_msgs),
+            (&mut self.soft_refresh_suppressed, soft_refresh_suppressed),
+            (&mut self.soft_stale_suppressed, soft_stale_suppressed),
+            (&mut self.soft_expired, soft_expired),
+        ] {
+            *sum += std::mem::take(part);
+        }
+        for (ticks, n) in refresh_rate.drain(..) {
+            *self.refresh_rate_hist.entry(ticks).or_insert(0) += n;
+        }
+    }
+}
+
+/// One engine shard's counts for the current `run` call: what its
+/// handlers transmitted, dropped, dispatched and reported about soft
+/// state. A lane writes only its own shards' counts, so counting takes
+/// no lock. [`Stats::fold`] adds them into the run's statistics when
+/// `run` returns. The scalar fields mirror the [`Stats`] fields of the
+/// same name.
+#[derive(Debug, Default)]
+pub(crate) struct ShardCounters {
+    /// Per-class `(label, msgs, bytes)` in first-use order, found by
+    /// label identity (address and length): a handful of classes exist,
+    /// so a linear scan beats hashing the text.
+    classes: Vec<(&'static str, u64, u64)>,
+    /// Per-slot `(msgs, bytes)` transmitted, indexed like the shard's
+    /// slots.
+    node_tx: Vec<(u64, u64)>,
+    pub(crate) events_processed: u64,
+    pub(crate) frames_shared: u64,
+    pub(crate) drops_out_of_range: u64,
+    pub(crate) drops_loss: u64,
+    pub(crate) drops_dead: u64,
+    pub(crate) drops_retry_exhausted: u64,
+    pub(crate) drops_queue_full: u64,
+    pub(crate) drops_partitioned: u64,
+    pub(crate) byzantine_dropped: u64,
+    pub(crate) byzantine_replayed: u64,
+    pub(crate) soft_refresh_msgs: u64,
+    pub(crate) soft_refresh_suppressed: u64,
+    pub(crate) soft_stale_suppressed: u64,
+    pub(crate) soft_expired: u64,
+    /// `(interval ticks, fired refreshes)`, one entry per interval seen.
+    refresh_rate: Vec<(u32, u64)>,
+}
+
+impl ShardCounters {
+    /// Zeroed counts for a shard of `slots` nodes.
+    pub(crate) fn new(slots: usize) -> Self {
+        ShardCounters {
+            node_tx: vec![(0, 0); slots],
+            ..Default::default()
+        }
+    }
+
+    /// Counts one transmission of `bytes` bytes in `class` by the node in
+    /// slot `slot`.
+    #[inline]
+    pub(crate) fn add_tx(&mut self, slot: usize, class: &'static str, bytes: usize) {
+        let bytes = bytes as u64;
+        // On `&str`, `ptr::eq` compares both address and length.
+        match self
+            .classes
+            .iter_mut()
+            .find(|(c, _, _)| std::ptr::eq(*c, class))
+        {
+            Some((_, msgs, b)) => {
+                *msgs += 1;
+                *b += bytes;
+            }
+            None => self.classes.push((class, 1, bytes)),
+        }
+        let tx = &mut self.node_tx[slot];
+        tx.0 += 1;
+        tx.1 += bytes;
+    }
+
+    /// Counts one fired refresh whose store ran at an interval of `ticks`
+    /// base ticks.
+    pub(crate) fn add_refresh_rate(&mut self, ticks: u32) {
+        match self.refresh_rate.iter_mut().find(|(t, _)| *t == ticks) {
+            Some((_, n)) => *n += 1,
+            None => self.refresh_rate.push((ticks, 1)),
+        }
     }
 }
 
@@ -455,9 +519,11 @@ mod tests {
     #[test]
     fn tx_counting_accumulates_per_class_and_node() {
         let mut s = Stats::new(3);
-        s.count_tx(NodeId(0), "beacon", 100);
-        s.count_tx(NodeId(0), "beacon", 100);
-        s.count_tx(NodeId(2), "data", 1000);
+        let mut shard = ShardCounters::new(3);
+        shard.add_tx(0, "beacon", 100);
+        shard.add_tx(0, "beacon", 100);
+        shard.add_tx(2, "data", 1000);
+        s.fold(&mut shard, (0..3).map(NodeId));
         assert_eq!(s.msgs("beacon"), 2);
         assert_eq!(s.bytes("beacon"), 200);
         assert_eq!(s.msgs("data"), 1);
@@ -469,48 +535,17 @@ mod tests {
     }
 
     #[test]
-    fn class_ids_are_stable_and_direct() {
-        let mut s = Stats::new(1);
-        let beacon = s.class_id("beacon");
-        let data = s.class_id("data");
-        assert_ne!(beacon, data);
-        assert_eq!(s.class_id("beacon"), beacon);
-        s.count_tx_id(NodeId(0), beacon, 50);
-        s.count_tx_id(NodeId(0), beacon, 50);
-        s.count_tx_id(NodeId(0), data, 10);
-        assert_eq!(s.msgs("beacon"), 2);
-        assert_eq!(s.bytes("beacon"), 100);
-        assert_eq!(s.bytes("data"), 10);
-    }
-
-    #[test]
-    fn bulk_deltas_match_one_by_one_replay() {
-        // The parallel commit's digest application must be
-        // indistinguishable from replaying each Tx individually —
-        // including the interning order of classes first seen mid-digest.
-        let mut one_by_one = Stats::new(3);
-        one_by_one.count_tx(NodeId(1), "beacon", 100);
-        one_by_one.count_tx(NodeId(1), "beacon", 100);
-        one_by_one.count_tx(NodeId(2), "data", 1000);
-        one_by_one.count_tx(NodeId(1), "data", 50);
-        let mut bulk = Stats::new(3);
-        bulk.count_tx_class_bulk("beacon", 2, 200);
-        bulk.count_tx_class_bulk("data", 2, 1050);
-        bulk.count_tx_node_bulk(NodeId(1), 3, 250);
-        bulk.count_tx_node_bulk(NodeId(2), 1, 1000);
-        assert_eq!(format!("{one_by_one:?}"), format!("{bulk:?}"));
-    }
-
-    #[test]
     fn duplicate_literals_from_distinct_addresses_merge_by_name() {
-        // Force two distinct 'static strings with equal text: the name-
-        // keyed accessors must merge their slots.
+        // Force two distinct 'static strings with equal text: the shard
+        // counts them apart, the fold merges them by name.
         let a: &'static str = Box::leak("dup-class".to_string().into_boxed_str());
         let b: &'static str = Box::leak("dup-class".to_string().into_boxed_str());
         assert_ne!(a.as_ptr(), b.as_ptr());
         let mut s = Stats::new(1);
-        s.count_tx(NodeId(0), a, 10);
-        s.count_tx(NodeId(0), b, 20);
+        let mut shard = ShardCounters::new(1);
+        shard.add_tx(0, a, 10);
+        shard.add_tx(0, b, 20);
+        s.fold(&mut shard, [NodeId(0)]);
         assert_eq!(s.msgs("dup-class"), 2);
         assert_eq!(s.bytes("dup-class"), 30);
     }
