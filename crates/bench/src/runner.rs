@@ -64,7 +64,8 @@ pub fn run_one(proto: Proto, scenario: &Scenario) -> RunMetrics {
 /// when the protocol exposes it (currently HVDB's internal counters).
 #[derive(Debug, Clone, Default)]
 pub struct RunDetail {
-    /// HVDB protocol counters (all zero for baselines).
+    /// HVDB protocol counters (all zero for baselines): the events only
+    /// the protocol sees. Soft-state counts are the engine's, below.
     pub hvdb_counters: hvdb_core::Counters,
     /// Refresh-plane frames transmitted (refresh-originated floods
     /// including their relays; 0 for baselines) — the traffic the
@@ -100,14 +101,23 @@ pub struct RunDetail {
     /// Stale duplicates Byzantine replay nodes put on the air
     /// ([`hvdb_sim::Stats::byzantine_replayed`]).
     pub byzantine_replayed: u64,
-    /// Max/mean per-lane busy-time ratio from the engine's profiler (1.0
-    /// = perfectly balanced lanes, or a single lane). Wall-clock derived:
-    /// report it, never gate on it.
-    pub lane_imbalance: f64,
-    /// The engine's wall-clock phase profile. Non-deterministic;
-    /// serialized via [`profile_json`] into the report's excluded
-    /// `profile` block.
-    pub engine_profile: Option<EngineProfile>,
+    /// Soft-state advertisements originated by refresh timers
+    /// ([`hvdb_sim::Stats::soft_refresh_msgs`]).
+    pub soft_refresh_msgs: u64,
+    /// Refreshes the adaptive controller withheld
+    /// ([`hvdb_sim::Stats::soft_refresh_suppressed`]).
+    pub soft_refresh_suppressed: u64,
+    /// Received soft-state updates suppressed as stale
+    /// ([`hvdb_sim::Stats::soft_stale_suppressed`]).
+    pub soft_stale_suppressed: u64,
+    /// Soft-state entries expired after K missed refreshes
+    /// ([`hvdb_sim::Stats::soft_expired`]).
+    pub soft_expired: u64,
+    /// The engine's wall-clock phase profile, lane imbalance included
+    /// ([`EngineProfile::lane_imbalance`]). Non-deterministic: serialized
+    /// via [`profile_json`] into the report's excluded `profile` block,
+    /// never gated.
+    pub engine_profile: EngineProfile,
 }
 
 /// Histogram-derived delivery profile of one run: the traffic scenario's
@@ -160,7 +170,6 @@ pub fn traffic_profile_of(stats: &hvdb_sim::Stats) -> TrafficProfile {
 /// Protocol counters and the state footprint start empty.
 fn detail_of<N: Send, M: Clone + Send>(sim: &ParSimulator<N, M>) -> RunDetail {
     let stats = sim.stats();
-    let profile = sim.profile();
     RunDetail {
         hvdb_counters: hvdb_core::Counters::default(),
         refresh_frames: stats.msgs_where(is_refresh_class),
@@ -172,8 +181,11 @@ fn detail_of<N: Send, M: Clone + Send>(sim: &ParSimulator<N, M>) -> RunDetail {
         drops_partitioned: stats.drops_partitioned,
         byzantine_dropped: stats.byzantine_dropped,
         byzantine_replayed: stats.byzantine_replayed,
-        lane_imbalance: profile.lane_imbalance(),
-        engine_profile: Some(profile.clone()),
+        soft_refresh_msgs: stats.soft_refresh_msgs,
+        soft_refresh_suppressed: stats.soft_refresh_suppressed,
+        soft_stale_suppressed: stats.soft_stale_suppressed,
+        soft_expired: stats.soft_expired,
+        engine_profile: sim.profile().clone(),
     }
 }
 

@@ -303,7 +303,7 @@ const LOSS_GATES: &[Gate] = &[
 const SCALE_GATES: &[Gate] = &[
     // Thread invariance on the real protocol: HVDB on the sharded engine
     // processes exactly the threads=1 event count at every worker count.
-    Rows::new("engine-threads", &["hvdb-par"], Baseline("threads", 1.0))
+    Rows::new("engine-threads", &["hvdb"], Baseline("threads", 1.0))
         .check("events_processed", Equal, Apply),
     // The 100k campaign's first enforced milestone: delivery holds at
     // every point from 20000 nodes up (smoke runs stop far below it).
@@ -679,8 +679,7 @@ fn custom_loss(opts: &RunOpts) -> CustomOut {
             ..base.clone()
         };
         let w = if opts.smoke { w.smoke() } else { w };
-        let (m, detail) = run_one_instrumented(Proto::Hvdb, &w.build());
-        (m, detail.hvdb_counters)
+        run_one_instrumented(Proto::Hvdb, &w.build())
     });
     let rows: Vec<Row> = losses
         .iter()
@@ -701,15 +700,15 @@ fn custom_loss(opts: &RunOpts) -> CustomOut {
                     ("control_bytes".into(), m.control_bytes as f64),
                     (
                         "refresh_broadcasts".into(),
-                        mean(runs, |(_, c)| c.refresh_broadcasts as f64),
+                        mean(runs, |(_, d)| d.soft_refresh_msgs as f64),
                     ),
                     (
                         "stale_suppressed".into(),
-                        mean(runs, |(_, c)| c.stale_suppressed as f64),
+                        mean(runs, |(_, d)| d.soft_stale_suppressed as f64),
                     ),
                     (
                         "soft_expired".into(),
-                        mean(runs, |(_, c)| c.soft_expired as f64),
+                        mean(runs, |(_, d)| d.soft_expired as f64),
                     ),
                 ],
             )
@@ -1148,7 +1147,7 @@ fn custom_byzantine(opts: &RunOpts) -> CustomOut {
                     ),
                     (
                         "stale_suppressed".into(),
-                        mean(runs, |(_, d)| d.hvdb_counters.stale_suppressed as f64),
+                        mean(runs, |(_, d)| d.soft_stale_suppressed as f64),
                     ),
                 ],
             )
@@ -1199,11 +1198,11 @@ type ScaleRun = (RunMetrics, RunDetail, f64, usize);
 /// Aggregates one node-count's runs into a `scale` report row. All rows
 /// — small-N, large-N, and engine-threads — share this column
 /// set, so the trajectory gate applies uniformly.
-fn scale_row(sweep: &str, label: String, proto: &str, runs: &[ScaleRun]) -> Row {
+fn scale_row(sweep: &str, label: String, runs: &[ScaleRun]) -> Row {
     Row::new(
         sweep,
         label,
-        proto,
+        Proto::Hvdb.name(),
         vec![
             ("delivery".into(), mean(runs, |(m, ..)| m.delivery)),
             ("delivery_worst".into(), min_of(runs, |(m, ..)| m.delivery)),
@@ -1222,17 +1221,11 @@ fn scale_row(sweep: &str, label: String, proto: &str, runs: &[ScaleRun]) -> Row 
             ),
             (
                 "refresh_suppressed".into(),
-                mean(runs, |(_, d, ..)| d.hvdb_counters.refresh_suppressed as f64),
+                mean(runs, |(_, d, ..)| d.soft_refresh_suppressed as f64),
             ),
             (
                 "memory_per_node_bytes".into(),
                 mean(runs, |(_, d, ..)| d.memory_per_node_bytes),
-            ),
-            (
-                "events_per_sec".into(),
-                mean(runs, |(_, d, ..)| {
-                    d.events_processed as f64 / d.wall_secs.max(1e-9)
-                }),
             ),
             (
                 "events_processed".into(),
@@ -1249,20 +1242,21 @@ fn scale_row(sweep: &str, label: String, proto: &str, runs: &[ScaleRun]) -> Row 
 /// itself scalable). CI re-runs this sweep and compares every row
 /// against the committed `BENCH_scale.json` within a tolerance band.
 ///
-/// Three sub-sweeps:
+/// Every point runs the one HVDB recipe ([`run_one_instrumented`]), so
+/// every row is proto `hvdb`, in three sub-sweeps:
 ///
-/// * `network-size` (proto `hvdb`) — 100–2000 nodes, two seeds each on
-///   one thread, the sweep's small-N trajectory;
-/// * `network-size` (proto `hvdb-par`) — the large-N campaign points
-///   (5000–100000 nodes), one seed each on `multi` threads; delivery at
-///   every point from 20k up is gated at >= 0.99
-///   ([`ScenarioDef::gates`]);
+/// * `network-size`, 100–2000 nodes — two seeds each on one thread, the
+///   sweep's small-N trajectory;
+/// * `network-size`, 5000–100000 nodes — the large-N campaign points,
+///   one seed each on `multi` threads; delivery at every point from 20k
+///   up is gated at >= 0.99 ([`ScenarioDef::gates`]);
+/// * `engine-threads` — HVDB itself at 1 vs N worker threads on the
+///   same workload: `events_processed` must be exactly equal (the
+///   determinism contract on the real protocol, not just the flooding
+///   benchmark).
 ///
-/// Every point runs the one HVDB recipe ([`run_one_instrumented`]).
-/// * `engine-threads` (proto `hvdb-par`) — HVDB itself at 1 vs N worker
-///   threads on the same workload: `events_processed` must be exactly
-///   equal (the determinism contract on the real protocol, not just the
-///   flooding benchmark).
+/// Rows carry no wall-clock metric: the benchmark package
+/// (`benchmark/`) times the engine in isolated runs.
 ///
 /// The engine-threads runs are stepped at a fixed sampling cadence
 /// ([`run_par_hvdb_timeline`]; stepping a deterministic engine does not
@@ -1326,14 +1320,7 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
     let mut rows: Vec<Row> = node_counts
         .iter()
         .zip(&runs)
-        .map(|(nodes, runs)| {
-            scale_row(
-                "network-size",
-                format!("nodes={nodes}"),
-                Proto::Hvdb.name(),
-                runs,
-            )
-        })
+        .map(|(nodes, runs)| scale_row("network-size", format!("nodes={nodes}"), runs))
         .collect();
 
     // Large-N campaign points: one seed each (a 20k-node HVDB run is the
@@ -1346,7 +1333,6 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
         rows.push(scale_row(
             "network-size",
             format!("nodes={nodes}"),
-            "hvdb-par",
             &[(m, detail, secs, nodes)],
         ));
     }
@@ -1382,7 +1368,7 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
                         ],
                         &samples,
                     ));
-                    profile = detail.engine_profile.as_ref().map(profile_json);
+                    profile = Some(profile_json(&detail.engine_profile));
                 }
                 (m, detail, secs, et_nodes)
             })
@@ -1390,7 +1376,6 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
         rows.push(scale_row(
             "engine-threads",
             format!("threads={threads}"),
-            "hvdb-par",
             &runs,
         ));
     }
@@ -1474,9 +1459,9 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
             wall += detail.wall_secs;
             sim_secs += detail.sim_secs;
             delivery += m.delivery;
-            imbalance += detail.lane_imbalance;
+            imbalance += detail.engine_profile.lane_imbalance();
             if threads == multi && seed == seeds[0] {
-                profile = detail.engine_profile.as_ref().map(profile_json);
+                profile = Some(profile_json(&detail.engine_profile));
             }
         }
         rows.push(Row::new(
@@ -1569,11 +1554,11 @@ fn custom_overhead(opts: &RunOpts) -> CustomOut {
                     ),
                     (
                         "refresh_suppressed".into(),
-                        mean(runs, |(_, d, ..)| d.hvdb_counters.refresh_suppressed as f64),
+                        mean(runs, |(_, d, ..)| d.soft_refresh_suppressed as f64),
                     ),
                     (
                         "stale_suppressed".into(),
-                        mean(runs, |(_, d, ..)| d.hvdb_counters.stale_suppressed as f64),
+                        mean(runs, |(_, d, ..)| d.soft_stale_suppressed as f64),
                     ),
                     (
                         "stamp_hints_sent".into(),
@@ -1722,6 +1707,17 @@ fn custom_traffic(opts: &RunOpts) -> CustomOut {
     rows.into()
 }
 
+/// C1c's fault plan: `count` distinct victims drawn from `w`'s seed on
+/// their own stream, failing in ascending id order at mid-traffic-window.
+fn fail_stop_plan(w: &Workload, count: usize) -> FaultPlan {
+    let at = SimTime(w.warmup.0 + w.traffic_window.0 / 2);
+    let mut victims = SimRng::new(w.seed ^ 0xFA11_FA11).sample_indices(w.nodes, count.min(w.nodes));
+    victims.sort_unstable();
+    victims
+        .into_iter()
+        .fold(FaultPlan::new(), |plan, v| plan.fail(at, NodeId(v as u32)))
+}
+
 /// C1: high availability via disjoint logical routes.
 fn custom_c1(opts: &RunOpts) -> CustomOut {
     let mut rows = Vec::new();
@@ -1819,10 +1815,14 @@ fn custom_c1(opts: &RunOpts) -> CustomOut {
     for failures in failure_counts {
         let base = Workload {
             seed: 21,
-            fail_count: failures,
             ..Workload::default()
         };
-        let w = if opts.smoke { base.smoke() } else { base };
+        let (mut w, count) = if opts.smoke {
+            (base.smoke(), failures.min(2))
+        } else {
+            (base, failures)
+        };
+        w.faults = fail_stop_plan(&w, count);
         let (m, detail) = run_one_instrumented(Proto::Hvdb, &w.build());
         let c = detail.hvdb_counters;
         let mut metrics = m.metric_pairs();
@@ -2475,7 +2475,9 @@ fn custom_a1(opts: &RunOpts) -> CustomOut {
 
 #[cfg(test)]
 mod tests {
-    use super::scaled_vc_side;
+    use super::{fail_stop_plan, scaled_vc_side};
+    use crate::workload::Workload;
+    use hvdb_sim::{FaultKind, SimTime};
 
     /// Beyond the historical trajectory points, the derived grid must
     /// keep every VC's diagonal inside the 450 m radio range (a member
@@ -2497,5 +2499,26 @@ mod tests {
         assert_eq!(scaled_vc_side(2000), 12);
         assert_eq!(scaled_vc_side(20000), 44);
         assert_eq!(scaled_vc_side(100000), 92);
+    }
+
+    /// C1c's victims fail together at mid-traffic-window, in ascending id
+    /// order, drawn deterministically from the seed.
+    #[test]
+    fn fail_stop_plan_strikes_mid_window_in_ascending_order() {
+        let w = Workload::default();
+        let plan = fail_stop_plan(&w, 3);
+        assert_eq!(plan.len(), 3);
+        let at = SimTime(w.warmup.0 + w.traffic_window.0 / 2);
+        let mut prev = None;
+        for ev in plan.events() {
+            assert_eq!(ev.at, at, "victims strike mid-window");
+            let FaultKind::Fail(n) = ev.kind else {
+                panic!("a fail-stop plan only fails nodes, got {:?}", ev.kind);
+            };
+            assert!(prev < Some(n), "victims keep ascending-id order");
+            prev = Some(n);
+        }
+        assert_eq!(fail_stop_plan(&w, 3), plan, "plan is seed-deterministic");
+        assert!(fail_stop_plan(&w, 0).is_empty());
     }
 }

@@ -1658,7 +1658,7 @@ mod tests {
             Row::new(
                 "engine-threads",
                 format!("threads={t}"),
-                "hvdb-par",
+                "hvdb",
                 vec![("events_processed".into(), events)],
             )
         };

@@ -92,22 +92,13 @@ pub struct Workload {
     /// Any value produces byte-identical results — the engine's
     /// determinism contract — so this is purely a wall-clock knob.
     pub threads: usize,
-    /// Fail-stop faults injected during the run: this many distinct nodes
-    /// (drawn deterministically from the seed) go down at [`Workload::fail_at`].
-    /// Folded into the scenario's [`FaultPlan`] by [`Workload::build`] —
-    /// kept as a convenience knob so seeded fail-stop sweeps stay
-    /// one-liner-comparable with historical baselines.
-    pub fail_count: usize,
-    /// When the injected failures strike (defaults to mid-traffic-window
-    /// when `fail_count > 0`).
-    pub fail_at: Option<SimTime>,
-    /// Scripted adversary & partition plane ([`hvdb_sim::FaultPlan`]):
-    /// partitions with heal, regional outages, Byzantine nodes and
-    /// clock/position error, appended after any legacy
-    /// `fail_count`/`fail_at` draws. Note the boundary: `churn_events`
-    /// stays separate because membership churn is *protocol input*
-    /// (join/leave requests the protocol must serve), whereas the fault
-    /// plan attacks the *environment* underneath it.
+    /// Scripted fault plane ([`hvdb_sim::FaultPlan`]), the one way to
+    /// script a fault: fail-stop and recovery, partitions with heal,
+    /// regional outages, Byzantine nodes and clock/position error,
+    /// passed to the scenario unchanged. Note the boundary:
+    /// `churn_events` stays separate because membership churn is
+    /// *protocol input* (join/leave requests the protocol must serve),
+    /// whereas the fault plan attacks the *environment* underneath it.
     pub faults: FaultPlan,
 }
 
@@ -135,8 +126,6 @@ impl Default for Workload {
             compact_delivery: false,
             seed: 1,
             threads: 1,
-            fail_count: 0,
-            fail_at: None,
             faults: FaultPlan::new(),
         }
     }
@@ -155,9 +144,8 @@ pub struct Scenario {
     pub traffic: Vec<TrafficItem>,
     /// Scripted membership changes (empty unless an experiment adds some).
     pub group_events: Vec<GroupEvent>,
-    /// The materialised fault plan (legacy fail-stop draws folded in),
-    /// injected verbatim into every protocol's run so fault comparisons
-    /// stay apples-to-apples.
+    /// The fault plan ([`Workload::faults`]), injected verbatim into every
+    /// protocol's run so fault comparisons stay apples-to-apples.
     pub faults: FaultPlan,
     /// Simulation end time.
     pub until: SimTime,
@@ -257,33 +245,13 @@ impl Workload {
             group_events.sort_by_key(|e| (e.at, e.node, e.group.0));
         }
         let until = SimTime(self.warmup.0 + self.traffic_window.0 + self.cooldown.0);
-        // Fault plan: legacy fail-stop draws first (distinct victims from
-        // an independent stream, striking mid-traffic-window unless
-        // scripted otherwise, in ascending node order — the historical
-        // injection order, so pre-plan baselines stay row-comparable),
-        // then any explicitly scripted fault events.
-        let mut faults = FaultPlan::new();
-        if self.fail_count > 0 {
-            let at = self
-                .fail_at
-                .unwrap_or(SimTime(self.warmup.0 + self.traffic_window.0 / 2));
-            let mut frng = SimRng::new(self.seed ^ 0xFA11_FA11);
-            let mut victims = frng.sample_indices(self.nodes, self.fail_count.min(self.nodes));
-            victims.sort_unstable();
-            for idx in victims {
-                faults = faults.fail(at, NodeId(idx as u32));
-            }
-        }
-        for ev in self.faults.events() {
-            faults.push(ev.clone());
-        }
         Scenario {
             sim,
             hvdb,
             members,
             traffic,
             group_events,
-            faults,
+            faults: self.faults.clone(),
             until,
             mobility_kind: self.mobility,
             threads: self.threads,
@@ -306,11 +274,6 @@ impl Workload {
             warmup: SimDuration::from_millis(400),
             traffic_window: SimDuration::from_millis(300),
             cooldown: SimDuration::from_millis(300),
-            fail_count: self.fail_count.min(2),
-            // An explicit fail time from the full-size scenario would land
-            // beyond the shrunk horizon and never fire; fall back to the
-            // derived mid-window default so smoke still exercises faults.
-            fail_at: None,
             ..self.clone()
         }
     }
@@ -530,40 +493,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fail_knobs_fold_into_the_fault_plan() {
-        use hvdb_sim::FaultKind;
-        let w = Workload {
-            fail_count: 3,
-            ..Workload::default()
-        };
-        let s = w.build();
-        assert_eq!(s.faults.len(), 3);
-        let expected_at = SimTime(w.warmup.0 + w.traffic_window.0 / 2);
-        let mut prev = None;
-        for ev in s.faults.events() {
-            assert_eq!(ev.at, expected_at, "legacy draws strike mid-window");
-            match ev.kind {
-                FaultKind::Fail(n) => {
-                    if let Some(p) = prev {
-                        assert!(n > p, "legacy victims keep ascending-id order");
-                    }
-                    prev = Some(n);
-                }
-                ref k => panic!("legacy knobs only produce Fail, got {k:?}"),
-            }
-        }
-        assert_eq!(w.build().faults, s.faults, "plan is seed-deterministic");
-        // Scripted plan events append after the legacy draws.
-        let w2 = Workload {
-            fail_count: 1,
-            faults: FaultPlan::new().heal(SimTime::from_secs(999)),
-            ..Workload::default()
-        };
-        let s2 = w2.build();
-        assert_eq!(s2.faults.len(), 2);
-        assert!(matches!(s2.faults.events()[0].kind, FaultKind::Fail(_)));
-        assert!(matches!(s2.faults.events()[1].kind, FaultKind::Heal));
+    fn scripted_fault_plan_passes_through_unchanged() {
         // Quiet default: an empty plan unless asked for.
         assert!(Workload::default().build().faults.is_empty());
+        let plan = FaultPlan::new()
+            .fail(SimTime::from_secs(130), NodeId(4))
+            .recover(SimTime::from_secs(140), NodeId(4))
+            .heal(SimTime::from_secs(999));
+        let w = Workload {
+            faults: plan.clone(),
+            ..Workload::default()
+        };
+        assert_eq!(w.build().faults, plan);
     }
 }

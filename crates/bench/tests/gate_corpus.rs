@@ -381,7 +381,7 @@ const CASES: &[Case] = &[
         "scale-threads-diverge",
         "scale",
         &[Set(
-            "engine-threads/threads=4/hvdb-par",
+            "engine-threads/threads=4/hvdb",
             "events_processed",
             12923388.5,
         )],
@@ -390,22 +390,22 @@ const CASES: &[Case] = &[
     case(
         "scale-threads-baseline-missing",
         "scale",
-        &[Remove("engine-threads/threads=1/hvdb-par")],
+        &[Remove("engine-threads/threads=1/hvdb")],
         &["engine-threads/"],
     ),
     case(
         "scale-campaign-below-floor",
         "scale",
-        &[Set("network-size/nodes=20000/hvdb-par", "delivery", 0.98)],
+        &[Set("network-size/nodes=20000/hvdb", "delivery", 0.98)],
         &["network-size/"],
     ),
     case(
         "scale-campaign-missing",
         "scale",
         &[
-            Remove("network-size/nodes=20000/hvdb-par"),
-            Remove("network-size/nodes=50000/hvdb-par"),
-            Remove("network-size/nodes=100000/hvdb-par"),
+            Remove("network-size/nodes=20000/hvdb"),
+            Remove("network-size/nodes=50000/hvdb"),
+            Remove("network-size/nodes=100000/hvdb"),
         ],
         &["network-size/"],
     ),
@@ -413,10 +413,7 @@ const CASES: &[Case] = &[
     case(
         "scale-smoke-campaign-skipped",
         "scale",
-        &[
-            Smoke,
-            Set("network-size/nodes=20000/hvdb-par", "delivery", 0.5),
-        ],
+        &[Smoke, Set("network-size/nodes=20000/hvdb", "delivery", 0.5)],
         &[],
     ),
     case(
@@ -425,7 +422,7 @@ const CASES: &[Case] = &[
         &[
             Smoke,
             Set(
-                "engine-threads/threads=4/hvdb-par",
+                "engine-threads/threads=4/hvdb",
                 "events_processed",
                 12923388.5,
             ),

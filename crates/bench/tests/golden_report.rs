@@ -115,8 +115,7 @@ fn par_golden_report(threads: usize) -> String {
 
 /// Row metrics read from the wall clock or the host, which no two runs
 /// share.
-const WALL_CLOCK_METRICS: [&str; 6] = [
-    "events_per_sec",
+const WALL_CLOCK_METRICS: [&str; 5] = [
     "events_per_s",
     "sim_sec_per_wall_sec",
     "wall_ms",

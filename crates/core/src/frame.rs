@@ -106,10 +106,9 @@ impl FrameBytes {
 
 /// Frame-aware sending sugar over the engine context: every method reads
 /// the interned class and wire size off the sealed frame, so call sites
-/// cannot drift out of sync with the payload they transmit.
+/// cannot drift out of sync with the payload they transmit. There is one
+/// unicast and one broadcast, as in the engine.
 pub trait FrameCtx {
-    /// Unicast a sealed frame ([`ParCtx::send`] semantics).
-    fn send_frame(&mut self, from: NodeId, to: NodeId, frame: FrameBytes) -> bool;
     /// Unicast a sealed frame with MAC retries ([`ParCtx::send_reliable`]
     /// semantics).
     fn send_frame_reliable(&mut self, from: NodeId, to: NodeId, frame: FrameBytes) -> bool;
@@ -119,10 +118,6 @@ pub trait FrameCtx {
 }
 
 impl FrameCtx for ParCtx<'_, FrameBytes> {
-    fn send_frame(&mut self, from: NodeId, to: NodeId, frame: FrameBytes) -> bool {
-        self.send(from, to, frame.class(), frame.wire_size(), frame)
-    }
-
     fn send_frame_reliable(&mut self, from: NodeId, to: NodeId, frame: FrameBytes) -> bool {
         self.send_reliable(from, to, frame.class(), frame.wire_size(), frame)
     }

@@ -76,7 +76,12 @@ const TAG_HT: u64 = 6;
 const TAG_REFRESH: u64 = 7;
 const TAG_KIND_MASK: u64 = 0b111;
 
-/// Protocol-level counters (beyond the simulator's byte/message stats).
+/// Protocol-level counters: events only HVDB can see (routing failures,
+/// tree and cube cache use, head-level bookkeeping). Soft-state refresh,
+/// suppression and expiry counts are the engine's: the handlers report
+/// them through `ParCtx::record_*`, and they land in
+/// [`hvdb_sim::Stats`] (`soft_refresh_msgs`, `soft_stale_suppressed`,
+/// `soft_expired`, `soft_refresh_suppressed`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Counters {
     /// Geo packets dropped: TTL exhausted or no next hop.
@@ -105,18 +110,6 @@ pub struct Counters {
     /// Geo packets carrying *data* (mesh/hypercube legs) dropped: TTL
     /// exhausted, no next hop, or no consumer at the target.
     pub geo_stuck_data: u64,
-    /// Control advertisements originated by the soft-state refresh timer
-    /// (periodic re-floods, not content changes).
-    pub refresh_broadcasts: u64,
-    /// Received control updates suppressed as stale (generation not newer
-    /// than the stored entry's).
-    pub stale_suppressed: u64,
-    /// Soft-state entries (member reports, MNT/HT summaries) expired
-    /// after K missed refreshes.
-    pub soft_expired: u64,
-    /// Refresh broadcasts withheld by the adaptive controller (the tick
-    /// fired but the store was quiet and backed off).
-    pub refresh_suppressed: u64,
     /// Stale-stamp conflicts answered with a corrective unicast carrying
     /// the stored entry back to the outranked origin (succession repair:
     /// the new holder advances its clock past its predecessor's stamps
@@ -145,10 +138,6 @@ impl std::ops::AddAssign<&Counters> for Counters {
         self.mesh_branches += o.mesh_branches;
         self.data_bounced += o.data_bounced;
         self.geo_stuck_data += o.geo_stuck_data;
-        self.refresh_broadcasts += o.refresh_broadcasts;
-        self.stale_suppressed += o.stale_suppressed;
-        self.soft_expired += o.soft_expired;
-        self.refresh_suppressed += o.refresh_suppressed;
         self.stamp_hints_sent += o.stamp_hints_sent;
         self.cube_rebuilds += o.cube_rebuilds;
         self.cube_cache_hits += o.cube_cache_hits;
@@ -1104,7 +1093,6 @@ impl HvdbCore {
         // next refresh look stale here and kill its re-flood through us.
         let ht = h.db.my_ht(hid);
         h.db.mt.integrate(&ht);
-        st.counters.soft_expired += pruned as u64;
         ctx.record_soft_expired(pruned as u64);
         let my_vc = h.vc;
         let inner = ChMsg::MntShare {
@@ -1168,7 +1156,6 @@ impl HvdbCore {
         if !fresh.is_fresh() {
             // Duplicate of this flood wave, or an out-of-order straggler:
             // suppressing it is also what terminates the flood.
-            st.counters.stale_suppressed += 1;
             ctx.record_stale_suppressed();
             let stored = h.db.mnt_of.entry(&origin).map(|e| (e.holder, e.gen));
             if let Some((s_holder, s_gen)) = stored {
@@ -1312,7 +1299,6 @@ impl HvdbCore {
             return;
         };
         if !h.db.integrate_ht(ht, holder, gen, now).is_fresh() {
-            st.counters.stale_suppressed += 1;
             ctx.record_stale_suppressed();
             let stored = h.db.ht_of.entry(&origin).map(|e| (e.holder, e.gen));
             if let Some((s_holder, s_gen)) = stored {
@@ -1396,8 +1382,8 @@ impl HvdbCore {
     /// widen their intervals multiplicatively, shedding most of the
     /// refresh overhead; any activity snaps them back so repair latency
     /// stays one fast period. Withheld refreshes are counted
-    /// (`refresh_suppressed`), fired ones feed the refresh-rate
-    /// histogram.
+    /// ([`hvdb_sim::Stats::soft_refresh_suppressed`]), fired ones feed
+    /// the refresh-rate histogram.
     fn on_refresh_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_REFRESH);
         ctx.set_timer_jittered(
@@ -1466,7 +1452,6 @@ impl HvdbCore {
             let cube = &h.cube_cache.as_ref().expect("cube cache just filled").1;
             h.db.should_broadcast(addr.hnid, self.cfg.designation, cube)
         };
-        st.counters.soft_expired += expired;
         ctx.record_soft_expired(expired);
         // (a) Re-announce the designation so members that lost the
         // original ChAnnounce recover within a refresh period.
@@ -1475,10 +1460,8 @@ impl HvdbCore {
             ctx.broadcast_frame(node, frame);
             ctx.record_refresh_tx();
             ctx.record_refresh_rate(rates.0);
-            st.counters.refresh_broadcasts += 1;
         } else {
             ctx.record_refresh_suppressed(1);
-            st.counters.refresh_suppressed += 1;
         }
         // (b) Re-flood our own MNT-Summary (if one was computed yet) with
         // a fresh generation: cube peers that missed the content flood
@@ -1508,11 +1491,9 @@ impl HvdbCore {
                 self.mnt_far_supplement(st, ctx, node, vc, addr.hid, inner);
                 ctx.record_refresh_tx();
                 ctx.record_refresh_rate(rates.1);
-                st.counters.refresh_broadcasts += 1;
             }
         } else if has_own_mnt {
             ctx.record_refresh_suppressed(1);
-            st.counters.refresh_suppressed += 1;
         }
         // (c) The designated CH also re-floods the HT-Summary, repairing
         // the 20 s designation cycle's losses network-wide.
@@ -1520,11 +1501,9 @@ impl HvdbCore {
             if self.broadcast_ht_if_designated(node, st, ctx, true) {
                 ctx.record_refresh_tx();
                 ctx.record_refresh_rate(rates.2);
-                st.counters.refresh_broadcasts += 1;
             }
         } else if designated {
             ctx.record_refresh_suppressed(1);
-            st.counters.refresh_suppressed += 1;
         }
     }
 
@@ -2056,7 +2035,6 @@ impl ParProtocol for HvdbCore {
                 {
                     // A superseded head's late announcement: ignored, so
                     // the member keeps pointing its data at the winner.
-                    st.counters.stale_suppressed += 1;
                     ctx.record_stale_suppressed();
                 }
             }
@@ -2071,7 +2049,6 @@ impl ParProtocol for HvdbCore {
                 if let Role::Head(h) = &mut st.role {
                     let (fresh, changed) = h.db.store_local(from.0, lm, *gen, now);
                     if !fresh.is_fresh() {
-                        st.counters.stale_suppressed += 1;
                         ctx.record_stale_suppressed();
                     } else if changed {
                         h.mnt_version += 1;

@@ -110,17 +110,13 @@ fn quiet_phase_refresh_traffic_drops_at_least_2x() {
     // The saving is visible in the controller's own books, not just the
     // radio's: refreshes were suppressed, and the rate histogram shows
     // time spent at backed-off intervals.
-    assert_eq!(fixed_proto.counters.refresh_suppressed, 0);
-    assert!(adaptive_proto.counters.refresh_suppressed > 0);
+    assert_eq!(fixed_stats.soft_refresh_suppressed, 0);
+    assert!(adaptive_stats.soft_refresh_suppressed > 0);
     assert!(fixed_stats.refresh_rate_hist.keys().all(|t| *t == 1));
     assert!(
         adaptive_stats.refresh_rate_hist.keys().any(|t| *t > 1),
         "adaptive histogram never left the floor rate: {:?}",
         adaptive_stats.refresh_rate_hist
-    );
-    assert_eq!(
-        adaptive_stats.soft_refresh_suppressed, adaptive_proto.counters.refresh_suppressed,
-        "sim and protocol suppression counters must agree"
     );
     // The region-cube cache earns its keep exactly here: once the
     // backbone converges, every refresh tick's designation check (fired
@@ -152,8 +148,8 @@ fn membership_churn_snaps_the_rate_back() {
             join: i % 3 != 2,
         })
         .collect();
-    let (quiet_proto, quiet_stats) = run_variant(true, 120, &members, vec![], vec![]);
-    let (churn_proto, churn_stats) = run_variant(true, 120, &members, vec![], churn);
+    let (_, quiet_stats) = run_variant(true, 120, &members, vec![], vec![]);
+    let (_, churn_stats) = run_variant(true, 120, &members, vec![], churn);
     let quiet = refresh_frames(&quiet_stats);
     let churned = refresh_frames(&churn_stats);
     assert!(
@@ -161,8 +157,8 @@ fn membership_churn_snaps_the_rate_back() {
         "churned run must refresh more ({churned} vs {quiet})"
     );
     assert!(
-        churn_proto.counters.refresh_suppressed > 0,
+        churn_stats.soft_refresh_suppressed > 0,
         "even the churned run has quiet stretches to back off in"
     );
-    assert!(quiet_proto.counters.refresh_suppressed > churn_proto.counters.refresh_suppressed);
+    assert!(quiet_stats.soft_refresh_suppressed > churn_stats.soft_refresh_suppressed);
 }

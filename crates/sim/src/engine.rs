@@ -148,7 +148,7 @@ mod tests {
 
         fn on_start(&self, id: NodeId, _node: &mut PingNode, ctx: &mut ParCtx<'_, &'static str>) {
             if id == NodeId(0) {
-                ctx.send(id, NodeId(1), "ping", 100, "ping");
+                ctx.send_reliable(id, NodeId(1), "ping", 100, "ping");
                 ctx.set_timer(id, SimDuration::from_secs(5), 7);
             }
         }
@@ -164,7 +164,7 @@ mod tests {
             match msg {
                 "ping" => {
                     node.pings_rx += 1;
-                    ctx.send(id, from, "pong", 100, "pong");
+                    ctx.send_reliable(id, from, "pong", 100, "pong");
                 }
                 "pong" => node.pongs_rx += 1,
                 _ => unreachable!(),
@@ -180,7 +180,7 @@ mod tests {
         ) {
             assert_eq!(tag, 7);
             node.timer_fired += 1;
-            ctx.send(id, NodeId(1), "ping", 100, "ping");
+            ctx.send_reliable(id, NodeId(1), "ping", 100, "ping");
         }
     }
 
@@ -243,7 +243,7 @@ mod tests {
         let p: Handlers<Option<SimTime>, &'static str> = Handlers {
             start: |id, _, ctx| {
                 if id == NodeId(0) {
-                    ctx.send(id, NodeId(1), "data", 250, "hello");
+                    ctx.send_reliable(id, NodeId(1), "data", 250, "hello");
                 }
             },
             message: |_, arrival, _, _, ctx| *arrival = Some(ctx.now()),
@@ -354,8 +354,8 @@ mod tests {
         let p: Handlers<Vec<SimTime>, u8> = Handlers {
             start: |id, _, ctx| {
                 if id == NodeId(0) {
-                    ctx.send(id, NodeId(1), "d", 250, 1);
-                    ctx.send(id, NodeId(1), "d", 250, 2);
+                    ctx.send_reliable(id, NodeId(1), "d", 250, 1);
+                    ctx.send_reliable(id, NodeId(1), "d", 250, 2);
                 }
             },
             message: |_, arrivals, _, _, ctx| arrivals.push(ctx.now()),

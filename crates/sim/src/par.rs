@@ -89,8 +89,8 @@ use crate::stats::{ShardCounters, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{self, Trace, TraceConfig, TraceEvent, TraceKind};
 use crate::world::World;
-use hvdb_geo::{Aabb, Point, Vec2};
-use hvdb_traffic::{flow_seed, Rng64, FLOW_NONE};
+use hvdb_geo::{Point, Vec2};
+use hvdb_traffic::{flow_seed, Rng64};
 use rustc_hash::FxHashMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -549,12 +549,6 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         self.world.capability(id)
     }
 
-    /// The deployment area.
-    #[inline]
-    pub fn area(&self) -> Aabb {
-        self.world.area()
-    }
-
     /// The radio range.
     #[inline]
     pub fn radio_range(&self) -> f64 {
@@ -615,14 +609,8 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     }
 
     /// The dispatched node's transmit backlog: queued airtime between now
-    /// and its radio going idle. The traffic plane's pacing signal —
-    /// sources (and the queue cap) read it to decide whether another
-    /// frame still fits.
-    pub fn tx_backlog(&self, node: NodeId) -> SimDuration {
-        debug_assert_eq!(
-            node, self.current,
-            "backlog is only visible for the dispatched node"
-        );
+    /// and its radio going idle, which the interface-queue cap reads.
+    fn tx_backlog(&self) -> SimDuration {
         if *self.busy_until > self.now {
             self.busy_until.since(self.now)
         } else {
@@ -654,9 +642,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     }
 
     fn queue_full(&mut self) -> bool {
-        if self.radio.max_queue > SimDuration::ZERO
-            && self.tx_backlog(self.current) > self.radio.max_queue
-        {
+        if self.radio.max_queue > SimDuration::ZERO && self.tx_backlog() > self.radio.max_queue {
             self.counters.drops_queue_full += 1;
             true
         } else {
@@ -675,79 +661,18 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         end + self.radio.latency + jitter
     }
 
-    /// Unicast transmission: the dispatched node `from` sends `msg`
-    /// (`bytes` bytes on air, class-labelled for overhead accounting) to
-    /// `to`, with loss and jitter drawn from the node's stream. Returns
-    /// `false` if the destination is out of range, across a partition or
-    /// lost, or either endpoint is down — the frame still occupies the
-    /// sender's radio when the sender is up (transmissions are attempted
-    /// blind; the unit disk decides reception).
-    pub fn send(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        class: &'static str,
-        bytes: usize,
-        msg: M,
-    ) -> bool {
-        debug_assert_eq!(
-            from, self.current,
-            "parallel sends must originate at the dispatched node"
-        );
-        if !self.world.alive(from) {
-            self.counters.drops_dead += 1;
-            return false;
-        }
-        if self.byzantine_drops() {
-            return false;
-        }
-        if self.queue_full() {
-            return false;
-        }
-        let arrival = self.occupy_radio(bytes);
-        self.counters.add_tx(self.slot, class, bytes);
-        if !self.world.alive(to) {
-            self.counters.drops_dead += 1;
-            return false;
-        }
-        let dist_sq = self
-            .world
-            .position(from)
-            .distance_sq(self.world.position(to));
-        if dist_sq > self.radio.range * self.radio.range {
-            self.counters.drops_out_of_range += 1;
-            return false;
-        }
-        if !self.world.same_island(from, to) {
-            self.counters.drops_partitioned += 1;
-            return false;
-        }
-        if self.rng.chance(self.radio.loss_prob) {
-            self.counters.drops_loss += 1;
-            return false;
-        }
-        if let Some(delay) = self.replay_delay() {
-            self.counters.byzantine_replayed += 1;
-            self.emit(
-                arrival + delay,
-                EventKind::Deliver {
-                    to,
-                    from,
-                    msg: msg.clone(),
-                },
-            );
-        }
-        self.emit(arrival, EventKind::Deliver { to, from, msg });
-        true
-    }
-
-    /// Unicast with MAC-level retransmissions: like [`ParCtx::send`], but
-    /// a frame lost to the radio loss process is re-attempted up to
-    /// [`RadioConfig::mac_retries`] more times, mirroring the IEEE 802.11
-    /// unicast ACK/retry loop. Every attempt occupies the sender's radio
-    /// and is counted in the statistics, so retries surface as overhead
-    /// and added latency. Out-of-range, partitioned and dead-endpoint
-    /// failures are not retried.
+    /// Unicast transmission with MAC-level retransmissions: the
+    /// dispatched node `from` sends `msg` (`bytes` bytes on air,
+    /// class-labelled for overhead accounting) to `to`, with loss and
+    /// jitter drawn from the node's stream. A frame lost to the radio loss
+    /// process is re-attempted up to [`RadioConfig::mac_retries`] more
+    /// times, mirroring the IEEE 802.11 unicast ACK/retry loop; with
+    /// `mac_retries = 0` it makes a single attempt. Every attempt occupies
+    /// the sender's radio and is counted in the statistics, so retries
+    /// surface as overhead and added latency. Returns `false` if the
+    /// destination is out of range, across a partition or down, the
+    /// sender is down, or every attempt was lost; out-of-range,
+    /// partitioned and dead-endpoint failures are not retried.
     pub fn send_reliable(
         &mut self,
         from: NodeId,
@@ -887,21 +812,9 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         n
     }
 
-    /// Registers an originated data packet for delivery-ratio accounting.
-    pub fn record_origin(&mut self, data_id: u64, expected: u64) {
-        // No trace: only flow-tagged origins emit
-        // [`TraceKind::FlowOrigin`].
-        self.ops.push(StatOp::OriginFlow {
-            data_id,
-            at: self.now,
-            expected,
-            flow: FLOW_NONE,
-            seq: 0,
-        });
-    }
-
-    /// Registers an originated data packet carrying sequence number `seq`
-    /// of traffic-plane flow `flow`.
+    /// Registers an originated data packet for delivery-ratio accounting,
+    /// carrying sequence number `seq` of traffic-plane flow `flow`
+    /// ([`hvdb_traffic::FLOW_NONE`] and 0 for untracked traffic).
     pub fn record_origin_flow(&mut self, data_id: u64, expected: u64, flow: u32, seq: u32) {
         self.ops.push(StatOp::OriginFlow {
             data_id,
@@ -911,18 +824,6 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             seq,
         });
         self.trace(TraceKind::FlowOrigin { flow, seq });
-    }
-
-    /// Records a data-packet delivery at `node`.
-    pub fn record_delivery(&mut self, data_id: u64, node: NodeId) {
-        // No trace: only hop-counted deliveries emit
-        // [`TraceKind::Delivered`].
-        self.ops.push(StatOp::DeliveryHops {
-            data_id,
-            node,
-            at: self.now,
-            hops: 0,
-        });
     }
 
     /// Records a data-packet delivery at `node` after `hops` physical
@@ -1474,6 +1375,16 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         self.active.clear();
     }
 
+    /// Runs a barrier's callback `f` on `node` at the barrier's instant and
+    /// marks the node's shard active, so the barrier's commit pushes what
+    /// the callback sent.
+    fn node_callback(&mut self, node: NodeId, f: impl FnOnce(NodeId, &mut N, &mut ParCtx<'_, M>)) {
+        let (s, i) = self.node_map[node.idx()];
+        let shard = &mut self.shards[s as usize];
+        shard.mark_active(s as usize, &mut self.active);
+        shard.with_slot(i as usize, self.now, &self.world, &self.cfg.radio, f);
+    }
+
     /// Processes one barrier event serially with full `&mut World`
     /// access, then commits any callback output immediately.
     fn barrier<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P, ev: Scheduled<M>) {
@@ -1491,32 +1402,17 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                     FaultKind::Fail(node) => {
                         self.trace.record(self.now, node, TraceKind::NodeFailed);
                         self.world.set_alive(node, false);
-                        let (s, i) = self.node_map[node.idx()];
-                        let shard = &mut self.shards[s as usize];
-                        shard.mark_active(s as usize, &mut self.active);
-                        shard.with_slot(
-                            i as usize,
-                            self.now,
-                            &self.world,
-                            &self.cfg.radio,
-                            |id, n, ctx| proto.on_fail(id, n, ctx),
-                        );
+                        self.node_callback(node, |id, n, ctx| proto.on_fail(id, n, ctx));
                         self.commit();
                     }
                     FaultKind::Recover(node) => {
                         self.trace.record(self.now, node, TraceKind::NodeRecovered);
                         self.world.set_alive(node, true);
-                        let (s, i) = self.node_map[node.idx()];
-                        let shard = &mut self.shards[s as usize];
-                        shard.mark_active(s as usize, &mut self.active);
-                        shard.slots[i as usize].busy_until = self.now;
-                        shard.with_slot(
-                            i as usize,
-                            self.now,
-                            &self.world,
-                            &self.cfg.radio,
-                            |id, n, ctx| proto.on_recover(id, n, ctx),
-                        );
+                        self.node_callback(node, |id, n, ctx| {
+                            // The recovered radio starts idle.
+                            *ctx.busy_until = ctx.now;
+                            proto.on_recover(id, n, ctx)
+                        });
                         self.commit();
                     }
                     FaultKind::Partition(groups) => {
@@ -1550,16 +1446,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                         );
                         for node in victims {
                             self.world.set_alive(node, false);
-                            let (s, i) = self.node_map[node.idx()];
-                            let shard = &mut self.shards[s as usize];
-                            shard.mark_active(s as usize, &mut self.active);
-                            shard.with_slot(
-                                i as usize,
-                                self.now,
-                                &self.world,
-                                &self.cfg.radio,
-                                |id, n, ctx| proto.on_fail(id, n, ctx),
-                            );
+                            self.node_callback(node, |id, n, ctx| proto.on_fail(id, n, ctx));
                         }
                         self.commit();
                     }
@@ -1727,6 +1614,8 @@ fn lane_count(threads: usize, shards: usize) -> usize {
 mod tests {
     use super::*;
     use crate::mobility::{RandomWaypoint, Stationary};
+    use hvdb_geo::Aabb;
+    use hvdb_traffic::FLOW_NONE;
     use rustc_hash::FxHashSet;
     use std::collections::BTreeMap;
 
@@ -2252,7 +2141,7 @@ mod tests {
 
         fn on_start(&self, id: NodeId, _node: &mut OneShotNode, ctx: &mut ParCtx<'_, u8>) {
             if id == NodeId(0) {
-                ctx.send(id, NodeId(1), "one-shot", 100, 1);
+                ctx.send_reliable(id, NodeId(1), "one-shot", 100, 1);
             }
         }
 
@@ -2493,10 +2382,11 @@ mod tests {
         }
     }
 
-    /// Transmits on all three send paths and makes every `record_*` call
-    /// at start-up, on each timer and in its fail and recover callbacks;
-    /// each node tallies in its own state what it did. A message carries
-    /// a data id, 0 for none.
+    /// Transmits on both send paths (two unicast classes and a broadcast)
+    /// and makes every `record_*` call, with and without a flow and a hop
+    /// count, at start-up, on each timer and in its fail and recover
+    /// callbacks; each node tallies in its own state what it did. A
+    /// message carries a data id, 0 for none.
     struct Ledger;
 
     impl Ledger {
@@ -2504,7 +2394,7 @@ mod tests {
             node.seq += 1;
             let data_id = (u64::from(id.0) << 32) | u64::from(node.seq);
             let flow = if node.seq % 2 == 0 {
-                ctx.record_origin(data_id, 2);
+                ctx.record_origin_flow(data_id, 2, FLOW_NONE, 0);
                 FLOW_NONE
             } else {
                 ctx.record_origin_flow(data_id, 2, id.0 % 3, node.seq);
@@ -2516,7 +2406,7 @@ mod tests {
             node.tally_tx(up, "ledger-bcast", 64);
             // The right-hand neighbour, out of range at a row's end.
             let to = NodeId((id.0 + 1) % ctx.node_count() as u32);
-            ctx.send(id, to, "ledger-uni", 40, 0);
+            ctx.send_reliable(id, to, "ledger-uni", 40, 0);
             node.tally_tx(up, "ledger-uni", 40);
             ctx.send_reliable(id, to, "ledger-rel", 48, 0);
             node.tally_tx(up, "ledger-rel", 48);
@@ -2569,7 +2459,7 @@ mod tests {
                 node.soft[1] += 1;
             } else {
                 if data_id % 2 == 0 {
-                    ctx.record_delivery(data_id, id);
+                    ctx.record_delivery_hops(data_id, id, 0);
                 } else {
                     ctx.record_delivery_hops(data_id, id, 1);
                 }

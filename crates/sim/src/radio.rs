@@ -30,11 +30,12 @@ pub struct RadioConfig {
     pub jitter: SimDuration,
     /// Independent frame-loss probability per receiver.
     pub loss_prob: f64,
-    /// MAC-level retransmissions for *unicast* frames sent through
-    /// [`crate::ParCtx::send_reliable`]: up to `mac_retries` extra
+    /// MAC-level retransmissions for *unicast* frames, all of which go
+    /// through [`crate::ParCtx::send_reliable`]: up to `mac_retries` extra
     /// attempts after a lost frame, mirroring the IEEE 802.11 ACK/retry
     /// loop (broadcast frames have no MAC recovery, as in the real MAC).
-    /// Every attempt occupies the radio and is counted as overhead.
+    /// 0 makes every unicast a single attempt. Every attempt occupies the
+    /// radio and is counted as overhead.
     pub mac_retries: u32,
     /// Transmit-queue cap (send-queue pacing): a send attempted while the
     /// node's radio already holds more than this much queued airtime is

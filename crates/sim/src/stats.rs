@@ -28,7 +28,7 @@
 
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
-use hvdb_traffic::{FlowSet, LogHist, FLOW_NONE};
+use hvdb_traffic::{FlowSet, LogHist};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 
@@ -40,7 +40,8 @@ use std::collections::BTreeMap;
 struct Origin {
     at: SimTime,
     expected: u64,
-    /// Traffic-plane flow id, [`FLOW_NONE`] for untracked traffic.
+    /// Traffic-plane flow id, [`FLOW_NONE`](hvdb_traffic::FLOW_NONE) for
+    /// untracked traffic.
     flow: u32,
     /// Per-flow sequence number (reorder accounting; 0 when untracked).
     seq: u32,
@@ -144,15 +145,11 @@ impl Stats {
     }
 
     /// Registers an originated data packet `id` expecting delivery to
-    /// `expected` distinct receivers.
-    pub fn record_origin(&mut self, id: u64, at: SimTime, expected: u64) {
-        self.record_origin_flow(id, at, expected, FLOW_NONE, 0);
-    }
-
-    /// Registers an originated data packet carrying sequence number
-    /// `seq` of traffic-plane flow `flow`: deliveries feed the flow's
+    /// `expected` distinct receivers, carrying sequence number `seq` of
+    /// traffic-plane flow `flow`: deliveries feed the flow's
     /// latency/jitter/hop/reorder accounting in addition to the global
-    /// histograms.
+    /// histograms. Untracked traffic passes [`hvdb_traffic::FLOW_NONE`]
+    /// and touches no flow.
     pub fn record_origin_flow(&mut self, id: u64, at: SimTime, expected: u64, flow: u32, seq: u32) {
         self.flows.record_send(flow);
         self.origins.insert(
@@ -168,16 +165,11 @@ impl Stats {
         );
     }
 
-    /// Records a delivery of packet `id` at `node`. In detail mode,
+    /// Records a delivery of packet `id` at `node` after `hops` physical
+    /// hops, which feed the flow's hop histogram. In detail mode,
     /// duplicate deliveries to the same node are ignored (multicast may
     /// reach a node twice; the ratio counts distinct receivers); in
     /// compact mode dedup is the protocol's job. Unknown ids are ignored.
-    pub fn record_delivery(&mut self, id: u64, node: NodeId, at: SimTime) {
-        self.record_delivery_hops(id, node, at, 0);
-    }
-
-    /// [`Stats::record_delivery`] carrying the physical hop count the
-    /// packet traversed, recorded into the flow's hop histogram.
     pub fn record_delivery_hops(&mut self, id: u64, node: NodeId, at: SimTime, hops: u32) {
         let Some(o) = self.origins.get_mut(&id) else {
             return;
@@ -515,6 +507,7 @@ pub fn gini(load: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hvdb_traffic::FLOW_NONE;
 
     #[test]
     fn tx_counting_accumulates_per_class_and_node() {
@@ -553,14 +546,14 @@ mod tests {
     #[test]
     fn delivery_ratio_counts_distinct_receivers() {
         let mut s = Stats::new(4);
-        s.record_origin(1, SimTime::ZERO, 2);
-        s.record_delivery(1, NodeId(1), SimTime::from_millis(10));
-        s.record_delivery(1, NodeId(1), SimTime::from_millis(12)); // dup
+        s.record_origin_flow(1, SimTime::ZERO, 2, FLOW_NONE, 0);
+        s.record_delivery_hops(1, NodeId(1), SimTime::from_millis(10), 0);
+        s.record_delivery_hops(1, NodeId(1), SimTime::from_millis(12), 0); // dup
         assert_eq!(s.delivery_ratio(), 0.5);
-        s.record_delivery(1, NodeId(2), SimTime::from_millis(15));
+        s.record_delivery_hops(1, NodeId(2), SimTime::from_millis(15), 0);
         assert_eq!(s.delivery_ratio(), 1.0);
         // Unknown packet id: ignored.
-        s.record_delivery(99, NodeId(3), SimTime::from_millis(1));
+        s.record_delivery_hops(99, NodeId(3), SimTime::from_millis(1), 0);
         assert_eq!(s.delivery_ratio(), 1.0);
         assert_eq!(s.receivers_of(1), vec![NodeId(1), NodeId(2)]);
     }
@@ -568,9 +561,9 @@ mod tests {
     #[test]
     fn over_delivery_does_not_exceed_one() {
         let mut s = Stats::new(4);
-        s.record_origin(1, SimTime::ZERO, 1);
-        s.record_delivery(1, NodeId(1), SimTime::from_millis(1));
-        s.record_delivery(1, NodeId(2), SimTime::from_millis(2));
+        s.record_origin_flow(1, SimTime::ZERO, 1, FLOW_NONE, 0);
+        s.record_delivery_hops(1, NodeId(1), SimTime::from_millis(1), 0);
+        s.record_delivery_hops(1, NodeId(2), SimTime::from_millis(2), 0);
         assert_eq!(s.delivery_ratio(), 1.0);
     }
 
@@ -585,21 +578,24 @@ mod tests {
     #[test]
     fn latency_statistics() {
         let mut s = Stats::new(4);
-        s.record_origin(1, SimTime::from_secs(1), 3);
-        s.record_delivery(
+        s.record_origin_flow(1, SimTime::from_secs(1), 3, FLOW_NONE, 0);
+        s.record_delivery_hops(
             1,
             NodeId(1),
             SimTime::from_secs(1) + SimDuration::from_millis(10),
+            0,
         );
-        s.record_delivery(
+        s.record_delivery_hops(
             1,
             NodeId(2),
             SimTime::from_secs(1) + SimDuration::from_millis(20),
+            0,
         );
-        s.record_delivery(
+        s.record_delivery_hops(
             1,
             NodeId(3),
             SimTime::from_secs(1) + SimDuration::from_millis(60),
+            0,
         );
         // The mean is exact (running sum, not bucketised).
         let mean = s.mean_latency().unwrap();
@@ -621,9 +617,9 @@ mod tests {
     fn compact_mode_keeps_counts_but_not_receivers() {
         let mut s = Stats::new(4);
         s.set_compact_delivery(true);
-        s.record_origin(1, SimTime::ZERO, 2);
-        s.record_delivery(1, NodeId(1), SimTime::from_millis(5));
-        s.record_delivery(1, NodeId(2), SimTime::from_millis(9));
+        s.record_origin_flow(1, SimTime::ZERO, 2, FLOW_NONE, 0);
+        s.record_delivery_hops(1, NodeId(1), SimTime::from_millis(5), 0);
+        s.record_delivery_hops(1, NodeId(2), SimTime::from_millis(9), 0);
         assert_eq!(s.delivery_ratio(), 1.0);
         assert_eq!(s.origin_rows(), vec![(1, SimTime::ZERO, 2, 2)]);
         assert!(s.receivers_of(1).is_empty());
@@ -649,8 +645,8 @@ mod tests {
         assert_eq!(f0.hops.quantile(1.0), Some(3));
         assert_eq!(s.flows().get(1).unwrap().sent, 1);
         // Untracked origins touch no flow.
-        s.record_origin(9, SimTime::ZERO, 1);
-        s.record_delivery(9, NodeId(3), SimTime::from_millis(1));
+        s.record_origin_flow(9, SimTime::ZERO, 1, FLOW_NONE, 0);
+        s.record_delivery_hops(9, NodeId(3), SimTime::from_millis(1), 0);
         assert_eq!(s.flows().len(), 2);
         assert_eq!(s.flows().total_delivered(), 3);
     }

@@ -8,6 +8,7 @@ use hvdb_sim::{
     Mobility, NodeId, ParCtx, ParProtocol, ParSimulator, RandomWaypoint, SimConfig, SimDuration,
     SimTime, Stats, World,
 };
+use hvdb_traffic::FLOW_NONE;
 
 /// A busy little protocol exercising every engine facility: broadcast
 /// gossip, reliable unicast, timers, RNG draws, neighbour queries and
@@ -26,7 +27,7 @@ impl ParProtocol for Chatter {
     fn on_start(&self, id: NodeId, _history: &mut Vec<u64>, ctx: &mut ParCtx<'_, u64>) {
         ctx.set_timer(id, SimDuration::from_millis(500 + id.0 as u64 * 7), 1);
         if id.0 == 0 {
-            ctx.record_origin(99, 3);
+            ctx.record_origin_flow(99, 3, FLOW_NONE, 0);
         }
     }
 
@@ -42,7 +43,7 @@ impl ParProtocol for Chatter {
             // Re-broadcast with decremented hop budget.
             ctx.broadcast(id, "gossip", 64, msg + 1);
         } else if msg == 3 && id.0 % 7 == 0 {
-            ctx.record_delivery(99, id);
+            ctx.record_delivery_hops(99, id, 0);
             ctx.send_reliable(id, from, "ack", 32, 100);
         }
     }
