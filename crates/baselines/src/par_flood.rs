@@ -239,7 +239,7 @@ mod tests {
         sim.run(&p, SimTime::from_secs(10));
         // Member hears the packet from several neighbours but counts once.
         assert_eq!(sim.stats().delivery_ratio(), 1.0);
-        assert_eq!(sim.stats().latencies().len(), 1);
+        assert_eq!(sim.stats().latency_hist().count(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the Fig. 4 route table: beacon integration (the
-//! per-beacon work each CH performs every `beacon_interval`), lookups, and
+//! per-beacon work each CH performs every `BEACON_INTERVAL`), lookups, and
 //! failure handling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

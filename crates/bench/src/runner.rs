@@ -92,9 +92,6 @@ pub struct RunDetail {
     /// gate it against a committed baseline. 0.0 where the protocol does
     /// not expose a state estimate (baselines).
     pub memory_per_node_bytes: f64,
-    /// Frames refused because sender and receiver sat in different
-    /// islands of an active partition ([`hvdb_sim::Stats::drops_partitioned`]).
-    pub drops_partitioned: u64,
     /// Frames a Byzantine node silently dropped at its own interface
     /// ([`hvdb_sim::Stats::byzantine_dropped`]).
     pub byzantine_dropped: u64,
@@ -137,10 +134,6 @@ pub struct TrafficProfile {
     pub jitter_p99_ms: f64,
     /// Mean physical hops per delivery (flow-tagged traffic only).
     pub hops_mean: f64,
-    /// 99th-percentile hops.
-    pub hops_p99: f64,
-    /// Packets originated by traffic-plane flows.
-    pub flow_sent: u64,
     /// Distinct (packet, receiver) deliveries across flows.
     pub flow_delivered: u64,
     /// Sends refused by the interface-queue cap.
@@ -159,8 +152,6 @@ pub fn traffic_profile_of(stats: &hvdb_sim::Stats) -> TrafficProfile {
         jitter_mean_ms: jitter.mean().unwrap_or(0.0) / 1e3,
         jitter_p99_ms: jitter.quantile(0.99).unwrap_or(0) as f64 / 1e3,
         hops_mean: hops.mean().unwrap_or(0.0),
-        hops_p99: hops.quantile(0.99).unwrap_or(0) as f64,
-        flow_sent: stats.flows().total_sent(),
         flow_delivered: stats.flows().total_delivered(),
         drops_queue_full: stats.drops_queue_full,
     }
@@ -178,7 +169,6 @@ fn detail_of<N: Send, M: Clone + Send>(sim: &ParSimulator<N, M>) -> RunDetail {
         sim_secs: sim.sim_secs(),
         traffic: traffic_profile_of(stats),
         memory_per_node_bytes: 0.0,
-        drops_partitioned: stats.drops_partitioned,
         byzantine_dropped: stats.byzantine_dropped,
         byzantine_replayed: stats.byzantine_replayed,
         soft_refresh_msgs: stats.soft_refresh_msgs,

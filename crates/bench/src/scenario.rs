@@ -2094,11 +2094,11 @@ fn custom_f1(opts: &RunOpts) -> CustomOut {
         for c in snap.iter_mut() {
             c.vel = rng.velocity(lo, hi);
         }
-        let before = form_clusters(&cfg.election, &cfg.grid, &snap);
+        let before = form_clusters(&cfg.grid, &snap);
         for c in snap.iter_mut() {
             c.pos = cfg.grid.area().clamp(c.pos.advanced(c.vel, 10.0));
         }
-        let after = form_clusters(&cfg.election, &cfg.grid, &snap);
+        let after = form_clusters(&cfg.grid, &snap);
         let (events, report) = diff(&before, &after);
         rows.push(Row::new(
             "cluster-stability-vs-speed",

@@ -573,9 +573,11 @@ impl Gate {
                 let measured = format!("{} over {} is {ratio:.2}x", at(last), at(first));
                 if let Some(n) = parallel {
                     if last_n < n || value(last, "hardware_threads")? < n {
+                        let hw = metric_in(last, "hardware_threads")
+                            .map_or("unrecorded".into(), |hw| hw.to_string());
                         return Ok(format!(
-                            "{measured}; the {floor}x floor is waived below {n} threads on \
-                             {n} hardware threads"
+                            "{measured}; the {floor}x floor is waived: threads={last_n} ran on \
+                             {hw} hardware threads (the floor needs {n} of each)"
                         ));
                     }
                 }
@@ -1628,6 +1630,9 @@ mod tests {
             ])
             .unwrap();
             assert!(notes[1].contains("waived"), "{notes:?}");
+            // The note names the measured thread and hardware-thread counts.
+            let measured = format!("threads={t} ran on {hw} hardware threads");
+            assert!(notes[1].contains(&measured), "{notes:?}");
         }
         // ...but the determinism half never is.
         let failed = threads(vec![

@@ -13,7 +13,7 @@
 //! driven version lives in `hvdb-core::protocol` and converges to the same
 //! assignment under stable positions.
 
-use crate::election::{elect, Candidate, ElectionConfig};
+use crate::election::{elect, Candidate};
 use hvdb_geo::{VcGrid, VcId};
 use rustc_hash::FxHashMap;
 
@@ -53,7 +53,7 @@ impl Clustering {
 /// Forms clusters from a network snapshot. `nodes` supplies each node's
 /// candidacy (position, velocity, hardware class); election follows the
 /// two criteria of \[23\] via [`elect`].
-pub fn form_clusters(cfg: &ElectionConfig, grid: &VcGrid, nodes: &[Candidate]) -> Clustering {
+pub fn form_clusters(grid: &VcGrid, nodes: &[Candidate]) -> Clustering {
     let mut out = Clustering::default();
     // Membership: primary VC plus overlap VCs.
     for c in nodes {
@@ -87,7 +87,7 @@ pub fn form_clusters(cfg: &ElectionConfig, grid: &VcGrid, nodes: &[Candidate]) -
             .filter_map(|id| nodes.iter().find(|c| c.node == *id))
             .copied()
             .collect();
-        if let Some(head) = elect(cfg, grid, vc, &candidates) {
+        if let Some(head) = elect(grid, vc, &candidates) {
             out.head_of_vc.insert(vc, head);
             out.vc_of_head.insert(head, vc);
         }
@@ -114,7 +114,7 @@ pub fn form_clusters(cfg: &ElectionConfig, grid: &VcGrid, nodes: &[Candidate]) -
                 .filter_map(|id| nodes.iter().find(|c| c.node == *id))
                 .copied()
                 .collect();
-            if let Some(new_head) = elect(cfg, grid, vc, &candidates) {
+            if let Some(new_head) = elect(grid, vc, &candidates) {
                 out.head_of_vc.insert(vc, new_head);
                 out.vc_of_head.insert(new_head, vc);
             }
@@ -150,14 +150,13 @@ mod tests {
     #[test]
     fn one_cluster_per_occupied_vc() {
         let g = grid();
-        let cfg = ElectionConfig::default();
         // Put one node at each of three VC centres.
         let nodes = vec![
             cand(0, g.vcc(VcId::new(0, 0))),
             cand(1, g.vcc(VcId::new(3, 3))),
             cand(2, g.vcc(VcId::new(7, 7))),
         ];
-        let c = form_clusters(&cfg, &g, &nodes);
+        let c = form_clusters(&g, &nodes);
         assert_eq!(c.cluster_count(), 3);
         assert_eq!(c.head_of_vc[&VcId::new(0, 0)], 0);
         assert_eq!(c.head_of_vc[&VcId::new(3, 3)], 1);
@@ -169,14 +168,13 @@ mod tests {
     #[test]
     fn members_join_their_primary_cluster() {
         let g = grid();
-        let cfg = ElectionConfig::default();
         let center = g.vcc(VcId::new(4, 4));
         let nodes = vec![
             cand(0, center),
             cand(1, Point::new(center.x + 10.0, center.y)),
             cand(2, Point::new(center.x - 15.0, center.y + 5.0)),
         ];
-        let c = form_clusters(&cfg, &g, &nodes);
+        let c = form_clusters(&g, &nodes);
         assert_eq!(c.cluster_count(), 1);
         assert_eq!(c.head_of_vc[&VcId::new(4, 4)], 0); // closest to VCC
         assert_eq!(c.members_of_vc[&VcId::new(4, 4)], vec![0, 1, 2]);
@@ -186,13 +184,12 @@ mod tests {
     #[test]
     fn overlap_membership_in_multiple_clusters() {
         let g = grid();
-        let cfg = ElectionConfig::default();
         // A node on the edge midpoint between two cells lies in both circles.
         let edge = Point::new(200.0, 150.0);
         let covering = g.covering_vcs(edge);
         assert!(covering.len() >= 2);
         let nodes = vec![cand(0, edge)];
-        let c = form_clusters(&cfg, &g, &nodes);
+        let c = form_clusters(&g, &nodes);
         let memberships = &c.memberships_of_node[&0];
         assert!(memberships.len() >= 2);
         assert_eq!(memberships[0], g.vc_of(edge)); // primary first
@@ -201,10 +198,9 @@ mod tests {
     #[test]
     fn no_eligible_resident_no_cluster() {
         let g = grid();
-        let cfg = ElectionConfig::default();
         let mut weak = cand(0, g.vcc(VcId::new(2, 2)));
         weak.eligible = false;
-        let c = form_clusters(&cfg, &g, &[weak]);
+        let c = form_clusters(&g, &[weak]);
         assert_eq!(c.cluster_count(), 0);
         assert_eq!(c.head_for_node(0), None);
         // The node is still a member of its VC.
@@ -214,7 +210,6 @@ mod tests {
     #[test]
     fn overlap_node_heads_at_most_its_primary_when_others_available() {
         let g = grid();
-        let cfg = ElectionConfig::default();
         // Node 0 on the seam covers two VCs; node 1 sits in the neighbour
         // VC's centre. Node 0 must not head both clusters.
         let edge = Point::new(200.0, 150.0);
@@ -222,7 +217,7 @@ mod tests {
         let covering = g.covering_vcs(edge);
         let other = *covering.iter().find(|vc| **vc != primary).unwrap();
         let nodes = vec![cand(0, edge), cand(1, g.vcc(other))];
-        let c = form_clusters(&cfg, &g, &nodes);
+        let c = form_clusters(&g, &nodes);
         assert_eq!(c.head_of_vc[&other], 1);
         assert_eq!(c.head_of_vc[&primary], 0);
     }
@@ -230,14 +225,13 @@ mod tests {
     #[test]
     fn dense_population_every_vc_headed() {
         let g = grid();
-        let cfg = ElectionConfig::default();
         // One node per VC centre.
         let nodes: Vec<Candidate> = g
             .iter_ids()
             .enumerate()
             .map(|(i, vc)| cand(i as u32, g.vcc(vc)))
             .collect();
-        let c = form_clusters(&cfg, &g, &nodes);
+        let c = form_clusters(&g, &nodes);
         assert_eq!(c.cluster_count(), 64);
         // Every node heads its own VC (it's the only resident at distance 0).
         for (i, vc) in g.iter_ids().enumerate() {
@@ -248,7 +242,6 @@ mod tests {
     #[test]
     fn deterministic_given_same_snapshot() {
         let g = grid();
-        let cfg = ElectionConfig::default();
         let nodes: Vec<Candidate> = (0..200)
             .map(|i| {
                 cand(
@@ -257,8 +250,8 @@ mod tests {
                 )
             })
             .collect();
-        let a = form_clusters(&cfg, &g, &nodes);
-        let b = form_clusters(&cfg, &g, &nodes);
+        let a = form_clusters(&g, &nodes);
+        let b = form_clusters(&g, &nodes);
         assert_eq!(a.head_of_vc, b.head_of_vc);
         assert_eq!(a.members_of_vc, b.members_of_vc);
     }

@@ -15,7 +15,6 @@
 //! criterion, as the two-criteria formulation intends.
 
 use hvdb_geo::{Point, VcGrid, VcId, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// One node's candidacy for cluster head of a VC.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,25 +29,23 @@ pub struct Candidate {
     pub eligible: bool,
 }
 
-/// Election parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ElectionConfig {
-    /// Residence-time bucket width (seconds): predictions within one bucket
-    /// are considered equal and fall through to the distance criterion.
-    pub residence_bucket_secs: f64,
-    /// Residence predictions are capped here (seconds); a node predicted to
-    /// stay 10 min is no better than one staying 5 min for cluster-lifetime
-    /// purposes.
-    pub residence_cap_secs: f64,
-}
+/// Residence-time bucket width (seconds): predictions within one bucket
+/// are considered equal and fall through to the distance criterion.
+pub const RESIDENCE_BUCKET_SECS: f64 = 10.0;
 
-impl Default for ElectionConfig {
-    fn default() -> Self {
-        ElectionConfig {
-            residence_bucket_secs: 10.0,
-            residence_cap_secs: 300.0,
-        }
-    }
+/// Residence predictions are capped here (seconds); a node predicted to
+/// stay 10 min is no better than one staying 5 min for cluster-lifetime
+/// purposes.
+pub const RESIDENCE_CAP_SECS: f64 = 300.0;
+
+/// The capped, bucketed predicted residence of a node at `pos` moving at
+/// `vel` inside `vc`'s circle (criterion 1), or `None` if `pos` lies
+/// outside it. The static [`elect`] and the distributed protocol's
+/// candidacy scores both rank residence through this one function.
+pub fn residence_bucket(grid: &VcGrid, vc: VcId, pos: Point, vel: Vec2) -> Option<u64> {
+    let residence = grid.residence_time(vc, pos, vel)?;
+    let capped = residence.min(RESIDENCE_CAP_SECS);
+    Some((capped / RESIDENCE_BUCKET_SECS).floor() as u64)
 }
 
 /// The score an election assigns a candidate; orderable, higher wins.
@@ -67,15 +64,12 @@ impl Score {
 
 /// Scores one candidate for heading `vc`. Returns `None` if the candidate
 /// is ineligible (wrong hardware class) or outside the VC's circle.
-pub fn score(cfg: &ElectionConfig, grid: &VcGrid, vc: VcId, c: &Candidate) -> Option<Score> {
+pub fn score(grid: &VcGrid, vc: VcId, c: &Candidate) -> Option<Score> {
     if !c.eligible {
         return None;
     }
-    let residence = grid.residence_time(vc, c.pos, c.vel)?;
-    let capped = residence.min(cfg.residence_cap_secs);
-    let bucketed = (capped / cfg.residence_bucket_secs).floor() as u64;
     Some(Score {
-        bucketed_residence: bucketed,
+        bucketed_residence: residence_bucket(grid, vc, c.pos, c.vel)?,
         neg_distance: -grid.vcc(vc).distance(c.pos),
         neg_id: -(c.node as i64),
     })
@@ -83,15 +77,10 @@ pub fn score(cfg: &ElectionConfig, grid: &VcGrid, vc: VcId, c: &Candidate) -> Op
 
 /// Elects a cluster head for `vc` among `candidates`. Returns the winner's
 /// node id, or `None` if no candidate is eligible and inside the circle.
-pub fn elect(
-    cfg: &ElectionConfig,
-    grid: &VcGrid,
-    vc: VcId,
-    candidates: &[Candidate],
-) -> Option<u32> {
+pub fn elect(grid: &VcGrid, vc: VcId, candidates: &[Candidate]) -> Option<u32> {
     candidates
         .iter()
-        .filter_map(|c| score(cfg, grid, vc, c).map(|s| (s, c.node)))
+        .filter_map(|c| score(grid, vc, c).map(|s| (s, c.node)))
         .max_by(|(a, _), (b, _)| a.key().partial_cmp(&b.key()).expect("scores are finite"))
         .map(|(_, node)| node)
 }
@@ -122,10 +111,7 @@ mod tests {
         // Node 1 races out of the circle; node 2 dawdles.
         let fast = cand(1, c, Vec2::new(30.0, 0.0));
         let slow = cand(2, c, Vec2::new(0.5, 0.0));
-        assert_eq!(
-            elect(&ElectionConfig::default(), &g, vc, &[fast, slow]),
-            Some(2)
-        );
+        assert_eq!(elect(&g, vc, &[fast, slow]), Some(2));
     }
 
     #[test]
@@ -136,10 +122,7 @@ mod tests {
         // Both stationary (infinite residence, same bucket): closer wins.
         let near = cand(7, Point::new(c.x + 5.0, c.y), Vec2::ZERO);
         let far = cand(3, Point::new(c.x + 40.0, c.y), Vec2::ZERO);
-        assert_eq!(
-            elect(&ElectionConfig::default(), &g, vc, &[far, near]),
-            Some(7)
-        );
+        assert_eq!(elect(&g, vc, &[far, near]), Some(7));
     }
 
     #[test]
@@ -150,8 +133,8 @@ mod tests {
         let a = cand(9, c, Vec2::ZERO);
         let b = cand(4, c, Vec2::ZERO);
         // Same residence bucket, same distance: lowest id wins.
-        assert_eq!(elect(&ElectionConfig::default(), &g, vc, &[a, b]), Some(4));
-        assert_eq!(elect(&ElectionConfig::default(), &g, vc, &[b, a]), Some(4));
+        assert_eq!(elect(&g, vc, &[a, b]), Some(4));
+        assert_eq!(elect(&g, vc, &[b, a]), Some(4));
     }
 
     #[test]
@@ -161,12 +144,9 @@ mod tests {
         let c = g.vcc(vc);
         let mut weak = cand(1, c, Vec2::ZERO);
         weak.eligible = false;
-        assert_eq!(elect(&ElectionConfig::default(), &g, vc, &[weak]), None);
+        assert_eq!(elect(&g, vc, &[weak]), None);
         let strong = cand(2, Point::new(c.x + 60.0, c.y), Vec2::ZERO);
-        assert_eq!(
-            elect(&ElectionConfig::default(), &g, vc, &[weak, strong]),
-            Some(2)
-        );
+        assert_eq!(elect(&g, vc, &[weak, strong]), Some(2));
     }
 
     #[test]
@@ -174,16 +154,13 @@ mod tests {
         let g = grid();
         let vc = VcId::new(0, 0);
         let outside = cand(5, g.vcc(VcId::new(7, 7)), Vec2::ZERO);
-        assert_eq!(elect(&ElectionConfig::default(), &g, vc, &[outside]), None);
+        assert_eq!(elect(&g, vc, &[outside]), None);
     }
 
     #[test]
     fn empty_candidate_set() {
         let g = grid();
-        assert_eq!(
-            elect(&ElectionConfig::default(), &g, VcId::new(0, 0), &[]),
-            None
-        );
+        assert_eq!(elect(&g, VcId::new(0, 0), &[]), None);
     }
 
     #[test]
@@ -191,25 +168,29 @@ mod tests {
         let g = grid();
         let vc = VcId::new(4, 4);
         let c = g.vcc(vc);
-        let cfg = ElectionConfig {
-            residence_bucket_secs: 10.0,
-            residence_cap_secs: 60.0,
-        };
-        // Both stay > 60 s (slow speeds): residence capped equal, so the
-        // closer candidate wins even though its raw residence is smaller.
+        // Both stay longer than the 300 s cap (slow speeds: ~407 s and
+        // ~344 s): residence capped equal, so the closer candidate wins
+        // even though its raw residence is smaller.
         let slower_far = cand(1, Point::new(c.x + 30.0, c.y), Vec2::new(0.1, 0.0));
-        let faster_near = cand(2, Point::new(c.x + 2.0, c.y), Vec2::new(0.5, 0.0));
-        assert_eq!(elect(&cfg, &g, vc, &[slower_far, faster_near]), Some(2));
+        let faster_near = cand(2, Point::new(c.x + 2.0, c.y), Vec2::new(0.2, 0.0));
+        assert_eq!(
+            residence_bucket(&g, vc, slower_far.pos, slower_far.vel),
+            Some(30)
+        );
+        assert_eq!(
+            residence_bucket(&g, vc, faster_near.pos, faster_near.vel),
+            Some(30)
+        );
+        assert_eq!(elect(&g, vc, &[slower_far, faster_near]), Some(2));
     }
 
     #[test]
     fn score_none_for_outside_or_ineligible() {
         let g = grid();
-        let cfg = ElectionConfig::default();
         let vc = VcId::new(3, 3);
         let mut c = cand(1, g.vcc(vc), Vec2::ZERO);
-        assert!(score(&cfg, &g, vc, &c).is_some());
+        assert!(score(&g, vc, &c).is_some());
         c.eligible = false;
-        assert!(score(&cfg, &g, vc, &c).is_none());
+        assert!(score(&g, vc, &c).is_none());
     }
 }

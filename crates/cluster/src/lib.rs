@@ -26,6 +26,6 @@ pub mod lease;
 pub mod maintenance;
 
 pub use cluster::{form_clusters, Clustering};
-pub use election::{elect, Candidate, ElectionConfig};
+pub use election::{elect, Candidate};
 pub use lease::{HeadLease, LeaseUpdate};
 pub use maintenance::{diff, Handover, StabilityReport};

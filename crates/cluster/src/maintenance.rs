@@ -109,7 +109,7 @@ pub fn diff(prev: &Clustering, next: &Clustering) -> (Vec<Handover>, StabilityRe
 mod tests {
     use super::*;
     use crate::cluster::form_clusters;
-    use crate::election::{Candidate, ElectionConfig};
+    use crate::election::Candidate;
     use hvdb_geo::{Aabb, Point, VcGrid, Vec2};
 
     fn grid() -> VcGrid {
@@ -126,7 +126,7 @@ mod tests {
                 eligible: true,
             })
             .collect();
-        form_clusters(&ElectionConfig::default(), &grid(), &cands)
+        form_clusters(&grid(), &cands)
     }
 
     #[test]

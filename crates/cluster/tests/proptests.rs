@@ -1,6 +1,6 @@
 //! Property-based tests for the clustering tier.
 
-use hvdb_cluster::{diff, elect, form_clusters, Candidate, ElectionConfig};
+use hvdb_cluster::{diff, elect, form_clusters, Candidate};
 use hvdb_geo::{Aabb, Point, VcGrid, Vec2};
 use proptest::prelude::*;
 
@@ -38,12 +38,11 @@ proptest! {
     #[test]
     fn election_sound_and_order_independent(cands in arb_candidates(40)) {
         let g = grid();
-        let cfg = ElectionConfig::default();
         for vc in g.iter_ids() {
-            let winner = elect(&cfg, &g, vc, &cands);
+            let winner = elect(&g, vc, &cands);
             let mut shuffled = cands.clone();
             shuffled.reverse();
-            prop_assert_eq!(winner, elect(&cfg, &g, vc, &shuffled));
+            prop_assert_eq!(winner, elect(&g, vc, &shuffled));
             if let Some(w) = winner {
                 let c = cands.iter().find(|c| c.node == w).unwrap();
                 prop_assert!(c.eligible);
@@ -57,8 +56,7 @@ proptest! {
     #[test]
     fn formation_invariants(cands in arb_candidates(60)) {
         let g = grid();
-        let cfg = ElectionConfig::default();
-        let clustering = form_clusters(&cfg, &g, &cands);
+        let clustering = form_clusters(&g, &cands);
         for (vc, head) in &clustering.head_of_vc {
             let c = cands.iter().find(|c| c.node == *head).unwrap();
             prop_assert!(c.eligible, "ineligible head {head}");
@@ -109,9 +107,8 @@ proptest! {
     #[test]
     fn diff_partitions(before in arb_candidates(40), after in arb_candidates(40)) {
         let g = grid();
-        let cfg = ElectionConfig::default();
-        let a = form_clusters(&cfg, &g, &before);
-        let b = form_clusters(&cfg, &g, &after);
+        let a = form_clusters(&g, &before);
+        let b = form_clusters(&g, &after);
         let (events, report) = diff(&a, &b);
         prop_assert_eq!(
             report.replaced + report.formed + report.dissolved,

@@ -83,14 +83,6 @@ impl MembershipDb {
         self.locals.expire(now, deadline).len()
     }
 
-    /// Drops a member's report outright. The protocol itself never calls
-    /// this — member lifetime is governed by [`MembershipDb::prune_locals`]'
-    /// K-miss expiry — but callers with positive knowledge (tests,
-    /// snapshot tooling) may force a removal.
-    pub fn drop_local(&mut self, node: u32) {
-        self.locals.remove(&node);
-    }
-
     /// Summarises the stored reports into this CH's MNT-Summary
     /// (Fig. 5 step 3).
     pub fn my_mnt(&self, vc: VcId) -> MntSummary {
@@ -120,16 +112,6 @@ impl MembershipDb {
             .mnt_of
             .offer_with(from, holder, gen, now, || mnt.clone());
         (fresh, fresh.is_fresh() && changed)
-    }
-
-    /// Drops an MNT-Summary outright. The protocol deliberately does
-    /// *not* couple this to beacon failure detection any more (a beacon
-    /// gap under frame loss must not punch membership holes into the
-    /// multicast trees); entry lifetime is [`MembershipDb::expire_mnts`]'
-    /// K-miss expiry. Kept for callers with positive knowledge that a
-    /// label is gone.
-    pub fn drop_mnt(&mut self, from: Hnid) {
-        self.mnt_of.remove(&from);
     }
 
     /// Expires MNT entries not refreshed within `deadline` (K missed
@@ -343,8 +325,6 @@ mod tests {
         // A fresh empty report removes the entry.
         db.store_local(1, &lm(&[]), 2, SimTime::ZERO);
         assert_eq!(db.local_members(GroupId(11)), Vec::<u32>::new());
-        db.drop_local(2);
-        assert!(!db.has_local_members(GroupId(10)));
     }
 
     #[test]
@@ -407,7 +387,10 @@ mod tests {
         assert_eq!(ht.presence[&GroupId(1)].members, 3);
         assert_eq!(ht.nodes_with(GroupId(1)), &[Hnid(0), Hnid(3)]);
         assert_eq!(ht.nodes_with(GroupId(2)), &[Hnid(3)]);
-        db.drop_mnt(Hnid(3));
+        // Label 3 goes silent past the deadline while label 0 (our own)
+        // is kept alive: the HT view loses what only 3 carried.
+        let expired = db.expire_mnts(SimTime::from_secs(10), SimDuration::from_secs(1), Hnid(0));
+        assert_eq!(expired, vec![Hnid(3)]);
         let ht = db.my_ht(Hid::new(0, 0));
         assert!(!ht.presence.contains_key(&GroupId(2)));
     }

@@ -2,7 +2,9 @@
 //!
 //! [`HvdbConfig`] collects the system parameters of §4.1 ("central
 //! coordinate, length and width of the whole network, diameter of VCs, and
-//! dimension of logical hypercubes") plus the protocol timing knobs.
+//! dimension of logical hypercubes") plus the protocol knobs a scenario
+//! varies. The protocol's fixed periods and soft-state refresh policy are
+//! the constants beside it ([`CLUSTER_INTERVAL`] … [`REFRESH_MAX_BACKOFF_SUMMARY`]).
 //!
 //! [`build_model`] constructs the three-tier structure of §3 from a network
 //! snapshot: clustering (MNT), one incomplete hypercube per region (HT,
@@ -12,14 +14,49 @@
 //! and for the model-construction figures (F1–F3).
 
 use crate::summary::GroupId;
-use hvdb_cluster::{form_clusters, Candidate, Clustering, ElectionConfig};
+use hvdb_cluster::{form_clusters, Candidate, Clustering};
 use hvdb_geo::{Aabb, ChKind, Hid, Hnid, RegionMap, VcGrid, VcId};
 use hvdb_hypercube::IncompleteHypercube;
 use hvdb_sim::{NodeId, SimDuration, SimTime};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
-/// All HVDB system and protocol parameters.
+/// Clustering round period (candidacy → decision → reports).
+pub const CLUSTER_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Beacon period of the proactive route maintenance (Fig. 4).
+pub const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Period of member Local-Membership reports (Fig. 5 step 2).
+pub const LOCAL_REPORT_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Period of MNT-Summary dissemination within the hypercube (step 3).
+pub const MNT_INTERVAL: SimDuration = SimDuration::from_secs(8);
+/// Period of HT-Summary network-wide broadcasts (step 4); the paper
+/// argues this "can be set much more larger" than the lower tiers'.
+pub const HT_INTERVAL: SimDuration = SimDuration::from_secs(20);
+/// Soft-state refresh period: heads re-advertise their designation,
+/// MNT-Summary and (when designated) HT-Summary this often with a
+/// fresh generation stamp, decoupled from the slow [`MNT_INTERVAL`] /
+/// [`HT_INTERVAL`] content cycles, so a lost control broadcast is
+/// repaired within a couple of seconds instead of a 20 s cycle.
+pub const REFRESH_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Upper bound of the uniform random extra delay added to every
+/// refresh-timer arm (desynchronises refresh floods across heads).
+pub const REFRESH_JITTER: SimDuration = SimDuration::from_millis(1000);
+/// K-miss expiry budget: soft state (logical neighbours, member
+/// reports, MNT/HT summaries) is discarded only after this many
+/// consecutive missed refreshes, never on a single silent period.
+pub const REFRESH_MISS_LIMIT: u32 = 3;
+/// Multiplicative backoff factor of the adaptive controller: each
+/// refresh fired after a fully quiet interval widens the next
+/// interval by this factor.
+pub const REFRESH_BACKOFF_FACTOR: u32 = 2;
+/// Backoff clamp for MNT/HT summary re-floods, in fast refresh
+/// ticks. These are the expensive frames (cube- and network-wide
+/// flood fan-out), so they earn the deepest quiet-phase backoff; the
+/// summary K-miss deadline scales with this cap.
+pub const REFRESH_MAX_BACKOFF_SUMMARY: u32 = 4;
+
+/// The HVDB geometry plus the protocol knobs a scenario sets to a second
+/// value. The fixed timing is in the constants above.
 #[derive(Debug, Clone)]
 pub struct HvdbConfig {
     /// The VC grid (area partition, §3).
@@ -28,51 +65,12 @@ pub struct HvdbConfig {
     pub map: RegionMap,
     /// Local logical route horizon `k` (§4.1, "e.g., k = 4").
     pub k: u32,
-    /// Cluster-head election parameters (\[23\]).
-    pub election: ElectionConfig,
-    /// Clustering round period (candidacy → decision → reports).
-    pub cluster_interval: SimDuration,
-    /// Beacon period of the proactive route maintenance (Fig. 4).
-    pub beacon_interval: SimDuration,
-    /// Period of member Local-Membership reports (Fig. 5 step 2).
-    pub local_report_interval: SimDuration,
-    /// Period of MNT-Summary dissemination within the hypercube (step 3).
-    pub mnt_interval: SimDuration,
-    /// Period of HT-Summary network-wide broadcasts (step 4); the paper
-    /// argues this "can be set much more larger" than the lower tiers'.
-    pub ht_interval: SimDuration,
-    /// Soft-state refresh period: heads re-advertise their designation,
-    /// MNT-Summary and (when designated) HT-Summary this often with a
-    /// fresh generation stamp, decoupled from the slow `mnt_interval` /
-    /// `ht_interval` content cycles, so a lost control broadcast is
-    /// repaired within a couple of seconds instead of a 20 s cycle.
-    pub refresh_interval: SimDuration,
-    /// Upper bound of the uniform random extra delay added to every
-    /// refresh-timer arm (desynchronises refresh floods across heads).
-    pub refresh_jitter: SimDuration,
-    /// K-miss expiry budget: soft state (logical neighbours, member
-    /// reports, MNT/HT summaries) is discarded only after this many
-    /// consecutive missed refreshes, never on a single silent period.
-    pub refresh_miss_limit: u32,
     /// Whether the staleness-driven refresh controller
-    /// ([`crate::softstate::refresh`]) is active. When `false`, every
-    /// store re-advertises on every refresh tick (the PR 2 fixed rate —
-    /// kept as the comparison baseline for the `overhead` scenario).
+    /// ([`crate::softstate::refresh`]) backs off the summary refreshes.
+    /// When `false`, every store re-advertises on every refresh tick (the
+    /// fixed rate, kept as the comparison baseline for the `overhead`
+    /// scenario).
     pub adaptive_refresh: bool,
-    /// Multiplicative backoff factor of the adaptive controller: each
-    /// refresh fired after a fully quiet interval widens the next
-    /// interval by this factor.
-    pub refresh_backoff_factor: u32,
-    /// Backoff clamp for designation (`ChAnnounce`) refreshes, in fast
-    /// refresh ticks. Kept small: announcements are cheap single local
-    /// broadcasts, and the members' head-lease expiry — i.e. failure
-    /// detection — must budget for an origin at full backoff.
-    pub refresh_max_backoff_designation: u32,
-    /// Backoff clamp for MNT/HT summary re-floods, in fast refresh
-    /// ticks. These are the expensive frames (cube- and network-wide
-    /// flood fan-out), so they earn the deepest quiet-phase backoff; the
-    /// summary K-miss deadline scales with this cap.
-    pub refresh_max_backoff_summary: u32,
     /// Number of times a CH broadcasts each `LocalDeliver` frame (members
     /// dedup by data id). Broadcasts have no MAC recovery, so under frame
     /// loss the final hop is the delivery bottleneck; 2 turns a 15% loss
@@ -101,10 +99,9 @@ pub enum DesignationCriterion {
 
 impl HvdbConfig {
     /// A configuration over `area` with `rows x cols` VCs and hypercube
-    /// dimension `dim`, defaulting every protocol knob to values that keep
-    /// control traffic an order of magnitude rarer than the radio
-    /// capacity. The `ht_interval` is 4x the `mnt_interval`, following the
-    /// paper's "much larger timeout" argument.
+    /// dimension `dim`: horizon `k = 4`, adaptive refresh on, three
+    /// `LocalDeliver` repeats, a 24-hop geo TTL, the neighbourhood
+    /// designation criterion and tree caching on.
     pub fn new(area: Aabb, rows: u16, cols: u16, dim: u8) -> Self {
         let grid = VcGrid::with_dimensions(area, rows, cols);
         let map = RegionMap::for_grid(&grid, dim);
@@ -112,25 +109,7 @@ impl HvdbConfig {
             grid,
             map,
             k: 4,
-            election: ElectionConfig::default(),
-            cluster_interval: SimDuration::from_secs(5),
-            beacon_interval: SimDuration::from_secs(2),
-            local_report_interval: SimDuration::from_secs(5),
-            mnt_interval: SimDuration::from_secs(8),
-            ht_interval: SimDuration::from_secs(20),
-            refresh_interval: SimDuration::from_secs(2),
-            refresh_jitter: SimDuration::from_millis(1000),
-            refresh_miss_limit: 3,
             adaptive_refresh: true,
-            refresh_backoff_factor: 2,
-            // Designation stays at the floor rate by default: ChAnnounce
-            // is one tiny local broadcast per head, so backing it off
-            // saves almost nothing while its silence deadline *is* the
-            // members' failure detector — halving announcement cost is
-            // not worth doubling fail-stop recovery latency. The savings
-            // come from the flood-amplified summary stores below.
-            refresh_max_backoff_designation: 1,
-            refresh_max_backoff_summary: 4,
             deliver_repeats: 3,
             geo_ttl: 24,
             designation: DesignationCriterion::NeighborhoodGroups,
@@ -150,59 +129,46 @@ impl HvdbConfig {
     }
 
     /// Beacon-silence deadline after which a logical neighbour CH is
-    /// declared failed: `refresh_miss_limit` missed beacons plus slack
+    /// declared failed: [`REFRESH_MISS_LIMIT`] missed beacons plus slack
     /// (K-miss expiry, not a single TTL).
     pub fn neighbor_deadline(&self) -> SimDuration {
-        crate::softstate::miss_deadline(self.beacon_interval, self.refresh_miss_limit)
-    }
-
-    /// The slowest interval the adaptive controller may stretch a store's
-    /// refresh to. Every fast tick is armed as `refresh_interval` plus
-    /// its *own* jitter draw, so a store backed off to `cap` ticks can
-    /// accumulate `cap` worst-case jitters between fires — the deadline
-    /// must budget `cap * (interval + jitter)`, not one jitter total, or
-    /// a quiet origin could be expired before its K-miss allowance.
-    fn slowest_refresh(&self, max_backoff: u32) -> SimDuration {
-        let cap = if self.adaptive_refresh {
-            max_backoff.max(1) as u64
-        } else {
-            1
-        };
-        SimDuration(
-            self.refresh_interval
-                .0
-                .saturating_add(self.refresh_jitter.0)
-                .saturating_mul(cap),
-        )
+        crate::softstate::miss_deadline(BEACON_INTERVAL, REFRESH_MISS_LIMIT)
     }
 
     /// Refresh-silence deadline for soft state re-advertised on the
     /// summary refresh rate (MNT entries of silent cube peers, HT entries
     /// of silent regions). Budgets for an origin at full adaptive
     /// backoff on top of the K-miss allowance — a quiet origin must never
-    /// be expired for merely being quiet.
+    /// be expired for merely being quiet. Every fast tick is armed as
+    /// [`REFRESH_INTERVAL`] plus its *own* jitter draw, so a store backed
+    /// off to `cap` ticks can accumulate `cap` worst-case jitters between
+    /// fires: the deadline budgets `cap * (interval + jitter)`.
     pub fn summary_deadline(&self) -> SimDuration {
+        let cap = if self.adaptive_refresh {
+            REFRESH_MAX_BACKOFF_SUMMARY
+        } else {
+            1
+        };
         crate::softstate::miss_deadline(
-            self.slowest_refresh(self.refresh_max_backoff_summary),
-            self.refresh_miss_limit,
+            (REFRESH_INTERVAL + REFRESH_JITTER).saturating_mul(cap as u64),
+            REFRESH_MISS_LIMIT,
         )
     }
 
-    /// Announcement-silence deadline for the members' head lease.
-    /// Designation refreshes back off on their own (small) cap, so this
-    /// stays much tighter than [`HvdbConfig::summary_deadline`] — it is
-    /// the cluster's failure-detection latency.
+    /// Announcement-silence deadline for the members' head lease: K
+    /// misses of one refresh period plus its jitter. Designation
+    /// refreshes fire on every tick — `ChAnnounce` is one tiny local
+    /// broadcast per head, so backing it off would save almost nothing
+    /// while this deadline *is* the members' failure detector. It stays
+    /// much tighter than [`HvdbConfig::summary_deadline`].
     pub fn designation_deadline(&self) -> SimDuration {
-        crate::softstate::miss_deadline(
-            self.slowest_refresh(self.refresh_max_backoff_designation),
-            self.refresh_miss_limit,
-        )
+        crate::softstate::miss_deadline(REFRESH_INTERVAL + REFRESH_JITTER, REFRESH_MISS_LIMIT)
     }
 
     /// Report-silence deadline for member Local-Membership reports
-    /// (refreshed every `local_report_interval`).
+    /// (refreshed every [`LOCAL_REPORT_INTERVAL`]).
     pub fn local_report_deadline(&self) -> SimDuration {
-        crate::softstate::miss_deadline(self.local_report_interval, self.refresh_miss_limit)
+        crate::softstate::miss_deadline(LOCAL_REPORT_INTERVAL, REFRESH_MISS_LIMIT)
     }
 }
 
@@ -239,7 +205,7 @@ pub struct BackboneStats {
 
 /// Builds the three-tier HVDB structure from a snapshot of candidates.
 pub fn build_model(cfg: &HvdbConfig, nodes: &[Candidate]) -> HvdbModel {
-    let clustering = form_clusters(&cfg.election, &cfg.grid, nodes);
+    let clustering = form_clusters(&cfg.grid, nodes);
     let mut cubes: FxHashMap<Hid, IncompleteHypercube> = FxHashMap::default();
     // Present nodes per region.
     for vc in clustering.head_of_vc.keys() {
@@ -322,46 +288,6 @@ impl HvdbModel {
             connected_fraction: connected,
         }
     }
-
-    /// Renders the backbone as an ASCII grid (experiment F2's output):
-    /// `H` border CH, `h` inner CH, `.` unoccupied VC; region seams drawn
-    /// with `|` and `-`.
-    pub fn render_ascii(&self, cfg: &HvdbConfig) -> String {
-        let rows = cfg.grid.rows();
-        let cols = cfg.grid.cols();
-        let rr = cfg.map.region_rows();
-        let rc = cfg.map.region_cols();
-        let mut out = String::new();
-        for row in 0..rows {
-            if row > 0 && row % rr == 0 {
-                for col in 0..cols {
-                    if col > 0 && col % rc == 0 {
-                        out.push('+');
-                    }
-                    out.push_str("--");
-                }
-                out.push('\n');
-            }
-            for col in 0..cols {
-                if col > 0 && col % rc == 0 {
-                    out.push('|');
-                }
-                let vc = VcId::new(row, col);
-                let c = if self.clustering.head_of_vc.contains_key(&vc) {
-                    match cfg.map.ch_kind(vc) {
-                        ChKind::Border => 'H',
-                        ChKind::Inner => 'h',
-                    }
-                } else {
-                    '.'
-                };
-                out.push(c);
-                out.push(' ');
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// A multicast traffic item for scenario scripting: at `at`, node `src`
@@ -412,11 +338,6 @@ pub struct GroupEvent {
     pub group: GroupId,
     /// `true` = join, `false` = leave.
     pub join: bool,
-}
-
-/// Shorthand for the Hnid of a VC under a config.
-pub fn hnid_of(cfg: &HvdbConfig, vc: VcId) -> Hnid {
-    cfg.map.address_of(vc).hnid
 }
 
 /// Builds the incomplete hypercube of region `hid` from the set of labels
@@ -550,19 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn ascii_rendering_shows_structure() {
-        let cfg = fig2_cfg();
-        let model = build_model(&cfg, &full_snapshot(&cfg));
-        let art = model.render_ascii(&cfg);
-        // 8 content rows + 1 separator row.
-        assert_eq!(art.lines().count(), 9);
-        assert!(art.contains('H'));
-        assert!(art.contains('h'));
-        assert!(art.contains('|'));
-        assert!(!art.contains('.')); // fully occupied
-    }
-
-    #[test]
     fn ch_kind_lookup() {
         let cfg = fig2_cfg();
         let model = build_model(&cfg, &full_snapshot(&cfg));
@@ -582,40 +490,33 @@ mod tests {
     fn config_intervals_are_tiered() {
         let cfg = fig2_cfg();
         // Paper: HT broadcast timeout "much more larger" than MNT/local.
-        assert!(cfg.ht_interval > cfg.mnt_interval);
-        assert!(cfg.mnt_interval > cfg.beacon_interval);
+        assert!(HT_INTERVAL > MNT_INTERVAL);
+        assert!(MNT_INTERVAL > BEACON_INTERVAL);
         assert_eq!(cfg.dim(), 4);
         // Soft-state refresh must run well inside the content cycles it
         // repairs, and the K-miss deadlines must tolerate at least one
         // whole silent period.
-        assert!(cfg.refresh_interval < cfg.mnt_interval);
-        assert!(cfg.refresh_interval < cfg.ht_interval);
-        assert!(cfg.neighbor_deadline() > cfg.beacon_interval);
-        assert!(cfg.summary_deadline() > cfg.refresh_interval);
-        assert!(cfg.local_report_deadline() > cfg.local_report_interval);
+        assert!(REFRESH_INTERVAL < MNT_INTERVAL);
+        assert!(REFRESH_INTERVAL < HT_INTERVAL);
+        assert!(cfg.neighbor_deadline() > BEACON_INTERVAL);
+        assert!(cfg.summary_deadline() > REFRESH_INTERVAL);
+        assert!(cfg.local_report_deadline() > LOCAL_REPORT_INTERVAL);
         // Adaptive-refresh deadlines must budget for an origin at full
         // backoff: K misses of the *slowest* interval each store may
         // stretch to, never the floor rate.
         assert!(cfg.adaptive_refresh);
-        let summary_cap = SimDuration(
-            cfg.refresh_interval.0 * cfg.refresh_max_backoff_summary as u64 + cfg.refresh_jitter.0,
-        );
-        assert!(
-            cfg.summary_deadline() > SimDuration(summary_cap.0 * cfg.refresh_miss_limit as u64)
-        );
-        let dsg_cap = SimDuration(
-            cfg.refresh_interval.0 * cfg.refresh_max_backoff_designation as u64
-                + cfg.refresh_jitter.0,
-        );
-        assert!(
-            cfg.designation_deadline() > SimDuration(dsg_cap.0 * cfg.refresh_miss_limit as u64)
-        );
+        let summary_cap =
+            SimDuration(REFRESH_INTERVAL.0 * REFRESH_MAX_BACKOFF_SUMMARY as u64 + REFRESH_JITTER.0);
+        assert!(cfg.summary_deadline() > SimDuration(summary_cap.0 * REFRESH_MISS_LIMIT as u64));
+        // Designation refreshes fire on every tick: one period plus jitter.
+        let dsg_cap = SimDuration(REFRESH_INTERVAL.0 + REFRESH_JITTER.0);
+        assert!(cfg.designation_deadline() > SimDuration(dsg_cap.0 * REFRESH_MISS_LIMIT as u64));
         // Failure detection (lease expiry) stays tighter than the summary
         // deadline: designation backs off less than the summary floods.
         assert!(cfg.designation_deadline() < cfg.summary_deadline());
         // The fully backed-off summary refresh still outruns expiry, and
         // the slow HT content cycle still lands inside the deadline.
-        assert!(cfg.summary_deadline() > cfg.ht_interval);
+        assert!(cfg.summary_deadline() > HT_INTERVAL);
     }
 
     #[test]
@@ -625,8 +526,8 @@ mod tests {
         // With the controller off, deadlines collapse to the PR 2 shape:
         // K misses of the floor rate plus jitter.
         let base = crate::softstate::miss_deadline(
-            SimDuration(cfg.refresh_interval.0 + cfg.refresh_jitter.0),
-            cfg.refresh_miss_limit,
+            SimDuration(REFRESH_INTERVAL.0 + REFRESH_JITTER.0),
+            REFRESH_MISS_LIMIT,
         );
         assert_eq!(cfg.summary_deadline(), base);
         assert_eq!(cfg.designation_deadline(), base);

@@ -10,13 +10,15 @@
 use crate::routes::{AdvertisedRoute, ADVERTISED_ROUTE_BYTES};
 use crate::summary::{wire, GroupId, HtSummary, LocalMembership, MntSummary};
 
-use hvdb_geo::{Hid, Hnid, LogicalAddress, VcId};
+use hvdb_cluster::election::residence_bucket;
+use hvdb_geo::{Hid, Hnid, LogicalAddress, Point, VcGrid, VcId, Vec2};
 use hvdb_sim::{NodeId, SimTime};
 
 /// A candidate's election score as carried in candidacy broadcasts.
-/// Ordering matches `hvdb_cluster::election`: longer (bucketed) predicted
+/// Ordering matches [`hvdb_cluster::elect`]: longer (bucketed) predicted
 /// residence wins; ties go to the candidate nearest the VCC; final ties to
-/// the lowest node id.
+/// the lowest node id. `crates/core/tests/proptests.rs` checks that both
+/// pick the same winner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandScore {
     /// Bucketed predicted residence time (higher is better).
@@ -28,6 +30,17 @@ pub struct CandScore {
 }
 
 impl CandScore {
+    /// `node`'s score for heading `vc` from `pos` moving at `vel`, or
+    /// `None` outside the VC's circle. Residence is ranked by the static
+    /// election's own [`hvdb_cluster::election::residence_bucket`].
+    pub fn new(grid: &VcGrid, vc: VcId, node: u32, pos: Point, vel: Vec2) -> Option<CandScore> {
+        Some(CandScore {
+            residence_bucket: residence_bucket(grid, vc, pos, vel)?,
+            dist_um: (grid.vcc(vc).distance(pos) * 1e6) as u64,
+            node,
+        })
+    }
+
     /// Whether this score beats `other` under the §1 criteria.
     pub fn beats(&self, other: &CandScore) -> bool {
         (

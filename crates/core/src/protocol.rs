@@ -3,7 +3,7 @@
 //! One [`HvdbCore`] recipe drives every node of the simulated MANET
 //! through the paper's three algorithms:
 //!
-//! 1. **Clustering rounds** (technique of \[23\], §3): every `cluster_interval`
+//! 1. **Clustering rounds** (technique of \[23\], §3): every [`CLUSTER_INTERVAL`]
 //!    each CH-capable node broadcasts its candidacy (predicted residence,
 //!    distance to VCC); candidates deterministically conclude the per-VC
 //!    winner, which announces itself; members report their Local-Membership
@@ -34,8 +34,8 @@
 //! Designation announcements, member reports and the MNT/HT summary
 //! floods are generation-stamped soft state ([`crate::softstate`]):
 //! every origin stamps its advertisements with a monotone generation, a
-//! jittered refresh timer ([`HvdbConfig::refresh_interval`], decoupled
-//! from the slow `mnt_interval`/`ht_interval` content cycles) re-floods
+//! jittered refresh timer ([`REFRESH_INTERVAL`], decoupled from the slow
+//! [`MNT_INTERVAL`]/[`HT_INTERVAL`] content cycles) re-floods
 //! the latest state, receivers suppress anything not strictly newer
 //! (which doubles as flood dedup, replacing the old unbounded seen-set),
 //! and entries expire only after K missed refreshes. A lost control
@@ -44,9 +44,12 @@
 
 use crate::frame::{FrameBytes, FrameCtx};
 use crate::membership::MembershipDb;
-use crate::model::{build_region_cube, region_center, GroupEvent, HvdbConfig, TrafficItem};
+use crate::model::{
+    build_region_cube, region_center, GroupEvent, HvdbConfig, TrafficItem, BEACON_INTERVAL,
+    CLUSTER_INTERVAL, HT_INTERVAL, LOCAL_REPORT_INTERVAL, MNT_INTERVAL, REFRESH_BACKOFF_FACTOR,
+    REFRESH_INTERVAL, REFRESH_JITTER, REFRESH_MAX_BACKOFF_SUMMARY,
+};
 use crate::packet::{CandScore, ChMsg, GeoPacket, GeoTarget, HvdbMsg};
-use crate::qos::SessionManager;
 use crate::routes::{QosMetrics, QosRequirement, RouteTable};
 use crate::softstate::refresh::RefreshController;
 use crate::softstate::GenClock;
@@ -150,7 +153,6 @@ struct HeadState {
     addr: LogicalAddress,
     table: RouteTable,
     db: MembershipDb,
-    sessions: SessionManager,
     /// Last time each intra-region logical neighbour CH was heard.
     neighbor_last: FxHashMap<Hnid, SimTime>,
     /// Generation clock stamping this head's MNT-Summary floods.
@@ -172,8 +174,6 @@ struct HeadState {
     /// until a label appears or expires, instead of rebuilding the cube
     /// per check (ROADMAP residual from PR 4).
     cube_cache: Option<(u64, IncompleteHypercube)>,
-    /// Adaptive refresh rate for designation announcements.
-    refresh_dsg: RefreshController,
     /// Adaptive refresh rate for MNT-Summary re-floods.
     refresh_mnt: RefreshController,
     /// Adaptive refresh rate for HT-Summary re-broadcasts (designated CH).
@@ -185,14 +185,17 @@ impl HeadState {
         let addr = cfg.map.address_of(vc);
         // A disabled controller clamps at 1 tick: every refresh fires,
         // reproducing the PR 2 fixed rate exactly.
-        let cap = |max: u32| if cfg.adaptive_refresh { max } else { 1 };
-        let ctrl = |max: u32| RefreshController::new(cfg.refresh_backoff_factor, cap(max));
+        let cap = if cfg.adaptive_refresh {
+            REFRESH_MAX_BACKOFF_SUMMARY
+        } else {
+            1
+        };
+        let ctrl = RefreshController::new(REFRESH_BACKOFF_FACTOR, cap);
         HeadState {
             vc,
             addr,
             table: RouteTable::new(addr.hnid, cfg.k),
             db: MembershipDb::default(),
-            sessions: SessionManager::new(),
             neighbor_last: FxHashMap::default(),
             mnt_gen: GenClock::default(),
             ht_gen: GenClock::default(),
@@ -201,9 +204,8 @@ impl HeadState {
             hc_cache: FxHashMap::default(),
             mnt_version: 0,
             cube_cache: None,
-            refresh_dsg: ctrl(cfg.refresh_max_backoff_designation),
-            refresh_mnt: ctrl(cfg.refresh_max_backoff_summary),
-            refresh_ht: ctrl(cfg.refresh_max_backoff_summary),
+            refresh_mnt: ctrl,
+            refresh_ht: ctrl,
         }
     }
 }
@@ -591,11 +593,6 @@ impl HvdbCore {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &HvdbConfig {
-        &self.cfg
-    }
-
     /// Fresh per-node state for `id` starting at `pos`.
     fn new_node(&self, id: NodeId, pos: hvdb_geo::Point) -> HvdbNode {
         let mut lm = LocalMembership::default();
@@ -713,24 +710,17 @@ impl HvdbCore {
         let pos = ctx.position(node);
         let vel = ctx.velocity(node);
         let vc = self.cfg.grid.vc_of(pos);
-        let residence = self.cfg.grid.residence_time(vc, pos, vel)?;
-        let capped = residence.min(self.cfg.election.residence_cap_secs);
-        let bucket = (capped / self.cfg.election.residence_bucket_secs).floor() as u64;
-        let mut dist_um = (self.cfg.grid.vcc(vc).distance(pos) * 1e6) as u64;
+        let mut score = CandScore::new(&self.cfg.grid, vc, node.0, pos, vel)?;
         // Incumbency damping: the sitting head of this VC campaigns with
         // half its distance, so marginally-closer challengers do not churn
         // the backbone every round (the stability that [23]'s handover
         // machinery provides).
         if let Role::Head(h) = &st.role {
             if h.vc == vc {
-                dist_um /= 2;
+                score.dist_um /= 2;
             }
         }
-        Some(CandScore {
-            residence_bucket: bucket,
-            dist_um,
-            node: node.0,
-        })
+        Some(score)
     }
 
     fn on_candidacy_timer(
@@ -779,10 +769,10 @@ impl HvdbCore {
             ctx.broadcast_frame(node, frame);
             // Decision fires 40% into the round.
             let tag = ptag(st, TAG_DECIDE);
-            ctx.set_timer(node, SimDuration(self.cfg.cluster_interval.0 * 2 / 5), tag);
+            ctx.set_timer(node, SimDuration(CLUSTER_INTERVAL.0 * 2 / 5), tag);
         }
         let tag = ptag(st, TAG_CANDIDACY);
-        ctx.set_timer(node, self.cfg.cluster_interval, tag);
+        ctx.set_timer(node, CLUSTER_INTERVAL, tag);
     }
 
     /// Folds a predecessor's handover into this (now) head's database:
@@ -905,11 +895,6 @@ impl HvdbCore {
                 st.ch.next_term()
             };
             st.ch.observe(node.0, term, ctx.now(), deadline);
-            if let Role::Head(h) = &mut st.role {
-                // A (re-)won round is designation churn for the cluster:
-                // re-announce at the floor rate until things settle.
-                h.refresh_dsg.on_activity();
-            }
             ctx.trace(TraceKind::ElectionWin {
                 vc: (my_vc.row, my_vc.col),
                 term,
@@ -929,7 +914,7 @@ impl HvdbCore {
 
     fn on_report_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_REPORT);
-        ctx.set_timer(node, self.cfg.local_report_interval, tag);
+        ctx.set_timer(node, LOCAL_REPORT_INTERVAL, tag);
         if st.lm.groups.is_empty() {
             return;
         }
@@ -955,10 +940,10 @@ impl HvdbCore {
 
     fn on_beacon_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_BEACON);
-        ctx.set_timer(node, self.cfg.beacon_interval, tag);
+        ctx.set_timer(node, BEACON_INTERVAL, tag);
         let now = ctx.now();
         // K-miss expiry: a neighbour is declared failed only after
-        // `refresh_miss_limit` consecutive silent beacon periods.
+        // `REFRESH_MISS_LIMIT` consecutive silent beacon periods.
         let ttl = self.cfg.neighbor_deadline();
         let Role::Head(h) = &mut st.role else {
             return;
@@ -976,7 +961,6 @@ impl HvdbCore {
             h.neighbor_last.remove(&label);
             let failovers = h.table.remove_via(label);
             failover_count += failovers.len() as u64;
-            h.sessions.on_neighbor_failed(&h.table, label);
             // Routing state only: the label's MNT-Summary lives until its
             // *own* K-miss refresh deadline (`expire_mnts`). A beacon gap
             // under frame loss must not punch membership holes into the
@@ -1057,7 +1041,7 @@ impl HvdbCore {
 
     fn on_mnt_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_MNT);
-        ctx.set_timer(node, self.cfg.mnt_interval, tag);
+        ctx.set_timer(node, MNT_INTERVAL, tag);
         if !st.is_head() {
             return;
         }
@@ -1239,7 +1223,7 @@ impl HvdbCore {
 
     fn on_ht_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_HT);
-        ctx.set_timer(node, self.cfg.ht_interval, tag);
+        ctx.set_timer(node, HT_INTERVAL, tag);
         self.broadcast_ht_if_designated(node, st, ctx, false);
     }
 
@@ -1375,9 +1359,10 @@ impl HvdbCore {
     /// repairs lost control broadcasts within ~one period instead of a
     /// whole 8–20 s content cycle.
     ///
-    /// The timer always ticks at the fast floor rate; the per-store
-    /// [`RefreshController`]s decide which stores actually re-advertise
-    /// this tick. While the cube is quiet (no churn, no observed
+    /// The timer always ticks at the fast floor rate, and the designation
+    /// is re-announced on every tick; the two summary stores'
+    /// [`RefreshController`]s decide whether they re-advertise this
+    /// tick. While the cube is quiet (no churn, no observed
     /// staleness, no entries drifting toward expiry) the controllers
     /// widen their intervals multiplicatively, shedding most of the
     /// refresh overhead; any activity snaps them back so repair latency
@@ -1386,12 +1371,7 @@ impl HvdbCore {
     /// the refresh-rate histogram.
     fn on_refresh_timer(&self, node: NodeId, st: &mut HvdbNode, ctx: &mut ParCtx<'_, FrameBytes>) {
         let tag = ptag(st, TAG_REFRESH);
-        ctx.set_timer_jittered(
-            node,
-            self.cfg.refresh_interval,
-            self.cfg.refresh_jitter,
-            tag,
-        );
+        ctx.set_timer_jittered(node, REFRESH_INTERVAL, REFRESH_JITTER, tag);
         let now = ctx.now();
         let summary_deadline = self.cfg.summary_deadline();
         let term = st.ch.term();
@@ -1431,11 +1411,9 @@ impl HvdbCore {
         // Histogram rates are read *before* on_tick widens the backoff:
         // each fire is recorded under the interval it actually waited.
         let rates = (
-            h.refresh_dsg.interval_ticks(),
             h.refresh_mnt.interval_ticks(),
             h.refresh_ht.interval_ticks(),
         );
-        let fire_dsg = h.refresh_dsg.on_tick();
         let fire_mnt = h.refresh_mnt.on_tick();
         let fire_ht = h.refresh_ht.on_tick();
         // Suppression is only *counted* when the store actually had
@@ -1453,19 +1431,15 @@ impl HvdbCore {
             h.db.should_broadcast(addr.hnid, self.cfg.designation, cube)
         };
         ctx.record_soft_expired(expired);
-        // (a) Re-announce the designation so members that lost the
-        // original ChAnnounce recover within a refresh period.
-        if fire_dsg {
-            let frame = FrameBytes::seal_as(HvdbMsg::ChAnnounce { vc, term }, "ch-refresh");
-            ctx.broadcast_frame(node, frame);
-            ctx.record_refresh_tx();
-            ctx.record_refresh_rate(rates.0);
-        } else {
-            ctx.record_refresh_suppressed(1);
-        }
+        // (a) Re-announce the designation on every tick so members that
+        // lost the original ChAnnounce recover within a refresh period.
+        let frame = FrameBytes::seal_as(HvdbMsg::ChAnnounce { vc, term }, "ch-refresh");
+        ctx.broadcast_frame(node, frame);
+        ctx.record_refresh_tx();
+        ctx.record_refresh_rate(1);
         // (b) Re-flood our own MNT-Summary (if one was computed yet) with
         // a fresh generation: cube peers that missed the content flood
-        // converge without waiting a whole `mnt_interval`.
+        // converge without waiting a whole `MNT_INTERVAL`.
         if fire_mnt {
             let own_mnt = {
                 let Role::Head(h) = &mut st.role else {
@@ -1490,7 +1464,7 @@ impl HvdbCore {
                 ctx.broadcast_frame(node, frame);
                 self.mnt_far_supplement(st, ctx, node, vc, addr.hid, inner);
                 ctx.record_refresh_tx();
-                ctx.record_refresh_rate(rates.1);
+                ctx.record_refresh_rate(rates.0);
             }
         } else if has_own_mnt {
             ctx.record_refresh_suppressed(1);
@@ -1500,7 +1474,7 @@ impl HvdbCore {
         if fire_ht {
             if self.broadcast_ht_if_designated(node, st, ctx, true) {
                 ctx.record_refresh_tx();
-                ctx.record_refresh_rate(rates.2);
+                ctx.record_refresh_rate(rates.1);
             }
         } else if designated {
             ctx.record_refresh_suppressed(1);
@@ -1953,26 +1927,26 @@ impl ParProtocol for HvdbCore {
         let jitter = |ctx: &mut ParCtx<'_, FrameBytes>, max: u64| {
             SimDuration(ctx.rng().range_u64(0, max.max(1)))
         };
-        let j = jitter(ctx, self.cfg.cluster_interval.0 / 4);
+        let j = jitter(ctx, CLUSTER_INTERVAL.0 / 4);
         ctx.set_timer(node, j, TAG_CANDIDACY);
-        let j = jitter(ctx, self.cfg.beacon_interval.0);
-        ctx.set_timer(node, self.cfg.cluster_interval + j, TAG_BEACON);
-        let j = jitter(ctx, self.cfg.mnt_interval.0);
-        ctx.set_timer(node, self.cfg.cluster_interval + j, TAG_MNT);
-        let j = jitter(ctx, self.cfg.ht_interval.0);
-        ctx.set_timer(node, self.cfg.cluster_interval + j, TAG_HT);
+        let j = jitter(ctx, BEACON_INTERVAL.0);
+        ctx.set_timer(node, CLUSTER_INTERVAL + j, TAG_BEACON);
+        let j = jitter(ctx, MNT_INTERVAL.0);
+        ctx.set_timer(node, CLUSTER_INTERVAL + j, TAG_MNT);
+        let j = jitter(ctx, HT_INTERVAL.0);
+        ctx.set_timer(node, CLUSTER_INTERVAL + j, TAG_HT);
         // Soft-state refresh: starts once the first clustering can have
         // produced heads, then free-runs jittered.
         ctx.set_timer_jittered(
             node,
-            self.cfg.cluster_interval + self.cfg.refresh_interval,
-            self.cfg.refresh_jitter,
+            CLUSTER_INTERVAL + REFRESH_INTERVAL,
+            REFRESH_JITTER,
             TAG_REFRESH,
         );
         // Members report shortly after each clustering settles.
         ctx.set_timer(
             node,
-            self.cfg.cluster_interval + SimDuration(self.cfg.cluster_interval.0 * 7 / 10),
+            CLUSTER_INTERVAL + SimDuration(CLUSTER_INTERVAL.0 * 7 / 10),
             TAG_REPORT,
         );
         // Scenario scripting: this node's traffic and group events.
@@ -2247,24 +2221,19 @@ impl ParProtocol for HvdbCore {
         // survived a short outage carry the old epoch and die at their
         // next firing — no duplicated cadence either way.
         st.timer_epoch += 1;
-        let j = SimDuration(ctx.rng().range_u64(0, self.cfg.cluster_interval.0 / 4 + 1));
+        let j = SimDuration(ctx.rng().range_u64(0, CLUSTER_INTERVAL.0 / 4 + 1));
         let tag = ptag(st, TAG_CANDIDACY);
         ctx.set_timer(node, j, tag);
         let tag = ptag(st, TAG_BEACON);
-        ctx.set_timer(node, self.cfg.beacon_interval, tag);
+        ctx.set_timer(node, BEACON_INTERVAL, tag);
         let tag = ptag(st, TAG_MNT);
-        ctx.set_timer(node, self.cfg.mnt_interval, tag);
+        ctx.set_timer(node, MNT_INTERVAL, tag);
         let tag = ptag(st, TAG_HT);
-        ctx.set_timer(node, self.cfg.ht_interval, tag);
+        ctx.set_timer(node, HT_INTERVAL, tag);
         let tag = ptag(st, TAG_REPORT);
-        ctx.set_timer(node, self.cfg.local_report_interval, tag);
+        ctx.set_timer(node, LOCAL_REPORT_INTERVAL, tag);
         let tag = ptag(st, TAG_REFRESH);
-        ctx.set_timer_jittered(
-            node,
-            self.cfg.refresh_interval,
-            self.cfg.refresh_jitter,
-            tag,
-        );
+        ctx.set_timer_jittered(node, REFRESH_INTERVAL, REFRESH_JITTER, tag);
     }
 }
 

@@ -94,11 +94,6 @@ impl SessionManager {
         self.sessions.is_empty()
     }
 
-    /// Ends the session toward `dst`.
-    pub fn teardown(&mut self, dst: Hnid) {
-        self.sessions.remove(&dst);
-    }
-
     /// Reacts to the failure of 1-logical-hop neighbour `failed`: every
     /// session whose primary went through it switches to its backup
     /// (re-provisioning the next backup from `table`, which must already
@@ -284,15 +279,5 @@ mod tests {
         // The backup route still satisfies the requirement by construction.
         let r = t.best_route(Hnid(3), &req).unwrap();
         assert_eq!(r.next_hop, s.primary);
-    }
-
-    #[test]
-    fn teardown_removes_session() {
-        let t = table_two_ways();
-        let mut sm = SessionManager::new();
-        sm.establish(&t, Hnid(3), QosRequirement::BEST_EFFORT);
-        sm.teardown(Hnid(3));
-        assert!(sm.is_empty());
-        assert!(sm.on_neighbor_failed(&t, Hnid(1)).is_empty());
     }
 }

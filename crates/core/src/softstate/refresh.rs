@@ -24,18 +24,19 @@
 //!   from entries that nearly expired) collapses the interval back to
 //!   the floor, so the very next tick re-advertises.
 //!
-//! Each store (designation announcements, MNT-Summary floods, HT-Summary
-//! broadcasts) runs its own controller: their frames differ by orders of
-//! magnitude in flood fan-out, so their quiet-cost/recovery-latency
-//! trade-offs are tuned independently. Receiver-side K-miss deadlines
-//! must budget for an origin at full backoff — see
-//! `HvdbConfig::summary_deadline` / `designation_deadline`, which scale
-//! with the per-store caps.
+//! Each head runs one controller per summary store (MNT-Summary floods,
+//! HT-Summary broadcasts), both clamped at
+//! [`crate::model::REFRESH_MAX_BACKOFF_SUMMARY`]: these are the
+//! flood-amplified frames the backoff saves. Designation announcements
+//! are not backed off — they fire on every tick, because their silence
+//! deadline is the members' failure detector. Receiver-side K-miss
+//! deadlines must budget for an origin at full backoff — see
+//! `HvdbConfig::summary_deadline`, which scales with the cap.
 
 /// Per-store adaptive refresh state machine.
 ///
 /// Intervals are measured in *ticks* of the protocol's fast refresh
-/// timer (`HvdbConfig::refresh_interval` plus jitter); an interval of 1
+/// timer ([`crate::model::REFRESH_INTERVAL`] plus jitter); an interval of 1
 /// is the PR 2 fixed rate, the floor the controller snaps back to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshController {

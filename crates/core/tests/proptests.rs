@@ -1,13 +1,16 @@
 //! Property-based tests for the HVDB core data structures: summary
-//! pipeline invariants, route-table invariants, mesh-tree invariants, and
-//! the designated-broadcaster uniqueness guarantee.
+//! pipeline invariants, route-table invariants, mesh-tree invariants, the
+//! designated-broadcaster uniqueness guarantee, and the live election's
+//! agreement with the static one.
 
+use hvdb_cluster::{elect, Candidate};
+use hvdb_core::packet::CandScore;
 use hvdb_core::routes::{AdvertisedRoute, QosMetrics, MAX_ALTERNATIVES};
 use hvdb_core::{
     DesignationCriterion, GroupId, HtSummary, LocalMembership, MembershipDb, MeshTree, MntSummary,
     MtSummary, QosRequirement, RouteTable,
 };
-use hvdb_geo::{Hid, Hnid, VcId};
+use hvdb_geo::{Aabb, Hid, Hnid, Point, VcGrid, VcId, Vec2};
 use hvdb_hypercube::IncompleteHypercube;
 use hvdb_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -240,6 +243,49 @@ proptest! {
             .collect();
         prop_assert_eq!(winners.len(), 1, "criterion {:?}", criterion);
     }
+
+    /// The live election and the static model order candidates alike:
+    /// folding candidacy broadcasts with `CandScore::beats` (as
+    /// `on_candidacy_timer` merges them) picks `hvdb_cluster::elect`'s
+    /// winner. Candidates sit in one VC's cell, stationary, slow (residence
+    /// around the 300 s cap) or fast (a few 10 s buckets); their VCC
+    /// distances differ pairwise by at least 1 µm, the resolution a
+    /// candidacy carries.
+    #[test]
+    fn candidacy_scores_pick_the_static_winner(
+        raw in proptest::collection::vec(
+            (-0.5..0.5f64, -0.5..0.5f64, -1.0..1.0f64, -1.0..1.0f64, 0u8..3),
+            1..12,
+        ),
+    ) {
+        let grid = VcGrid::with_dimensions(Aabb::from_size(800.0, 800.0), 8, 8);
+        let vc = VcId::new(3, 4);
+        let centre = grid.vcc(vc);
+        let cands: Vec<Candidate> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(dx, dy, vx, vy, speed))| Candidate {
+                node: i as u32,
+                pos: Point::new(centre.x + dx * grid.spacing(), centre.y + dy * grid.spacing()),
+                vel: Vec2::new(vx, vy) * [0.0, 0.3, 3.0][speed as usize],
+                eligible: true,
+            })
+            .collect();
+        let dists: Vec<f64> = cands.iter().map(|c| centre.distance(c.pos)).collect();
+        prop_assume!(dists
+            .iter()
+            .enumerate()
+            .all(|(i, a)| dists[..i].iter().all(|b| (a - b).abs() >= 1e-6)));
+        let live = cands
+            .iter()
+            .map(|c| {
+                prop_assert_eq!(grid.vc_of(c.pos), vc);
+                CandScore::new(&grid, vc, c.node, c.pos, c.vel).expect("inside the VC")
+            })
+            .reduce(|best, s| if s.beats(&best) { s } else { best })
+            .map(|s| s.node);
+        prop_assert_eq!(live, elect(&grid, vc, &cands));
+    }
 }
 
 proptest! {
@@ -298,7 +344,7 @@ proptest! {
                     }
                 }
                 2 => {
-                    db.drop_local(node);
+                    db.locals.remove(&node);
                     shadow.remove(&node);
                 }
                 3 => now += SimDuration::from_millis(1000 * (1 + gen % 4)),

@@ -216,42 +216,6 @@ impl VcGrid {
         out
     }
 
-    /// The 4-neighbourhood (N, S, W, E) of `id` inside the grid.
-    pub fn neighbors4(&self, id: VcId) -> Vec<VcId> {
-        let mut out = Vec::with_capacity(4);
-        if id.row > 0 {
-            out.push(VcId::new(id.row - 1, id.col));
-        }
-        if id.row + 1 < self.rows {
-            out.push(VcId::new(id.row + 1, id.col));
-        }
-        if id.col > 0 {
-            out.push(VcId::new(id.row, id.col - 1));
-        }
-        if id.col + 1 < self.cols {
-            out.push(VcId::new(id.row, id.col + 1));
-        }
-        out
-    }
-
-    /// The 8-neighbourhood of `id` inside the grid.
-    pub fn neighbors8(&self, id: VcId) -> Vec<VcId> {
-        let mut out = Vec::with_capacity(8);
-        for dr in -1i32..=1 {
-            for dc in -1i32..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let row = id.row as i32 + dr;
-                let col = id.col as i32 + dc;
-                if row >= 0 && col >= 0 && row < self.rows as i32 && col < self.cols as i32 {
-                    out.push(VcId::new(row as u16, col as u16));
-                }
-            }
-        }
-        out
-    }
-
     /// Iterates over all VC ids in row-major order (top-left first).
     pub fn iter_ids(&self) -> impl Iterator<Item = VcId> + '_ {
         (0..self.rows).flat_map(move |row| (0..self.cols).map(move |col| VcId { row, col }))
@@ -368,16 +332,6 @@ mod tests {
         // Highest y => top row => row 0.
         assert_eq!(g.vc_of(Point::new(50.0, 799.0)).row, 0);
         assert_eq!(g.vc_of(Point::new(50.0, 1.0)).row, 7);
-    }
-
-    #[test]
-    fn neighbors4_inside_and_corner() {
-        let g = grid8();
-        assert_eq!(g.neighbors4(VcId::new(3, 3)).len(), 4);
-        assert_eq!(g.neighbors4(VcId::new(0, 0)).len(), 2);
-        assert_eq!(g.neighbors4(VcId::new(0, 3)).len(), 3);
-        assert_eq!(g.neighbors8(VcId::new(3, 3)).len(), 8);
-        assert_eq!(g.neighbors8(VcId::new(0, 0)).len(), 3);
     }
 
     #[test]

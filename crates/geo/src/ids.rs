@@ -245,12 +245,6 @@ impl RegionMap {
         (self.mesh_rows, self.mesh_cols)
     }
 
-    /// Total number of regions / mesh nodes.
-    #[inline]
-    pub fn region_count(&self) -> usize {
-        self.mesh_rows as usize * self.mesh_cols as usize
-    }
-
     /// Interleaves local (row, col) within a region into a hypercube label:
     /// bits from the MSB alternate row, col, row, col, …
     #[inline]
@@ -428,12 +422,6 @@ impl RegionMap {
         }
     }
 
-    /// Iterates over all region ids (mesh nodes) in row-major order.
-    pub fn iter_hids(&self) -> impl Iterator<Item = Hid> + '_ {
-        (0..self.mesh_rows)
-            .flat_map(move |row| (0..self.mesh_cols).map(move |col| Hid { row, col }))
-    }
-
     /// Mesh 4-neighbourhood of a hypercube in the region grid.
     pub fn mesh_neighbors(&self, hid: Hid) -> Vec<Hid> {
         let mut out = Vec::with_capacity(4);
@@ -470,7 +458,6 @@ mod tests {
         assert_eq!(m.region_rows(), 4);
         assert_eq!(m.region_cols(), 4);
         assert_eq!(m.mesh_dims(), (2, 2));
-        assert_eq!(m.region_count(), 4);
         assert_eq!(m.region_cells(Hid::new(0, 0)).len(), 16);
     }
 
@@ -654,7 +641,6 @@ mod tests {
         assert_eq!(m.mesh_dims(), (4, 4));
         assert_eq!(m.mesh_neighbors(Hid::new(0, 0)).len(), 2);
         assert_eq!(m.mesh_neighbors(Hid::new(1, 1)).len(), 4);
-        assert_eq!(m.iter_hids().count(), 16);
     }
 
     #[test]

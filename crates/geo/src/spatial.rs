@@ -11,7 +11,7 @@
 //! occupancy grid of 8×8-cell super-cells (an item count per super-cell,
 //! maintained on every insert/remove). Radio-range queries scan a 3×3
 //! cell window and never consult it, but *wide* queries — a region-scoped
-//! scan, a large `nodes_near` radius over a 100k-node area — skip whole
+//! scan, a large `nodes_near_into` radius over a 100k-node area — skip whole
 //! empty super-cells (64 hash probes at a time) instead of probing every
 //! cell in the rectangle. Cell visit order is identical on both paths, so
 //! results are byte-for-byte the same whichever level answers.
@@ -221,27 +221,6 @@ impl SpatialIndex {
         out
     }
 
-    /// The id of the nearest item to `center` within `radius`, if any,
-    /// excluding `exclude` (pass `u32::MAX` to exclude nothing).
-    pub fn nearest_within(&self, center: Point, radius: f64, exclude: u32) -> Option<u32> {
-        let r_sq = radius * radius;
-        let reach = (radius / self.cell_size).ceil() as i32;
-        let (cx, cy) = self.cell_of(center);
-        let mut best: Option<(u32, f64)> = None;
-        self.for_cells_in_reach(cx, cy, reach, |bucket| {
-            for (id, p) in bucket {
-                if *id == exclude {
-                    continue;
-                }
-                let d = p.distance_sq(center);
-                if d <= r_sq && best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((*id, d));
-                }
-            }
-        });
-        best.map(|(id, _)| id)
-    }
-
     /// Deterministic content-byte estimate of both index levels (live
     /// entries × entry size, not allocator capacity).
     pub fn memory_bytes(&self) -> usize {
@@ -309,20 +288,6 @@ mod tests {
         assert_eq!(idx.len(), 10);
         assert!(idx.query_range(Point::ORIGIN, 5.0).len() < 10);
         assert_eq!(idx.query_range(Point::ORIGIN, 100.0).len(), 10);
-    }
-
-    #[test]
-    fn nearest_within_finds_closest_and_respects_exclude() {
-        let idx = sample_index();
-        assert_eq!(
-            idx.nearest_within(Point::new(1.0, 1.0), 200.0, u32::MAX),
-            Some(1)
-        );
-        assert_eq!(idx.nearest_within(Point::new(1.0, 1.0), 200.0, 1), Some(2));
-        assert_eq!(
-            idx.nearest_within(Point::new(1000.0, 0.0), 10.0, u32::MAX),
-            None
-        );
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl<M> EventQueue<M> {
         self.heap.pop()
     }
 
-    /// The dispatch time of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek().map(|s| s.time)
-    }
-
     /// The earliest scheduled event without removing it. The parallel
     /// engine inspects the head to decide whether the next event is a
     /// serial barrier (fault/mobility) or joins a parallel window.
@@ -185,9 +180,9 @@ mod tests {
     #[test]
     fn peek_does_not_remove() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
+        assert!(q.peek().is_none());
         q.push(SimTime::from_millis(5), EventKind::MobilityTick);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
+        assert_eq!(q.peek().map(|s| s.time), Some(SimTime::from_millis(5)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();

@@ -5,8 +5,9 @@
 //! the canonical example. This module supplies the two decisions such a
 //! scheme makes at every relay:
 //!
-//! * [`greedy_next_hop`] — the neighbour strictly closest to the
-//!   destination (greedy mode);
+//! * [`greedy_next_hop_avoiding`] — the neighbour strictly closest to the
+//!   destination, skipping relays the packet already visited (greedy
+//!   mode);
 //! * [`recovery_next_hop`] — when greedy forwarding hits a local minimum
 //!   (no neighbour makes progress), pick the best neighbour not yet
 //!   visited. On the dense unit-disk graphs of the evaluated scenarios this
@@ -21,17 +22,9 @@ use crate::par::ParCtx;
 use hvdb_geo::Point;
 
 /// The neighbour of `from` strictly closer to `dest` than `from` itself,
-/// breaking ties toward lower node id. `None` at a local minimum.
-pub fn greedy_next_hop<M: Clone>(
-    ctx: &mut ParCtx<'_, M>,
-    from: NodeId,
-    dest: Point,
-) -> Option<NodeId> {
-    greedy_next_hop_avoiding(ctx, from, dest, &[])
-}
-
-/// Greedy next hop that additionally skips `visited` relays — prevents
-/// two-node ping-pong when a packet oscillates around a local minimum.
+/// breaking ties toward lower node id, skipping `visited` relays —
+/// prevents two-node ping-pong when a packet oscillates around a local
+/// minimum. `None` at a local minimum.
 pub fn greedy_next_hop_avoiding<M: Clone>(
     ctx: &mut ParCtx<'_, M>,
     from: NodeId,
@@ -144,7 +137,7 @@ mod tests {
     fn greedy_picks_closest_forward_neighbor() {
         with_line_world(|ctx| {
             let dest = Point::new(800.0, 500.0);
-            let hop = greedy_next_hop(ctx, NodeId(0), dest);
+            let hop = greedy_next_hop_avoiding(ctx, NodeId(0), dest, &[]);
             assert_eq!(hop, Some(NodeId(1)));
         });
     }
@@ -154,7 +147,7 @@ mod tests {
         with_line_world(|ctx| {
             // Destination right on top of node 0: nobody is closer.
             let dest = Point::new(0.0, 500.0);
-            assert_eq!(greedy_next_hop(ctx, NodeId(0), dest), None);
+            assert_eq!(greedy_next_hop_avoiding(ctx, NodeId(0), dest, &[]), None);
         });
     }
 

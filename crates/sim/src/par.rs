@@ -1019,11 +1019,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         self.now
     }
 
-    /// The scenario configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// The physical world (read-only).
     pub fn world(&self) -> &World {
         &self.world
@@ -1084,11 +1079,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     /// (wall-clock readings): never feed it into golden comparisons.
     pub fn profile(&self) -> &EngineProfile {
         &self.profile
-    }
-
-    /// The configured execution lane count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The shard node `id` was assigned to, or `None` before the first

@@ -27,7 +27,7 @@
 //! cluster heads only).
 
 use crate::node::NodeId;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use hvdb_traffic::{FlowSet, LogHist};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
@@ -244,22 +244,6 @@ impl Stats {
     /// registered with flow ids via [`Stats::record_origin_flow`]).
     pub fn flows(&self) -> &FlowSet {
         &self.flows
-    }
-
-    /// All end-to-end delivery latencies at histogram resolution: one
-    /// bucket-midpoint duration per recorded delivery, ascending. The
-    /// count is exact; individual values carry the bucket's ±3% rounding.
-    pub fn latencies(&self) -> Vec<SimDuration> {
-        let (min, max) = match (self.latency_hist.min(), self.latency_hist.max()) {
-            (Some(min), Some(max)) => (min, max),
-            _ => return Vec::new(),
-        };
-        let mut out = Vec::with_capacity(self.latency_hist.count() as usize);
-        for (lo, hi, count) in self.latency_hist.buckets() {
-            let mid = (lo + (hi - lo - 1) / 2).clamp(min, max);
-            out.resize(out.len() + count as usize, SimDuration(mid));
-        }
-        out
     }
 
     /// Mean delivery latency in seconds, or `None` if nothing delivered.
@@ -507,6 +491,7 @@ pub fn gini(load: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use hvdb_traffic::FLOW_NONE;
 
     #[test]
@@ -608,7 +593,6 @@ mod tests {
             "{p50}"
         );
         assert!((s.latency_quantile(1.0).unwrap() - 0.06).abs() < 1e-9);
-        assert_eq!(s.latencies().len(), 3);
         assert_eq!(s.origin_count(), 1);
         assert_eq!(s.latency_hist().count(), 3);
     }
@@ -623,7 +607,7 @@ mod tests {
         assert_eq!(s.delivery_ratio(), 1.0);
         assert_eq!(s.origin_rows(), vec![(1, SimTime::ZERO, 2, 2)]);
         assert!(s.receivers_of(1).is_empty());
-        assert_eq!(s.latencies().len(), 2);
+        assert_eq!(s.latency_hist().count(), 2);
     }
 
     #[test]

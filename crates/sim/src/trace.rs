@@ -71,24 +71,6 @@ pub fn parse_mask(spec: &str) -> Result<u32, String> {
     Ok(mask)
 }
 
-/// The category names selected by `mask`, in bit order.
-pub fn mask_names(mask: u32) -> Vec<&'static str> {
-    let mut out = Vec::new();
-    if mask & ELECTION != 0 {
-        out.push("election");
-    }
-    if mask & SOFT_STATE != 0 {
-        out.push("soft-state");
-    }
-    if mask & FAULT != 0 {
-        out.push("fault");
-    }
-    if mask & FLOW != 0 {
-        out.push("flow");
-    }
-    out
-}
-
 /// What happened. Payloads are kept to plain integers so events are
 /// `Copy` and render identically everywhere; the virtual-circle id is
 /// carried as its `(row, col)` pair.
@@ -442,7 +424,6 @@ mod tests {
         assert_eq!(parse_mask("soft-state").unwrap(), SOFT_STATE);
         assert!(parse_mask("bogus").is_err());
         assert!(parse_mask("").is_err());
-        assert_eq!(mask_names(ELECTION | FLOW), vec!["election", "flow"]);
     }
 
     #[test]

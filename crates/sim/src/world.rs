@@ -530,13 +530,6 @@ impl World {
         }
         out.sort_unstable();
     }
-
-    /// Allocating convenience wrapper over [`World::nodes_near_into`].
-    pub fn nodes_near(&self, p: Point, radius: f64) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.nodes_near_into(p, radius, &mut out, &mut Vec::new());
-        out
-    }
 }
 
 #[cfg(test)]
@@ -699,9 +692,14 @@ mod tests {
 
     #[test]
     fn nodes_near_point() {
-        let w = line_world();
-        let near = w.nodes_near(Point::new(100.0, 50.0), 120.0);
+        let mut w = line_world();
+        let (mut near, mut raw) = (Vec::new(), Vec::new());
+        w.nodes_near_into(Point::new(100.0, 50.0), 120.0, &mut near, &mut raw);
         assert_eq!(near, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        // Failed nodes are skipped.
+        w.set_alive(NodeId(1), false);
+        w.nodes_near_into(Point::new(100.0, 50.0), 120.0, &mut near, &mut raw);
+        assert_eq!(near, vec![NodeId(0), NodeId(2)]);
     }
 
     #[test]

@@ -130,20 +130,6 @@ impl FlowSet {
         self.flows.iter().map(|f| f.delivered).sum()
     }
 
-    /// Total out-of-order deliveries across flows.
-    pub fn total_reordered(&self) -> u64 {
-        self.flows.iter().map(|f| f.reordered).sum()
-    }
-
-    /// All flows' latency samples merged into one histogram.
-    pub fn merged_latency(&self) -> LogHist {
-        let mut h = LogHist::new();
-        for f in &self.flows {
-            h.merge(&f.latency);
-        }
-        h
-    }
-
     /// All flows' jitter samples merged into one histogram.
     pub fn merged_jitter(&self) -> LogHist {
         let mut h = LogHist::new();
@@ -190,7 +176,6 @@ mod tests {
         assert_eq!(s.get(2).unwrap().delivered, 1);
         assert_eq!(s.total_sent(), 3);
         assert_eq!(s.total_delivered(), 2);
-        assert_eq!(s.merged_latency().count(), 2);
         assert_eq!(s.merged_hops().quantile(1.0), Some(5));
     }
 
@@ -225,6 +210,5 @@ mod tests {
             s.record_delivery(0, 2, seq, 100, 1);
         }
         assert_eq!(s.get(0).unwrap().reordered, 1);
-        assert_eq!(s.total_reordered(), 1);
     }
 }

@@ -69,7 +69,7 @@ fn total_loss_delivers_nothing() {
     // Nothing was ever elected either: candidacies never arrive, so each
     // eligible node sees only itself... (it still becomes head of its own
     // VC). Elections proceed, but no cross-node message ever lands.
-    assert_eq!(sim.stats().latencies().len(), 0);
+    assert_eq!(sim.stats().latency_hist().count(), 0);
 }
 
 #[test]
