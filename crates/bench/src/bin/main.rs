@@ -17,17 +17,19 @@
 //! `run` exits nonzero if any scenario's report fails (after finishing
 //! the remaining scenarios). `validate` checks committed/artifact
 //! reports and enforces the gates the report's scenario declares
-//! ([`ScenarioDef::gates`]). `--trace-out` additionally records a
-//! structured-trace + profiler run of the paper geometry on the parallel
-//! engine and writes it as a Chrome trace-event (Perfetto-loadable)
-//! document. `explain` prints a human post-mortem of one report: the
-//! same gates, fault counters, timeline inflections and the profiler's
-//! phase split.
+//! ([`ScenarioDef::gates`]); with `--baseline-dir` it also requires each
+//! report to replay its committed baseline exactly ([`check_trajectory`]).
+//! `--trace-out` additionally records a structured-trace + profiler run
+//! of the paper geometry on the parallel engine and writes it as a Chrome
+//! trace-event (Perfetto-loadable) document. `explain` prints a human
+//! post-mortem of one report: the same gates, fault counters, timeline
+//! inflections and the profiler's phase split.
 
 use hvdb_bench::scenario::{find, paper_workload, registry, run_scenario, RunOpts, ScenarioDef};
+use hvdb_bench::validate::report_rows;
 use hvdb_bench::{
-    check_gates, check_trajectory, run_par_hvdb_traced, validate_report_str, Gate, Json,
-    ScenarioReport, Workload, TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE,
+    check_gates, check_trajectory, run_par_hvdb_traced, validate_report_str, Gate, Json, Row,
+    ScenarioReport, Workload,
 };
 use std::process::ExitCode;
 
@@ -79,14 +81,9 @@ fn usage() {
     eprintln!("check, and what a smoke report does: refuse, skip, or use a lower");
     eprintln!("floor; `list --json` prints every scenario's gates. With");
     eprintln!("--baseline-dir, every report is also compared against the committed");
-    eprintln!(
-        "BENCH_<scenario>.json in DIR: delivery may regress at most {:.0}% and",
-        TRAJECTORY_DELIVERY_TOLERANCE * 100.0
-    );
-    eprintln!(
-        "the overhead metrics may grow at most {:.0}%.",
-        TRAJECTORY_OVERHEAD_TOLERANCE * 100.0
-    );
+    eprintln!("BENCH_<scenario>.json in DIR: every number but the wall-clock metrics,");
+    eprintln!("`threads` and the `profile` block must be identical, and each one that");
+    eprintln!("differs is listed.");
     eprintln!("`explain` prints a post-mortem of one report: how it fares against");
     eprintln!("its gates, fault counters, timeline inflections, profiler phase split.");
 }
@@ -118,10 +115,7 @@ fn validate(args: &[String]) -> ExitCode {
     }
     let mut failures = 0u32;
     for file in &files {
-        let doc = match std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read: {e}"))
-            .and_then(|text| validate_report_str(&text))
-        {
+        let doc = match read_report(file) {
             Ok(doc) => doc,
             Err(e) => {
                 eprintln!("{file}: FAIL: {e}");
@@ -137,15 +131,10 @@ fn validate(args: &[String]) -> ExitCode {
                 let base_path = format!("{dir}/BENCH_{scenario}.json");
                 // A gate that cannot find its baseline must fail, not
                 // silently wave the candidate through.
-                let base_text = std::fs::read_to_string(&base_path)
-                    .map_err(|e| format!("cannot read baseline {base_path}: {e}"))?;
-                let baseline = validate_report_str(&base_text)
-                    .map_err(|e| format!("baseline {base_path} invalid: {e}"))?;
-                let rows = check_trajectory(&doc, &baseline)?;
-                Ok(format!(
-                    "trajectory ok vs {base_path} ({} checks)",
-                    rows.len()
-                ))
+                let baseline =
+                    read_report(&base_path).map_err(|e| format!("baseline {base_path}: {e}"))?;
+                let same = check_trajectory(&doc, &baseline)?;
+                Ok(format!("trajectory ok vs {base_path}: {same}"))
             })());
         }
         let fails: Vec<&String> = results.iter().filter_map(|r| r.as_ref().err()).collect();
@@ -168,6 +157,12 @@ fn validate(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Reads the report file at `path` and schema-checks it.
+fn read_report(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    validate_report_str(&text)
 }
 
 fn scenario_name(doc: &Json) -> Option<&str> {
@@ -243,10 +238,7 @@ fn explain(args: &[String]) -> ExitCode {
         eprintln!("explain needs exactly one report file");
         return ExitCode::FAILURE;
     };
-    let doc = match std::fs::read_to_string(file)
-        .map_err(|e| format!("cannot read: {e}"))
-        .and_then(|text| validate_report_str(&text))
-    {
+    let doc = match read_report(file) {
         Ok(doc) => doc,
         Err(e) => {
             eprintln!("{file}: {e}");
@@ -276,26 +268,7 @@ fn explain(args: &[String]) -> ExitCode {
         println!("  (no declared gates; schema check only)");
     }
 
-    // Fault counters, totalled across rows wherever a scenario recorded
-    // them as metrics.
-    let mut counters: Vec<(&str, f64)> = Vec::new();
-    if let Some(Json::Arr(rows)) = doc.get("rows") {
-        for row in rows {
-            let Some(Json::Obj(metrics)) = row.get("metrics") else {
-                continue;
-            };
-            for (k, v) in metrics {
-                let Some(name) = FAULT_COUNTER_METRICS.iter().find(|m| **m == k.as_str()) else {
-                    continue;
-                };
-                let Json::Num(n) = v else { continue };
-                match counters.iter_mut().find(|(c, _)| c == name) {
-                    Some((_, total)) => *total += n,
-                    None => counters.push((name, *n)),
-                }
-            }
-        }
-    }
+    let counters = fault_totals(&report_rows(&doc).unwrap_or_default());
     if !counters.is_empty() {
         println!("## fault counters (summed over rows)");
         for (k, v) in &counters {
@@ -381,6 +354,21 @@ const FAULT_COUNTER_METRICS: [&str; 4] = [
     "byzantine_replayed",
     "drops_queue_full",
 ];
+
+/// Each [`FAULT_COUNTER_METRICS`] entry some row records, summed over
+/// `rows`, in order of first appearance.
+fn fault_totals(rows: &[Row]) -> Vec<(&'static str, f64)> {
+    let mut totals: Vec<(&str, f64)> = Vec::new();
+    for (k, v) in rows.iter().flat_map(|r| &r.metrics) {
+        if let Some(&name) = FAULT_COUNTER_METRICS.iter().find(|m| *m == k) {
+            match totals.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, total)) => *total += v,
+                None => totals.push((name, *v)),
+            }
+        }
+    }
+    totals
+}
 
 /// Parsed form of `hvdb-bench run`'s arguments, separated from the
 /// side-effecting run loop so flag handling is unit-testable.
@@ -649,17 +637,7 @@ fn print_report(report: &ScenarioReport) {
     }
     // Fault-plane counters, totalled across rows: visible on the console
     // at a glance instead of only inside the JSON metric maps.
-    let mut totals: Vec<(&str, f64)> = Vec::new();
-    for row in &report.rows {
-        for (k, v) in &row.metrics {
-            if let Some(name) = FAULT_COUNTER_METRICS.iter().find(|m| *m == k) {
-                match totals.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, total)) => *total += v,
-                    None => totals.push((name, *v)),
-                }
-            }
-        }
-    }
+    let totals = fault_totals(&report.rows);
     if !totals.is_empty() {
         let joined: Vec<String> = totals.iter().map(|(k, v)| format!("{k}={v:.0}")).collect();
         println!("## fault counters: {}", joined.join(" "));

@@ -35,7 +35,7 @@ pub use runner::{
 pub use scenario::{registry, run_scenario, CustomOut, RunOpts, ScenarioDef};
 pub use validate::{
     check_gates, check_trajectory, parse_strict, validate_report_str, Check, Gate, Label, Rows,
-    Smoke, OVERHEAD_GATED_METRICS, TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE,
+    Smoke,
 };
 pub use workload::{
     is_data_class, is_refresh_class, metrics_of, MobilityKind, RunMetrics, Scenario, Workload,

@@ -55,7 +55,7 @@ pub struct ScenarioReport {
     /// Worker-thread count the run was invoked with (`--threads`, default
     /// 1). Recorded in every report so a wall-clock number can always be
     /// traced back to its parallelism; deterministic metrics are identical
-    /// at every value.
+    /// at every value, so golden and trajectory comparisons ignore it.
     pub threads: usize,
     /// The scenario's declarative workload block — currently the
     /// serialized fault plan for scenarios that inject one
@@ -71,7 +71,8 @@ pub struct ScenarioReport {
     /// Optional wall-clock engine profile (parallel drain / serial
     /// commit / barrier phase times, per-lane busy time).
     /// **Non-deterministic**: excluded from golden and trajectory
-    /// comparisons, which read only `rows`. Absent when `None`.
+    /// comparisons ([`crate::validate::deterministic_view`]). Absent when
+    /// `None`.
     pub profile: Option<Json>,
     /// The measurements.
     pub rows: Vec<Row>,

@@ -1239,8 +1239,8 @@ fn scale_row(sweep: &str, label: String, runs: &[ScaleRun]) -> Row {
 /// constant density, reporting what the north star cares about —
 /// delivery, latency, *per-node* control cost and *per-node* memory
 /// (both must stay flat as the network grows for the backbone to call
-/// itself scalable). CI re-runs this sweep and compares every row
-/// against the committed `BENCH_scale.json` within a tolerance band.
+/// itself scalable). CI re-runs this sweep at `--threads 4` and requires
+/// every deterministic number to equal the committed `BENCH_scale.json`.
 ///
 /// Every point runs the one HVDB recipe ([`run_one_instrumented`]), so
 /// every row is proto `hvdb`, in three sub-sweeps:

@@ -3,42 +3,33 @@
 //!
 //! The report writer is hand-rolled (offline workspace), so nothing may
 //! trust it blindly: [`parse_strict`] is a strict recursive-descent JSON
-//! parser (no trailing garbage, no bad escapes, no bare control chars,
-//! bounded nesting), and [`validate_report_str`] layers the exact report
-//! schema on top — the six top-level fields with their types, every row
-//! fully typed, finite metrics only, no unknown keys, and a timeline's
-//! re-merge annotation re-derived from its own sample series. The CLI
-//! (`hvdb-bench validate`, and `run`'s post-write check) and the test
-//! suite share this code, so a malformed report can neither land in CI
-//! artifacts nor be committed unnoticed.
+//! parser (no trailing garbage, no bad escapes, no bare control chars, no
+//! repeated keys, bounded nesting), and [`validate_report_str`] layers the
+//! exact report schema on top — the six top-level fields with their
+//! types, every row fully typed at its own coordinate, finite metrics
+//! only, no unknown keys, and a timeline's re-merge annotation re-derived
+//! from its own sample series. The CLI (`hvdb-bench validate`, and
+//! `run`'s post-write check) and the test suite share this code, so a
+//! malformed report can neither land in CI artifacts nor be committed
+//! unnoticed.
 //!
 //! The gates are data: every scenario declares its [`Gate`]s on
 //! [`ScenarioDef::gates`](crate::ScenarioDef::gates), and [`check_gates`]
 //! is the one interpreter behind `validate`, `explain` and `list --json`.
-//! [`check_trajectory`] is the one cross-report comparison.
+//! [`check_trajectory`] is the one cross-report comparison: a report's
+//! [`deterministic_view`] must replay exactly.
 
 use crate::report::{Json, Row};
 use std::fmt;
 
-/// Bench-trajectory tolerance: a candidate row's `delivery` may fall at
-/// most this fraction below the committed baseline's.
-pub const TRAJECTORY_DELIVERY_TOLERANCE: f64 = 0.10;
-
-/// Bench-trajectory tolerance: a candidate row's overhead metrics
-/// ([`OVERHEAD_GATED_METRICS`]) may grow at most this fraction over the
-/// committed baseline's.
-pub const TRAJECTORY_OVERHEAD_TOLERANCE: f64 = 0.15;
-
-/// The per-row metrics the trajectory comparison treats as overhead
-/// (lower is better, growth is gated). `memory_per_node_bytes` is the
-/// `scale` scenario's footprint column: deterministic content-byte
-/// estimates, so a growth past the band is a real per-node state
-/// regression, not allocator noise.
-pub const OVERHEAD_GATED_METRICS: [&str; 4] = [
-    "control_frames_per_s",
-    "control_bytes_per_node",
-    "refresh_frames_per_s",
-    "memory_per_node_bytes",
+/// Row metrics read from the wall clock or the host, which no two runs
+/// share. Only `perf` rows carry them.
+pub const WALL_CLOCK_METRICS: [&str; 5] = [
+    "events_per_s",
+    "sim_sec_per_wall_sec",
+    "wall_ms",
+    "lane_imbalance",
+    "hardware_threads",
 ];
 
 /// Deepest array/object nesting [`parse_strict`] accepts. Committed
@@ -122,7 +113,8 @@ fn num(
 }
 
 /// Schema check of a parsed report document. Strict: every field typed,
-/// no unknown top-level or row keys, rows non-empty, metrics finite.
+/// no unknown top-level or row keys, rows non-empty with distinct
+/// `(sweep, label, proto)` coordinates, metrics finite.
 pub fn validate_report(doc: &Json) -> Result<(), String> {
     let fields = obj_fields(doc)?;
     // "workload", "timeline" and "profile" are the optional keys:
@@ -168,6 +160,16 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     }
     for (i, row) in rows.iter().enumerate() {
         validate_row(row).map_err(|e| format!("row {i}: {e}"))?;
+        // Gates and the trajectory comparison read the first row at a
+        // coordinate; a second one would go unchecked.
+        let same = |r: &Json| {
+            ["sweep", "label", "proto"]
+                .iter()
+                .all(|k| r.get(k) == row.get(k))
+        };
+        if let Some(j) = rows[..i].iter().position(same) {
+            return Err(format!("row {i}: same sweep, label and proto as row {j}"));
+        }
     }
     Ok(())
 }
@@ -311,15 +313,6 @@ fn validate_profile(v: &Json) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Reads a metric from the row matching `(sweep, label, proto)`.
-pub fn metric_of(doc: &Json, sweep: &str, label: &str, proto: &str, metric: &str) -> Option<f64> {
-    report_rows(doc)
-        .ok()?
-        .iter()
-        .filter(|r| r.sweep == sweep && r.label == label && r.proto == proto)
-        .find_map(|r| metric_in(r, metric))
 }
 
 fn metric_in(row: &Row, metric: &str) -> Option<f64> {
@@ -712,62 +705,115 @@ impl fmt::Display for Rows {
     }
 }
 
-/// The bench-trajectory gate: compares a freshly produced `candidate`
-/// report against the committed `baseline` within tolerance bands —
-/// every baseline row must exist in the candidate, `delivery` may
-/// regress at most [`TRAJECTORY_DELIVERY_TOLERANCE`], and the
-/// [`OVERHEAD_GATED_METRICS`] may grow at most
-/// [`TRAJECTORY_OVERHEAD_TOLERANCE`]. Refuses smoke candidates. Returns
-/// one summary line per compared metric; all violations are collected
-/// into the error, not just the first.
-pub fn check_trajectory(candidate: &Json, baseline: &Json) -> Result<Vec<String>, String> {
-    if is_smoke(candidate)? {
-        return Err("trajectory gate needs a full run, not --smoke".into());
-    }
-    let cand_rows = report_rows(candidate)?;
-    let mut summary = Vec::new();
-    let mut violations = Vec::new();
-    for base in report_rows(baseline)? {
-        let coord = format!("{}/{}/{}", base.sweep, base.label, base.proto);
-        let Some(cand) = cand_rows
-            .iter()
-            .find(|r| r.sweep == base.sweep && r.label == base.label && r.proto == base.proto)
-        else {
-            violations.push(format!("row {coord} missing from candidate"));
-            continue;
-        };
-        for (name, base_v) in &base.metrics {
-            if name == "delivery" {
-                let floor = base_v * (1.0 - TRAJECTORY_DELIVERY_TOLERANCE);
-                match metric_in(cand, name) {
-                    Some(v) if v >= floor => {
-                        summary.push(format!("{coord}: delivery {v:.3} vs baseline {base_v:.3}"))
-                    }
-                    Some(v) => violations.push(format!(
-                        "{coord}: delivery {v:.3} regressed more than {:.0}% below baseline {base_v:.3}",
-                        TRAJECTORY_DELIVERY_TOLERANCE * 100.0
-                    )),
-                    None => violations.push(format!("{coord}: delivery metric missing")),
-                }
-            } else if OVERHEAD_GATED_METRICS.contains(&name.as_str()) {
-                let ceiling = base_v * (1.0 + TRAJECTORY_OVERHEAD_TOLERANCE);
-                match metric_in(cand, name) {
-                    Some(v) if v <= ceiling || *base_v == 0.0 && v == 0.0 => {
-                        summary.push(format!("{coord}: {name} {v:.1} vs baseline {base_v:.1}"))
-                    }
-                    Some(v) => violations.push(format!(
-                        "{coord}: {name} {v:.1} grew more than {:.0}% over baseline {base_v:.1}",
-                        TRAJECTORY_OVERHEAD_TOLERANCE * 100.0
-                    )),
-                    None => violations.push(format!("{coord}: {name} metric missing")),
+/// A report's deterministic content: `doc` without its `profile` block,
+/// its top-level `threads` and every row's [`WALL_CLOCK_METRICS`].
+/// `threads` is the lane count the run was invoked with; rows are
+/// identical at every value. Everything kept replays exactly from
+/// `(config, seed)`: the header strings, `smoke`, every other row metric,
+/// `workload` and `timeline`. [`check_trajectory`] and the smoke golden
+/// compare this view.
+pub fn deterministic_view(doc: &Json) -> Json {
+    let mut view = doc.clone();
+    if let Json::Obj(fields) = &mut view {
+        fields.retain(|(k, _)| k != "profile" && k != "threads");
+        for (_, rows) in fields.iter_mut().filter(|(k, _)| k == "rows") {
+            let Json::Arr(rows) = rows else { continue };
+            for row in rows {
+                let Json::Obj(row) = row else { continue };
+                for (_, metrics) in row.iter_mut().filter(|(k, _)| k == "metrics") {
+                    let Json::Obj(metrics) = metrics else {
+                        continue;
+                    };
+                    metrics.retain(|(k, _)| !WALL_CLOCK_METRICS.contains(&k.as_str()));
                 }
             }
         }
     }
-    if violations.is_empty() {
-        Ok(summary)
-    } else {
-        Err(violations.join("; "))
+    view
+}
+
+/// The bench-trajectory gate: the [`deterministic_view`] of a fresh
+/// `candidate` report must equal the committed `baseline`'s exactly,
+/// every number compared by its bits. Refuses smoke candidates. Returns
+/// one line counting the numbers compared, or an error listing every
+/// difference by path: rows and values present in only one report, and
+/// each value that moved, with both numbers printed so they round-trip.
+pub fn check_trajectory(candidate: &Json, baseline: &Json) -> Result<String, String> {
+    if is_smoke(candidate)? {
+        return Err("trajectory gate needs a full run, not --smoke".into());
+    }
+    let (cand, base) = (deterministic_view(candidate), deterministic_view(baseline));
+    let (mut c, mut b) = (Vec::new(), Vec::new());
+    leaves(String::new(), &cand, &mut c);
+    leaves(String::new(), &base, &mut b);
+    let find = |list: &[(String, &Json)], path: &str| list.iter().position(|(p, _)| p == path);
+    let same = |x: &Json, y: &Json| match (x, y) {
+        (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+        _ => x == y,
+    };
+    let mut diffs = Vec::new();
+    for (side, these, other) in [("baseline", &b, &c), ("candidate", &c, &b)] {
+        for (path, v) in these.iter() {
+            match find(other, path).map(|i| other[i].1) {
+                Some(o) if side == "baseline" && !same(o, v) => {
+                    diffs.push(format!("{path}: {o} vs baseline {v}"));
+                }
+                Some(_) => {}
+                // A row in one report only is one difference, not one per metric.
+                None => match path.split_once("] ") {
+                    Some((row, _)) if find(other, &format!("{row}]")).is_none() => {}
+                    _ => diffs.push(format!("{path}: only in {side}")),
+                },
+            }
+        }
+    }
+    if diffs.is_empty() && cand != base {
+        diffs.push("the same values in another order".into());
+    }
+    if diffs.is_empty() {
+        let numbers = b.iter().filter(|(_, v)| matches!(v, Json::Num(_))).count();
+        return Ok(format!("{numbers} numbers identical"));
+    }
+    let list = diffs.join("\n    ");
+    Err(format!(
+        "{} difference(s) from the baseline:\n    {list}",
+        diffs.len()
+    ))
+}
+
+/// Appends `v`'s leaves to `out`, each with its path: `.key` below an
+/// object and `[i]` below an array, except that a report's rows are keyed
+/// by coordinate, `rows[sweep/label/proto]` (a `null` marker) with a
+/// `rows[..] metric` entry per metric. An empty object or array is a leaf.
+fn leaves<'a>(path: String, v: &'a Json, out: &mut Vec<(String, &'a Json)>) {
+    match v {
+        Json::Arr(rows) if path == "rows" => {
+            for row in rows {
+                let coord = ["sweep", "label", "proto"].map(|k| match row.get(k) {
+                    Some(Json::Str(s)) => s.as_str(),
+                    _ => "",
+                });
+                let row_path = format!("rows[{}]", coord.join("/"));
+                if let Some(Json::Obj(metrics)) = row.get("metrics") {
+                    for (name, v) in metrics {
+                        out.push((format!("{row_path} {name}"), v));
+                    }
+                }
+                out.push((row_path, &Json::Null));
+            }
+        }
+        Json::Arr(items) if !items.is_empty() => {
+            for (i, item) in items.iter().enumerate() {
+                leaves(format!("{path}[{i}]"), item, out);
+            }
+        }
+        Json::Obj(fields) if !fields.is_empty() => {
+            let dot = if path.is_empty() { "" } else { "." };
+            for (k, v) in fields {
+                leaves(format!("{path}{dot}{k}"), v, out);
+            }
+        }
+        leaf => out.push((path, leaf)),
     }
 }
 
@@ -849,6 +895,11 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                // A second value would go unchecked: every reader takes
+                // the first.
+                return Err(format!("repeated key {key:?}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             let value = self.value()?;
@@ -1065,11 +1116,8 @@ mod tests {
                 vec![("delivery_worst".into(), 0.93), ("delivery".into(), 0.97)],
             )],
         );
-        let doc = validate_report_str(&s).expect("valid report");
-        assert_eq!(
-            metric_of(&doc, "frame-loss", "loss=0.15", "hvdb", "delivery_worst"),
-            Some(0.93)
-        );
+        let rows = report_rows(&validate_report_str(&s).expect("valid report")).unwrap();
+        assert_eq!(metric_in(&rows[0], "delivery_worst"), Some(0.93));
     }
 
     fn any_rows() -> Vec<Row> {
@@ -1210,6 +1258,23 @@ mod tests {
         assert!(parse_strict("\"unterminated").is_err());
         assert!(parse_strict("{\"a\": nul}").is_err());
         assert!(parse_strict("[1, 2,]").is_err());
+    }
+
+    #[test]
+    fn parser_rejects_repeated_keys() {
+        let err = parse_strict("[{\"k\": {\"a\": 1, \"b\": 2, \"a\": 3}}]").unwrap_err();
+        assert!(err.contains("repeated key \"a\""), "{err}");
+        parse_strict("[{\"a\": 1}, {\"a\": 2}]").expect("sibling objects may share keys");
+    }
+
+    #[test]
+    fn schema_rejects_repeated_row_coordinates() {
+        let rows = ["nodes=200", "nodes=400", "nodes=200"].map(|l| scale_row(l, 1.0, 500.0));
+        let err = validate_report_str(&report("scale", rows.to_vec())).unwrap_err();
+        assert!(
+            err.contains("row 2: same sweep, label and proto as row 0"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1414,58 +1479,81 @@ mod tests {
             vec![
                 ("delivery".into(), delivery),
                 ("control_frames_per_s".into(), frames),
-                ("latency_ms".into(), 17.0), // un-gated metric: free to move
+                ("latency_ms".into(), 17.0),
             ],
         )
     }
 
-    fn traj(candidate: Vec<Row>, baseline: Vec<Row>) -> Result<Vec<String>, String> {
-        let cand = validate_report_str(&report("scale", candidate)).unwrap();
-        let base = validate_report_str(&report("scale", baseline)).unwrap();
-        check_trajectory(&cand, &base)
+    /// A one-row `scale` report with a workload and a timeline, after
+    /// `edit`.
+    fn traj_doc(edit: impl FnOnce(&mut ScenarioReport)) -> Json {
+        let plan = Json::Arr(vec![Json::Num(1.0)]);
+        let samples = vec![sample(1.0, 5.0), sample(2.0, 4.0)];
+        let mut report = ScenarioReport {
+            scenario: "scale".into(),
+            figure: "Fig. X".into(),
+            summary: "s".into(),
+            smoke: false,
+            threads: 1,
+            workload: Some(Json::Obj(vec![("plan".into(), plan)])),
+            timeline: Some(timeline_block(&[], samples)),
+            profile: None,
+            rows: vec![scale_row("nodes=200", 1.0, 500.0)],
+        };
+        edit(&mut report);
+        report.to_json()
+    }
+
+    /// [`check_trajectory`] of an edited [`traj_doc`] against the plain one.
+    fn traj(edit: impl FnOnce(&mut ScenarioReport)) -> Result<String, String> {
+        check_trajectory(&traj_doc(edit), &traj_doc(|_| {}))
     }
 
     #[test]
-    fn trajectory_gate_bands_delivery_and_overhead() {
-        let base = || vec![scale_row("nodes=200", 1.0, 500.0)];
-        // Within both bands: passes with a summary line per checked metric.
-        let summary = traj(vec![scale_row("nodes=200", 0.95, 540.0)], base()).unwrap();
-        assert_eq!(summary.len(), 2);
-        // Delivery regressed past the band.
-        let err = traj(vec![scale_row("nodes=200", 0.85, 500.0)], base()).unwrap_err();
-        assert!(err.contains("delivery"), "{err}");
-        // Overhead grew past the band.
-        let err = traj(vec![scale_row("nodes=200", 1.0, 600.0)], base()).unwrap_err();
-        assert!(err.contains("control_frames_per_s"), "{err}");
-        // A baseline row vanishing from the candidate is a failure, not a
-        // silent skip.
-        let err = traj(vec![scale_row("nodes=400", 1.0, 500.0)], base()).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
-        // Smoke candidates are refused.
-        let cand = smoke(report("scale", base()));
-        let cand = validate_report_str(&cand).unwrap();
-        let base = validate_report_str(&report("scale", base())).unwrap();
-        assert!(check_trajectory(&cand, &base)
-            .unwrap_err()
-            .contains("smoke"));
+    fn trajectory_gate_compares_deterministic_content_exactly() {
+        // 3 row metrics, 1 + 2 x 5 timeline numbers and 1 workload number.
+        assert_eq!(traj(|_| {}).unwrap(), "15 numbers identical");
+        // The lane count, the profile and wall-clock metrics are not content.
+        traj(|r| {
+            r.threads = 4;
+            r.profile = Some(Json::Null);
+            r.rows[0].metrics.push(("wall_ms".into(), 10.0));
+        })
+        .unwrap();
+        // One ULP on a row metric fails; both values print in full.
+        let up = f64::from_bits(500f64.to_bits() + 1);
+        let err = traj(|r| r.rows[0].metrics[1].1 = up).unwrap_err();
+        let want = format!("nodes=200/hvdb] control_frames_per_s: {up} vs baseline 500");
+        assert!(err.contains(&want), "{err}");
+        // So does a timeline sample or a workload value, named by path.
+        let samples = vec![sample(1.0, 5.0), sample(2.0, 3.0)];
+        let err = traj(|r| r.timeline = Some(timeline_block(&[], samples))).unwrap_err();
+        let want = "timeline.samples[1].heads: 3 vs baseline 4";
+        assert!(err.contains(want), "{err}");
+        let plan = Json::Obj(vec![("plan".into(), Json::Arr(vec![Json::Num(2.0)]))]);
+        let err = traj(|r| r.workload = Some(plan)).unwrap_err();
+        assert!(err.contains("workload.plan[0]: 2 vs baseline 1"), "{err}");
+        assert!(traj(|r| r.smoke = true).unwrap_err().contains("smoke"));
     }
 
     #[test]
     fn trajectory_gate_collects_every_violation() {
-        let err = traj(
-            vec![scale_row("nodes=200", 0.5, 900.0)],
-            vec![
-                scale_row("nodes=200", 1.0, 500.0),
-                scale_row("nodes=400", 1.0, 500.0),
-                scale_row("nodes=600", 1.0, 500.0),
-            ],
-        )
-        .unwrap_err();
+        let base = traj_doc(|r| r.rows.push(scale_row("nodes=400", 1.0, 500.0)));
+        let cand = traj_doc(|r| {
+            r.summary = "t".into();
+            r.rows[0] = scale_row("nodes=200", 0.5, 900.0);
+            r.rows[0].metrics.pop();
+            r.rows.push(scale_row("nodes=800", 1.0, 1.0));
+        });
+        let err = check_trajectory(&cand, &base).unwrap_err();
+        assert!(err.starts_with("6 difference(s)"), "{err}");
         for want in [
-            "nodes=200/hvdb: delivery",
-            "nodes=200/hvdb: control_frames_per_s",
-            "nodes=400/hvdb missing",
-            "nodes=600/hvdb missing",
+            "summary: \"t\" vs baseline \"s\"",
+            "nodes=200/hvdb] delivery: 0.5 vs baseline 1",
+            "nodes=200/hvdb] control_frames_per_s: 900 vs baseline 500",
+            "nodes=200/hvdb] latency_ms: only in baseline",
+            "rows[network-size/nodes=400/hvdb]: only in baseline",
+            "rows[network-size/nodes=800/hvdb]: only in candidate",
         ] {
             assert!(err.contains(want), "{want}: {err}");
         }

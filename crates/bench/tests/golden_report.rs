@@ -7,18 +7,21 @@
 //! JSON rendering. It must come out identical at threads 1 and 2. Any
 //! divergence — a reordered delivery, a changed wire size, an extra RNG
 //! draw — fails this test before it can silently skew every committed
-//! benchmark.
+//! benchmark. The HVDB rows also carry `memory_per_node_bytes`: their
+//! 50 s runs elect heads, so a change to the per-head state shows here.
 //!
 //! `tests/golden/smoke_registry.json` pins every registered scenario's
 //! smoke report at two seeds (so every mean and worst-seed reduction has
-//! two inputs), with the wall-clock metrics and the `profile` block
-//! removed: a harness refactor must leave every row as it was.
+//! two inputs), each reduced to its [`deterministic_view`], the content
+//! `validate --baseline-dir` compares: a harness refactor must leave
+//! every row as it was.
 //!
 //! Regenerate (only when a change is *supposed* to alter results) with:
 //! `UPDATE_GOLDEN=1 cargo test -p hvdb-bench --test golden_report`
 
-use hvdb_bench::runner::{run_one, Proto};
+use hvdb_bench::runner::{run_one, run_one_instrumented, Proto};
 use hvdb_bench::scenario::{registry, run_scenario, RunOpts};
+use hvdb_bench::validate::deterministic_view;
 use hvdb_bench::workload::{MobilityKind, Workload};
 use hvdb_bench::{Json, Row, ScenarioReport};
 use hvdb_sim::{FaultPlan, NodeId, SimDuration, SimTime};
@@ -46,27 +49,12 @@ fn golden_workload() -> Workload {
     }
 }
 
-fn render(summary: &str, rows: Vec<Row>) -> String {
-    let report = ScenarioReport {
-        scenario: "golden".into(),
-        figure: "determinism".into(),
-        summary: summary.into(),
-        smoke: false,
-        threads: 1,
-        workload: None,
-        timeline: None,
-        profile: None,
-        rows,
-    };
-    format!("{}\n", report.to_json())
-}
-
 /// The golden workload on [`run_one`] (64 shards) at `threads` lanes:
 /// HVDB static, mobile-lossy, and static with one node failing
 /// mid-traffic and recovering (the serial barriers whose callbacks commit
-/// between windows), then every baseline on the static workload. The
-/// rendered `threads` field stays 1 because the rows must not depend on
-/// the lane count.
+/// between windows), each with its end-of-run memory estimate, then every
+/// baseline on the static workload. The rendered `threads` field stays 1
+/// because the rows must not depend on the lane count.
 fn par_golden_report(threads: usize) -> String {
     let fault = FaultPlan::new()
         .fail(SimTime::from_secs(33), NodeId(12))
@@ -94,8 +82,10 @@ fn par_golden_report(threads: usize) -> String {
             threads,
             ..golden_workload()
         };
-        let m = run_one(Proto::Hvdb, &w.build());
-        Row::new("golden", label, Proto::Hvdb.name(), m.metric_pairs())
+        let (m, detail) = run_one_instrumented(Proto::Hvdb, &w.build());
+        let mut metrics = m.metric_pairs();
+        metrics.push(("memory_per_node_bytes".into(), detail.memory_per_node_bytes));
+        Row::new("golden", label, Proto::Hvdb.name(), metrics)
     });
     let baselines = Proto::ALL[1..].iter().map(|&proto| {
         let w = Workload {
@@ -106,25 +96,24 @@ fn par_golden_report(threads: usize) -> String {
         let label = format!("{}-static", proto.name());
         Row::new("golden", label, proto.name(), m.metric_pairs())
     });
-    let rows = hvdb.chain(baselines).collect();
-    render(
-        "fixed-seed parallel-engine golden report (64 shards, identical at threads 1 and 2)",
-        rows,
-    )
+    let report = ScenarioReport {
+        scenario: "golden".into(),
+        figure: "determinism".into(),
+        summary:
+            "fixed-seed parallel-engine golden report (64 shards, identical at threads 1 and 2)"
+                .into(),
+        smoke: false,
+        threads: 1,
+        workload: None,
+        timeline: None,
+        profile: None,
+        rows: hvdb.chain(baselines).collect(),
+    };
+    format!("{}\n", report.to_json())
 }
 
-/// Row metrics read from the wall clock or the host, which no two runs
-/// share.
-const WALL_CLOCK_METRICS: [&str; 5] = [
-    "events_per_s",
-    "sim_sec_per_wall_sec",
-    "wall_ms",
-    "lane_imbalance",
-    "hardware_threads",
-];
-
-/// Every registered scenario's smoke report at seeds 1 and 2, as one JSON
-/// array, with [`WALL_CLOCK_METRICS`] and the `profile` block removed.
+/// Every registered scenario's smoke report at seeds 1 and 2, each
+/// reduced to its [`deterministic_view`], as one JSON array.
 fn smoke_registry_report() -> String {
     let opts = RunOpts {
         smoke: true,
@@ -133,15 +122,7 @@ fn smoke_registry_report() -> String {
     };
     let reports = registry()
         .iter()
-        .map(|def| {
-            let mut report = run_scenario(def, &opts);
-            report.profile = None;
-            for row in &mut report.rows {
-                row.metrics
-                    .retain(|(k, _)| !WALL_CLOCK_METRICS.contains(&k.as_str()));
-            }
-            report.to_json()
-        })
+        .map(|def| deterministic_view(&run_scenario(def, &opts).to_json()))
         .collect();
     format!("{}\n", Json::Arr(reports))
 }

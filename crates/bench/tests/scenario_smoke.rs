@@ -5,7 +5,8 @@
 //! apply to full runs, so the contract is enforced end to end.
 
 use hvdb_bench::scenario::{registry, run_scenario, RunOpts};
-use hvdb_bench::validate::{metric_of, validate_report_str};
+use hvdb_bench::validate::{report_rows, validate_report_str};
+use hvdb_bench::Row;
 
 #[test]
 fn every_scenario_smokes_and_validates() {
@@ -41,24 +42,35 @@ fn every_scenario_smokes_and_validates() {
     }
 }
 
+/// `name`'s smoke report rows, read back through the strict validator.
+fn smoke_rows(name: &str) -> Vec<Row> {
+    let def = hvdb_bench::scenario::find(name).expect("registered scenario");
+    let opts = RunOpts {
+        smoke: true,
+        ..RunOpts::default()
+    };
+    let json = run_scenario(&def, &opts).to_json().to_string();
+    report_rows(&validate_report_str(&json).expect("valid report")).expect("rows")
+}
+
+/// Whether the `sweep/label/proto` row of `rows` carries `metric`.
+fn emits(rows: &[Row], coord: &str, metric: &str) -> bool {
+    rows.iter().any(|r| {
+        format!("{}/{}/{}", r.sweep, r.label, r.proto) == coord
+            && r.metrics.iter().any(|(k, _)| k == metric)
+    })
+}
+
 #[test]
 fn loss_scenario_emits_the_gated_metrics() {
     // The CI gate reads frame-loss/loss=0.15/hvdb/delivery_worst; make
     // sure the scenario emits that exact coordinate even in smoke shape.
-    let report = run_scenario(
-        &hvdb_bench::scenario::find("loss").expect("loss scenario registered"),
-        &RunOpts {
-            smoke: true,
-            seeds: None,
-            ..RunOpts::default()
-        },
-    );
-    let doc = validate_report_str(&report.to_json().to_string()).expect("valid report");
+    let rows = smoke_rows("loss");
     assert!(
-        metric_of(&doc, "frame-loss", "loss=0.15", "hvdb", "delivery_worst").is_some(),
+        emits(&rows, "frame-loss/loss=0.15/hvdb", "delivery_worst"),
         "loss report lost its gate coordinate"
     );
-    assert!(metric_of(&doc, "frame-loss", "loss=0.15", "hvdb", "delivery").is_some());
+    assert!(emits(&rows, "frame-loss/loss=0.15/hvdb", "delivery"));
 }
 
 #[test]
@@ -67,47 +79,32 @@ fn overhead_scenario_emits_the_gated_coordinates() {
     // hvdb-adaptive}/refresh_frames_per_s (plus the adaptive side's
     // control_frames_per_s ceiling); the scenario must emit those exact
     // coordinates even in smoke shape.
-    let report = run_scenario(
-        &hvdb_bench::scenario::find("overhead").expect("overhead scenario registered"),
-        &RunOpts {
-            smoke: true,
-            seeds: None,
-            ..RunOpts::default()
-        },
-    );
-    let doc = validate_report_str(&report.to_json().to_string()).expect("valid report");
+    let rows = smoke_rows("overhead");
     for proto in ["hvdb-fixed", "hvdb-adaptive"] {
         assert!(
-            metric_of(&doc, "churn", "churn=0", proto, "refresh_frames_per_s").is_some(),
+            emits(
+                &rows,
+                &format!("churn/churn=0/{proto}"),
+                "refresh_frames_per_s"
+            ),
             "overhead report lost its {proto} gate coordinate"
         );
     }
-    assert!(metric_of(
-        &doc,
-        "churn",
-        "churn=0",
-        "hvdb-adaptive",
+    assert!(emits(
+        &rows,
+        "churn/churn=0/hvdb-adaptive",
         "control_frames_per_s"
-    )
-    .is_some());
+    ));
 }
 
 #[test]
 fn scale_scenario_emits_trajectory_metrics() {
-    let report = run_scenario(
-        &hvdb_bench::scenario::find("scale").expect("scale scenario registered"),
-        &RunOpts {
-            smoke: true,
-            seeds: None,
-            ..RunOpts::default()
-        },
-    );
-    let doc = validate_report_str(&report.to_json().to_string()).expect("valid report");
-    // Every row must carry the trajectory-gated metrics.
+    let rows = smoke_rows("scale");
+    // Every row must carry the metrics the scalability claim reads.
     for label in ["nodes=30", "nodes=40"] {
         for metric in ["delivery", "control_bytes_per_node", "control_frames_per_s"] {
             assert!(
-                metric_of(&doc, "network-size", label, "hvdb", metric).is_some(),
+                emits(&rows, &format!("network-size/{label}/hvdb"), metric),
                 "scale report lost {label}/{metric}"
             );
         }

@@ -42,12 +42,6 @@ impl Clustering {
     pub fn is_head(&self, node: u32) -> bool {
         self.vc_of_head.contains_key(&node)
     }
-
-    /// The head of the VC containing `node`'s position, if any.
-    pub fn head_for_node(&self, node: u32) -> Option<u32> {
-        let vc = self.primary_of_node.get(&node)?;
-        self.head_of_vc.get(vc).copied()
-    }
 }
 
 /// Forms clusters from a network snapshot. `nodes` supplies each node's
@@ -162,7 +156,7 @@ mod tests {
         assert_eq!(c.head_of_vc[&VcId::new(3, 3)], 1);
         assert_eq!(c.head_of_vc[&VcId::new(7, 7)], 2);
         assert!(c.is_head(1));
-        assert_eq!(c.head_for_node(2), Some(2));
+        assert_eq!(c.head_of_vc[&c.primary_of_node[&2]], 2);
     }
 
     #[test]
@@ -178,7 +172,7 @@ mod tests {
         assert_eq!(c.cluster_count(), 1);
         assert_eq!(c.head_of_vc[&VcId::new(4, 4)], 0); // closest to VCC
         assert_eq!(c.members_of_vc[&VcId::new(4, 4)], vec![0, 1, 2]);
-        assert_eq!(c.head_for_node(1), Some(0));
+        assert_eq!(c.head_of_vc[&c.primary_of_node[&1]], 0);
     }
 
     #[test]
@@ -202,7 +196,7 @@ mod tests {
         weak.eligible = false;
         let c = form_clusters(&g, &[weak]);
         assert_eq!(c.cluster_count(), 0);
-        assert_eq!(c.head_for_node(0), None);
+        assert_eq!(c.head_of_vc.get(&c.primary_of_node[&0]), None);
         // The node is still a member of its VC.
         assert_eq!(c.members_of_vc[&VcId::new(2, 2)], vec![0]);
     }

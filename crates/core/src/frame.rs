@@ -86,12 +86,6 @@ impl FrameBytes {
         self.inner.wire as usize
     }
 
-    /// Whether this handle is the payload's only owner (unicast
-    /// deliveries always are; broadcast receivers share until the last).
-    pub fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.inner) == 1
-    }
-
     /// Takes the payload out of the frame: a move when uniquely held, a
     /// deep clone only when other receivers still share it. Unicast
     /// handlers (geo relays, handovers) use this to keep their
@@ -163,13 +157,13 @@ mod tests {
     #[test]
     fn clone_is_shared_and_into_msg_moves_when_unique() {
         let f = FrameBytes::seal(sample());
-        assert!(f.is_unique());
+        assert_eq!(Arc::strong_count(&f.inner), 1);
         let g = f.clone();
-        assert!(!f.is_unique());
+        assert_eq!(Arc::strong_count(&f.inner), 2);
         // Shared contents are literally the same allocation.
         assert!(std::ptr::eq(f.msg(), g.msg()));
         drop(g);
-        assert!(f.is_unique());
+        assert_eq!(Arc::strong_count(&f.inner), 1);
         let HvdbMsg::LocalDeliver { data_id, .. } = f.into_msg() else {
             panic!("payload changed shape");
         };

@@ -4,7 +4,7 @@
 //! coordinate, length and width of the whole network, diameter of VCs, and
 //! dimension of logical hypercubes") plus the protocol knobs a scenario
 //! varies. The protocol's fixed periods and soft-state refresh policy are
-//! the constants beside it ([`CLUSTER_INTERVAL`] … [`REFRESH_MAX_BACKOFF_SUMMARY`]).
+//! the constants beside it ([`CLUSTER_INTERVAL`] … [`LOCAL_REPORT_DEADLINE`]).
 //!
 //! [`build_model`] constructs the three-tier structure of §3 from a network
 //! snapshot: clustering (MNT), one incomplete hypercube per region (HT,
@@ -13,6 +13,7 @@
 //! to this same structure; the experiments use the snapshot form for audit
 //! and for the model-construction figures (F1–F3).
 
+use crate::softstate::miss_deadline;
 use crate::summary::GroupId;
 use hvdb_cluster::{form_clusters, Candidate, Clustering};
 use hvdb_geo::{Aabb, ChKind, Hid, Hnid, RegionMap, VcGrid, VcId};
@@ -54,6 +55,24 @@ pub const REFRESH_BACKOFF_FACTOR: u32 = 2;
 /// flood fan-out), so they earn the deepest quiet-phase backoff; the
 /// summary K-miss deadline scales with this cap.
 pub const REFRESH_MAX_BACKOFF_SUMMARY: u32 = 4;
+/// Beacon-silence deadline after which a logical neighbour CH is
+/// declared failed: [`REFRESH_MISS_LIMIT`] missed beacons plus slack
+/// (K-miss expiry, not a single TTL).
+pub const NEIGHBOR_DEADLINE: SimDuration = miss_deadline(BEACON_INTERVAL, REFRESH_MISS_LIMIT);
+/// Announcement-silence deadline for the members' head lease: K misses
+/// of one refresh period plus its jitter. Designation refreshes fire on
+/// every tick — `ChAnnounce` is one tiny local broadcast per head, so
+/// backing it off would save almost nothing while this deadline *is* the
+/// members' failure detector. It stays much tighter than
+/// [`HvdbConfig::summary_deadline`].
+pub const DESIGNATION_DEADLINE: SimDuration = miss_deadline(
+    SimDuration(REFRESH_INTERVAL.0 + REFRESH_JITTER.0),
+    REFRESH_MISS_LIMIT,
+);
+/// Report-silence deadline for member Local-Membership reports
+/// (refreshed every [`LOCAL_REPORT_INTERVAL`]).
+pub const LOCAL_REPORT_DEADLINE: SimDuration =
+    miss_deadline(LOCAL_REPORT_INTERVAL, REFRESH_MISS_LIMIT);
 
 /// The HVDB geometry plus the protocol knobs a scenario sets to a second
 /// value. The fixed timing is in the constants above.
@@ -128,13 +147,6 @@ impl HvdbConfig {
         self.map.dim()
     }
 
-    /// Beacon-silence deadline after which a logical neighbour CH is
-    /// declared failed: [`REFRESH_MISS_LIMIT`] missed beacons plus slack
-    /// (K-miss expiry, not a single TTL).
-    pub fn neighbor_deadline(&self) -> SimDuration {
-        crate::softstate::miss_deadline(BEACON_INTERVAL, REFRESH_MISS_LIMIT)
-    }
-
     /// Refresh-silence deadline for soft state re-advertised on the
     /// summary refresh rate (MNT entries of silent cube peers, HT entries
     /// of silent regions). Budgets for an origin at full adaptive
@@ -149,26 +161,10 @@ impl HvdbConfig {
         } else {
             1
         };
-        crate::softstate::miss_deadline(
+        miss_deadline(
             (REFRESH_INTERVAL + REFRESH_JITTER).saturating_mul(cap as u64),
             REFRESH_MISS_LIMIT,
         )
-    }
-
-    /// Announcement-silence deadline for the members' head lease: K
-    /// misses of one refresh period plus its jitter. Designation
-    /// refreshes fire on every tick — `ChAnnounce` is one tiny local
-    /// broadcast per head, so backing it off would save almost nothing
-    /// while this deadline *is* the members' failure detector. It stays
-    /// much tighter than [`HvdbConfig::summary_deadline`].
-    pub fn designation_deadline(&self) -> SimDuration {
-        crate::softstate::miss_deadline(REFRESH_INTERVAL + REFRESH_JITTER, REFRESH_MISS_LIMIT)
-    }
-
-    /// Report-silence deadline for member Local-Membership reports
-    /// (refreshed every [`LOCAL_REPORT_INTERVAL`]).
-    pub fn local_report_deadline(&self) -> SimDuration {
-        crate::softstate::miss_deadline(LOCAL_REPORT_INTERVAL, REFRESH_MISS_LIMIT)
     }
 }
 
@@ -498,9 +494,9 @@ mod tests {
         // whole silent period.
         assert!(REFRESH_INTERVAL < MNT_INTERVAL);
         assert!(REFRESH_INTERVAL < HT_INTERVAL);
-        assert!(cfg.neighbor_deadline() > BEACON_INTERVAL);
+        assert!(NEIGHBOR_DEADLINE > BEACON_INTERVAL);
         assert!(cfg.summary_deadline() > REFRESH_INTERVAL);
-        assert!(cfg.local_report_deadline() > LOCAL_REPORT_INTERVAL);
+        assert!(LOCAL_REPORT_DEADLINE > LOCAL_REPORT_INTERVAL);
         // Adaptive-refresh deadlines must budget for an origin at full
         // backoff: K misses of the *slowest* interval each store may
         // stretch to, never the floor rate.
@@ -510,10 +506,10 @@ mod tests {
         assert!(cfg.summary_deadline() > SimDuration(summary_cap.0 * REFRESH_MISS_LIMIT as u64));
         // Designation refreshes fire on every tick: one period plus jitter.
         let dsg_cap = SimDuration(REFRESH_INTERVAL.0 + REFRESH_JITTER.0);
-        assert!(cfg.designation_deadline() > SimDuration(dsg_cap.0 * REFRESH_MISS_LIMIT as u64));
+        assert!(DESIGNATION_DEADLINE > SimDuration(dsg_cap.0 * REFRESH_MISS_LIMIT as u64));
         // Failure detection (lease expiry) stays tighter than the summary
         // deadline: designation backs off less than the summary floods.
-        assert!(cfg.designation_deadline() < cfg.summary_deadline());
+        assert!(DESIGNATION_DEADLINE < cfg.summary_deadline());
         // The fully backed-off summary refresh still outruns expiry, and
         // the slow HT content cycle still lands inside the deadline.
         assert!(cfg.summary_deadline() > HT_INTERVAL);
@@ -530,6 +526,6 @@ mod tests {
             REFRESH_MISS_LIMIT,
         );
         assert_eq!(cfg.summary_deadline(), base);
-        assert_eq!(cfg.designation_deadline(), base);
+        assert_eq!(DESIGNATION_DEADLINE, base);
     }
 }

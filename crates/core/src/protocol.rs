@@ -28,7 +28,7 @@
 //!   congestion visible as delay). Documented substitution — the paper
 //!   names both metrics but defines neither's estimator.
 //! * CH failure detection is beacon-timeout based
-//!   ([`HvdbConfig::neighbor_deadline`], K missed beacons).
+//!   ([`NEIGHBOR_DEADLINE`], K missed beacons).
 //!
 //! ### Soft-state control plane
 //! Designation announcements, member reports and the MNT/HT summary
@@ -46,8 +46,9 @@ use crate::frame::{FrameBytes, FrameCtx};
 use crate::membership::MembershipDb;
 use crate::model::{
     build_region_cube, region_center, GroupEvent, HvdbConfig, TrafficItem, BEACON_INTERVAL,
-    CLUSTER_INTERVAL, HT_INTERVAL, LOCAL_REPORT_INTERVAL, MNT_INTERVAL, REFRESH_BACKOFF_FACTOR,
-    REFRESH_INTERVAL, REFRESH_JITTER, REFRESH_MAX_BACKOFF_SUMMARY,
+    CLUSTER_INTERVAL, DESIGNATION_DEADLINE, HT_INTERVAL, LOCAL_REPORT_DEADLINE,
+    LOCAL_REPORT_INTERVAL, MNT_INTERVAL, NEIGHBOR_DEADLINE, REFRESH_INTERVAL, REFRESH_JITTER,
+    REFRESH_MAX_BACKOFF_SUMMARY,
 };
 use crate::packet::{CandScore, ChMsg, GeoPacket, GeoTarget, HvdbMsg};
 use crate::routes::{QosMetrics, QosRequirement, RouteTable};
@@ -190,7 +191,7 @@ impl HeadState {
         } else {
             1
         };
-        let ctrl = RefreshController::new(REFRESH_BACKOFF_FACTOR, cap);
+        let ctrl = RefreshController::new(cap);
         HeadState {
             vc,
             addr,
@@ -618,7 +619,7 @@ impl HvdbCore {
     /// lease's holder, unless it has gone K refresh periods without a
     /// re-announcement.
     fn current_ch(&self, st: &HvdbNode, now: SimTime) -> Option<NodeId> {
-        st.ch.head(now, self.cfg.designation_deadline()).map(NodeId)
+        st.ch.head(now, DESIGNATION_DEADLINE).map(NodeId)
     }
 
     // ------------------------------------------------------------------
@@ -888,7 +889,7 @@ impl HvdbCore {
             // A fresh win mints the next designation term; re-wins of a
             // sitting head re-announce at the current term (a refresh,
             // not a succession — members must not see a term churn).
-            let deadline = self.cfg.designation_deadline();
+            let deadline = DESIGNATION_DEADLINE;
             let term = if st.ch.head_unchecked() == Some(node.0) {
                 st.ch.term()
             } else {
@@ -944,7 +945,7 @@ impl HvdbCore {
         let now = ctx.now();
         // K-miss expiry: a neighbour is declared failed only after
         // `REFRESH_MISS_LIMIT` consecutive silent beacon periods.
-        let ttl = self.cfg.neighbor_deadline();
+        let ttl = NEIGHBOR_DEADLINE;
         let Role::Head(h) = &mut st.role else {
             return;
         };
@@ -1048,7 +1049,7 @@ impl HvdbCore {
         let own_lm = st.lm.clone();
         let own_gen = st.report_gen.tick();
         let now = ctx.now();
-        let report_deadline = self.cfg.local_report_deadline();
+        let report_deadline = LOCAL_REPORT_DEADLINE;
         let Role::Head(h) = &mut st.role else {
             return;
         };
@@ -1981,7 +1982,7 @@ impl ParProtocol for HvdbCore {
             HvdbMsg::ChAnnounce { vc, term } => {
                 let (vc, term) = (*vc, *term);
                 let now = ctx.now();
-                let deadline = self.cfg.designation_deadline();
+                let deadline = DESIGNATION_DEADLINE;
                 // Duplicate-head resolution: frame loss can leave two
                 // nodes each believing they won the same VC (each missed
                 // the other's candidacy). Both then advertise the same

@@ -84,16 +84,6 @@ impl SessionManager {
         self.sessions.get(&dst)
     }
 
-    /// Number of active sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether no sessions are active.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
     /// Reacts to the failure of 1-logical-hop neighbour `failed`: every
     /// session whose primary went through it switches to its backup
     /// (re-provisioning the next backup from `table`, which must already
@@ -190,7 +180,7 @@ mod tests {
             .unwrap();
         assert_eq!(s.primary, Hnid(1));
         assert_eq!(s.backup, Some(Hnid(2)));
-        assert_eq!(sm.len(), 1);
+        assert!(sm.session(Hnid(3)).is_some());
     }
 
     #[test]
@@ -202,7 +192,7 @@ mod tests {
             min_bandwidth_bps: 10e6, // more than any link offers
         };
         assert!(sm.establish(&t, Hnid(3), req).is_none());
-        assert!(sm.is_empty());
+        assert!(sm.session(Hnid(3)).is_none());
     }
 
     #[test]

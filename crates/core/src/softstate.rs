@@ -314,11 +314,12 @@ impl<K: Ord + Copy, V> SoftStore<K, V> {
 /// an entry survives `k_miss` whole missed refreshes plus half a period of
 /// slack (refresh timers are jittered, so the last refresh may land up to
 /// half a period late without any loss at all).
-pub fn miss_deadline(refresh_interval: SimDuration, k_miss: u32) -> SimDuration {
+pub const fn miss_deadline(refresh_interval: SimDuration, k_miss: u32) -> SimDuration {
+    let k_miss = if k_miss == 0 { 1 } else { k_miss };
     SimDuration(
         refresh_interval
             .0
-            .saturating_mul(k_miss.max(1) as u64)
+            .saturating_mul(k_miss as u64)
             .saturating_add(refresh_interval.0 / 2),
     )
 }

@@ -18,7 +18,7 @@
 //!
 //! * **Quiet decay** — every fired refresh that follows a fully quiet
 //!   interval widens the gap to the next one multiplicatively
-//!   (`factor`×), clamped at `max_ticks` fast periods.
+//!   ([`REFRESH_BACKOFF_FACTOR`]×), clamped at `max_ticks` fast periods.
 //! * **Snap-back** — any activity signal ([`RefreshController::on_activity`]:
 //!   membership churn, an observed staleness conflict, K-miss pressure
 //!   from entries that nearly expired) collapses the interval back to
@@ -33,6 +33,8 @@
 //! deadlines must budget for an origin at full backoff — see
 //! `HvdbConfig::summary_deadline`, which scales with the cap.
 
+use crate::model::REFRESH_BACKOFF_FACTOR;
+
 /// Per-store adaptive refresh state machine.
 ///
 /// Intervals are measured in *ticks* of the protocol's fast refresh
@@ -40,7 +42,9 @@
 /// is the PR 2 fixed rate, the floor the controller snaps back to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshController {
-    /// Multiplicative backoff factor applied after a quiet interval.
+    /// Always [`REFRESH_BACKOFF_FACTOR`]: a field only so that the memory
+    /// estimate's `size_of::<HeadState>()`, and every committed figure
+    /// from it, stays as it was.
     factor: u32,
     /// Interval clamp, in ticks (1 = never back off).
     max_ticks: u32,
@@ -53,12 +57,12 @@ pub struct RefreshController {
 }
 
 impl RefreshController {
-    /// A controller backing off by `factor`× per quiet interval, clamped
-    /// at `max_ticks` fast periods. `factor < 2` or `max_ticks <= 1`
-    /// degenerate to the fixed rate (every tick fires).
-    pub fn new(factor: u32, max_ticks: u32) -> Self {
+    /// A controller backing off by [`REFRESH_BACKOFF_FACTOR`]× per quiet
+    /// interval, clamped at `max_ticks` fast periods. `max_ticks <= 1`
+    /// degenerates to the fixed rate (every tick fires).
+    pub fn new(max_ticks: u32) -> Self {
         RefreshController {
-            factor: factor.max(2),
+            factor: REFRESH_BACKOFF_FACTOR,
             max_ticks: max_ticks.max(1),
             interval: 1,
             since_fire: 0,
@@ -114,7 +118,7 @@ mod tests {
 
     #[test]
     fn quiet_decay_is_multiplicative_and_clamped() {
-        let mut c = RefreshController::new(2, 8);
+        let mut c = RefreshController::new(8);
         // First tick fires (interval floor is 1), then gaps double: 2,
         // 4, 8, 8, ... fast periods between fires.
         assert_eq!(fires(&mut c, 40), vec![1, 3, 7, 15, 23, 31, 39]);
@@ -123,7 +127,7 @@ mod tests {
 
     #[test]
     fn activity_snaps_back_to_the_floor_rate() {
-        let mut c = RefreshController::new(2, 8);
+        let mut c = RefreshController::new(8);
         for _ in 0..20 {
             c.on_tick();
         }
@@ -142,7 +146,7 @@ mod tests {
 
     #[test]
     fn activity_between_fires_keeps_the_rate_fast() {
-        let mut c = RefreshController::new(2, 16);
+        let mut c = RefreshController::new(16);
         // Signal activity every other tick: the controller must never
         // widen past the floor.
         for i in 1..=12u32 {
@@ -157,17 +161,14 @@ mod tests {
     #[test]
     fn degenerate_configs_clamp_to_fixed_rate() {
         // max_ticks <= 1: every tick fires regardless of quiet.
-        let mut c = RefreshController::new(2, 1);
+        let mut c = RefreshController::new(1);
         assert_eq!(fires(&mut c, 5), vec![1, 2, 3, 4, 5]);
         assert_eq!(c.interval_ticks(), 1);
-        // factor < 2 is clamped to 2 so backoff still terminates at max.
-        let mut c = RefreshController::new(0, 4);
-        assert_eq!(fires(&mut c, 12), vec![1, 3, 7, 11]);
     }
 
     #[test]
     fn snap_back_from_full_backoff_fires_within_one_tick() {
-        let mut c = RefreshController::new(4, 64);
+        let mut c = RefreshController::new(64);
         for _ in 0..200 {
             c.on_tick();
         }

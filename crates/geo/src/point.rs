@@ -145,12 +145,6 @@ impl Vec2 {
             y: self.y * s,
         }
     }
-
-    /// Heading angle in radians, counter-clockwise from +x, in `(-pi, pi]`.
-    #[inline]
-    pub fn heading(&self) -> f64 {
-        self.y.atan2(self.x)
-    }
 }
 
 impl std::ops::Add<Vec2> for Point {
@@ -304,7 +298,7 @@ mod tests {
             let rad = deg.to_radians();
             let v = Vec2::from_heading(rad, 2.0);
             assert!((v.magnitude() - 2.0).abs() < 1e-12);
-            let back = v.heading();
+            let back = v.y.atan2(v.x);
             let diff = (back - rad).rem_euclid(std::f64::consts::TAU);
             assert!(
                 diff < 1e-9 || (std::f64::consts::TAU - diff) < 1e-9,

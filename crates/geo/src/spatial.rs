@@ -32,7 +32,7 @@ const COARSE_MIN_REACH: i32 = 4;
 ///
 /// Build it once per topology-update round with [`SpatialIndex::rebuild`]
 /// (cheap: one pass, reusing allocations), then issue any number of
-/// [`SpatialIndex::query_range`] calls.
+/// [`SpatialIndex::query_range_into`] calls.
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
     cell_size: f64,
@@ -213,14 +213,6 @@ impl SpatialIndex {
         });
     }
 
-    /// Allocation-per-call convenience wrapper over
-    /// [`SpatialIndex::query_range_into`].
-    pub fn query_range(&self, center: Point, radius: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.query_range_into(center, radius, &mut out);
-        out
-    }
-
     /// Deterministic content-byte estimate of both index levels (live
     /// entries × entry size, not allocator capacity).
     pub fn memory_bytes(&self) -> usize {
@@ -237,6 +229,14 @@ impl SpatialIndex {
 mod tests {
     use super::*;
 
+    /// The ids within `radius` of `center`, through
+    /// [`SpatialIndex::query_range_into`].
+    fn query(idx: &SpatialIndex, center: Point, radius: f64) -> Vec<u32> {
+        let mut out = Vec::new();
+        idx.query_range_into(center, radius, &mut out);
+        out
+    }
+
     fn sample_index() -> SpatialIndex {
         let mut idx = SpatialIndex::new(50.0);
         idx.insert(1, Point::new(0.0, 0.0));
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn query_returns_items_within_radius_inclusive() {
         let idx = sample_index();
-        let mut got = idx.query_range(Point::ORIGIN, 50.0);
+        let mut got = query(&idx, Point::ORIGIN, 50.0);
         got.sort_unstable();
         assert_eq!(got, vec![1, 2]);
     }
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn query_radius_larger_than_cell() {
         let idx = sample_index();
-        let mut got = idx.query_range(Point::ORIGIN, 120.0);
+        let mut got = query(&idx, Point::ORIGIN, 120.0);
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3]);
     }
@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn query_empty_region() {
         let idx = sample_index();
-        assert!(idx.query_range(Point::new(-400.0, -400.0), 60.0).is_empty());
+        assert!(query(&idx, Point::new(-400.0, -400.0), 60.0).is_empty());
     }
 
     #[test]
@@ -276,7 +276,7 @@ mod tests {
         assert!(!idx.remove(3, Point::new(100.0, 0.0)));
         assert_eq!(idx.len(), 3);
         idx.relocate(4, Point::new(500.0, 500.0), Point::new(10.0, 10.0));
-        let mut got = idx.query_range(Point::ORIGIN, 50.0);
+        let mut got = query(&idx, Point::ORIGIN, 50.0);
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 4]);
     }
@@ -286,8 +286,8 @@ mod tests {
         let mut idx = sample_index();
         idx.rebuild((10..20).map(|i| (i, Point::new(i as f64, 0.0))));
         assert_eq!(idx.len(), 10);
-        assert!(idx.query_range(Point::ORIGIN, 5.0).len() < 10);
-        assert_eq!(idx.query_range(Point::ORIGIN, 100.0).len(), 10);
+        assert!(query(&idx, Point::ORIGIN, 5.0).len() < 10);
+        assert_eq!(query(&idx, Point::ORIGIN, 100.0).len(), 10);
     }
 
     #[test]
@@ -297,10 +297,10 @@ mod tests {
         idx.update(2, Point::new(30.0, 40.0), Point::new(35.0, 45.0));
         assert_eq!(idx.len(), 4);
         // Query that only matches the new position.
-        let got = idx.query_range(Point::new(35.0, 45.0), 1.0);
+        let got = query(&idx, Point::new(35.0, 45.0), 1.0);
         assert_eq!(got, vec![2]);
         // The old position no longer matches a tight query.
-        assert!(idx.query_range(Point::new(30.0, 40.0), 1.0).is_empty());
+        assert!(query(&idx, Point::new(30.0, 40.0), 1.0).is_empty());
     }
 
     #[test]
@@ -308,10 +308,10 @@ mod tests {
         let mut idx = sample_index();
         idx.update(4, Point::new(500.0, 500.0), Point::new(10.0, 10.0));
         assert_eq!(idx.len(), 4);
-        let mut got = idx.query_range(Point::ORIGIN, 50.0);
+        let mut got = query(&idx, Point::ORIGIN, 50.0);
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 4]);
-        assert!(idx.query_range(Point::new(500.0, 500.0), 10.0).is_empty());
+        assert!(query(&idx, Point::new(500.0, 500.0), 10.0).is_empty());
     }
 
     #[test]
@@ -333,7 +333,7 @@ mod tests {
             (0, Point::new(500.0, 500.0)),
             (0, Point::new(1900.0, 100.0)),
         ] {
-            let mut got = idx.query_range(c, 450.0); // reach = 9
+            let mut got = query(&idx, c, 450.0); // reach = 9
             got.sort_unstable();
             let mut want: Vec<u32> = pts
                 .iter()
@@ -353,14 +353,12 @@ mod tests {
         assert!(idx.remove(2, Point::new(1500.0, 1500.0)));
         // Wide query from near the removed item: the coarse skip must not
         // hide the survivor, and the emptied super-cell stays empty.
-        let got = idx.query_range(Point::new(700.0, 700.0), 1200.0); // reach = 24
+        let got = query(&idx, Point::new(700.0, 700.0), 1200.0); // reach = 24
         assert_eq!(got, vec![1]);
-        assert!(idx
-            .query_range(Point::new(1500.0, 1500.0), 300.0)
-            .is_empty());
+        assert!(query(&idx, Point::new(1500.0, 1500.0), 300.0).is_empty());
         // Reinsertion revives the super-cell.
         idx.insert(3, Point::new(1510.0, 1490.0));
-        assert_eq!(idx.query_range(Point::new(1500.0, 1500.0), 300.0), vec![3]);
+        assert_eq!(query(&idx, Point::new(1500.0, 1500.0), 300.0), vec![3]);
     }
 
     #[test]
@@ -378,9 +376,9 @@ mod tests {
         let mut idx = SpatialIndex::new(25.0);
         idx.insert(7, Point::new(-10.0, -10.0));
         idx.insert(8, Point::new(-60.0, -60.0));
-        let got = idx.query_range(Point::new(-12.0, -12.0), 5.0);
+        let got = query(&idx, Point::new(-12.0, -12.0), 5.0);
         assert_eq!(got, vec![7]);
-        let mut both = idx.query_range(Point::new(-35.0, -35.0), 40.0);
+        let mut both = query(&idx, Point::new(-35.0, -35.0), 40.0);
         both.sort_unstable();
         assert_eq!(both, vec![7, 8]);
     }

@@ -117,7 +117,8 @@ proptest! {
         let points: Vec<Point> = pts.iter().map(|(x, y)| Point::new(*x, *y)).collect();
         idx.rebuild(points.iter().enumerate().map(|(i, p)| (i as u32, *p)));
         let center = Point::new(qx, qy);
-        let mut got = idx.query_range(center, radius);
+        let mut got = Vec::new();
+        idx.query_range_into(center, radius, &mut got);
         got.sort_unstable();
         let mut want: Vec<u32> = points
             .iter()

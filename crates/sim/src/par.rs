@@ -1081,16 +1081,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         &self.profile
     }
 
-    /// The shard node `id` was assigned to, or `None` before the first
-    /// `run` call (shards are built lazily from node positions).
-    pub fn shard_of(&self, id: NodeId) -> Option<usize> {
-        if self.started {
-            Some(self.node_map[id.idx()].0 as usize)
-        } else {
-            None
-        }
-    }
-
     /// Every node's id and protocol state, in ascending id order (empty
     /// before the first `run` call).
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> + '_ {
@@ -1833,7 +1823,7 @@ mod tests {
             let victim = sim
                 .world()
                 .ids()
-                .find(|&id| (sim.shard_of(id).unwrap() >= chunk) == worker_lane)
+                .find(|&id| (sim.node_map[id.idx()].0 as usize >= chunk) == worker_lane)
                 .expect("both lanes hold nodes");
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 sim.run(&PanicAt(Some(victim)), SimTime::from_millis(10));
@@ -2329,7 +2319,7 @@ mod tests {
             sim.world_mut().rebuild_index();
             sim.run(&SpanBcast, SimTime::from_secs(1));
             let receiver_shards: FxHashSet<usize> =
-                (1..5).map(|i| sim.shard_of(NodeId(i)).unwrap()).collect();
+                (1..5).map(|i| sim.node_map[i].0 as usize).collect();
             assert!(
                 receiver_shards.len() >= 3,
                 "receivers span only {} shards",

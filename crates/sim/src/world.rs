@@ -502,13 +502,6 @@ impl World {
         }
     }
 
-    /// Allocating convenience wrapper over [`World::neighbors_into`].
-    pub fn neighbors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.neighbors_into(id, &mut out, &mut Vec::new());
-        out
-    }
-
     /// Collects all alive nodes within `radius` of a point into `out`
     /// (cleared first), ascending id order. Like
     /// [`World::neighbors_into`], `raw` is caller-threaded query scratch —
@@ -546,11 +539,18 @@ mod tests {
         w
     }
 
+    /// `id`'s neighbours through [`World::neighbors_into`].
+    fn nbrs(w: &World, id: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        w.neighbors_into(id, &mut out, &mut Vec::new());
+        out
+    }
+
     #[test]
     fn neighbors_respect_range() {
         let w = line_world();
-        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1)]);
-        assert_eq!(w.neighbors(NodeId(2)), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(nbrs(&w, NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(nbrs(&w, NodeId(2)), vec![NodeId(1), NodeId(3)]);
     }
 
     #[test]
@@ -565,11 +565,11 @@ mod tests {
     fn dead_nodes_vanish_from_queries() {
         let mut w = line_world();
         w.set_alive(NodeId(1), false);
-        assert!(w.neighbors(NodeId(0)).is_empty());
+        assert!(nbrs(&w, NodeId(0)).is_empty());
         assert!(!w.in_range(NodeId(0), NodeId(1)));
-        assert!(w.neighbors(NodeId(1)).is_empty());
+        assert!(nbrs(&w, NodeId(1)).is_empty());
         w.set_alive(NodeId(1), true);
-        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(nbrs(&w, NodeId(0)), vec![NodeId(1)]);
     }
 
     #[test]
@@ -585,19 +585,19 @@ mod tests {
         let mut w = line_world();
         // No rebuild_index call: set_motion maintains the index in place.
         w.set_motion(NodeId(4), Point::new(80.0, 50.0), Vec2::ZERO);
-        let n0 = w.neighbors(NodeId(0));
+        let n0 = nbrs(&w, NodeId(0));
         assert_eq!(n0, vec![NodeId(1), NodeId(4)]);
         // Same-cell drift (80 -> 10, both in the first 150 m cell) is
         // reflected immediately: node 2 at x=200 loses 4 as a neighbour
         // only if the stored position really moved.
         w.set_motion(NodeId(4), Point::new(10.0, 50.0), Vec2::ZERO);
-        assert_eq!(w.neighbors(NodeId(2)), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(nbrs(&w, NodeId(2)), vec![NodeId(1), NodeId(3)]);
         // A cell-crossing move relocates.
         w.set_motion(NodeId(4), Point::new(260.0, 50.0), Vec2::ZERO);
-        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(nbrs(&w, NodeId(0)), vec![NodeId(1)]);
         // An explicit rebuild stays idempotent.
         w.rebuild_index();
-        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(nbrs(&w, NodeId(0)), vec![NodeId(1)]);
     }
 
     #[test]
@@ -640,35 +640,32 @@ mod tests {
     fn adjacency_table_answers_like_the_index() {
         let mut w = line_world();
         assert!(!w.adjacency_fresh(), "a world starts on the index path");
-        let stale: Vec<_> = w.ids().map(|id| w.neighbors(id)).collect();
+        let stale: Vec<_> = w.ids().map(|id| nbrs(&w, id)).collect();
         w.refresh_adjacency();
         assert!(w.adjacency_fresh());
-        let fresh: Vec<_> = w.ids().map(|id| w.neighbors(id)).collect();
+        let fresh: Vec<_> = w.ids().map(|id| nbrs(&w, id)).collect();
         assert_eq!(fresh, stale);
         // Liveness is read at query time: the table stays fresh.
         w.set_alive(NodeId(1), false);
         assert!(w.adjacency_fresh());
-        assert!(w.neighbors(NodeId(0)).is_empty());
-        assert!(
-            w.neighbors(NodeId(1)).is_empty(),
-            "a dead node hears no one"
-        );
-        assert_eq!(w.neighbors(NodeId(2)), vec![NodeId(3)]);
+        assert!(nbrs(&w, NodeId(0)).is_empty());
+        assert!(nbrs(&w, NodeId(1)).is_empty(), "a dead node hears no one");
+        assert_eq!(nbrs(&w, NodeId(2)), vec![NodeId(3)]);
         w.set_alive(NodeId(1), true);
-        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(nbrs(&w, NodeId(0)), vec![NodeId(1)]);
         // Every position write marks it stale; the index answers.
         w.set_motion(NodeId(4), Point::new(80.0, 50.0), Vec2::ZERO);
         assert!(!w.adjacency_fresh());
-        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1), NodeId(4)]);
+        assert_eq!(nbrs(&w, NodeId(0)), vec![NodeId(1), NodeId(4)]);
         w.refresh_adjacency();
-        assert_eq!(w.neighbors(NodeId(0)), vec![NodeId(1), NodeId(4)]);
+        assert_eq!(nbrs(&w, NodeId(0)), vec![NodeId(1), NodeId(4)]);
         w.rebuild_index();
         assert!(!w.adjacency_fresh());
         w.refresh_adjacency();
         w.place_all(|id| (Point::new(id.0 as f64 * 200.0, 50.0), Vec2::ZERO));
         assert!(!w.adjacency_fresh());
         w.refresh_adjacency();
-        assert!(w.neighbors(NodeId(2)).is_empty());
+        assert!(nbrs(&w, NodeId(2)).is_empty());
     }
 
     #[test]

@@ -91,7 +91,8 @@ proptest! {
         w.rebuild_index();
         for i in 0..pts.len() {
             let id = NodeId(i as u32);
-            let got = w.neighbors(id);
+            let mut got = Vec::new();
+            w.neighbors_into(id, &mut got, &mut Vec::new());
             let want: Vec<NodeId> = (0..pts.len())
                 .filter(|j| *j != i)
                 .filter(|j| {
@@ -111,8 +112,10 @@ proptest! {
         for mut model in models {
             let mut placed = World::new(area, pts.len(), range);
             model.init(&mut placed, &mut SimRng::new(seed));
+            let mut got = Vec::new();
             for id in placed.ids() {
-                prop_assert_eq!(placed.neighbors(id), brute_force_neighbors(&placed, id, range));
+                placed.neighbors_into(id, &mut got, &mut Vec::new());
+                prop_assert_eq!(&got, &brute_force_neighbors(&placed, id, range));
             }
         }
     }

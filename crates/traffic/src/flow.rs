@@ -120,11 +120,6 @@ impl FlowSet {
         self.flows.iter().enumerate().map(|(i, f)| (i as u32, f))
     }
 
-    /// Total packets sent across flows.
-    pub fn total_sent(&self) -> u64 {
-        self.flows.iter().map(|f| f.sent).sum()
-    }
-
     /// Total deliveries across flows.
     pub fn total_delivered(&self) -> u64 {
         self.flows.iter().map(|f| f.delivered).sum()
@@ -159,7 +154,6 @@ mod tests {
         s.record_send(FLOW_NONE);
         s.record_delivery(FLOW_NONE, 1, 0, 100, 2);
         assert!(s.is_empty());
-        assert_eq!(s.total_sent(), 0);
     }
 
     #[test]
@@ -174,7 +168,7 @@ mod tests {
         assert_eq!(s.get(0).unwrap().sent, 2);
         assert_eq!(s.get(1).unwrap().sent, 0); // hole materialised empty
         assert_eq!(s.get(2).unwrap().delivered, 1);
-        assert_eq!(s.total_sent(), 3);
+        assert_eq!(s.iter().map(|(_, f)| f.sent).sum::<u64>(), 3);
         assert_eq!(s.total_delivered(), 2);
         assert_eq!(s.merged_hops().quantile(1.0), Some(5));
     }
