@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hvdb_core::routes::{AdvertisedRoute, QosMetrics};
-use hvdb_core::{QosRequirement, RouteTable, SessionManager};
+use hvdb_core::RouteTable;
 use hvdb_geo::Hnid;
 use hvdb_sim::{SimDuration, SimTime};
 use std::hint::black_box;
@@ -55,7 +55,7 @@ fn bench_integrate(c: &mut Criterion) {
 fn bench_lookup(c: &mut Criterion) {
     let t = filled_table(6, 60);
     c.bench_function("route_table_best_route", |b| {
-        b.iter(|| t.best_route(black_box(Hnid(30)), &QosRequirement::BEST_EFFORT))
+        b.iter(|| t.best_route(black_box(Hnid(30))))
     });
     c.bench_function("route_table_advertisement", |b| {
         b.iter(|| black_box(&t).advertisement())
@@ -67,23 +67,6 @@ fn bench_failure(c: &mut Criterion) {
         b.iter_batched(
             || filled_table(6, 60),
             |mut t| t.remove_via(black_box(Hnid(3))),
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    c.bench_function("session_failover", |b| {
-        b.iter_batched(
-            || {
-                let t = filled_table(6, 60);
-                let mut sm = SessionManager::new();
-                for d in [10u32, 20, 30, 40] {
-                    sm.establish(&t, Hnid(d), QosRequirement::BEST_EFFORT);
-                }
-                (t, sm)
-            },
-            |(mut t, mut sm)| {
-                t.remove_via(Hnid(1));
-                sm.on_neighbor_failed(&t, Hnid(1))
-            },
             criterion::BatchSize::SmallInput,
         )
     });

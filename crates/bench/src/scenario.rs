@@ -31,9 +31,8 @@ use crate::validate::Smoke::{Apply, Lower, Refuse, Skip};
 use crate::validate::{Gate, Rows};
 use crate::workload::{metrics_of, MobilityKind, RunMetrics, Workload};
 use hvdb_core::{
-    build_model, build_region_cube, cluster_heads, routes::AdvertisedRoute, routes::QosMetrics,
-    total_counters, DesignationCriterion, HvdbConfig, HvdbCore, HvdbNode, HvdbSim, QosRequirement,
-    RouteTable, Script, SessionManager,
+    build_model, build_region_cube, cluster_heads, total_counters, DesignationCriterion,
+    HvdbConfig, HvdbCore, HvdbNode, HvdbSim, Script,
 };
 use hvdb_geo::{Aabb, Hid, Hnid, Point, Vec2};
 use hvdb_hypercube::routing::{diameter, local_routes};
@@ -203,7 +202,7 @@ pub fn registry() -> Vec<ScenarioDef> {
         ScenarioDef {
             name: "c1-availability",
             figure: "§5 claim 1",
-            summary: "disjoint logical routes: structure under damage, QoS failover, delivery under CH fail-stop",
+            summary: "disjoint logical routes: structure under damage, delivery and route failover under fail-stop",
             exec: Exec::Custom(custom_c1),
             gates: &[],
         },
@@ -1707,7 +1706,7 @@ fn custom_traffic(opts: &RunOpts) -> CustomOut {
     rows.into()
 }
 
-/// C1c's fault plan: `count` distinct victims drawn from `w`'s seed on
+/// C1b's fault plan: `count` distinct victims drawn from `w`'s seed on
 /// their own stream, failing in ascending id order at mid-traffic-window.
 fn fail_stop_plan(w: &Workload, count: usize) -> FaultPlan {
     let at = SimTime(w.warmup.0 + w.traffic_window.0 / 2);
@@ -1770,43 +1769,8 @@ fn custom_c1(opts: &RunOpts) -> CustomOut {
             ));
         }
     }
-    // C1b — QoS sessions fail over instantly onto pre-computed backups.
-    let link = |ms: u64| QosMetrics {
-        delay: SimDuration::from_millis(ms),
-        bandwidth_bps: 2e6,
-    };
-    let mut table = RouteTable::new(Hnid(0), 4);
-    for (hop, ms) in [(1u32, 1u64), (2, 2), (4, 3)] {
-        table.integrate_beacon(
-            Hnid(hop),
-            link(ms),
-            &[AdvertisedRoute {
-                dst: Hnid(7),
-                hops: 1,
-                qos: link(ms),
-            }],
-            SimTime::ZERO,
-        );
-    }
-    let mut sm = SessionManager::new();
-    let s = sm
-        .establish(&table, Hnid(7), QosRequirement::BEST_EFFORT)
-        .expect("session admitted");
-    let _ = s;
-    for failed in [Hnid(1), Hnid(2)] {
-        table.remove_via(failed);
-        sm.on_neighbor_failed(&table, failed);
-    }
-    rows.push(Row::new(
-        "qos-session-failover",
-        "3-disjoint-routes,2-failures",
-        "-",
-        vec![
-            ("failovers".into(), sm.failovers as f64),
-            ("breaks".into(), sm.breaks as f64),
-        ],
-    ));
-    // C1c — full protocol delivery under CH fail-stop.
+    // C1b — full protocol delivery under fail-stop; `route_failovers`
+    // counts the instant switches onto a retained alternative route.
     let failure_counts: Vec<usize> = if opts.smoke {
         vec![0, 2]
     } else {
@@ -2501,7 +2465,7 @@ mod tests {
         assert_eq!(scaled_vc_side(100000), 92);
     }
 
-    /// C1c's victims fail together at mid-traffic-window, in ascending id
+    /// C1b's victims fail together at mid-traffic-window, in ascending id
     /// order, drawn deterministically from the seed.
     #[test]
     fn fail_stop_plan_strikes_mid_window_in_ascending_order() {

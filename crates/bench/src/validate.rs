@@ -423,7 +423,7 @@ pub enum Check {
     /// or above `floor` and `ceiling_metric` at or below `ceiling` (prefix
     /// semantics: a fluke recovery past saturation cannot move it). The
     /// last listed protocol's knee must be positive and strictly above
-    /// every other's. Rows missing either metric are skipped.
+    /// every other's. A selected row missing either metric fails the gate.
     Knee(f64, &'static str, f64),
 }
 
@@ -602,16 +602,11 @@ impl Gate {
             Check::Knee(floor, other, ceiling) => {
                 let mut knees = Vec::new();
                 for &proto in self.rows.protos {
-                    let pts: Vec<(f64, f64, f64)> = sel
+                    let pts = sel
                         .iter()
                         .filter(|(_, r)| r.proto == proto)
-                        .filter_map(|&(n, r)| {
-                            Some((n, metric_in(r, self.metric)?, metric_in(r, other)?))
-                        })
-                        .collect();
-                    if pts.is_empty() {
-                        return Err(format!("no {proto} rows with {} and {other}", self.metric));
-                    }
+                        .map(|&(n, r)| Ok((n, value(r, self.metric)?, value(r, other)?)))
+                        .collect::<Result<Vec<(f64, f64, f64)>, String>>()?;
                     let knee = pts
                         .iter()
                         .take_while(|&&(_, m, o)| m >= floor && o <= ceiling)
@@ -1631,8 +1626,21 @@ mod tests {
             rows.push(traffic_row(pps, "flooding", bd, bp));
             rows.push(traffic_row(pps, "shared-tree", bd, bp));
         }
-        let failed = traffic(rows).unwrap_err();
+        let failed = traffic(rows.clone()).unwrap_err();
         assert!(failed[0].contains("hvdb sustains 160"), "{failed:?}");
+        // Without its p99_ms the failing pps=320 row fails the gate: it
+        // must not drop out of the series and let the fluke set the knee.
+        let at_320 = rows
+            .iter_mut()
+            .find(|r| r.label == "pps=320" && r.proto == "hvdb")
+            .unwrap();
+        at_320.metrics.retain(|(k, _)| k != "p99_ms");
+        let failed = traffic(rows).unwrap_err();
+        assert_eq!(failed.len(), 1);
+        assert!(
+            failed[0].contains("pps=320/hvdb has no p99_ms metric"),
+            "{failed:?}"
+        );
     }
 
     #[test]

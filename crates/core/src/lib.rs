@@ -9,13 +9,13 @@
 //!   Fig. 3 grid links, occupied mesh nodes;
 //! * [`routes`] — proactive local logical route maintenance (Fig. 4):
 //!   QoS-annotated bounded distance-vector tables with disjoint
-//!   alternatives;
+//!   alternatives. §5's instant failover is [`RouteTable::remove_via`]
+//!   promoting the next alternative, counted in
+//!   [`Counters::route_failovers`];
 //! * [`summary`] / [`membership`] — summary-based membership update
 //!   (Fig. 5): Local-Membership → MNT-Summary → HT-Summary → MT-Summary,
 //!   plus the two designated-broadcaster criteria of §4.2;
 //! * [`tree`] — mesh-tier multicast trees with header encapsulation;
-//! * [`qos`] — QoS sessions with pre-computed disjoint backups (§5's
-//!   instant-failover availability mechanism);
 //! * [`softstate`] — generation-stamped soft-state primitives (monotone
 //!   origin clocks, stale suppression, K-miss expiry) backing the
 //!   control plane's loss robustness;
@@ -32,7 +32,6 @@ pub mod membership;
 pub mod model;
 pub mod packet;
 pub mod protocol;
-pub mod qos;
 pub mod routes;
 pub mod softstate;
 pub mod summary;
@@ -49,8 +48,7 @@ pub use protocol::{
     cluster_heads, total_counters, Counters, HvdbCore, HvdbNode, HvdbSim, Script, TAG_GROUP_BASE,
     TAG_TRAFFIC_BASE,
 };
-pub use qos::{QosSession, RepairOutcome, SessionManager};
-pub use routes::{AdvertisedRoute, QosMetrics, QosRequirement, RouteEntry, RouteTable};
+pub use routes::{AdvertisedRoute, QosMetrics, RouteEntry, RouteTable};
 pub use softstate::refresh::RefreshController;
 pub use softstate::{miss_deadline, Freshness, GenClock, SoftEntry, SoftStore};
 pub use summary::{GroupId, HtSummary, LocalMembership, MntSummary, MtSummary};

@@ -194,18 +194,6 @@ impl MembershipDb {
         self.locals.values().any(|lm| lm.contains(g))
     }
 
-    /// The member nodes of `g` in this cluster, ascending.
-    pub fn local_members(&self, g: GroupId) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .locals
-            .iter()
-            .filter(|(_, lm)| lm.contains(g))
-            .map(|(n, _)| *n)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Evaluates the §4.2 self-designation decision for the CH labelled
     /// `me`: should *this* CH broadcast the HT-Summary? `cube` supplies the
     /// 1-logical-hop neighbourhoods criterion B needs. Deterministic: over
@@ -320,11 +308,14 @@ mod tests {
         db.store_local(1, &lm(&[10, 11]), 1, SimTime::ZERO);
         db.store_local(2, &lm(&[10]), 1, SimTime::ZERO);
         assert!(db.has_local_members(GroupId(10)));
-        assert_eq!(db.local_members(GroupId(10)), vec![1, 2]);
-        assert_eq!(db.local_members(GroupId(11)), vec![1]);
+        assert!(db.has_local_members(GroupId(11)));
+        assert_eq!(db.locals.get(&1), Some(&lm(&[10, 11])));
+        assert_eq!(db.locals.get(&2), Some(&lm(&[10])));
         // A fresh empty report removes the entry.
         db.store_local(1, &lm(&[]), 2, SimTime::ZERO);
-        assert_eq!(db.local_members(GroupId(11)), Vec::<u32>::new());
+        assert!(!db.locals.contains_key(&1));
+        assert!(!db.has_local_members(GroupId(11)));
+        assert!(db.has_local_members(GroupId(10)));
     }
 
     #[test]
@@ -337,7 +328,7 @@ mod tests {
         let (f, changed) = db.store_local(1, &lm(&[5]), 2, SimTime::from_secs(1));
         assert_eq!(f, Freshness::Stale);
         assert!(!changed);
-        assert_eq!(db.local_members(GroupId(6)), vec![1]);
+        assert_eq!(db.locals.get(&1), Some(&lm(&[5, 6])));
         // Neither may a stale leave-all.
         let (f, _) = db.store_local(1, &lm(&[]), 3, SimTime::from_secs(1));
         assert_eq!(f, Freshness::Stale);
@@ -356,7 +347,8 @@ mod tests {
         let deadline = crate::softstate::miss_deadline(SimDuration::from_secs(5), 2);
         assert_eq!(db.prune_locals(SimTime::from_secs(12), deadline), 0);
         assert_eq!(db.prune_locals(SimTime::from_secs(13), deadline), 1);
-        assert_eq!(db.local_members(GroupId(10)), vec![2]);
+        assert_eq!(db.locals.keys().collect::<Vec<_>>(), vec![&2]);
+        assert!(db.has_local_members(GroupId(10)));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::model::{
     REFRESH_MAX_BACKOFF_SUMMARY,
 };
 use crate::packet::{CandScore, ChMsg, GeoPacket, GeoTarget, HvdbMsg};
-use crate::routes::{QosMetrics, QosRequirement, RouteTable};
+use crate::routes::{QosMetrics, RouteTable};
 use crate::softstate::refresh::RefreshController;
 use crate::softstate::GenClock;
 use crate::summary::{GroupId, LocalMembership};
@@ -1692,9 +1692,7 @@ impl HvdbCore {
             let Role::Head(h) = &st.role else {
                 return;
             };
-            h.table
-                .best_route(leg_dst, &QosRequirement::BEST_EFFORT)
-                .map(|r| r.next_hop)
+            h.table.best_route(leg_dst).map(|r| r.next_hop)
         };
         let Some(next) = next else {
             st.counters.no_route += 1;

@@ -9,9 +9,16 @@
 //! *logical* topology. Each beacon a CH sends carries its own advertised
 //! routes (up to `k − 1` hops); a receiving CH composes them with the
 //! measured QoS of the incoming logical link. Up to [`MAX_ALTERNATIVES`]
-//! routes per destination with *distinct first hops* are retained — the
-//! disjoint candidates the paper's availability argument needs ("multiple
-//! candidate logical routes become available immediately", §5).
+//! routes per destination with *distinct first hops* are retained, ranked
+//! by `(hops, delay)` — the disjoint candidates the paper's availability
+//! argument needs ("multiple candidate logical routes become available
+//! immediately", §5).
+//!
+//! That instant failover is [`RouteTable::remove_via`]: when a logical
+//! neighbour's beacons stop, its routes go and each destination's next
+//! alternative becomes its best route with no re-discovery. The protocol
+//! counts each such switch in
+//! [`Counters::route_failovers`](crate::Counters::route_failovers).
 
 use hvdb_geo::Hnid;
 use hvdb_sim::{SimDuration, SimTime};
@@ -22,7 +29,8 @@ use serde::{Deserialize, Serialize};
 pub struct QosMetrics {
     /// Accumulated delay.
     pub delay: SimDuration,
-    /// Bottleneck bandwidth (bits/second).
+    /// Bottleneck bandwidth (bits/second). Recorded only: delay alone
+    /// ranks the alternatives.
     pub bandwidth_bps: f64,
 }
 
@@ -41,29 +49,6 @@ impl QosMetrics {
             bandwidth_bps: self.bandwidth_bps.min(then.bandwidth_bps),
         }
     }
-
-    /// Whether this route satisfies a requirement.
-    #[inline]
-    pub fn satisfies(&self, req: &QosRequirement) -> bool {
-        self.delay <= req.max_delay && self.bandwidth_bps >= req.min_bandwidth_bps
-    }
-}
-
-/// A QoS constraint pair (the two metrics the paper names, §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QosRequirement {
-    /// Maximum tolerable end-to-end delay.
-    pub max_delay: SimDuration,
-    /// Minimum required bandwidth (bits/second).
-    pub min_bandwidth_bps: f64,
-}
-
-impl QosRequirement {
-    /// A requirement satisfied by anything (best-effort traffic).
-    pub const BEST_EFFORT: QosRequirement = QosRequirement {
-        max_delay: SimDuration(u64::MAX),
-        min_bandwidth_bps: 0.0,
-    };
 }
 
 /// One route advertised inside a beacon.
@@ -252,23 +237,9 @@ impl RouteTable {
         slot.len = kept as u8;
     }
 
-    /// The best route to `dst` satisfying `req` (pass
-    /// [`QosRequirement::BEST_EFFORT`] for none).
-    pub fn best_route(&self, dst: Hnid, req: &QosRequirement) -> Option<&RouteEntry> {
-        self.routes_to(dst).iter().find(|r| r.qos.satisfies(req))
-    }
-
-    /// The best route to `dst` whose first hop differs from `exclude` —
-    /// the immediately-available disjoint candidate of §5.
-    pub fn backup_route(
-        &self,
-        dst: Hnid,
-        exclude: Hnid,
-        req: &QosRequirement,
-    ) -> Option<&RouteEntry> {
-        self.routes_to(dst)
-            .iter()
-            .find(|r| r.next_hop != exclude && r.qos.satisfies(req))
+    /// The best route to `dst`: fewest hops, then least delay.
+    pub fn best_route(&self, dst: Hnid) -> Option<&RouteEntry> {
+        self.routes_to(dst).first()
     }
 
     /// All retained routes to `dst`, best first.
@@ -374,30 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn qos_satisfies() {
-        let m = link(10, 2.0);
-        assert!(m.satisfies(&QosRequirement {
-            max_delay: SimDuration::from_millis(10),
-            min_bandwidth_bps: 2e6,
-        }));
-        assert!(!m.satisfies(&QosRequirement {
-            max_delay: SimDuration::from_millis(9),
-            min_bandwidth_bps: 0.0,
-        }));
-        assert!(!m.satisfies(&QosRequirement {
-            max_delay: SimDuration::from_millis(100),
-            min_bandwidth_bps: 3e6,
-        }));
-        assert!(m.satisfies(&QosRequirement::BEST_EFFORT));
-    }
-
-    #[test]
     fn beacon_installs_one_hop_route() {
         let mut t = RouteTable::new(Hnid(0b1000), 4);
         t.integrate_beacon(Hnid(0b1001), link(2, 2.0), &[], SimTime::ZERO);
-        let r = t
-            .best_route(Hnid(0b1001), &QosRequirement::BEST_EFFORT)
-            .unwrap();
+        let r = t.best_route(Hnid(0b1001)).unwrap();
         assert_eq!(r.hops, 1);
         assert_eq!(r.next_hop, Hnid(0b1001));
         assert_eq!(t.neighbors(), vec![Hnid(0b1001)]);
@@ -412,9 +363,7 @@ mod tests {
             qos: link(5, 1.0),
         }];
         t.integrate_beacon(Hnid(0b1001), link(2, 2.0), &adv, SimTime::ZERO);
-        let r = t
-            .best_route(Hnid(0b1100), &QosRequirement::BEST_EFFORT)
-            .unwrap();
+        let r = t.best_route(Hnid(0b1100)).unwrap();
         assert_eq!(r.hops, 2);
         assert_eq!(r.next_hop, Hnid(0b1001));
         assert_eq!(r.qos.delay, SimDuration::from_millis(7));
@@ -430,9 +379,7 @@ mod tests {
             qos: link(1, 1.0),
         }];
         t.integrate_beacon(Hnid(1), link(1, 1.0), &adv, SimTime::ZERO);
-        assert!(t
-            .best_route(Hnid(7), &QosRequirement::BEST_EFFORT)
-            .is_none());
+        assert!(t.best_route(Hnid(7)).is_none());
         assert_eq!(t.destination_count(), 1); // only the neighbour itself
     }
 
@@ -463,9 +410,7 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(t.neighbors().len(), 5);
-        let r = t
-            .best_route(Hnid(0b1101), &QosRequirement::BEST_EFFORT)
-            .unwrap();
+        let r = t.best_route(Hnid(0b1101)).unwrap();
         assert_eq!(r.hops, 2);
         assert_eq!(r.next_hop, Hnid(0b1001));
     }
@@ -494,15 +439,11 @@ mod tests {
             }],
             SimTime::ZERO,
         );
-        let best = t
-            .best_route(Hnid(0b0011), &QosRequirement::BEST_EFFORT)
-            .unwrap();
+        let best = t.best_route(Hnid(0b0011)).unwrap();
         assert_eq!(best.next_hop, Hnid(0b0001));
-        let backup = t
-            .backup_route(Hnid(0b0011), best.next_hop, &QosRequirement::BEST_EFFORT)
-            .unwrap();
-        assert_eq!(backup.next_hop, Hnid(0b0010));
-        assert_eq!(t.routes_to(Hnid(0b0011)).len(), 2);
+        let routes = t.routes_to(Hnid(0b0011));
+        assert_eq!(routes.len(), 2);
+        assert_eq!(routes[1].next_hop, Hnid(0b0010));
     }
 
     #[test]
@@ -550,13 +491,9 @@ mod tests {
         let failovers = t.remove_via(Hnid(1));
         // dst 3 failed over to its alternative; dst 5 (and neighbour 1) gone.
         assert_eq!(failovers, vec![Hnid(3)]);
-        assert!(t
-            .best_route(Hnid(5), &QosRequirement::BEST_EFFORT)
-            .is_none());
-        assert!(t
-            .best_route(Hnid(1), &QosRequirement::BEST_EFFORT)
-            .is_none());
-        let r3 = t.best_route(Hnid(3), &QosRequirement::BEST_EFFORT).unwrap();
+        assert!(t.best_route(Hnid(5)).is_none());
+        assert!(t.best_route(Hnid(1)).is_none());
+        let r3 = t.best_route(Hnid(3)).unwrap();
         assert_eq!(r3.next_hop, Hnid(2));
     }
 
@@ -589,37 +526,5 @@ mod tests {
         let adv = t.advertisement();
         assert_eq!(adv.len(), 1);
         assert_eq!(adv[0].dst, Hnid(1));
-    }
-
-    #[test]
-    fn qos_constrained_best_route_skips_unqualified() {
-        let mut t = RouteTable::new(Hnid(0), 4);
-        // Fast-but-thin via 1; slow-but-fat via 2.
-        t.integrate_beacon(
-            Hnid(1),
-            link(1, 0.5),
-            &[AdvertisedRoute {
-                dst: Hnid(3),
-                hops: 1,
-                qos: link(1, 0.5),
-            }],
-            SimTime::ZERO,
-        );
-        t.integrate_beacon(
-            Hnid(2),
-            link(5, 2.0),
-            &[AdvertisedRoute {
-                dst: Hnid(3),
-                hops: 1,
-                qos: link(5, 2.0),
-            }],
-            SimTime::ZERO,
-        );
-        let req = QosRequirement {
-            max_delay: SimDuration::from_secs(1),
-            min_bandwidth_bps: 1e6,
-        };
-        let r = t.best_route(Hnid(3), &req).unwrap();
-        assert_eq!(r.next_hop, Hnid(2)); // the thin route is filtered out
     }
 }

@@ -8,7 +8,7 @@ use hvdb_core::packet::CandScore;
 use hvdb_core::routes::{AdvertisedRoute, QosMetrics, MAX_ALTERNATIVES};
 use hvdb_core::{
     DesignationCriterion, GroupId, HtSummary, LocalMembership, MembershipDb, MeshTree, MntSummary,
-    MtSummary, QosRequirement, RouteTable,
+    MtSummary, RouteTable,
 };
 use hvdb_geo::{Aabb, Hid, Hnid, Point, VcGrid, VcId, Vec2};
 use hvdb_hypercube::IncompleteHypercube;
@@ -158,7 +158,7 @@ proptest! {
                 prop_assert!(r.hops <= t.k());
                 prop_assert_ne!(r.dst, me);
             }
-            if let Some(best) = t.best_route(dst, &QosRequirement::BEST_EFFORT) {
+            if let Some(best) = t.best_route(dst) {
                 prop_assert_eq!(best, &routes[0]);
             }
         }

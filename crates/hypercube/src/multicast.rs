@@ -179,17 +179,6 @@ impl MulticastTree {
         }
         Some(tree)
     }
-
-    /// Per-node forwarding load for one multicast packet: the number of
-    /// transmissions each non-leaf performs (= child count). The paper's
-    /// load-balancing claim (C3) compares the distribution of this quantity
-    /// across trees.
-    pub fn forwarding_load(&self) -> FxHashMap<NodeLabel, usize> {
-        self.spans
-            .iter()
-            .map(|&(u, _, len)| (u, len as usize))
-            .collect()
-    }
 }
 
 /// The spanning binomial tree of a complete `dim`-cube rooted at `root`:
@@ -404,12 +393,13 @@ mod tests {
 
     #[test]
     fn forwarding_load_distribution_binomial_vs_star() {
-        // The binomial tree fans out over levels: max per-node load is dim.
+        // A node's forwarding load is its child count. The binomial tree
+        // fans out over levels: the root sends dim copies and no node
+        // sends more, where a naive star's root would unicast 31 times.
         let t = binomial_tree(0, 5);
-        let load = t.forwarding_load();
-        assert_eq!(load.values().copied().max(), Some(5)); // root sends dim
-                                                           // Interior nodes send strictly less than the root in aggregate
-                                                           // compared with a naive star (root unicasts 31 times).
-        assert!(load.values().sum::<usize>() == t.edge_count());
+        let load: Vec<usize> = t.nodes().iter().map(|&u| t.children_of(u).len()).collect();
+        assert_eq!(t.children_of(0).len(), 5);
+        assert_eq!(load.iter().copied().max(), Some(5));
+        assert_eq!(load.iter().sum::<usize>(), t.edge_count());
     }
 }

@@ -143,11 +143,6 @@ impl IncompleteHypercube {
         }
     }
 
-    /// Restores a previously removed hypercube link.
-    pub fn restore_link(&mut self, u: NodeLabel, v: NodeLabel) {
-        self.removed_links.remove(&key(u, v));
-    }
-
     /// Adds an extra (non-Hamming-1) logical link, such as the paper's
     /// grid-adjacency links. Adding a Hamming-1 pair is a no-op because the
     /// link already exists structurally.
@@ -277,8 +272,6 @@ mod tests {
         assert!(!c.has_link(0b000, 0b001));
         assert!(!c.has_link(0b001, 0b000));
         assert!(c.has_link(0b000, 0b010));
-        c.restore_link(0b001, 0b000); // order-insensitive
-        assert!(c.has_link(0b000, 0b001));
     }
 
     #[test]

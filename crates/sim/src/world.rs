@@ -471,16 +471,6 @@ impl World {
             + self.index.memory_bytes()
     }
 
-    /// Whether two nodes are within radio range of each other (and both
-    /// alive). Unit-disk connectivity: "Two MNs communicate directly if
-    /// they are within the radio transmission range of each other" (§1).
-    pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        self.alive[a.idx()]
-            && self.alive[b.idx()]
-            && self.pos[a.idx()].distance_sq(self.pos[b.idx()])
-                <= self.radio_range * self.radio_range
-    }
-
     /// Collects the alive radio neighbours of `id` (excluding itself) into
     /// `out` (cleared first), in ascending id order for determinism; a
     /// dead `id` gets an empty list. While the adjacency table is fresh
@@ -554,19 +544,10 @@ mod tests {
     }
 
     #[test]
-    fn in_range_symmetric() {
-        let w = line_world();
-        assert!(w.in_range(NodeId(0), NodeId(1)));
-        assert!(w.in_range(NodeId(1), NodeId(0)));
-        assert!(!w.in_range(NodeId(0), NodeId(2)));
-    }
-
-    #[test]
     fn dead_nodes_vanish_from_queries() {
         let mut w = line_world();
         w.set_alive(NodeId(1), false);
         assert!(nbrs(&w, NodeId(0)).is_empty());
-        assert!(!w.in_range(NodeId(0), NodeId(1)));
         assert!(nbrs(&w, NodeId(1)).is_empty());
         w.set_alive(NodeId(1), true);
         assert_eq!(nbrs(&w, NodeId(0)), vec![NodeId(1)]);

@@ -53,12 +53,6 @@ impl TrafficSpec {
         groups as u32 * self.flows_per_group
     }
 
-    /// Total offered load in packets per second once every group's
-    /// session is active.
-    pub fn offered_pps(&self, groups: usize) -> f64 {
-        self.flow_count(groups) as f64 * self.rate_pps
-    }
-
     /// Expands the spec into the deterministic packet schedule for
     /// `groups` groups over a `window_us` window under `seed`. Packets
     /// are ordered by `(at_us, flow)`; each flow's sequence numbers are
@@ -157,10 +151,5 @@ mod tests {
             sched.iter().filter(|p| p.flow == 3).copied().collect()
         };
         assert_eq!(pick(&two), pick(&five));
-    }
-
-    #[test]
-    fn offered_pps_is_flows_times_rate() {
-        assert_eq!(spec().offered_pps(3), 6.0 * 50.0);
     }
 }
